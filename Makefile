@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-json bench-smoke experiments examples verify clean
+.PHONY: install test bench bench-json bench-smoke perfbench experiments examples verify clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -19,6 +19,14 @@ bench-json:
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick
+
+# Repository benchmark (BENCHMARK.json): the self-test, then each
+# workload on its own seed for BENCHMARK.json's run_seconds (25 s).
+perfbench:
+	$(PYTHON) perfbench/selftest.py
+	$(PYTHON) perfbench/run.py --workload paper-open --seed 1 --seconds 25 --trace 0
+	$(PYTHON) perfbench/run.py --workload sized-closed --seed 2 --seconds 25 --trace 0
+	$(PYTHON) perfbench/run.py --workload chaos-serve --seed 3 --seconds 25 --trace 0
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner all

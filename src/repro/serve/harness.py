@@ -625,7 +625,8 @@ class ServiceHarness:
         Each chunk boundary is a ``sim.run(until=...)`` pause — the
         engine guarantees boundary events still fire — immediately
         followed by a conservation audit, so a leak is localized to the
-        epoch that caused it.
+        epoch that caused it.  A boundary the clock has already passed
+        (a rerun after staging more records) is audited without running.
         """
         if chunks < 1:
             raise ConfigurationError(f"chunks must be >= 1, got {chunks}")

@@ -92,6 +92,7 @@ class InflightWindow:
         self._depth = depth
         #: Accumulated concurrency floor (see module docstring).
         self._floor = 0
+        self._resize()
         self.occupancy = 0
         self.max_occupancy = 0
         self.dispatches = 0
@@ -120,9 +121,17 @@ class InflightWindow:
     @property
     def depth(self) -> int | None:
         """Current in-flight limit (``None`` = unbounded)."""
-        if self._depth is None:
-            return None
-        return max(self._depth, self._floor, 1)
+        return self._limit
+
+    def _resize(self) -> None:
+        """Recompute :attr:`depth` after the nominal depth or the floor moved.
+
+        The limit is cached because the dispatch loop asks
+        :meth:`has_slot` once per request.
+        """
+        self._limit = (
+            None if self._depth is None else max(self._depth, self._floor, 1)
+        )
 
     def raise_floor(self, concurrency: int) -> None:
         """Add a server's service concurrency to the window floor.
@@ -135,11 +144,12 @@ class InflightWindow:
                 f"concurrency must be >= 1, got {concurrency}"
             )
         self._floor += concurrency
+        self._resize()
 
     def has_slot(self) -> bool:
         """Whether another request may enter the window right now."""
-        depth = self.depth
-        return depth is None or self.occupancy < depth
+        limit = self._limit
+        return limit is None or self.occupancy < limit
 
     # ------------------------------------------------------------------
     # Lifecycle accounting (driven by DeviceDriver)
@@ -213,6 +223,7 @@ class InflightWindow:
         depth = max(depth, floor)
         if self._depth is None or depth < self._depth:
             self._depth = depth
+            self._resize()
             self.squeezes += 1
             if self._m_squeezes is not None:
                 self._m_squeezes.inc()
@@ -220,6 +231,7 @@ class InflightWindow:
     def _grow_to(self, depth: int) -> None:
         if self._depth is not None and depth > self._depth:
             self._depth = depth
+            self._resize()
             self.grows += 1
             if self._m_grows is not None:
                 self._m_grows.inc()

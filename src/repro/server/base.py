@@ -108,10 +108,11 @@ class Server:
             raise SimulationError(
                 f"{self.name}: non-positive service time {duration}"
             )
-        request.dispatch = self.sim.now
+        now = self.sim.now
+        request.dispatch = now
         self._current = request
         self._busy_time += duration
-        self._service_end = self.sim.now + duration
+        self._service_end = now + duration
         self._completion_event = self.sim.schedule_after(
             duration, self._complete, priority=PRIORITY_COMPLETION
         )

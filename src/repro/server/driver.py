@@ -199,7 +199,8 @@ class DeviceDriver:
 
     def on_arrival(self, request: Request) -> None:
         """Entry point for workload sources."""
-        self._m_arrivals.inc()
+        if self._observed:
+            self._m_arrivals.inc()
         self.scheduler.on_arrival(request)
         self._try_dispatch()
         if self._preemptive and self.server.busy:
@@ -242,23 +243,32 @@ class DeviceDriver:
         self._completion_hooks.append(hook)
 
     def _try_dispatch(self) -> None:
+        # The clock cannot move inside one callback: read it once.
         if self.window is not None:
-            self._pull_into_window()
-            self._feed_device()
+            now = self.sim.now
+            self._pull_into_window(now)
+            self._feed_device(now)
             return
         # Dormant path (no window): dispatch straight from the scheduler.
         # Loop: a multi-unit server (ServerFarm) may have several idle
         # units to fill from the queue in one go.
-        while not self.server.busy:
-            request = self.scheduler.select(self.sim.now)
+        server = self.server
+        if server.busy:
+            return
+        now = self.sim.now
+        while True:
+            request = self.scheduler.select(now)
             if request is None:
                 return
-            self._m_dispatches.inc()
-            self.server.dispatch(request)
+            if self._observed:
+                self._m_dispatches.inc()
+            server.dispatch(request)
             if self.retry is not None:
                 self._arm_timeout(request)
+            if server.busy:
+                return
 
-    def _pull_into_window(self) -> None:
+    def _pull_into_window(self, now: float) -> None:
         """Move requests scheduler -> device queue while slots remain.
 
         This is the backpressure point: a request pulled here has left
@@ -266,11 +276,12 @@ class DeviceDriver:
         window decides how much of the backlog loses policy protection.
         """
         window = self.window
+        scheduler = self.scheduler
         while window.has_slot():
-            request = self.scheduler.select(self.sim.now)
+            request = scheduler.select(now)
             if request is None:
                 return
-            window.on_enter(request, self.sim.now)
+            window.on_enter(request, now)
             self._window_resident += 1
             self._device_queue.append(request)
             if self.retry is not None:
@@ -278,16 +289,19 @@ class DeviceDriver:
                 # window entry, not service start, so a request rotting
                 # in a bloated device queue still times out and retries.
                 self._arm_timeout(request)
-        if self.scheduler.pending() > 0:
+        if scheduler.pending() > 0:
             window.on_gated()
 
-    def _feed_device(self) -> None:
+    def _feed_device(self, now: float) -> None:
         """Start service for queued requests while units are idle."""
-        while not self.server.busy and self._device_queue:
-            request = self._device_queue.popleft()
-            self.window.on_dispatch(request, self.sim.now)
-            self._m_dispatches.inc()
-            self.server.dispatch(request)
+        queue = self._device_queue
+        server = self.server
+        while queue and not server.busy:
+            request = queue.popleft()
+            self.window.on_dispatch(request, now)
+            if self._observed:
+                self._m_dispatches.inc()
+            server.dispatch(request)
 
     def _window_exit(self, request: Request) -> None:
         """Release ``request``'s window slot (no-op when no window)."""
@@ -316,19 +330,21 @@ class DeviceDriver:
     def _on_completion(self, request: Request) -> None:
         if self.retry is not None:
             self._disarm_timeout(request)
-        self._window_exit(request)
+        if self.window is not None:
+            self._window_exit(request)
         self.scheduler.on_completion(request)
         self.completed.append(request)
         rt = request.response_time
-        self.by_class[request.qos_class].add(rt)
+        qos = request.qos_class
+        self.by_class[qos].add(rt)
         self.overall.add(rt)
-        if request.qos_class is QoSClass.PRIMARY:
+        if qos is QoSClass.PRIMARY:
             self.q1_completed += 1
             if not request.met_deadline:
                 self.q1_missed += 1
         if self._observed:
             self._m_completions.inc()
-            if request.qos_class is QoSClass.PRIMARY and not request.met_deadline:
+            if qos is QoSClass.PRIMARY and not request.met_deadline:
                 self._m_misses.inc()
         if self.completion_rates is not None:
             self.completion_rates.record(self.sim.now)

@@ -10,6 +10,7 @@ its shaper into DiskSim's device-driver layer; here the equivalent hook is
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from ..exceptions import SimulationError
@@ -73,13 +74,16 @@ class Simulator:
         SimulationError
             If ``time`` is in the simulated past.
         """
-        if time < self._now - 1e-12:
+        now = self._now
+        if time < now - 1e-12:
             raise SimulationError(
-                f"cannot schedule at {time}: clock already at {self._now}"
+                f"cannot schedule at {time}: clock already at {now}"
             )
+        if time < now:
+            time = now
         if self.on_event_scheduled is not None:
-            self.on_event_scheduled(max(time, self._now), priority)
-        return self._queue.push(max(time, self._now), priority, callback)
+            self.on_event_scheduled(time, priority)
+        return self._queue.push(time, priority, callback)
 
     def schedule_after(
         self,
@@ -90,9 +94,10 @@ class Simulator:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
+        time = self._now + delay
         if self.on_event_scheduled is not None:
-            self.on_event_scheduled(self._now + delay, priority)
-        return self._queue.push(self._now + delay, priority, callback)
+            self.on_event_scheduled(time, priority)
+        return self._queue.push(time, priority, callback)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events in time order.
@@ -103,36 +108,37 @@ class Simulator:
             Stop once the next event is strictly later than this instant
             (events exactly at ``until`` still fire).  The clock lands
             on ``until`` whether the loop stops on a later event or on
-            an empty queue — both exits leave ``now == until``.
+            an empty queue — both exits leave ``now == until``.  An
+            ``until`` the clock has already passed fires nothing and
+            leaves the clock where it is: the clock never runs
+            backwards, so :meth:`schedule` keeps refusing the past.
         max_events:
             Safety valve for runaway simulations.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
+        pop_due = self._queue.pop_due
+        horizon = math.inf if until is None else until
         try:
             while True:
                 if max_events is not None and self._events_processed >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                event = pop_due(horizon)
+                if event is None:
+                    # Drained, or the next event is later than ``until``.
                     if until is not None and until > self._now:
                         self._now = until
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                event = self._queue.pop()
-                if event is None:  # pragma: no cover - peek said otherwise
-                    break
-                if event.time < self._now - 1e-12:
-                    raise SimulationError(
-                        f"time went backwards: {event.time} < {self._now}"
-                    )
-                self._now = max(self._now, event.time)
+                time = event.time
+                now = self._now
+                if time < now - 1e-12:
+                    raise SimulationError(f"time went backwards: {time} < {now}")
+                if time > now:
+                    self._now = time
                 self._events_processed += 1
                 if self.on_event_fired is not None:
-                    self.on_event_fired(event.time, event.priority)
+                    self.on_event_fired(time, event.priority)
                 event.callback()
         finally:
             self._running = False

@@ -5,13 +5,17 @@ An :class:`Event` couples a firing time with a callback.  Ordering is by
 (lower fires first), then by scheduling order, which makes simulations
 deterministic for a fixed input — a property the reproduction tests rely
 on.
+
+The heap holds ``(time, priority, sequence, event)`` tuples rather than
+the events themselves, so every sift compares the ordering key in C.
+``sequence`` is unique, so a comparison never reaches the event.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+from heapq import heappop, heappush
 from typing import Callable
 
 from ..exceptions import SimulationError
@@ -25,19 +29,23 @@ PRIORITY_ARRIVAL = 10
 PRIORITY_MONITOR = 20
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback; ``cancel()`` makes the engine skip it."""
 
-    Comparison uses only the ordering key so events sort correctly in the
-    heap regardless of their callback.
-    """
+    __slots__ = ("time", "priority", "sequence", "callback", "cancelled")
 
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        sequence: int,
+        callback: Callable[[], None],
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -45,10 +53,14 @@ class Event:
 
 
 class EventQueue:
-    """A cancellable min-heap of events."""
+    """A cancellable min-heap of events.
+
+    Entries are ``(time, priority, sequence, event)``; cancelled events
+    stay in the heap until they reach the top and are discarded there.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -58,20 +70,37 @@ class EventQueue:
         """Schedule ``callback`` at ``time``; returns the (cancellable) event."""
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        event = Event(time, priority, next(self._counter), callback)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, callback)
+        heappush(self._heap, (time, priority, sequence, event))
         return event
 
-    def pop(self) -> Event | None:
-        """Next non-cancelled event, or ``None`` if the queue is drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
+    def pop_due(self, horizon: float) -> Event | None:
+        """Next live event firing at or before ``horizon``, removed.
+
+        Cancelled entries reaching the top are discarded on the way.
+        Returns ``None`` when the queue is drained or the next live
+        event is later than ``horizon``; that event stays queued.
+        """
+        heap = self._heap
+        while heap:
+            time, _, _, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+            elif time > horizon:
+                return None
+            else:
+                heappop(heap)
                 return event
         return None
 
+    def pop(self) -> Event | None:
+        """Next non-cancelled event, or ``None`` if the queue is drained."""
+        return self.pop_due(math.inf)
+
     def peek_time(self) -> float | None:
         """Firing time of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None

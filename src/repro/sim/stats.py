@@ -28,14 +28,28 @@ class OnlineStats:
         self.max = -math.inf
 
     def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
+        self.extend((x,))
+
+    def extend(self, values) -> None:
+        """Fold ``values`` in one at a time, in order (sequential Welford).
+
+        :meth:`add` is the one-value case, so a batch gets exactly the
+        float operations of adding its values one by one; the running
+        moments stay in locals for the length of the loop.
+        """
+        count, mean, m2 = self.count, self.mean, self._m2
+        low, high = self.min, self.max
+        for x in values:
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            if x < low:
+                low = x
+            if x > high:
+                high = x
+        self.count, self.mean, self._m2 = count, mean, m2
+        self.min, self.max = low, high
 
     @property
     def variance(self) -> float:
@@ -92,12 +106,20 @@ class OnlineStats:
 
 
 class ResponseTimeCollector:
-    """Accumulates response-time samples and reports distribution views."""
+    """Accumulates response-time samples and reports distribution views.
+
+    :meth:`add` only validates and stores a sample; the Welford moments
+    in :attr:`stats` catch up on the samples added since the last read
+    when they are next read, in arrival order, so they are bit-identical
+    to folding each sample in as it arrives.
+    """
 
     def __init__(self, name: str = "all"):
         self.name = name
         self._samples: list[float] = []
-        self.stats = OnlineStats()
+        self._stats = OnlineStats()
+        #: Samples already folded into ``_stats``.
+        self._folded = 0
 
     def add(self, response_time: float) -> None:
         if response_time < 0:
@@ -105,7 +127,18 @@ class ResponseTimeCollector:
                 f"negative response time {response_time} in {self.name}"
             )
         self._samples.append(response_time)
-        self.stats.add(response_time)
+
+    @property
+    def stats(self) -> OnlineStats:
+        """Streaming moments of every sample added so far."""
+        self._fold()
+        return self._stats
+
+    def _fold(self) -> None:
+        samples = self._samples
+        if self._folded < len(samples):
+            self._stats.extend(samples[self._folded:])
+            self._folded = len(samples)
 
     def extend(self, response_times: Sequence[float]) -> None:
         for value in response_times:
@@ -125,8 +158,10 @@ class ResponseTimeCollector:
             raise SimulationError(
                 f"negative response time {float(values.min())} in {self.name}"
             )
+        self._fold()
         self._samples.extend(values.tolist())
-        self.stats.add_array(values)
+        self._stats.add_array(values)
+        self._folded = len(self._samples)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -204,13 +239,14 @@ class ResponseTimeCollector:
         return result
 
     def summary(self) -> dict:
+        stats = self.stats
         return {
             "name": self.name,
-            "count": self.stats.count,
-            "mean": self.stats.mean,
-            "std": self.stats.std,
-            "min": self.stats.min if self.stats.count else 0.0,
-            "max": self.stats.max if self.stats.count else 0.0,
+            "count": stats.count,
+            "mean": stats.mean,
+            "std": stats.std,
+            "min": stats.min if stats.count else 0.0,
+            "max": stats.max if stats.count else 0.0,
             "p50": self.percentile(50),
             "p95": self.percentile(95),
             "p99": self.percentile(99),

@@ -23,6 +23,7 @@ from repro.serve import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.source import ClosedLoopSource
+from repro.traces import library
 from repro.traces.synthetic import poisson_workload
 
 CMIN, DELTA_C, DELTA = 4.0, 2.0, 0.5
@@ -182,6 +183,27 @@ class TestAuditsAndDriving:
         assert times == sorted(times)
         assert all(outstanding >= 0 for _, outstanding in served.audits)
         assert served.audits[-1][1] == 0
+
+    def test_rerun_audits_boundaries_behind_the_clock_without_rewinding(self):
+        """Regression: staging one more arrival after a drained replay
+        and running in chunks put the first boundaries behind the
+        clock, and running to them rewound it.  They are audited in
+        place instead, and the late arrival is served on time."""
+        harness = ServiceHarness("split", 400, 20, 0.05)
+        harness.replay(library.websearch(duration=20.0, seed=1))
+        drained_at = harness.sim.now
+        late = harness.source.horizon + 30.0
+        harness.source.stage(late)
+        served = harness.run(chunks=4)
+        rerun_audits = served.audits[-4:]
+        # The boundary at span/4 was behind the clock: audited in place.
+        assert rerun_audits[0][0] == drained_at
+        times = [t for t, _ in served.audits]
+        assert times == sorted(times)
+        assert all(outstanding == 0 for _, outstanding in rerun_audits)
+        request = harness.source.requests[-1]
+        assert request.arrival == late
+        assert request.completion > late
 
     def test_run_epochs_is_chunked_run(self, bursty):
         harness = ServiceHarness("split", CMIN, DELTA_C, DELTA)

@@ -115,6 +115,23 @@ class TestRunControls:
         sim.run(until=2.0)  # horizon already passed: no-op
         assert sim.now == 4.0
 
+    def test_until_behind_clock_with_later_event_keeps_clock(self):
+        """Regression: stopping on a later pending event used to set
+        ``now = until`` even when ``until`` was behind the clock, after
+        which ``schedule`` accepted times in the simulated past."""
+        sim = Simulator()
+        seen = []
+        sim.schedule(5.0, lambda: seen.append(5.0))
+        sim.schedule(6.0, lambda: seen.append(6.0))
+        sim.run(until=5.0)
+        sim.run(until=1.0)
+        assert sim.now == 5.0
+        assert seen == [5.0]
+        with pytest.raises(SimulationError, match="clock"):
+            sim.schedule(2.0, lambda: seen.append(2.0))
+        sim.run()
+        assert seen == [5.0, 6.0]
+
     def test_drained_until_exit_allows_scheduling_at_horizon(self):
         """After an early-drain exit the clock is at ``until``, so a
         monitoring tick installed next starts relative to the horizon —
@@ -197,9 +214,10 @@ class TestEvery:
         of allocating fresh closures per tick (hot-loop garbage)."""
         sim = Simulator()
         sim.every(1.0, lambda: None, until=10.5)
-        (first,) = sim._queue._heap
+        # Heap entries are (time, priority, sequence, event) tuples.
+        ((_, _, _, first),) = sim._queue._heap
         sim.run(until=5.0)
-        (pending,) = [e for e in sim._queue._heap if not e.cancelled]
+        (pending,) = [e for (*_, e) in sim._queue._heap if not e.cancelled]
         assert pending.callback is first.callback
 
     def test_tick_interacts_with_until_exit(self):

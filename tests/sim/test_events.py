@@ -57,6 +57,18 @@ class TestCancellation:
         first.cancel()
         assert q.peek_time() == 2.0
 
+    def test_pop_due_stops_at_horizon(self):
+        q = EventQueue()
+        first = q.push(1.0, PRIORITY_ARRIVAL, lambda: None)
+        at_horizon = q.push(2.0, PRIORITY_ARRIVAL, lambda: None)
+        later = q.push(3.0, PRIORITY_ARRIVAL, lambda: None)
+        first.cancel()
+        # Events exactly at the horizon are due; later ones stay queued.
+        assert q.pop_due(2.0) is at_horizon
+        assert q.pop_due(2.0) is None
+        assert q.peek_time() == 3.0
+        assert q.pop() is later
+
     def test_len_counts_entries(self):
         q = EventQueue()
         q.push(1.0, PRIORITY_ARRIVAL, lambda: None)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.sim.stats import OnlineStats, RateRecorder, ResponseTimeCollector
@@ -127,6 +129,62 @@ class TestResponseTimeCollector:
         c = ResponseTimeCollector()
         c.extend([0.1, 0.2, 0.3])
         assert len(c) == 3
+
+
+def _eager_add(stats: OnlineStats, x: float) -> None:
+    """Reference: the eager Welford update, applied as each sample arrives."""
+    stats.count += 1
+    delta = x - stats.mean
+    stats.mean += delta / stats.count
+    stats._m2 += delta * (x - stats.mean)
+    if x < stats.min:
+        stats.min = x
+    if x > stats.max:
+        stats.max = x
+
+
+SAMPLES = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+COLLECTOR_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), SAMPLES),
+        st.tuples(st.just("extend_array"), st.lists(SAMPLES, max_size=8)),
+        st.tuples(st.just("read")),
+    ),
+    max_size=80,
+)
+
+
+class TestLazyMoments:
+    """``stats`` folds pending samples on read; it must equal folding
+    each sample in as it arrives, bit for bit."""
+
+    @given(COLLECTOR_OPS)
+    def test_moments_bit_identical_to_eager_welford(self, operations):
+        collector = ResponseTimeCollector()
+        reference = OnlineStats()
+
+        def assert_same():
+            stats = collector.stats
+            assert stats.count == reference.count
+            assert stats.mean == reference.mean
+            assert stats.variance == reference.variance
+            assert stats.min == reference.min
+            assert stats.max == reference.max
+
+        for op in operations:
+            if op[0] == "add":
+                collector.add(op[1])
+                _eager_add(reference, op[1])
+            elif op[0] == "extend_array":
+                collector.extend_array(op[1])
+                reference.add_array(op[1])
+            else:
+                assert_same()
+        # A negative sample still raises at add and leaves no trace.
+        with pytest.raises(SimulationError, match="negative"):
+            collector.add(-1e-9)
+        assert_same()
+        assert len(collector) == reference.count
 
 
 class TestRateRecorder:
