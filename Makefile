@@ -16,6 +16,8 @@ bench:
 bench-json:
 	$(PYTHON) benchmarks/bench_kernels.py --output BENCH_kernels.json
 	$(PYTHON) benchmarks/bench_engine.py --output BENCH_engine.json
+	$(PYTHON) benchmarks/bench_tails.py --output BENCH_tails.json
+	$(PYTHON) benchmarks/bench_aqm.py --output BENCH_AQM.json
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick

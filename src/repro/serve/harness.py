@@ -34,6 +34,7 @@ clock lands on the boundary — and every chunk edge doubles as an epoch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,13 +97,19 @@ class StagedSource:
         (the ingest front end clamps, it cannot rewrite history).
         """
         arrival = float(arrival)
+        if not math.isfinite(arrival):
+            raise ConfigurationError(
+                f"staged arrival must be finite, got {arrival}"
+            )
         if self._records and arrival < self._records[-1][0]:
             raise ConfigurationError(
                 f"staged arrival {arrival} precedes the last staged "
                 f"arrival {self._records[-1][0]}; stage in order"
             )
-        if size is not None and size <= 0:
-            raise ConfigurationError(f"size must be positive, got {size}")
+        if size is not None and not (size > 0 and math.isfinite(size)):
+            raise ConfigurationError(
+                f"size must be positive and finite, got {size}"
+            )
         self._records.append((arrival, None if size is None else float(size)))
         if self._started and not self._armed:
             self._schedule_next()

@@ -27,16 +27,30 @@ without sockets:
 
 Out-of-order timestamps are clamped forward (an ingest endpoint cannot
 rewrite history): the staged arrival is never before the previously
-staged one nor before the harness clock.
+staged one nor before the harness clock.  A field that is not a finite
+number (``NaN``, ``Infinity``, a boolean, a string, ...) or lies outside
+the accepted range (:data:`MAX_VALUE`, :data:`MIN_SIZE`) is refused with
+an ``ok: false`` reply before the clamp, so one bad line never reaches
+the simulator.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 from ..exceptions import ConfigurationError
 from .harness import ServiceHarness
+
+#: Largest ``arrival`` or ``size`` accepted.  Float64 seconds still
+#: resolve whole units at 2**53, and it lies so far inside the float range
+#: that no clock sum a run makes over accepted requests can overflow.
+MAX_VALUE = 2.0**53
+
+#: Smallest ``size`` accepted, far above the point where a service time
+#: ``size / C`` would underflow to zero (which the server refuses).
+MIN_SIZE = 2.0**-53
 
 
 class IngestServer:
@@ -66,10 +80,17 @@ class IngestServer:
     def submit(self, arrival: float | None = None, size: float | None = None) -> dict:
         """Stage one request; returns the response object."""
         now = float(self._clock())
-        requested = now if arrival is None else float(arrival)
-        # Clamp forward: monotone staging is the source's contract.
-        stamped = max(requested, self._last, now)
         try:
+            requested = now if arrival is None else _finite("arrival", arrival)
+            if size is not None:
+                size = _finite("size", size)
+                if size < MIN_SIZE:
+                    raise ConfigurationError(
+                        f"size must be positive and at least {MIN_SIZE:g}, "
+                        f"got {size}"
+                    )
+            # Clamp forward: monotone staging is the source's contract.
+            stamped = max(requested, self._last, now)
             index = self.harness.source.stage(stamped, size)
         except ConfigurationError as exc:
             self.malformed += 1
@@ -99,7 +120,10 @@ class IngestServer:
         arrival = payload.get("arrival")
         size = payload.get("size")
         for name, value in (("arrival", arrival), ("size", size)):
-            if value is not None and not isinstance(value, (int, float)):
+            # JSON true/false parse to bool, an int subclass: not a number.
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
                 self.malformed += 1
                 return {"ok": False, "error": f"{name} must be a number"}
         return self.submit(arrival=arrival, size=size)
@@ -133,3 +157,16 @@ class IngestServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float no larger than :data:`MAX_VALUE`."""
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not -math.inf < number <= MAX_VALUE:  # NaN fails both comparisons
+        raise ConfigurationError(
+            f"{name} must be finite and at most {MAX_VALUE:g}, got {number}"
+        )
+    return number

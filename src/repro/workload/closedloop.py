@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.request import QoSClass, Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
+from ..perf import engines
 from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
 from ..server.aqm import make_window, resolve_aqm
 from ..server.cluster import SplitSystem
@@ -103,21 +102,28 @@ def run_closed_loop(
     """Drive ``policy`` with a closed-loop user population.
 
     ``config`` supplies the capacity plan (``cmin``, ``delta_c``,
-    ``delta``) and admission mode; observability fields are not
-    supported here (closed-loop runs are scalar-engine by nature — the
-    batch engine needs the arrival column up front, which closed-loop
-    traffic only yields after the fact).
+    ``delta``), admission mode and AQM window.  Observability fields
+    are rejected.  ``engine`` is resolved as
+    :func:`~repro.shaping.run_policy` resolves it, so an unknown name
+    raises, and ``batch`` is rejected rather than ignored: closed-loop
+    runs are scalar-engine by nature, since the batch engine needs the
+    arrival column up front and closed-loop traffic only yields it
+    after the fact.
 
-    ``demand_sampler`` optionally sizes each request — any columnar
-    ``(rng, n)`` sampler from :mod:`repro.workload.sizes`, drawn one
-    request at a time from each user's own stream.
+    ``demand_sampler`` optionally sizes each request: any sampler from
+    :mod:`repro.workload.sizes`, or any ``(rng) -> float`` callable,
+    called in its scalar form ``sampler(rng)`` on each user's own stream
+    once per submission.
     """
-    if config.record_rates is not None or config.metrics is not None or (
-        config.sample_interval is not None
+    if (
+        config.record_rates is not None
+        or config.metrics is not None
+        or config.sample_interval is not None
+        or engines.resolve_engine(config.engine) == "batch"
     ):
         raise ConfigurationError(
-            "closed-loop runs do not support observability options; "
-            "use a plain RunConfig(cmin, delta_c, delta)"
+            "closed-loop runs support neither observability options nor "
+            "engine 'batch'; use a plain RunConfig(cmin, delta_c, delta)"
         )
     cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
     aqm = resolve_aqm(config.aqm)
@@ -153,9 +159,6 @@ def run_closed_loop(
     else:
         raise ConfigurationError(f"unknown policy {policy!r}")
 
-    sampler = None
-    if demand_sampler is not None:
-        sampler = _per_request(demand_sampler)
     source = ClosedLoopSource(
         sim,
         system,
@@ -163,7 +166,7 @@ def run_closed_loop(
         think_time=think_time,
         horizon=horizon,
         seed=seed,
-        demand_sampler=sampler,
+        demand_sampler=demand_sampler,
     )
     source.start()
     sim.run()
@@ -193,13 +196,3 @@ def run_closed_loop(
         primary_misses=system.primary_deadline_misses(),
         ledger=ledger,
     )
-
-
-def _per_request(sampler):
-    """Adapt a columnar ``(rng, n)`` sampler to per-request draws."""
-
-    def draw(rng: np.random.Generator) -> float:
-        out = sampler(rng, 1)
-        return float(np.asarray(out).reshape(-1)[0])
-
-    return draw

@@ -1,9 +1,22 @@
 """Service-demand samplers: give requests a size.
 
-A demand sampler is a callable ``(rng, n) -> n positive demands`` with a
-``describe()`` method for provenance metadata.  Demands are in units of
-the unit-cost request (1.0 = the paper's model): a rate-``C`` server
-takes ``demand / C`` seconds to serve a request of demand ``demand``.
+A demand sampler is a callable with a ``describe()`` method for
+provenance metadata, drawn in one of two forms that follow numpy's own
+``size=None`` convention:
+
+* ``sampler(rng, n)`` returns an array of ``n`` positive demands (the
+  columnar form a workload is sized with);
+* ``sampler(rng)`` returns one demand as a Python ``float`` (the form a
+  closed-loop user draws per request).
+
+The scalar form is bit-identical to the first element of a size-1 draw:
+``sampler(rng) == sampler(rng, 1)[0]``, and it advances ``rng`` exactly
+as far, so a per-request stream that interleaves demand draws with other
+draws from the same generator is unchanged whichever form it uses.
+
+Demands are in units of the unit-cost request (1.0 = the paper's model):
+a rate-``C`` server takes ``demand / C`` seconds to serve a request of
+demand ``demand``.
 
 :class:`BimodalDemand` is the long/short job mix the work-bound
 admission study (``repro.experiments.workbound``) is built around: a
@@ -13,7 +26,7 @@ shape under which count-bound and work-bound ``C·δ`` admission diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +47,11 @@ class ConstantDemand:
                 f"demand must be positive, got {self.demand}"
             )
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def __call__(
+        self, rng: np.random.Generator, n: int | None = None
+    ) -> np.ndarray | float:
+        if n is None:
+            return float(self.demand)
         return np.full(n, self.demand, dtype=np.float64)
 
     def describe(self) -> dict:
@@ -51,7 +68,9 @@ class ExponentialDemand:
         if self.mean <= 0:
             raise ConfigurationError(f"mean must be positive, got {self.mean}")
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def __call__(
+        self, rng: np.random.Generator, n: int | None = None
+    ) -> np.ndarray | float:
         return rng.exponential(self.mean, n)
 
     def describe(self) -> dict:
@@ -68,6 +87,7 @@ class LognormalDemand:
 
     median: float = 1.0
     sigma: float = 0.5
+    _mu: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.median <= 0:
@@ -76,9 +96,12 @@ class LognormalDemand:
             )
         if self.sigma <= 0:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "_mu", float(np.log(self.median)))
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.lognormal(float(np.log(self.median)), self.sigma, n)
+    def __call__(
+        self, rng: np.random.Generator, n: int | None = None
+    ) -> np.ndarray | float:
+        return rng.lognormal(self._mu, self.sigma, n)
 
     def describe(self) -> dict:
         return {"sampler": "lognormal", "median": self.median, "sigma": self.sigma}
@@ -105,7 +128,13 @@ class BimodalDemand:
                 f"long_fraction must be in [0, 1], got {self.long_fraction}"
             )
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def __call__(
+        self, rng: np.random.Generator, n: int | None = None
+    ) -> np.ndarray | float:
+        if n is None:
+            return float(
+                self.long if rng.random() < self.long_fraction else self.short
+            )
         long_mask = rng.random(n) < self.long_fraction
         return np.where(long_mask, self.long, self.short).astype(np.float64)
 

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.serve import IngestServer, ServiceHarness
 
@@ -28,6 +33,13 @@ class TestProtocol:
             ('{"arrival": "soon"}', "arrival must be a number"),
             ('{"size": "big"}', "size must be a number"),
             ('{"size": -2.0}', "positive"),
+            ('{"arrival": true}', "arrival must be a number"),
+            ('{"size": false}', "size must be a number"),
+            ('{"arrival": NaN}', "finite"),
+            ('{"arrival": -Infinity}', "finite"),
+            ('{"size": Infinity}', "finite"),
+            ('{"arrival": 1e308}', "at most"),
+            ('{"size": 5e-324}', "at least"),
         ],
     )
     def test_malformed_lines_never_raise(self, line, error):
@@ -72,6 +84,49 @@ class TestProtocol:
         # Post-run submissions stamp at (clamped) virtual now.
         response = server.submit(arrival=0.0)
         assert response["arrival"] == harness.sim.now
+
+
+_NUMBERS = (
+    st.floats()  # NaN and +-Infinity included; json.dumps writes them
+    | st.floats(min_value=0.0, max_value=50.0)
+    | st.integers()
+    | st.sampled_from(
+        [0, -0.0, 5e-324, 1e-300, 2.0**53, 2**53 + 1, sys.float_info.max, 10**400]
+    )
+)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+_FIELD = _NUMBERS | _VALUES
+_LINES = st.one_of(
+    st.fixed_dictionaries({}, optional={"arrival": _FIELD, "size": _FIELD}),
+    st.dictionaries(st.sampled_from(["arrival", "size"]) | st.text(max_size=6), _FIELD),
+    _VALUES,
+).map(json.dumps) | st.text(max_size=30)
+
+
+class TestFuzzedLines:
+    @given(st.lists(_LINES, max_size=10))
+    def test_bad_lines_never_break_the_run(self, lines):
+        harness = ServiceHarness("split", 400, 20, 0.05)
+        server = IngestServer(harness)
+        last = 0.0
+        for line in lines:
+            reply = server.handle_line(line)
+            if reply["ok"]:
+                assert math.isfinite(reply["arrival"])
+                assert reply["arrival"] >= last
+                last = reply["arrival"]
+        assert server.accepted + server.malformed == len(lines)
+        result = harness.run()  # final audit raises on any leak
+        assert result.conservation.ok
+        assert result.violations == ()
+        assert len(result.completed) + len(result.rejected) == server.accepted
+        completed = [r.index for r in result.completed]
+        assert np.all(np.isfinite(result.responses[completed]))
 
 
 class TestSocketEndpoint:

@@ -10,7 +10,7 @@ from repro.sched.registry import make_scheduler
 from repro.shaping import RunConfig
 from repro.sim.engine import Simulator
 from repro.sim.source import ClosedLoopSource
-from repro.workload import ConstantDemand, run_closed_loop
+from repro.workload import BimodalDemand, ConstantDemand, run_closed_loop
 
 
 def _fcfs_system(sim, rate):
@@ -124,6 +124,25 @@ class TestRunClosedLoop:
         assert result.submitted
         assert all(r.service_demand == 2.0 for r in result.submitted)
 
+        # A sampler's scalar draw runs the same population as the
+        # one-element columnar draw it replaced (the reference here).
+        def submitted(sampler):
+            result = run_closed_loop(
+                "srpt", self.CONFIG, n_users=6, think_time=0.4,
+                horizon=15.0, seed=1, demand_sampler=sampler,
+            )
+            return [
+                (r.arrival, r.service_demand, r.completion)
+                for r in result.submitted
+            ]
+
+        bimodal = BimodalDemand(short=1.0, long=8.0, long_fraction=0.12)
+        scalar = submitted(bimodal)
+        assert {demand for _, demand, _ in scalar} == {1.0, 8.0}
+        assert scalar == submitted(
+            lambda rng: float(np.asarray(bimodal(rng, 1)).reshape(-1)[0])
+        )
+
     def test_work_admission_accepted(self):
         config = RunConfig(4.0, 2.0, 0.5, admission="work")
         result = run_closed_loop(
@@ -146,6 +165,16 @@ class TestRunClosedLoop:
         with pytest.raises(ConfigurationError, match="observability"):
             run_closed_loop(
                 "split", config, n_users=2, think_time=1.0, horizon=5.0
+            )
+
+    @pytest.mark.parametrize(
+        ("engine", "match"), [("batch", "engine 'batch'"), ("bogus", "unknown")]
+    )
+    def test_rejects_engines_it_cannot_run(self, engine, match):
+        config = RunConfig(300, 100, 0.05, engine=engine)
+        with pytest.raises(ConfigurationError, match=match):
+            run_closed_loop(
+                "fcfs", config, n_users=5, think_time=1.0, horizon=5.0, seed=1
             )
 
     def test_unknown_policy(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
@@ -38,6 +40,41 @@ class TestSamplerContract:
         a = sampler(np.random.default_rng(99), 50)
         b = sampler(np.random.default_rng(99), 50)
         assert np.array_equal(a, b)
+
+
+def _one_element(sampler):
+    """Reference: the one-element columnar draw closed loops used to make."""
+    return lambda rng: float(np.asarray(sampler(rng, 1)).reshape(-1)[0])
+
+
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6) | st.integers(1, 10**6)
+_ANY_SAMPLER = st.one_of(
+    st.builds(ConstantDemand, _POSITIVE),
+    st.builds(ExponentialDemand, _POSITIVE),
+    st.builds(LognormalDemand, _POSITIVE, st.floats(min_value=1e-3, max_value=3.0)),
+    st.builds(BimodalDemand, _POSITIVE, _POSITIVE, st.floats(0.0, 1.0)),
+)
+
+
+class TestScalarDraw:
+    @given(
+        sampler=_ANY_SAMPLER,
+        seed=st.integers(0, 2**63 - 1),
+        think=_POSITIVE,
+        steps=st.integers(1, 12),
+    )
+    def test_matches_one_element_draw_and_stream(self, sampler, seed, think, steps):
+        # Interleave demand draws with other draws on the same generator,
+        # as a closed-loop user does with its think times.
+        rng = np.random.default_rng(seed)
+        rng2 = np.random.default_rng(seed)
+        reference = _one_element(sampler)
+        for _ in range(steps):
+            assert rng.exponential(think) == rng2.exponential(think)
+            drawn = sampler(rng)
+            assert type(drawn) is float
+            assert drawn == reference(rng2)
+            assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 class TestSpecificShapes:
