@@ -231,7 +231,10 @@ class CapacityPlanner:
         # grow the upper end exponentially if none admits enough yet.
         lo, hi = self._bracket(required)
         if hi is None:
-            hi = max(1.0, self.workload.mean_rate, 2.0 * lo)
+            # The mean rate overflows to inf when every arrival is
+            # subnormal-early; the doubling below finds the bracket anyway.
+            rate = self.workload.mean_rate
+            hi = max(1.0, rate if math.isfinite(rate) else 1.0, 2.0 * lo)
             for _ in range(80):
                 if self.admitted_at(hi) >= required:
                     break

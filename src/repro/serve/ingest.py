@@ -28,10 +28,15 @@ without sockets:
 Out-of-order timestamps are clamped forward (an ingest endpoint cannot
 rewrite history): the staged arrival is never before the previously
 staged one nor before the harness clock.  A field that is not a finite
-number (``NaN``, ``Infinity``, a boolean, a string, ...) or lies outside
-the accepted range (:data:`MAX_VALUE`, :data:`MIN_SIZE`) is refused with
-an ``ok: false`` reply before the clamp, so one bad line never reaches
-the simulator.
+number (``NaN``, ``Infinity``, a boolean, a string, ...) is refused with
+an ``ok: false`` reply before the clamp, and so are an ``arrival`` more
+than :data:`MAX_LEAD` past the clamp point (the later of the clock and
+the last staged arrival) and a ``size`` outside [:data:`MIN_SIZE`,
+:data:`MAX_SIZE`].  An accepted line therefore lands at most an hour of
+virtual time past the clamp point: a far-future
+timestamp cannot drag every later line onto a clock too coarse to resolve
+its service time, nor stretch the periodic sampling of an adaptive or
+autoscaled harness, which runs to the staged horizon.
 """
 
 from __future__ import annotations
@@ -43,14 +48,14 @@ import math
 from ..exceptions import ConfigurationError
 from .harness import ServiceHarness
 
-#: Largest ``arrival`` or ``size`` accepted.  Float64 seconds still
-#: resolve whole units at 2**53, and it lies so far inside the float range
-#: that no clock sum a run makes over accepted requests can overflow.
-MAX_VALUE = 2.0**53
+#: Furthest an ``arrival`` may lie past the later of the clock and the
+#: last staged arrival, in virtual seconds (one hour).
+MAX_LEAD = 3600.0
 
-#: Smallest ``size`` accepted, far above the point where a service time
-#: ``size / C`` would underflow to zero (which the server refuses).
-MIN_SIZE = 2.0**-53
+#: Accepted ``size`` range, in units of the unit-cost request: within a
+#: factor 2**20 (about a million) of it either way.
+MIN_SIZE = 2.0**-20
+MAX_SIZE = 2.0**20
 
 
 class IngestServer:
@@ -79,18 +84,25 @@ class IngestServer:
 
     def submit(self, arrival: float | None = None, size: float | None = None) -> dict:
         """Stage one request; returns the response object."""
-        now = float(self._clock())
+        # Clamp forward to here: monotone staging is the source's contract.
+        floor = max(self._last, float(self._clock()))
         try:
-            requested = now if arrival is None else _finite("arrival", arrival)
+            stamped = floor
+            if arrival is not None:
+                requested = _finite("arrival", arrival)
+                if requested > floor + MAX_LEAD:
+                    raise ConfigurationError(
+                        f"arrival {requested:g} lies more than {MAX_LEAD:g} s "
+                        f"past the endpoint's clock ({floor:g})"
+                    )
+                stamped = max(requested, floor)
             if size is not None:
                 size = _finite("size", size)
-                if size < MIN_SIZE:
+                if not MIN_SIZE <= size <= MAX_SIZE:
                     raise ConfigurationError(
-                        f"size must be positive and at least {MIN_SIZE:g}, "
-                        f"got {size}"
+                        f"size must be positive, within [{MIN_SIZE:g}, "
+                        f"{MAX_SIZE:g}], got {size:g}"
                     )
-            # Clamp forward: monotone staging is the source's contract.
-            stamped = max(requested, self._last, now)
             index = self.harness.source.stage(stamped, size)
         except ConfigurationError as exc:
             self.malformed += 1
@@ -160,13 +172,11 @@ class IngestServer:
 
 
 def _finite(name: str, value) -> float:
-    """``value`` as a finite float no larger than :data:`MAX_VALUE`."""
+    """``value`` as a float, refused unless finite."""
     try:
         number = float(value)
     except OverflowError:  # a JSON integer beyond the float range
         number = math.inf
-    if not -math.inf < number <= MAX_VALUE:  # NaN fails both comparisons
-        raise ConfigurationError(
-            f"{name} must be finite and at most {MAX_VALUE:g}, got {number}"
-        )
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {number}")
     return number

@@ -26,7 +26,7 @@ shape under which count-bound and work-bound ``C·δ`` admission diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class LognormalDemand:
 
     median: float = 1.0
     sigma: float = 0.5
-    _mu: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.median <= 0:
@@ -96,12 +95,11 @@ class LognormalDemand:
             )
         if self.sigma <= 0:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "_mu", float(np.log(self.median)))
 
     def __call__(
         self, rng: np.random.Generator, n: int | None = None
     ) -> np.ndarray | float:
-        return rng.lognormal(self._mu, self.sigma, n)
+        return rng.lognormal(float(np.log(self.median)), self.sigma, n)
 
     def describe(self) -> dict:
         return {"sampler": "lognormal", "median": self.median, "sigma": self.sigma}

@@ -47,6 +47,12 @@ class TestMinCapacity:
         # One request in 100 ms -> 10 IOPS suffices and is minimal.
         assert planner.min_capacity(1.0) == 10.0
 
+    def test_subnormal_arrivals(self):
+        # The mean rate overflows to inf; the answer is still 2 in 100 ms.
+        workload = Workload(np.array([5e-324, 1e-310]))
+        assert workload.mean_rate == float("inf")
+        assert CapacityPlanner(workload, 0.1).min_capacity(1.0) == 20.0
+
     def test_invalid_fraction(self, uniform_workload):
         planner = CapacityPlanner(uniform_workload, 0.1)
         with pytest.raises(ConfigurationError):

@@ -121,6 +121,16 @@ class TestStagedSource:
         with pytest.raises(ConfigurationError, match="positive"):
             source.stage(3.0, size=0.0)
 
+    @pytest.mark.parametrize(
+        ("arrival", "size"),
+        [(math.nan, None), (math.inf, None), (1.0, math.inf), (1.0, math.nan)],
+    )
+    def test_non_finite_staging_rejected(self, arrival, size):
+        _, source, _ = self._source()
+        with pytest.raises(ConfigurationError, match="finite"):
+            source.stage(arrival, size)
+        assert source.horizon == 0.0  # nothing was staged
+
     def test_delivery_matches_workload_source_semantics(self):
         sim, source, delivered = self._source()
         source.stage(0.5)

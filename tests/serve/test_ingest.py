@@ -7,12 +7,14 @@ import json
 import math
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.faults.retry import RetryPolicy
 from repro.serve import IngestServer, ServiceHarness
+from repro.serve.autoscaler import AutoscalerConfig
+from repro.serve.ingest import MAX_LEAD, MAX_SIZE, MIN_SIZE
 
 CMIN, DELTA_C, DELTA = 4.0, 2.0, 0.5
 
@@ -38,8 +40,11 @@ class TestProtocol:
             ('{"arrival": NaN}', "finite"),
             ('{"arrival": -Infinity}', "finite"),
             ('{"size": Infinity}', "finite"),
-            ('{"arrival": 1e308}', "at most"),
-            ('{"size": 5e-324}', "at least"),
+            ('{"arrival": 1e400}', "finite"),  # json parses it as inf
+            ('{"arrival": 3600.5}', "past the endpoint's clock"),
+            ('{"arrival": 1e308}', "past the endpoint's clock"),
+            ('{"size": 5e-324}', "within"),
+            ('{"size": 2e6}', "within"),
         ],
     )
     def test_malformed_lines_never_raise(self, line, error):
@@ -69,6 +74,21 @@ class TestProtocol:
         assert stale["ok"] is True
         assert stale["arrival"] == 5.0  # history cannot be rewritten
 
+    def test_far_future_arrival_is_refused_alone(self):
+        harness = _harness()
+        server = IngestServer(harness)
+        assert server.submit(arrival=1.0)["ok"] is True
+        assert server.submit(arrival=1.0 + MAX_LEAD)["ok"] is True  # the limit
+        far = server.submit(arrival=2.0 + 2 * MAX_LEAD)
+        assert far["ok"] is False
+        assert "past the endpoint's clock" in far["error"]
+        # The refused line moved nothing: the next one stages as asked.
+        after = server.submit(arrival=2.0 + MAX_LEAD, size=2.0)
+        assert after == {"ok": True, "index": 2, "arrival": 2.0 + MAX_LEAD}
+        result = harness.run()
+        assert result.ledger["completed"] == 3
+        assert result.responses[2] >= 2.0 / (CMIN + DELTA_C)
+
     def test_unstamped_submission_uses_the_clock(self):
         ticks = iter([2.5, 7.25])
         server = IngestServer(_harness(), clock=lambda: next(ticks))
@@ -91,7 +111,10 @@ _NUMBERS = (
     | st.floats(min_value=0.0, max_value=50.0)
     | st.integers()
     | st.sampled_from(
-        [0, -0.0, 5e-324, 1e-300, 2.0**53, 2**53 + 1, sys.float_info.max, 10**400]
+        [
+            0, -0.0, 5e-324, 1e-300, MIN_SIZE, MAX_SIZE, 2 * MAX_SIZE,
+            MAX_LEAD, MAX_LEAD + 1, 1e12, 2.0**53, sys.float_info.max, 10**400,
+        ]
     )
 )
 _VALUES = st.recursive(
@@ -107,26 +130,68 @@ _LINES = st.one_of(
     _VALUES,
 ).map(json.dumps) | st.text(max_size=30)
 
+FUZZ_CMIN, FUZZ_DELTA_C = 400.0, 20.0
+
+
+def _plain_harness() -> ServiceHarness:
+    return ServiceHarness("split", FUZZ_CMIN, FUZZ_DELTA_C, 0.05)
+
+
+def _adaptive_harness() -> ServiceHarness:
+    # The fault-mode plane perfbench's chaos-serve feeds through the
+    # endpoint (retries, CoDel, shadow autoscaler, adaptive controller):
+    # its sampler and autoscaler tick until the staged horizon.
+    delta = 0.5
+    return ServiceHarness(
+        "split",
+        FUZZ_CMIN,
+        FUZZ_DELTA_C,
+        delta,
+        aqm="codel",
+        reject_on_overload=True,
+        autoscaler=AutoscalerConfig(
+            interval=1.0, cmin_floor=FUZZ_CMIN, mode="shadow"
+        ),
+        retry=RetryPolicy(
+            timeout_q1=10 * delta,
+            timeout_q2=40 * delta,
+            max_retries=3,
+            backoff_base=delta / 2,
+        ),
+        adaptive=True,
+    )
+
 
 class TestFuzzedLines:
-    @given(st.lists(_LINES, max_size=10))
-    def test_bad_lines_never_break_the_run(self, lines):
-        harness = ServiceHarness("split", 400, 20, 0.05)
+    @pytest.mark.parametrize("build", [_plain_harness, _adaptive_harness])
+    @given(lines=st.lists(_LINES, max_size=10))
+    def test_bad_lines_never_break_the_run(self, build, lines):
+        harness = build()
         server = IngestServer(harness)
         last = 0.0
         for line in lines:
             reply = server.handle_line(line)
             if reply["ok"]:
                 assert math.isfinite(reply["arrival"])
-                assert reply["arrival"] >= last
+                assert last <= reply["arrival"] <= last + MAX_LEAD
                 last = reply["arrival"]
         assert server.accepted + server.malformed == len(lines)
         result = harness.run()  # final audit raises on any leak
         assert result.conservation.ok
         assert result.violations == ()
-        assert len(result.completed) + len(result.rejected) == server.accepted
-        completed = [r.index for r in result.completed]
-        assert np.all(np.isfinite(result.responses[completed]))
+        terminal = (
+            len(result.completed) + len(result.dropped) + len(result.shed)
+        )
+        assert terminal + len(result.rejected) == server.accepted
+        # No server runs faster than the whole plan, so every completed
+        # request took at least its demand over that capacity (less float
+        # rounding): a clock too coarse to add the service time would
+        # complete it in no time.
+        for request in result.completed:
+            response = result.responses[request.index]
+            assert math.isfinite(response)
+            floor = request.service_demand / (FUZZ_CMIN + FUZZ_DELTA_C)
+            assert response >= floor * (1 - 1e-3)
 
 
 class TestSocketEndpoint:
