@@ -7,14 +7,18 @@ Two modes, mirroring ``bench_kernels.py``:
 * As a script (``make bench-json`` /
   ``python benchmarks/bench_engine.py --output BENCH_engine.json``) it
   times both engines end-to-end over a (trace size x policy) matrix
-  from 10^4 to 10^6 requests, times the columnar farm kernel against
-  the event-driven ``ServerFarm`` from 1 to 1000 units, certifies
-  bit-parity on every case, and writes the report as JSON.
+  from 10^4 to 10^6 requests, times the heap-free single-server open
+  loop (engine ``"direct"``) against the event loop for every policy
+  the batch engine does not take at 10^4 and 10^5 requests, times the
+  columnar farm kernel against the event-driven ``ServerFarm`` from 1
+  to 1000 units, certifies bit-parity on every case, and writes the
+  report as JSON.
 
 ``--quick`` is the CI smoke gate: on the 10^5-request reference trace
-it fails (exit 1) if ``engine_parity`` reports any divergence or the
-batch engine regresses below :data:`MIN_QUICK_SPEEDUP` on either
-policy.
+it fails (exit 1) if ``engine_parity`` reports any divergence — for the
+batch policies and for every policy on the direct path — or the batch
+engine regresses below :data:`MIN_QUICK_SPEEDUP` on either batch
+policy.  The direct path has no speed floor there.
 
 The committed ``BENCH_engine.json`` was produced by the script mode;
 regenerate it with ``make bench-json`` after touching either engine.
@@ -37,7 +41,7 @@ if __name__ == "__main__":  # script mode works from a source checkout
 import numpy as np
 import pytest
 
-from repro.shaping import run_policy
+from repro.shaping import RunConfig, run_policy
 from repro.sim import batch
 from repro.traces.synthetic import poisson_workload
 
@@ -59,6 +63,14 @@ FARM_UNITS = (1, 10, 100, 1000)
 MIN_QUICK_SPEEDUP = 5.0
 
 POLICIES = ("fcfs", "split")
+
+#: Single-server policies the batch engine does not take: ``auto``
+#: serves them on the heap-free open loop (engine "direct").
+DIRECT_POLICIES = ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
+
+#: Trace sizes for the direct rows (the event loop needs ~10 s per
+#: policy at 10^6).
+DIRECT_SIZES = SIZES[:2]
 
 
 def reference_workload(n_requests: int, seed: int = 17):
@@ -120,28 +132,32 @@ def _timed(fn, *args, reps: int = 1, **kwargs) -> tuple[float, object]:
     return best, result
 
 
-def _bench_end_to_end(workload, policy: str, reps: int) -> dict:
+def _bench_end_to_end(workload, policy: str, reps: int, path: str = "batch") -> dict:
+    """The event loop vs ``path``: "batch", or "direct", which ``auto`` picks."""
+    config = RunConfig(CMIN, DELTA_C, DELTA)
     scalar_s, scalar_run = _timed(
-        run_policy, workload, policy, CMIN, DELTA_C, DELTA,
-        engine="scalar", reps=reps,
+        run_policy, workload, policy, config=config.with_engine("scalar"), reps=reps
     )
-    batch_s, batch_run = _timed(
-        run_policy, workload, policy, CMIN, DELTA_C, DELTA,
-        engine="batch", reps=reps,
+    fast_s, fast_run = _timed(
+        run_policy,
+        workload,
+        policy,
+        config=config.with_engine("batch" if path == "batch" else "auto"),
+        reps=reps,
     )
-    parity_ok = (
-        batch_run.overall.samples.tolist() == scalar_run.overall.samples.tolist()
-        and batch_run.primary.samples.tolist() == scalar_run.primary.samples.tolist()
-        and batch_run.primary_misses == scalar_run.primary_misses
+    parity_ok = fast_run.engine == path and all(
+        getattr(fast_run, name).samples.tolist()
+        == getattr(scalar_run, name).samples.tolist()
+        for name in ("overall", "primary", "overflow")
     )
     return {
         "workload": workload.name,
         "policy": policy,
         "n_requests": len(workload),
         "scalar_s": round(scalar_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(scalar_s / batch_s, 2),
-        "bit_parity_ok": parity_ok,
+        f"{path}_s": round(fast_s, 4),
+        "speedup": round(scalar_s / fast_s, 2),
+        "bit_parity_ok": parity_ok and fast_run.primary_misses == scalar_run.primary_misses,
     }
 
 
@@ -184,6 +200,8 @@ def _quick_gate() -> int:
     from repro.check.differential import engine_parity
 
     workload = reference_workload(100_000)
+    # The default policy set covers the batch pair and every policy on
+    # the direct path.
     parity = engine_parity(workload, CMIN, DELTA_C, DELTA)
     print(parity.summary())
     failed = not parity.ok
@@ -236,6 +254,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
             )
 
+    direct = []
+    for n in DIRECT_SIZES:
+        workload = reference_workload(n)
+        for policy in DIRECT_POLICIES:
+            row = _bench_end_to_end(workload, policy, args.reps, path="direct")
+            direct.append(row)
+            print(
+                f"{policy:>9s} @ n={row['n_requests']:>7d}: "
+                f"scalar {row['scalar_s']:8.3f}s  direct {row['direct_s']:7.3f}s  "
+                f"speedup {row['speedup']:6.2f}x  "
+                f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
+            )
+
     farm_workload = reference_workload(100_000)
     farms = []
     for units in FARM_UNITS:
@@ -249,12 +280,15 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     largest = [r for r in results if r["n_requests"] >= 0.9 * SIZES[-1]]
+    direct_largest = [r for r in direct if r["n_requests"] >= 0.9 * DIRECT_SIZES[-1]]
     summary = {
         "all_parity_ok": all(
-            r["bit_parity_ok"] for r in results + farms
+            r["bit_parity_ok"] for r in results + direct + farms
         ),
         "speedup_at_1e6": {r["policy"]: r["speedup"] for r in largest},
         "min_speedup_at_1e6": min(r["speedup"] for r in largest),
+        "direct_speedup_at_1e5": {r["policy"]: r["speedup"] for r in direct_largest},
+        "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
     }
     report = {
         "meta": {
@@ -268,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
         },
         "end_to_end": results,
+        "direct": direct,
         "farm": farms,
         "summary": summary,
     }

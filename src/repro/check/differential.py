@@ -44,7 +44,7 @@ from ..server.disk import DiskModel, DiskParameters
 from ..sim.engine import Simulator
 from ..sim.source import WorkloadSource
 from ..sim.stats import ResponseTimeCollector
-from ..server.driver import DeviceDriver
+from ..server.driver import DeviceDriver, serve_open_loop
 from ..shaping import RunConfig, run_policy
 from .invariants import CheckingScheduler, Violation
 
@@ -366,18 +366,32 @@ def disk_comparability_check(
 # ---------------------------------------------------------------------------
 
 
-#: Policies with a columnar kernel — the engine-parity surface.
-ENGINE_PARITY_POLICIES = ("fcfs", "split")
+#: The engine-parity surface: the two policies with a columnar kernel
+#: (batch) and every other single-server policy, which ``auto`` serves on
+#: the heap-free open loop (:func:`repro.server.driver.serve_open_loop`).
+ENGINE_PARITY_POLICIES = (
+    "fcfs",
+    "split",
+    "fairqueue",
+    "wf2q",
+    "drr",
+    "miser",
+    "edf",
+    "srpt",
+    "nudge",
+    "boost",
+)
 
 
 @dataclass(frozen=True)
 class EngineParityReport:
-    """Scalar event loop vs columnar batch engine on one trace.
+    """The event loop vs ``run_policy``'s fast paths on one trace.
 
     ``max_drift`` is the worst per-request completion-time disagreement
     in seconds across all checked policies; ``bit_identical`` is True
     when it is exactly zero (the engines' contract — ``atol`` merely
-    bounds how loud a violation must get before it is *reported*).
+    bounds how loud a batch violation must get before it is *reported*;
+    the direct path is held to exact equality).
     """
 
     workload_name: str
@@ -405,21 +419,34 @@ class EngineParityReport:
         return "engine parity VIOLATED: " + "; ".join(self.divergences)
 
 
-def _scalar_columns(
-    workload: Workload, policy: str, cmin: float, delta_c: float, delta: float
+def _event_loop_system(
+    workload: Workload,
+    policy: str,
+    cmin: float,
+    delta_c: float,
+    delta: float,
+    admission: str = "count",
 ):
-    """Event-engine run returning per-index columns + conservation ledger."""
+    """``run_policy``'s event-loop stack for ``policy``, run over ``workload``."""
     sim = Simulator()
     if policy == "split":
-        system = SplitSystem(sim, cmin, delta_c, delta)
+        system = SplitSystem(sim, cmin, delta_c, delta, admission=admission)
     elif policy == "splitfarm":
-        system = SizeSplitSystem(sim, cmin, delta_c, delta)
+        system = SizeSplitSystem(sim, cmin, delta_c, delta, admission=admission)
     else:
-        scheduler = make_scheduler(policy, cmin, delta_c, delta)
+        scheduler = make_scheduler(policy, cmin, delta_c, delta, admission=admission)
         server = constant_rate_server(sim, cmin + delta_c, name=policy)
         system = DeviceDriver(sim, server, scheduler)
     WorkloadSource(sim, workload, system).start()
     sim.run()
+    return system
+
+
+def _scalar_columns(
+    workload: Workload, policy: str, cmin: float, delta_c: float, delta: float
+):
+    """Event-engine run returning per-index columns + conservation ledger."""
+    system = _event_loop_system(workload, policy, cmin, delta_c, delta)
     # Per-index *response* columns: ``completion - arrival`` is the same
     # float operation the batch engine applies to its completion columns,
     # so the comparison stays bit-faithful (re-adding the arrival would
@@ -440,79 +467,50 @@ def engine_parity(
     policies: tuple[str, ...] = ENGINE_PARITY_POLICIES,
     atol: float = scalar.EPS,
 ) -> EngineParityReport:
-    """Certify the batch engine against the event engine on one trace.
+    """Certify ``run_policy``'s fast paths against the event engine.
 
-    For every batch-eligible policy, both engines serve the same trace
-    and must agree on
+    Each policy is checked, under count admission, on the path
+    ``engine="auto"`` takes it to:
 
-    * the **admitted set** — the per-index ``Q1`` membership mask,
-      compared bit-for-bit;
-    * **completion times** — per-index, within ``atol`` (the kernel
-      EPS; the engines are in fact bit-identical and the report records
-      whether that stronger property held);
-    * the **conservation ledger** — every arrival completed, nothing
-      dropped or shed, and the primary deadline-miss counts match.
+    * **batch** (fcfs and split): both engines serve the trace and must
+      agree on the **admitted set** (per-index ``Q1`` membership, bit for
+      bit), on **completion times** (within ``atol``, the kernel EPS; the
+      report records whether they were in fact bit-identical) and on the
+      **conservation ledger** (every arrival completed, nothing dropped
+      or shed, equal primary deadline-miss counts);
+    * **direct** (every other single-server policy): the heap-free open
+      loop (:func:`repro.server.driver.serve_open_loop`) and the
+      :class:`~repro.server.driver.DeviceDriver` stack must agree
+      exactly on every per-class response sequence in completion order
+      (so on the admitted count), the primary deadline misses, the
+      preemptions and the completion count.
 
-    This is the ``engine_parity`` differential backing the
-    ``REPRO_ENGINE=auto`` transparent dispatch; ``repro-check
-    --differential`` fuzzes it over adversarial traces.
+    A policy that neither path takes is a divergence.  This is the
+    ``engine_parity`` differential backing the ``REPRO_ENGINE=auto``
+    transparent dispatch; ``repro-check --differential`` fuzzes it over
+    adversarial traces.
     """
     from ..sim import batch
 
     divergences: list[str] = []
     max_drift = 0.0
-    arrivals = workload.arrivals
     for policy in policies:
         eligible, reason = batch.supports(policy)
-        if not eligible:
-            divergences.append(f"{policy}: not batch-eligible ({reason})")
-            continue
-        scalar_resp, scalar_adm, ledger, scalar_misses = _scalar_columns(
-            workload, policy, cmin, delta_c, delta
-        )
-        # The scalar side picks a sized workload's demand column up from
-        # WorkloadSource automatically; hand the same column to the batch
-        # kernels (unit runs keep the seed-era call shape).
-        if workload.sizes is None:
-            run = batch.run_batch(arrivals, policy, cmin, delta_c, delta)
+        if eligible:
+            drift = _batch_parity(
+                workload, policy, cmin, delta_c, delta, atol, divergences
+            )
+        elif policy in SINGLE_SERVER_POLICIES:
+            drift = _direct_parity(
+                workload, policy, cmin, delta_c, delta, "count", divergences
+            )
         else:
-            run = batch.run_batch(
-                arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
-            )
-        if ledger["completed"] != len(workload) or ledger["dropped"] or ledger["shed"]:
-            divergences.append(f"{policy}: scalar ledger not conserving: {ledger}")
-        if run.overall.size != len(workload) or run.admitted.size != len(workload):
             divergences.append(
-                f"{policy}: batch completed {run.overall.size} of {len(workload)}"
+                f"{policy}: not batch-eligible ({reason}) and not a "
+                "single-server policy"
             )
             continue
-        batch_resp = np.empty(len(workload))
-        batch_resp[run.admitted] = run.primary
-        batch_resp[~run.admitted] = run.overall if policy == "fcfs" else run.overflow
-        if not np.array_equal(scalar_adm, run.admitted):
-            where = np.nonzero(scalar_adm != run.admitted)[0]
-            divergences.append(
-                f"{policy}: admitted sets differ at indices "
-                f"{where[:5].tolist()} (scalar {int(scalar_adm.sum())} vs "
-                f"batch {int(run.admitted.sum())} admitted)"
-            )
-            continue
-        if np.isnan(scalar_resp).any():
-            divergences.append(f"{policy}: scalar engine left requests incomplete")
-            continue
-        drift = float(np.max(np.abs(scalar_resp - batch_resp))) if len(workload) else 0.0
         max_drift = max(max_drift, drift)
-        if drift > atol:
-            worst = int(np.argmax(np.abs(scalar_resp - batch_resp)))
-            divergences.append(
-                f"{policy}: completion times drift {drift:.3e}s at request "
-                f"{worst} (atol {atol:.0e})"
-            )
-        if scalar_misses != run.primary_misses:
-            divergences.append(
-                f"{policy}: primary misses {scalar_misses} (scalar) vs "
-                f"{run.primary_misses} (batch)"
-            )
     return EngineParityReport(
         workload_name=workload.name,
         cmin=float(cmin),
@@ -523,6 +521,127 @@ def engine_parity(
         bit_identical=max_drift == 0.0,
         divergences=tuple(divergences),
     )
+
+
+def _batch_parity(
+    workload: Workload,
+    policy: str,
+    cmin: float,
+    delta_c: float,
+    delta: float,
+    atol: float,
+    divergences: list[str],
+) -> float:
+    """Batch engine vs event loop; appends divergences, returns the drift."""
+    from ..sim import batch
+
+    scalar_resp, scalar_adm, ledger, scalar_misses = _scalar_columns(
+        workload, policy, cmin, delta_c, delta
+    )
+    # The scalar side picks a sized workload's demand column up from
+    # WorkloadSource automatically; hand the same column to the batch
+    # kernels (unit runs keep the seed-era call shape).
+    arrivals = workload.arrivals
+    if workload.sizes is None:
+        run = batch.run_batch(arrivals, policy, cmin, delta_c, delta)
+    else:
+        run = batch.run_batch(
+            arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
+        )
+    if ledger["completed"] != len(workload) or ledger["dropped"] or ledger["shed"]:
+        divergences.append(f"{policy}: scalar ledger not conserving: {ledger}")
+    if run.overall.size != len(workload) or run.admitted.size != len(workload):
+        divergences.append(
+            f"{policy}: batch completed {run.overall.size} of {len(workload)}"
+        )
+        return 0.0
+    batch_resp = np.empty(len(workload))
+    batch_resp[run.admitted] = run.primary
+    batch_resp[~run.admitted] = run.overall if policy == "fcfs" else run.overflow
+    if not np.array_equal(scalar_adm, run.admitted):
+        where = np.nonzero(scalar_adm != run.admitted)[0]
+        divergences.append(
+            f"{policy}: admitted sets differ at indices "
+            f"{where[:5].tolist()} (scalar {int(scalar_adm.sum())} vs "
+            f"batch {int(run.admitted.sum())} admitted)"
+        )
+        return 0.0
+    if np.isnan(scalar_resp).any():
+        divergences.append(f"{policy}: scalar engine left requests incomplete")
+        return 0.0
+    drift = float(np.max(np.abs(scalar_resp - batch_resp))) if len(workload) else 0.0
+    if drift > atol:
+        worst = int(np.argmax(np.abs(scalar_resp - batch_resp)))
+        divergences.append(
+            f"{policy}: completion times drift {drift:.3e}s at request "
+            f"{worst} (atol {atol:.0e})"
+        )
+    if scalar_misses != run.primary_misses:
+        divergences.append(
+            f"{policy}: primary misses {scalar_misses} (scalar) vs "
+            f"{run.primary_misses} (batch)"
+        )
+    return drift
+
+
+def _direct_parity(
+    workload: Workload,
+    policy: str,
+    cmin: float,
+    delta_c: float,
+    delta: float,
+    admission: str,
+    divergences: list[str],
+) -> float:
+    """Heap-free open loop vs event loop, bit for bit; returns the drift.
+
+    ``admission`` is the classifier mode of both runs, so work admission
+    (under which ``auto`` takes fcfs to the open loop too) is certified
+    the same way.
+    """
+    reference = _event_loop_system(workload, policy, cmin, delta_c, delta, admission)
+    run = serve_open_loop(
+        workload,
+        make_scheduler(policy, cmin, delta_c, delta, admission=admission),
+        ConstantRateModel(cmin + delta_c),
+        name=policy,
+    )
+    expected = len(workload)
+    if run.completed != expected or len(reference.completed) != expected:
+        divergences.append(
+            f"{policy}: completed {run.completed} (direct) and "
+            f"{len(reference.completed)} (event loop) of {expected}"
+        )
+    drift = 0.0
+    pairs = [(reference.overall, run.overall)] + [
+        (collector, run.by_class[qos]) for qos, collector in reference.by_class.items()
+    ]
+    for collector, direct in pairs:
+        want, got = collector.samples, direct.samples
+        if want.size != got.size:
+            divergences.append(
+                f"{policy}: {collector.name} completions {got.size} (direct) "
+                f"vs {want.size} (event loop)"
+            )
+        elif not np.array_equal(want, got):
+            gap = np.abs(want - got)
+            drift = max(drift, float(gap.max()))
+            divergences.append(
+                f"{policy}: {collector.name} responses differ from completion "
+                f"{int(np.argmax(want != got))} on (max drift {gap.max():.3e}s)"
+            )
+    misses = reference.primary_deadline_misses()
+    if run.primary_misses != misses:
+        divergences.append(
+            f"{policy}: primary misses {run.primary_misses} (direct) vs "
+            f"{misses} (event loop)"
+        )
+    if run.preemptions != reference.preemptions:
+        divergences.append(
+            f"{policy}: preemptions {run.preemptions} (direct) vs "
+            f"{reference.preemptions} (event loop)"
+        )
+    return drift
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,15 @@ that :func:`repro.shaping.run_policy` uses to serve a workload:
     reduce to the Lindley form (see :func:`repro.sim.batch.supports`);
     requesting it for an ineligible configuration is an error.
 ``auto``
-    Batch when the configuration qualifies, silent fallback to scalar
-    otherwise.  The default.
+    The first path that qualifies, per configuration: batch; then the
+    heap-free single-server open loop
+    (:func:`repro.server.driver.serve_open_loop`) for every other
+    single-server run with no rate recording, metrics, sampler or
+    in-flight window; then the event loop.  The default.  The open loop
+    is not an engine name: nothing needs to force it, and ``scalar``
+    against ``auto`` is its A/B.  Results record the path taken in
+    ``PolicyRunResult.engine`` (``"scalar"``, ``"batch"`` or
+    ``"direct"``).
 
 Selection, highest priority first (mirroring ``REPRO_KERNEL``):
 
@@ -30,9 +37,9 @@ The selection chain itself is one :class:`repro.core.registry.Registry`
 instance — the same helper behind the kernel backends and the scheduling
 policy factory — with ``auto`` declared as a virtual selector.
 
-Parity between the two engines is certified by
+Parity of both fast paths with the event loop is certified by
 :func:`repro.check.differential.engine_parity` (identical admitted sets,
-completion times within kernel EPS, conservation ledger agreement) and
+bit-identical response samples, conservation ledger agreement) and
 fuzzed continuously by ``repro-check --differential``.
 """
 
@@ -67,9 +74,9 @@ def available_engines() -> tuple[str, ...]:
 def resolve_engine(name: str | None = None) -> str:
     """Resolve a request to ``"scalar"``, ``"batch"``, or ``"auto"``.
 
-    ``auto`` is returned as-is — whether it lands on the batch path is a
-    per-configuration decision made by the caller against
-    :func:`repro.sim.batch.supports`, not a process-wide one.
+    ``auto`` is returned as-is — whether it lands on the batch path, the
+    heap-free open loop or the event loop is a per-configuration decision
+    made by :func:`repro.shaping.run_policy`, not a process-wide one.
     """
     return REGISTRY.resolve(name)
 

@@ -37,24 +37,35 @@ and retries re-enter through the scheduler and must re-acquire a slot,
 so the fault plane exerts *backpressure* instead of requeuing
 instantaneously.  With ``window=None`` (default) none of this exists
 and the dispatch loop is bit-identical to the pre-AQM driver.
+
+The heap-free open loop
+-----------------------
+:func:`serve_open_loop` serves an open-loop workload on one server with
+none of the above armed, without the event engine: it merges the next
+arrival with the in-flight completion itself and calls the same
+scheduler, service model and collectors as this driver would.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.request import QoSClass, Request
+from ..exceptions import SimulationError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_MONITOR
 from ..sim.stats import RateRecorder, ResponseTimeCollector
 from ..sched.base import Scheduler
 from .aqm import InflightWindow
-from .base import Server
+from .base import Server, ServiceTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> server)
+    from ..core.workload import Workload
     from ..faults.retry import RetryPolicy
     from ..sched.classifier import OnlineRTTClassifier
 
@@ -500,3 +511,136 @@ class DeviceDriver:
         ``completed``).
         """
         return self.q1_missed
+
+
+@dataclass(frozen=True)
+class OpenLoopRun:
+    """What :func:`serve_open_loop` measured.
+
+    ``by_class`` and ``overall`` are filled exactly as
+    :class:`DeviceDriver`'s collectors of the same names.
+    """
+
+    by_class: dict
+    overall: ResponseTimeCollector
+    #: Requests that completed.
+    completed: int
+    #: Primary-class requests that completed after their deadline.
+    primary_misses: int
+    #: Times the scheduler pulled the in-flight request off the server.
+    preemptions: int
+
+
+def serve_open_loop(
+    workload: "Workload",
+    scheduler: Scheduler,
+    model: ServiceTimeModel,
+    name: str = "server",
+) -> OpenLoopRun:
+    """Serve ``workload`` open loop on one server, without the event engine.
+
+    A :class:`~repro.sim.source.WorkloadSource` keeps one arrival pending
+    and a :class:`~repro.server.base.Server` one completion, so a
+    single-server open loop never holds more than those two events, and
+    their times and priorities order every tie.  This loop merges the
+    two itself, the completion first on a tie (``PRIORITY_COMPLETION <
+    PRIORITY_ARRIVAL``), and calls the scheduler, the service ``model``
+    and the collectors in the order, and with the float operations, of
+    ``WorkloadSource`` -> :class:`DeviceDriver` -> ``Server`` ->
+    ``Simulator`` with no window, retry policy, metrics, rate recording
+    or completion hook.  Its samples are bit-identical to that stack's,
+    which :func:`repro.check.differential.engine_parity` certifies.
+
+    The arrival and size columns are read one value at a time, and no
+    request is kept after it completes: the collectors hold the samples.
+    """
+    arrivals = workload.arrivals
+    sizes = workload.sizes
+    n = arrivals.size
+    by_class = {
+        QoSClass.PRIMARY: ResponseTimeCollector("Q1"),
+        QoSClass.OVERFLOW: ResponseTimeCollector("Q2"),
+        QoSClass.UNCLASSIFIED: ResponseTimeCollector("all"),
+    }
+    overall = ResponseTimeCollector("overall")
+    on_arrival = scheduler.on_arrival
+    select = scheduler.select
+    on_completion = scheduler.on_completion
+    service_time = model.service_time
+    preemptive = bool(getattr(scheduler, "preemptive", False))
+    primary = QoSClass.PRIMARY
+    completed = misses = preemptions = 0
+    current = None  # the request in service
+    end = 0.0  # its completion instant
+    index = 0  # the next arrival
+    t = float(arrivals[0]) if n else math.inf  # its instant
+    while True:
+        if current is not None and end <= t:
+            # Server._complete, then DeviceDriver._on_completion.
+            now = end
+            request, current = current, None
+            request.completion = now
+            on_completion(request)
+            response = now - request.arrival
+            qos = request.qos_class
+            by_class[qos].add(response)
+            overall.add(response)
+            completed += 1
+            if qos is primary and not request.met_deadline:
+                misses += 1
+            recheck = False
+        elif index < n:
+            # WorkloadSource._fire, then DeviceDriver.on_arrival.
+            now = t
+            if sizes is None:
+                request = Request(arrival=now, index=index)
+            else:
+                request = Request(
+                    arrival=now, index=index, service_demand=float(sizes[index])
+                )
+            index += 1
+            t = float(arrivals[index]) if index < n else math.inf
+            on_arrival(request)
+            recheck = preemptive
+        else:
+            break
+        # DeviceDriver._try_dispatch and, after an arrival, _maybe_preempt.
+        while True:
+            if current is None:
+                request = select(now)
+                if request is None:
+                    break
+                # Server.dispatch: a preempted request resumes its remainder.
+                duration = request.remaining_service
+                if duration is None:
+                    duration = service_time(request)
+                else:
+                    request.remaining_service = None
+                if duration <= 0:
+                    raise SimulationError(
+                        f"{name}: non-positive service time {duration}"
+                    )
+                request.dispatch = now
+                current = request
+                end = now + duration
+            if not recheck:
+                break
+            recheck = False
+            remaining = max(0.0, end - now)
+            if remaining <= 0.0 or not scheduler.should_preempt(
+                current, remaining, now
+            ):
+                break
+            # Server.preempt; the loop then dispatches once more.
+            current.remaining_service = remaining
+            current.dispatch = None
+            request, current = current, None
+            preemptions += 1
+            scheduler.on_preempt(request)
+    return OpenLoopRun(
+        by_class=by_class,
+        overall=overall,
+        completed=completed,
+        primary_misses=misses,
+        preemptions=preemptions,
+    )

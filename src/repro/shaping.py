@@ -40,8 +40,8 @@ from .sched.registry import ALL_POLICIES, SINGLE_SERVER_POLICIES, make_scheduler
 from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
 from .server.cluster import SplitSystem
 from .server.sizesplit import SizeSplitSystem
-from .server.constant_rate import constant_rate_server
-from .server.driver import DeviceDriver
+from .server.constant_rate import ConstantRateModel, constant_rate_server
+from .server.driver import DeviceDriver, serve_open_loop
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
@@ -187,8 +187,10 @@ class PolicyRunResult:
     #: Metrics + samples when observability was enabled (``metrics=`` /
     #: ``sample_interval=``); ``None`` for unobserved runs.
     telemetry: RunTelemetry | None = None
-    #: Execution engine that produced this result ("scalar" event loop
-    #: or the "batch" columnar fast path — bit-identical samples).
+    #: Path that produced this result: the "scalar" event loop, the
+    #: "batch" columnar fast path, or the "direct" heap-free single-server
+    #: open loop (:func:`repro.server.driver.serve_open_loop`) — all
+    #: bit-identical.
     engine: str = "scalar"
     #: Admission mode the classifier ran in ("count" or "work").
     admission: str = "count"
@@ -251,9 +253,12 @@ def run_policy(
     :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
     event loop, ``"batch"`` demands the columnar fast path (an error if
     the configuration is ineligible), and ``"auto"`` (the process
-    default) takes the fast path exactly when the configuration
-    qualifies — an FCFS or Split run with no observability attached —
-    producing bit-identical samples either way (certified by
+    default) picks the first path that qualifies: the batch engine (an
+    FCFS or Split run under count admission with no observability or
+    window attached), then the heap-free single-server open loop (any
+    other single-server policy with none of those attached; the result
+    records ``engine="direct"``), then the event loop.  The samples are
+    bit-identical whichever path runs (certified by
     :func:`repro.check.differential.engine_parity`).
     """
     if config is not None:
@@ -312,11 +317,28 @@ def _run_policy(
             aqm=aqm,
         )
         if eligible:
-            return _run_policy_batch(workload, policy, cmin, delta_c, delta)
+            return _run_policy_batch(workload, policy, config)
         if requested == "batch":
             raise ConfigurationError(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"
+            )
+        if _direct_supports(policy, config, aqm):
+            scheduler = make_scheduler(
+                policy, cmin, delta_c, delta, admission=config.admission
+            )
+            run = serve_open_loop(
+                workload, scheduler, ConstantRateModel(cmin + delta_c), name=policy
+            )
+            return _policy_result(
+                workload,
+                policy,
+                config,
+                run.by_class,
+                run.overall,
+                completed=run.completed,
+                primary_misses=run.primary_misses,
+                engine="direct",
             )
     metrics = config.metrics
     sample_interval = config.sample_interval
@@ -397,29 +419,13 @@ def _run_policy(
             },
         )
 
-    completed = system.completed
-    if len(completed) != len(workload):
-        raise SimulationError(
-            f"{policy}: {len(completed)} of {len(workload)} requests completed"
-        )
-    by_class = system.by_class
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-        overall = system.overall
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
-        overall = system.overall
-    return PolicyRunResult(
-        policy=policy,
-        workload_name=workload.name,
-        cmin=cmin,
-        delta_c=delta_c,
-        delta=delta,
-        overall=overall,
-        primary=primary,
-        overflow=overflow,
+    return _policy_result(
+        workload,
+        policy,
+        config,
+        system.by_class,
+        system.overall,
+        completed=len(system.completed),
         primary_misses=system.primary_deadline_misses(),
         completion_series=(
             system.completion_rates.series()
@@ -427,18 +433,72 @@ def _run_policy(
             else None
         ),
         telemetry=telemetry,
-        admission=config.admission,
         aqm=aqm,
         window=system.window_snapshot() if aqm is not None else None,
     )
 
 
-def _run_policy_batch(
+def _direct_supports(policy: str, config: RunConfig, aqm: str | None) -> bool:
+    """Whether :func:`~repro.server.driver.serve_open_loop` can run this.
+
+    Every single-server policy qualifies, under either admission mode,
+    when nothing hooks the event loop: no rate recording, no metrics
+    registry, no sampler and no in-flight window (``aqm`` is the
+    resolved window policy).
+    """
+    return (
+        policy in SINGLE_SERVER_POLICIES
+        and config.record_rates is None
+        and config.metrics is None
+        and config.sample_interval is None
+        and aqm is None
+    )
+
+
+def _policy_result(
     workload: Workload,
     policy: str,
-    cmin: float,
-    delta_c: float,
-    delta: float,
+    config: RunConfig,
+    by_class: dict,
+    overall: ResponseTimeCollector,
+    completed: int,
+    primary_misses: int,
+    engine: str = "scalar",
+    **extra,
+) -> PolicyRunResult:
+    """Package one served run, refusing a run that lost a request.
+
+    FCFS classifies nothing, so its result carries empty ``Q1``/``Q2``
+    collectors and ``overall`` holds every sample.
+    """
+    if completed != len(workload):
+        raise SimulationError(
+            f"{policy}: {completed} of {len(workload)} requests completed"
+        )
+    if policy == "fcfs":
+        primary = ResponseTimeCollector("Q1")
+        overflow = ResponseTimeCollector("Q2")
+    else:
+        primary = by_class[QoSClass.PRIMARY]
+        overflow = by_class[QoSClass.OVERFLOW]
+    return PolicyRunResult(
+        policy=policy,
+        workload_name=workload.name,
+        cmin=config.cmin,
+        delta_c=config.delta_c,
+        delta=config.delta,
+        overall=overall,
+        primary=primary,
+        overflow=overflow,
+        primary_misses=primary_misses,
+        engine=engine,
+        admission=config.admission,
+        **extra,
+    )
+
+
+def _run_policy_batch(
+    workload: Workload, policy: str, config: RunConfig
 ) -> PolicyRunResult:
     """Columnar fast path of :func:`run_policy` (eligible configs only).
 
@@ -449,7 +509,12 @@ def _run_policy_batch(
     column straight through.
     """
     run = batch.run_batch(
-        workload.arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
+        workload.arrivals,
+        policy,
+        config.cmin,
+        config.delta_c,
+        config.delta,
+        demands=workload.sizes,
     )
     overall = ResponseTimeCollector("overall")
     overall.extend_array(run.overall)
@@ -457,19 +522,13 @@ def _run_policy_batch(
     primary.extend_array(run.primary)
     overflow = ResponseTimeCollector("Q2")
     overflow.extend_array(run.overflow)
-    if len(overall) != len(workload):
-        raise SimulationError(
-            f"{policy}: {len(overall)} of {len(workload)} requests completed"
-        )
-    return PolicyRunResult(
-        policy=policy,
-        workload_name=workload.name,
-        cmin=cmin,
-        delta_c=delta_c,
-        delta=delta,
-        overall=overall,
-        primary=primary,
-        overflow=overflow,
+    return _policy_result(
+        workload,
+        policy,
+        config,
+        {QoSClass.PRIMARY: primary, QoSClass.OVERFLOW: overflow},
+        overall,
+        completed=len(overall),
         primary_misses=run.primary_misses,
         engine="batch",
     )

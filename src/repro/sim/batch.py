@@ -65,7 +65,8 @@ EPOCH = 65536
 #: (fairqueue, wf2q, drr, miser) interleave the classes through one
 #: shared server with dynamic, state-dependent pick order, and ``edf``
 #: re-sorts by live slack — none reduce to a statically-determined
-#: Lindley recurrence, so they always take the scalar engine.
+#: Lindley recurrence, so ``auto`` serves them on the heap-free open
+#: loop (:func:`repro.server.driver.serve_open_loop`) instead.
 SUPPORTED_POLICIES = ("fcfs", "split")
 
 
@@ -88,7 +89,7 @@ def supports(
     Sized workloads are eligible under count-bound admission (the
     Lindley recurrences generalize to per-request demands); work-bound
     admission tracks fractional outstanding work the ring-buffer test
-    cannot express, so it always takes the scalar engine.
+    cannot express, so the batch engine never takes it.
     """
     if policy not in SUPPORTED_POLICIES:
         return False, f"policy {policy!r} does not reduce to a Lindley recurrence"

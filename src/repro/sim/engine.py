@@ -154,9 +154,22 @@ class Simulator:
         ride on a single reschedulable callback object — periodic
         samplers used to allocate two fresh closures per tick on the hot
         loop (see ``benchmarks/bench_obs.py`` for the overhead bound).
+
+        Raises
+        ------
+        SimulationError
+            If ``interval`` is not positive, or if it is at most half the
+            float spacing at ``until``: near such a clock value
+            ``next_time + interval`` rounds back to ``next_time``, and the
+            tick would fire forever at one instant.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
+        if interval <= math.ulp(until) / 2:
+            raise SimulationError(
+                f"interval {interval} cannot advance the clock up to "
+                f"until={until}: it is at most half the float spacing there"
+            )
         tick = _PeriodicTick(self, interval, callback, until)
         self.schedule(tick.next_time, tick, priority=PRIORITY_MONITOR)
 

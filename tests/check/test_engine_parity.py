@@ -1,16 +1,22 @@
-"""Engine-parity differential: scalar event loop vs columnar batch.
+"""Engine-parity differential: the event loop vs run_policy's fast paths.
 
 Mirrors the kernel-parity suite one layer up: the differential harness
-must certify bit-identical behavior on the golden corpus and fuzzed
-traces, and — crucially — must *detect* an engine that drifts (checked
-by injecting bugs into the batch engine's admission bound).
+must certify bit-identical behavior of the columnar batch engine and of
+the heap-free single-server open loop on the golden corpus, fuzzed
+traces and adversarial arrival columns, and — crucially — must *detect*
+a path that drifts (checked by injecting bugs into the batch engine's
+admission bound and into the open loop's tie order).
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.check import differential
 from repro.check.corpus import load_golden
 from repro.check.differential import (
     ENGINE_PARITY_POLICIES,
@@ -19,6 +25,9 @@ from repro.check.differential import (
 )
 from repro.check.fuzz import make_case
 from repro.core.workload import Workload
+from repro.sched.registry import make_scheduler
+from repro.server import driver
+from repro.server.constant_rate import ConstantRateModel
 from repro.sim import batch
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -64,7 +73,7 @@ class TestReportShape:
 
     def test_ineligible_policy_is_a_divergence(self):
         report = engine_parity(
-            Workload([0.0]), 10.0, 5.0, 1.0, policies=("edf",)
+            Workload([0.0]), 10.0, 5.0, 1.0, policies=("splitfarm",)
         )
         assert not report.ok
         assert "not batch-eligible" in report.summary()
@@ -122,3 +131,81 @@ class TestInjectedBugDetection:
         report = engine_parity(bursty, 50.0, 25.0, 0.1, policies=("fcfs",))
         assert not report.ok
         assert any("completed" in d for d in report.divergences)
+
+
+# ---------------------------------------------------------------------------
+# The heap-free single-server open loop (engine "direct")
+# ---------------------------------------------------------------------------
+
+#: Single-server policies the batch engine does not take.
+DIRECT_POLICIES = ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
+#: (policy, admission) pairs ``auto`` serves on the open loop: fcfs too
+#: under work admission, which the batch engine cannot express.
+DIRECT_CASES = [
+    (policy, admission)
+    for policy in DIRECT_POLICIES
+    for admission in ("count", "work")
+] + [("fcfs", "work")]
+
+#: A rate-8 server (Cmin 4 + ΔC 4) serves a unit of demand in 1/8 s and
+#: every gap and demand below is dyadic, so sums are exact: arrivals land
+#: on completion instants and same-instant ties are the common case.
+#: Zero gaps make simultaneous bursts.  Q1 admits floor(4 · 0.5) = 2.
+CMIN, DELTA_C, DELTA = 4.0, 4.0, 0.5
+GAPS = st.sampled_from([0.0, 0.0, 0.0, 0.0625, 0.125, 0.125, 0.25, 0.5, 2.0])
+DEMANDS = st.sampled_from([0.25, 0.5, 1.0, 1.0, 2.0, 4.0])
+COLUMNS = st.lists(st.tuples(GAPS, DEMANDS), max_size=40)
+
+
+def column_workload(columns, sized: bool) -> Workload:
+    arrivals = np.cumsum([gap for gap, _ in columns])
+    sizes = [demand for _, demand in columns] if sized else None
+    return Workload(arrivals, sizes=sizes, name="adversarial")
+
+
+class TestDirectPath:
+    @pytest.mark.parametrize("policy,admission", DIRECT_CASES)
+    @settings(max_examples=40)
+    @given(columns=COLUMNS, sized=st.booleans())
+    @example(columns=[], sized=False)
+    @example(columns=[(0.5, 4.0)], sized=True)
+    @example(columns=[(0.0, 1.0)] * 6 + [(0.125, 1.0)] * 4, sized=False)
+    def test_adversarial_columns_bit_identical(self, policy, admission, columns, sized):
+        workload = column_workload(columns, sized)
+        divergences = []
+        differential._direct_parity(
+            workload, policy, CMIN, DELTA_C, DELTA, admission, divergences
+        )
+        assert divergences == []
+
+    def test_srpt_preemption_bit_identical(self):
+        """A short arrival preempts a long request in service."""
+        workload = Workload(
+            [0.0, 0.125, 0.125, 0.5], sizes=[4.0, 0.5, 1.0, 0.25], name="preempt"
+        )
+        report = engine_parity(workload, CMIN, DELTA_C, DELTA, policies=("srpt",))
+        assert report.ok and report.bit_identical, report.summary()
+        run = driver.serve_open_loop(
+            workload,
+            make_scheduler("srpt", CMIN, DELTA_C, DELTA),
+            ConstantRateModel(CMIN + DELTA_C),
+            name="srpt",
+        )
+        assert run.preemptions >= 1
+        assert run.completed == len(workload)
+
+    def test_arrival_before_tied_completion_detected(self, monkeypatch):
+        """Serving an arrival ahead of a completion at the same instant
+        keeps the finished request's Q1 slot taken, so the arrival is
+        demoted: the differential must report it."""
+        source = inspect.getsource(driver.serve_open_loop)
+        assert source.count("end <= t") == 1
+        namespace = dict(vars(driver))
+        exec(compile(source.replace("end <= t", "end < t"), driver.__file__, "exec"), namespace)
+        monkeypatch.setattr(differential, "serve_open_loop", namespace["serve_open_loop"])
+        # Q1 admits floor(2 · 0.5) = 1; the rate-4 server finishes
+        # request 0 exactly when request 1 arrives.
+        tie = Workload([0.0, 0.25], name="tie")
+        report = engine_parity(tie, 2.0, 2.0, 0.5, policies=("fairqueue",))
+        assert not report.ok
+        assert any("Q1 completions 1 (direct) vs 2" in d for d in report.divergences)

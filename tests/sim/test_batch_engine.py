@@ -140,8 +140,12 @@ class TestEngineSelection:
 class TestEligibility:
     @pytest.mark.parametrize("policy", ("fairqueue", "wf2q", "drr", "miser", "edf"))
     def test_auto_falls_back_for_other_policies(self, policy):
+        # The other single-server policies fall back to the heap-free
+        # open loop, which is bit-identical to the event loop.
         result = run_policy(ZERO_GAP, policy, **CONFIG)
-        assert result.engine == "scalar"
+        assert result.engine == "direct"
+        reference = run_policy(ZERO_GAP, policy, engine="scalar", **CONFIG)
+        assert np.array_equal(result.overall.samples, reference.overall.samples)
 
     def test_auto_falls_back_when_observed(self):
         from repro.obs import MetricsRegistry

@@ -188,6 +188,20 @@ class TestEvery:
         with pytest.raises(SimulationError, match="interval"):
             Simulator().every(0.0, lambda: None, until=1.0)
 
+    def test_tick_that_cannot_advance_a_coarse_clock_is_refused(self):
+        """Regression: at 2**51 s the float spacing is 0.5 s, so a 0.05 s
+        tick rescheduled at ``next_time + interval`` never moved and fired
+        forever at one instant; ``every`` refuses it at install."""
+        sim = Simulator()
+        sim.run(until=2.0**51)
+        with pytest.raises(SimulationError, match="cannot advance the clock"):
+            sim.every(0.05, lambda: None, until=2.0**51 + 10.0)
+        assert len(sim._queue) == 0
+
+    def test_until_past_the_tick_resolution_is_refused(self):
+        with pytest.raises(SimulationError, match="cannot advance the clock"):
+            Simulator().every(0.05, lambda: None, until=2.0**60)
+
     def test_installed_mid_simulation(self):
         """Regression: the first tick is interval after *now*, not at the
         absolute instant ``interval`` (which is in the past mid-run)."""

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.capacity import CapacityPlanner
 from repro.exceptions import ConfigurationError
-from repro.shaping import PolicyRunResult, WorkloadShaper, run_policy
+from repro.obs import MetricsRegistry
+from repro.perf import engines
+from repro.server.aqm import AQM_POLICIES
+from repro.shaping import PolicyRunResult, RunConfig, WorkloadShaper, run_policy
 
 POLICIES = ("fcfs", "split", "fairqueue", "wf2q", "miser")
 
@@ -91,6 +94,78 @@ class TestRunPolicy:
     def test_total_capacity(self, workload, plan):
         result = run_policy(workload, "fcfs", plan.cmin, plan.delta_c, plan.delta)
         assert result.total_capacity == plan.cmin + plan.delta_c
+
+
+class TestEngineRouting:
+    """Which path ``auto`` takes, as recorded in ``PolicyRunResult.engine``."""
+
+    @pytest.fixture(autouse=True)
+    def _auto(self, monkeypatch):
+        monkeypatch.delenv(engines.ENGINE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_AQM", raising=False)
+        monkeypatch.setattr(engines.REGISTRY, "_override", None)
+
+    @pytest.fixture
+    def config(self, plan):
+        return RunConfig(plan.cmin, plan.delta_c, plan.delta)
+
+    @staticmethod
+    def assert_same_samples(a, b):
+        for collector in ("overall", "primary", "overflow"):
+            assert np.array_equal(
+                getattr(a, collector).samples, getattr(b, collector).samples
+            ), collector
+        assert a.primary_misses == b.primary_misses
+
+    @pytest.mark.parametrize("policy", ("fairqueue", "miser", "srpt", "edf"))
+    def test_default_single_server_runs_take_direct_path(
+        self, workload, config, policy
+    ):
+        result = run_policy(workload, policy, config=config)
+        assert result.engine == "direct"
+        reference = run_policy(workload, policy, config=config.with_engine("scalar"))
+        assert reference.engine == "scalar"
+        self.assert_same_samples(result, reference)
+
+    def test_fcfs_under_work_admission_takes_direct_path(self, workload, plan):
+        config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission="work")
+        result = run_policy(workload, "fcfs", config=config)
+        assert result.engine == "direct" and result.admission == "work"
+        assert len(result.primary) == len(result.overflow) == 0
+        reference = run_policy(workload, "fcfs", config=config.with_engine("scalar"))
+        self.assert_same_samples(result, reference)
+
+    @pytest.mark.parametrize("policy", ("fcfs", "split"))
+    def test_count_fcfs_and_split_stay_batch(self, workload, config, policy):
+        assert run_policy(workload, policy, config=config).engine == "batch"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"engine": "scalar"},
+            {"record_rates": 1.0},
+            {"metrics": MetricsRegistry()},
+            {"sample_interval": 1.0},
+        ]
+        + [{"aqm": aqm} for aqm in sorted(AQM_POLICIES)],
+        ids=lambda change: next(iter(change)) + "=" + str(next(iter(change.values()))),
+    )
+    def test_event_loop_configs_stay_scalar(self, workload, plan, change):
+        config = RunConfig(plan.cmin, plan.delta_c, plan.delta, **change)
+        assert run_policy(workload, "fairqueue", config=config).engine == "scalar"
+
+    def test_env_armed_window_stays_scalar(self, workload, config, monkeypatch):
+        monkeypatch.setenv("REPRO_AQM", "static")
+        result = run_policy(workload, "miser", config=config)
+        assert result.engine == "scalar" and result.aqm == "static"
+
+    def test_forced_batch_still_rejects_fairqueue(self, workload, config):
+        with pytest.raises(
+            ConfigurationError,
+            match="engine 'batch' cannot run this configuration: policy "
+            "'fairqueue' does not reduce to a Lindley recurrence",
+        ):
+            run_policy(workload, "fairqueue", config=config.with_engine("batch"))
 
 
 class TestWorkloadShaper:
