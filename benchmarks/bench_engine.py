@@ -7,18 +7,22 @@ Two modes, mirroring ``bench_kernels.py``:
 * As a script (``make bench-json`` /
   ``python benchmarks/bench_engine.py --output BENCH_engine.json``) it
   times both engines end-to-end over a (trace size x policy) matrix
-  from 10^4 to 10^6 requests, times the heap-free single-server open
-  loop (engine ``"direct"``) against the event loop for every policy
-  the batch engine does not take at 10^4 and 10^5 requests, times the
-  columnar farm kernel against the event-driven ``ServerFarm`` from 1
-  to 1000 units, certifies bit-parity on every case, and writes the
-  report as JSON.
+  from 10^4 to 10^6 requests, times the heap-free single-server loop
+  (engine ``"direct"``) against the event loop for every policy the
+  batch engine does not take at 10^4 and 10^5 requests, times the same
+  loop fed a closed-loop population (:func:`run_closed_loop`, ~4x10^4
+  requests) against the event loop for every single-server policy,
+  times the columnar farm kernel against the event-driven
+  ``ServerFarm`` from 1 to 1000 units, certifies bit-parity on every
+  case, and writes the report as JSON.
 
-``--quick`` is the CI smoke gate: on the 10^5-request reference trace
-it fails (exit 1) if ``engine_parity`` reports any divergence — for the
-batch policies and for every policy on the direct path — or the batch
-engine regresses below :data:`MIN_QUICK_SPEEDUP` on either batch
-policy.  The direct path has no speed floor there.
+``--quick`` is the CI smoke gate: it fails (exit 1) if ``engine_parity``
+reports any divergence on the 10^5-request reference trace — for the
+batch policies and for every policy on the direct path — if
+``closed_loop_parity`` reports any on the closed-loop population, or if
+the batch engine regresses below :data:`MIN_QUICK_SPEEDUP` on either
+batch policy.  The direct path has no speed floor there, open or
+closed.
 
 The committed ``BENCH_engine.json`` was produced by the script mode;
 regenerate it with ``make bench-json`` after touching either engine.
@@ -41,9 +45,12 @@ if __name__ == "__main__":  # script mode works from a source checkout
 import numpy as np
 import pytest
 
+from repro.check.differential import closed_loop_parity
+from repro.sched.registry import SINGLE_SERVER_POLICIES
 from repro.shaping import RunConfig, run_policy
 from repro.sim import batch
 from repro.traces.synthetic import poisson_workload
+from repro.workload import BimodalDemand, run_closed_loop
 
 #: Reference configuration: overloaded enough that Split exercises both
 #: queues (same shape as the committed speedup measurements).
@@ -65,12 +72,23 @@ MIN_QUICK_SPEEDUP = 5.0
 POLICIES = ("fcfs", "split")
 
 #: Single-server policies the batch engine does not take: ``auto``
-#: serves them on the heap-free open loop (engine "direct").
+#: serves them on the heap-free single-server loop (engine "direct").
 DIRECT_POLICIES = ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
 
 #: Trace sizes for the direct rows (the event loop needs ~10 s per
 #: policy at 10^6).
 DIRECT_SIZES = SIZES[:2]
+
+#: The closed-loop rows' population: 36 users thinking 0.2 s on average
+#: between requests from the tail bake-off's 1/8 demand mix keep the
+#: reference server about 90% busy; 250 s of it is ~4x10^4 requests.
+CLOSED_LOOP = {
+    "n_users": 36,
+    "think_time": 0.2,
+    "horizon": 250.0,
+    "seed": 17,
+    "demand_sampler": BimodalDemand(short=1.0, long=8.0, long_fraction=0.12),
+}
 
 
 def reference_workload(n_requests: int, seed: int = 17):
@@ -161,6 +179,28 @@ def _bench_end_to_end(workload, policy: str, reps: int, path: str = "batch") -> 
     }
 
 
+def _bench_closed_loop(policy: str, reps: int) -> dict:
+    """The event loop vs the direct loop on the :data:`CLOSED_LOOP` population."""
+    config = RunConfig(CMIN, DELTA_C, DELTA)
+    scalar_s, scalar_run = _timed(
+        run_closed_loop, policy, config.with_engine("scalar"), reps=reps, **CLOSED_LOOP
+    )
+    direct_s, direct_run = _timed(
+        run_closed_loop, policy, config.with_engine("auto"), reps=reps, **CLOSED_LOOP
+    )
+    problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    return {
+        "policy": policy,
+        "n_requests": len(scalar_run.submitted),
+        "scalar_s": round(scalar_s, 4),
+        "direct_s": round(direct_s, 4),
+        "speedup": round(scalar_s / direct_s, 2),
+        "bit_parity_ok": direct_run.engine == "direct" and not problems,
+    }
+
+
 def _bench_farm(workload, units: int, reps: int) -> dict:
     from repro.sched.fcfs import FCFSScheduler
     from repro.server.driver import DeviceDriver
@@ -205,6 +245,10 @@ def _quick_gate() -> int:
     parity = engine_parity(workload, CMIN, DELTA_C, DELTA)
     print(parity.summary())
     failed = not parity.ok
+    for policy in SINGLE_SERVER_POLICIES:
+        problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
+        print(f"closed-loop {policy}: " + ("; ".join(problems) or "bit-identical"))
+        failed = failed or bool(problems)
     for policy in POLICIES:
         row = _bench_end_to_end(workload, policy, reps=1)
         print(
@@ -267,6 +311,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
             )
 
+    closed = []
+    for policy in SINGLE_SERVER_POLICIES:
+        row = _bench_closed_loop(policy, args.reps)
+        closed.append(row)
+        print(
+            f"closed-loop {policy:>9s} @ n={row['n_requests']:>6d}: "
+            f"scalar {row['scalar_s']:7.3f}s  direct {row['direct_s']:7.3f}s  "
+            f"speedup {row['speedup']:5.2f}x  "
+            f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
+        )
+
     farm_workload = reference_workload(100_000)
     farms = []
     for units in FARM_UNITS:
@@ -283,12 +338,14 @@ def main(argv: list[str] | None = None) -> int:
     direct_largest = [r for r in direct if r["n_requests"] >= 0.9 * DIRECT_SIZES[-1]]
     summary = {
         "all_parity_ok": all(
-            r["bit_parity_ok"] for r in results + direct + farms
+            r["bit_parity_ok"] for r in results + direct + closed + farms
         ),
         "speedup_at_1e6": {r["policy"]: r["speedup"] for r in largest},
         "min_speedup_at_1e6": min(r["speedup"] for r in largest),
         "direct_speedup_at_1e5": {r["policy"]: r["speedup"] for r in direct_largest},
         "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
+        "closed_loop_speedup": {r["policy"]: r["speedup"] for r in closed},
+        "min_closed_loop_speedup": min(r["speedup"] for r in closed),
     }
     report = {
         "meta": {
@@ -296,6 +353,10 @@ def main(argv: list[str] | None = None) -> int:
             "cmin": CMIN,
             "delta_c": DELTA_C,
             "delta": DELTA,
+            "closed_loop": {
+                **CLOSED_LOOP,
+                "demand_sampler": CLOSED_LOOP["demand_sampler"].describe(),
+            },
             "reps": args.reps,
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -303,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "end_to_end": results,
         "direct": direct,
+        "closed_loop": closed,
         "farm": farms,
         "summary": summary,
     }

@@ -11,7 +11,9 @@ Three verification passes, composable in one invocation:
 * ``--differential N`` — run ``N`` fuzzed traces through every
   recombination policy with the invariant auditors on, plus the kernel
   parity, execution-engine parity (scalar event loop vs columnar batch
-  engine), serve-vs-simulate parity (one rotating policy per case), and
+  engine and heap-free single-server loop), serve-vs-simulate parity
+  (one rotating policy per case), closed-loop parity (one population
+  per case, rotating through the single-server policies), and
   server-model cross-checks;
 * ``--serve-parity DIR`` — replay every golden trace under ``DIR``
   through the online serving plane (:mod:`repro.serve`) and certify
@@ -31,15 +33,19 @@ import time
 from pathlib import Path
 
 from .corpus import load_golden, replay_corpus
+from ..sched.registry import SINGLE_SERVER_POLICIES
+from ..sim.rng import derive_seed
+from ..workload.sizes import BimodalDemand
 from .differential import (
     DEFAULT_POLICIES,
+    closed_loop_parity,
     differential_policies,
     engine_parity,
     fcfs_lindley_check,
     kernel_parity,
     serve_parity,
 )
-from .fuzz import GENERATORS, fuzz_oracle, make_case
+from .fuzz import GENERATORS, FuzzCase, fuzz_oracle, make_case
 
 #: Default corpus location relative to the working directory.
 DEFAULT_CORPUS = Path("tests") / "corpus"
@@ -90,6 +96,25 @@ def _run_fuzz(n_cases: int, seed: int, budget: float | None) -> tuple[int, list[
     return 0, lines
 
 
+def _population(case: FuzzCase, seed: int, index: int) -> dict:
+    """Closed-loop parity arguments for fuzz case ``index``.
+
+    2-8 users whose think time matches the server's rate keep it near
+    saturation, for about 120 requests; the cases alternate unit and
+    bimodal demand, and count and work admission.
+    """
+    rate = case.capacity + max(1.0, case.capacity / 2)
+    n_users = 2 + index % 7
+    return {
+        "n_users": n_users,
+        "think_time": n_users / rate,
+        "horizon": 120.0 / rate,
+        "seed": derive_seed(seed, "check.closed-loop", index),
+        "demand_sampler": BimodalDemand(long=4.0) if index % 2 else None,
+        "admission": ("count", "work")[index // 2 % 2],
+    }
+
+
 def _run_differential(
     n_cases: int, seed: int, policies: tuple[str, ...]
 ) -> tuple[int, list[str]]:
@@ -135,10 +160,22 @@ def _run_differential(
             status = 1
             problems += 1
             lines.append(serving.summary())
+        # Closed-loop parity: one population per case, rotating through
+        # the single-server policies the direct loop serves.
+        for problem in closed_loop_parity(
+            SINGLE_SERVER_POLICIES[index % len(SINGLE_SERVER_POLICIES)],
+            case.capacity,
+            max(1.0, case.capacity / 2),
+            case.delta,
+            **_population(case, seed, index),
+        ):
+            status = 1
+            problems += 1
+            lines.append(problem)
     if status == 0:
         lines.append(
             f"differential OK: {n_cases} traces x {len(policies)} policies, "
-            "kernels, engines, serve harness and invariants agree"
+            "kernels, engines, closed loops, serve harness and invariants agree"
         )
     else:
         lines.insert(0, f"differential FAILED: {problems} problem(s)")

@@ -6,7 +6,8 @@ implementations of the same semantics:
 1. **Kernels** (:func:`kernel_parity`): the scalar, numpy and native
    RTT kernels must produce identical per-batch admission counts, and
    the batched sweep must match one kernel pass per capacity.  The
-   exact-Fraction :func:`repro.core.rtt.decompose_exact` arbitrates.
+   exact-Fraction :func:`repro.core.rtt.decompose_exact`, under the
+   kernels' documented EPS tie relation, arbitrates.
 2. **Server models** (:func:`fcfs_lindley_check`,
    :func:`disk_comparability_check`): the event-driven simulator must
    reproduce the closed-form Lindley recursion for a constant-rate FCFS
@@ -42,11 +43,12 @@ from ..server.sizesplit import SizeSplitSystem
 from ..server.constant_rate import ConstantRateModel, constant_rate_server
 from ..server.disk import DiskModel, DiskParameters
 from ..sim.engine import Simulator
-from ..sim.source import WorkloadSource
+from ..sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from ..sim.stats import ResponseTimeCollector
-from ..server.driver import DeviceDriver, serve_open_loop
+from ..server.driver import DeviceDriver, DirectRun, serve_direct
 from ..shaping import RunConfig, run_policy
 from .invariants import CheckingScheduler, Violation
+from .oracle import DEFAULT_TIE_TOLERANCE
 
 #: Policies the differential harness exercises by default: the four
 #: recombiners of the paper, the EDF and WF²Q+ extensions, and the
@@ -102,7 +104,9 @@ def kernel_parity(
     backends; ``count_admitted_sweep`` at ``[capacity]`` matches the
     single-capacity count.  With ``exact=True`` the float consensus is
     additionally arbitrated against the Fraction-arithmetic
-    :func:`~repro.core.rtt.decompose_exact`.
+    :func:`~repro.core.rtt.decompose_exact` under the kernels' tie
+    relation (``tie_tolerance=EPS``: a margin within ``EPS / C`` seconds
+    counts as met, as ``floor(room + EPS)`` counts it).
     """
     if backends is None:
         backends = kernels.available_backends()
@@ -137,7 +141,9 @@ def kernel_parity(
                 f"batch indices {where[:5].tolist()}"
             )
     if exact:
-        exact_admitted = decompose_exact(workload, capacity, delta).n_admitted
+        exact_admitted = decompose_exact(
+            workload, capacity, delta, tie_tolerance=DEFAULT_TIE_TOLERANCE
+        ).n_admitted
         for name, total in totals.items():
             if total != exact_admitted:
                 divergences.append(
@@ -189,8 +195,9 @@ def decomposition_cross_check(
 
     Returns human-readable problem strings (empty means all good):
 
-    * float and exact-Fraction admission *counts* are equal — both
-      greedy rules are optimal, so a count drift is a logic bug;
+    * the float admission *count* equals the exact-Fraction count under
+      the same EPS tie relation (``tie_tolerance=EPS``) — both greedy
+      rules are optimal for it, so a count drift is a logic bug;
     * the float mask is *feasible* under exact arithmetic up to the
       kernels' documented tie tolerance (``EPS`` room-units, i.e.
       ``EPS / C`` seconds) — the float path may round a knife-edge tie
@@ -206,13 +213,16 @@ def decomposition_cross_check(
     problems: list[str] = []
     discrete = decompose(workload, capacity, delta)
     exact = decompose_exact(workload, capacity, delta)
+    tolerant = decompose_exact(
+        workload, capacity, delta, tie_tolerance=DEFAULT_TIE_TOLERANCE
+    )
     fluid = decompose_fluid(workload, capacity, delta)
     tolerance = Fraction(scalar.EPS) / Fraction(capacity)  # seconds
-    if discrete.n_admitted != exact.n_admitted:
+    if discrete.n_admitted != tolerant.n_admitted:
         problems.append(
             f"float admitted {discrete.n_admitted} but exact-Fraction "
-            f"admitted {exact.n_admitted} (both are optimal counts; "
-            f"they must agree)"
+            f"admitted {tolerant.n_admitted} under the same tie tolerance "
+            f"(both are optimal counts; they must agree)"
         )
     worst, worst_index = exact_mask_audit(
         workload, capacity, delta, discrete.admitted
@@ -368,7 +378,7 @@ def disk_comparability_check(
 
 #: The engine-parity surface: the two policies with a columnar kernel
 #: (batch) and every other single-server policy, which ``auto`` serves on
-#: the heap-free open loop (:func:`repro.server.driver.serve_open_loop`).
+#: the heap-free single-server loop (:func:`repro.server.driver.serve_direct`).
 ENGINE_PARITY_POLICIES = (
     "fcfs",
     "split",
@@ -420,14 +430,20 @@ class EngineParityReport:
 
 
 def _event_loop_system(
-    workload: Workload,
+    feed,
     policy: str,
     cmin: float,
     delta_c: float,
     delta: float,
     admission: str = "count",
 ):
-    """``run_policy``'s event-loop stack for ``policy``, run over ``workload``."""
+    """The event-loop stack for ``policy``, run over ``feed``; returns
+    the system and its source.
+
+    ``feed`` is a workload, replayed by a ``WorkloadSource`` as
+    ``run_policy`` replays it, or a dict of population arguments, served
+    by a ``ClosedLoopSource`` as ``run_closed_loop`` serves it.
+    """
     sim = Simulator()
     if policy == "split":
         system = SplitSystem(sim, cmin, delta_c, delta, admission=admission)
@@ -437,16 +453,20 @@ def _event_loop_system(
         scheduler = make_scheduler(policy, cmin, delta_c, delta, admission=admission)
         server = constant_rate_server(sim, cmin + delta_c, name=policy)
         system = DeviceDriver(sim, server, scheduler)
-    WorkloadSource(sim, workload, system).start()
+    if isinstance(feed, Workload):
+        source = WorkloadSource(sim, feed, system)
+    else:
+        source = ClosedLoopSource(sim, system, **feed)
+    source.start()
     sim.run()
-    return system
+    return system, source
 
 
 def _scalar_columns(
     workload: Workload, policy: str, cmin: float, delta_c: float, delta: float
 ):
     """Event-engine run returning per-index columns + conservation ledger."""
-    system = _event_loop_system(workload, policy, cmin, delta_c, delta)
+    system, _ = _event_loop_system(workload, policy, cmin, delta_c, delta)
     # Per-index *response* columns: ``completion - arrival`` is the same
     # float operation the batch engine applies to its completion columns,
     # so the comparison stays bit-faithful (re-adding the arrival would
@@ -478,8 +498,8 @@ def engine_parity(
       report records whether they were in fact bit-identical) and on the
       **conservation ledger** (every arrival completed, nothing dropped
       or shed, equal primary deadline-miss counts);
-    * **direct** (every other single-server policy): the heap-free open
-      loop (:func:`repro.server.driver.serve_open_loop`) and the
+    * **direct** (every other single-server policy): the heap-free
+      single-server loop (:func:`repro.server.driver.serve_direct`) and the
       :class:`~repro.server.driver.DeviceDriver` stack must agree
       exactly on every per-class response sequence in completion order
       (so on the admitted count), the primary deadline misses, the
@@ -596,11 +616,13 @@ def _direct_parity(
     """Heap-free open loop vs event loop, bit for bit; returns the drift.
 
     ``admission`` is the classifier mode of both runs, so work admission
-    (under which ``auto`` takes fcfs to the open loop too) is certified
+    (under which ``auto`` takes fcfs to the direct loop too) is certified
     the same way.
     """
-    reference = _event_loop_system(workload, policy, cmin, delta_c, delta, admission)
-    run = serve_open_loop(
+    reference, _ = _event_loop_system(
+        workload, policy, cmin, delta_c, delta, admission
+    )
+    run = serve_direct(
         workload,
         make_scheduler(policy, cmin, delta_c, delta, admission=admission),
         ConstantRateModel(cmin + delta_c),
@@ -612,6 +634,18 @@ def _direct_parity(
             f"{policy}: completed {run.completed} (direct) and "
             f"{len(reference.completed)} (event loop) of {expected}"
         )
+    return _compare_direct(policy, reference, run, divergences)
+
+
+def _compare_direct(
+    label: str, reference: DeviceDriver, run: DirectRun, divergences: list[str]
+) -> float:
+    """A direct run vs its event-loop ``reference``; returns the drift.
+
+    Every per-class response sequence in completion order (so the
+    admitted count), the primary deadline misses and the preemptions
+    must be equal.
+    """
     drift = 0.0
     pairs = [(reference.overall, run.overall)] + [
         (collector, run.by_class[qos]) for qos, collector in reference.by_class.items()
@@ -620,28 +654,98 @@ def _direct_parity(
         want, got = collector.samples, direct.samples
         if want.size != got.size:
             divergences.append(
-                f"{policy}: {collector.name} completions {got.size} (direct) "
+                f"{label}: {collector.name} completions {got.size} (direct) "
                 f"vs {want.size} (event loop)"
             )
         elif not np.array_equal(want, got):
             gap = np.abs(want - got)
             drift = max(drift, float(gap.max()))
             divergences.append(
-                f"{policy}: {collector.name} responses differ from completion "
+                f"{label}: {collector.name} responses differ from completion "
                 f"{int(np.argmax(want != got))} on (max drift {gap.max():.3e}s)"
             )
     misses = reference.primary_deadline_misses()
     if run.primary_misses != misses:
         divergences.append(
-            f"{policy}: primary misses {run.primary_misses} (direct) vs "
+            f"{label}: primary misses {run.primary_misses} (direct) vs "
             f"{misses} (event loop)"
         )
     if run.preemptions != reference.preemptions:
         divergences.append(
-            f"{policy}: preemptions {run.preemptions} (direct) vs "
+            f"{label}: preemptions {run.preemptions} (direct) vs "
             f"{reference.preemptions} (event loop)"
         )
     return drift
+
+
+def closed_loop_parity(
+    policy: str,
+    cmin: float,
+    delta_c: float,
+    delta: float,
+    n_users: int,
+    think_time: float,
+    horizon: float,
+    seed: int = 0,
+    demand_sampler=None,
+    admission: str = "count",
+) -> list[str]:
+    """Certify the direct loop against the event loop on one population.
+
+    The single-server ``policy`` serves the same closed-loop population
+    twice: on :func:`repro.server.driver.serve_direct`, as
+    :func:`~repro.workload.closedloop.run_closed_loop` serves it under
+    ``auto``, and on the ``ClosedLoopSource`` -> ``DeviceDriver`` event
+    loop it runs under ``engine="scalar"``.  Bit for bit, the two must
+    agree on
+
+    * the submitted requests in submission order — arrival,
+      ``client_id``, ``service_demand``, ``qos_class`` and completion —
+      so on every think and demand draw;
+    * every per-class response sequence in completion order;
+    * the conservation ledger, the primary deadline misses and the
+      preemptions.
+
+    Returns the problems found; an empty list is parity.
+    """
+    users = {
+        "n_users": n_users,
+        "think_time": think_time,
+        "horizon": horizon,
+        "seed": seed,
+        "demand_sampler": demand_sampler,
+    }
+    reference, source = _event_loop_system(
+        users, policy, cmin, delta_c, delta, admission
+    )
+    population = ClosedLoopPopulation(**users)
+    run = serve_direct(
+        population,
+        make_scheduler(policy, cmin, delta_c, delta, admission=admission),
+        ConstantRateModel(cmin + delta_c),
+        name=policy,
+    )
+    label = f"closed-loop {policy}"
+    problems: list[str] = []
+    fields = ("arrival", "client_id", "service_demand", "qos_class", "completion")
+    want = [[getattr(r, f) for f in fields] for r in source.requests]
+    got = [[getattr(r, f) for f in fields] for r in population.requests]
+    if want != got:
+        first = next(
+            (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+            min(len(want), len(got)),
+        )
+        problems.append(
+            f"{label}: submissions differ from submission {first} on "
+            f"({len(got)} direct vs {len(want)} event loop)"
+        )
+    ledger = reference.fault_ledger()
+    if run.ledger() != ledger:
+        problems.append(
+            f"{label}: ledger {run.ledger()} (direct) vs {ledger} (event loop)"
+        )
+    _compare_direct(label, reference, run, problems)
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ def decompose_exact(
     workload: Workload,
     capacity: int | Fraction,
     delta: Fraction | float,
+    tie_tolerance: int | float | Fraction = 0,
 ) -> DecompositionResult:
     """Request-by-request RTT over exact rational arithmetic.
 
@@ -241,6 +242,11 @@ def decompose_exact(
     converted to :class:`~fractions.Fraction` (floats convert exactly, so
     ``delta=0.05`` means the binary float, not 1/20 — pass a ``Fraction``
     for exact decimal deadlines).
+
+    ``tie_tolerance`` widens the deadline by that many room units, i.e.
+    ``tie_tolerance / C`` seconds, as the float kernels' ``floor(room +
+    EPS)`` does and as :mod:`repro.check.oracle`'s tie relation does.
+    The default 0 is the literal rule.
 
     Intended for validation; runs in O(N) but with Fraction overhead.
     """
@@ -253,11 +259,12 @@ def decompose_exact(
     if arrivals.size == 0:
         return DecompositionResult(workload, float(capacity), float(delta_f), mask)
     service = 1 / capacity
+    window = delta_f + Fraction(tie_tolerance) / capacity
     finish = Fraction(0)
     for i, t_float in enumerate(arrivals):
         t = Fraction(float(t_float))
         candidate = max(finish, t) + service
-        if candidate <= t + delta_f:
+        if candidate <= t + window:
             mask[i] = True
             finish = candidate
     return DecompositionResult(workload, float(capacity), float(delta_f), mask)

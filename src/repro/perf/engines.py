@@ -17,13 +17,16 @@ that :func:`repro.shaping.run_policy` uses to serve a workload:
     requesting it for an ineligible configuration is an error.
 ``auto``
     The first path that qualifies, per configuration: batch; then the
-    heap-free single-server open loop
-    (:func:`repro.server.driver.serve_open_loop`) for every other
+    heap-free single-server loop
+    (:func:`repro.server.driver.serve_direct`) for every other
     single-server run with no rate recording, metrics, sampler or
-    in-flight window; then the event loop.  The default.  The open loop
-    is not an engine name: nothing needs to force it, and ``scalar``
-    against ``auto`` is its A/B.  Results record the path taken in
-    ``PolicyRunResult.engine`` (``"scalar"``, ``"batch"`` or
+    in-flight window; then the event loop.  The default.  Closed-loop
+    populations (:func:`repro.workload.closedloop.run_closed_loop`)
+    take the same single-server loop under the same condition.  The
+    direct loop is not an engine name: nothing needs to force it, and
+    ``scalar`` against ``auto`` is its A/B.  Results record the path
+    taken in ``PolicyRunResult.engine`` (``"scalar"``, ``"batch"`` or
+    ``"direct"``) and ``ClosedLoopResult.engine`` (``"scalar"`` or
     ``"direct"``).
 
 Selection, highest priority first (mirroring ``REPRO_KERNEL``):
@@ -75,8 +78,10 @@ def resolve_engine(name: str | None = None) -> str:
     """Resolve a request to ``"scalar"``, ``"batch"``, or ``"auto"``.
 
     ``auto`` is returned as-is — whether it lands on the batch path, the
-    heap-free open loop or the event loop is a per-configuration decision
-    made by :func:`repro.shaping.run_policy`, not a process-wide one.
+    heap-free single-server loop or the event loop is a per-configuration
+    decision made by :func:`repro.shaping.run_policy` (or
+    :func:`repro.workload.closedloop.run_closed_loop`), not a
+    process-wide one.
     """
     return REGISTRY.resolve(name)
 

@@ -38,12 +38,13 @@ so the fault plane exerts *backpressure* instead of requeuing
 instantaneously.  With ``window=None`` (default) none of this exists
 and the dispatch loop is bit-identical to the pre-AQM driver.
 
-The heap-free open loop
------------------------
-:func:`serve_open_loop` serves an open-loop workload on one server with
-none of the above armed, without the event engine: it merges the next
-arrival with the in-flight completion itself and calls the same
-scheduler, service model and collectors as this driver would.
+The heap-free single-server loop
+--------------------------------
+:func:`serve_direct` serves an open-loop workload or a closed-loop
+population on one server with none of the above armed, without the
+event engine: it merges the pending arrivals with the in-flight
+completion itself and calls the same scheduler, service model and
+collectors as this driver would.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,6 +61,7 @@ from ..exceptions import SimulationError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_MONITOR
+from ..sim.source import ClosedLoopPopulation
 from ..sim.stats import RateRecorder, ResponseTimeCollector
 from ..sched.base import Scheduler
 from .aqm import InflightWindow
@@ -514,8 +517,8 @@ class DeviceDriver:
 
 
 @dataclass(frozen=True)
-class OpenLoopRun:
-    """What :func:`serve_open_loop` measured.
+class DirectRun:
+    """What :func:`serve_direct` measured.
 
     ``by_class`` and ``overall`` are filled exactly as
     :class:`DeviceDriver`'s collectors of the same names.
@@ -530,33 +533,48 @@ class OpenLoopRun:
     #: Times the scheduler pulled the in-flight request off the server.
     preemptions: int
 
+    def ledger(self) -> dict[str, int]:
+        """:meth:`DeviceDriver.fault_ledger`'s buckets: nothing drops or sheds."""
+        return {"completed": self.completed, "dropped": 0, "shed": 0}
 
-def serve_open_loop(
-    workload: "Workload",
+
+def serve_direct(
+    feed: "Workload | ClosedLoopPopulation",
     scheduler: Scheduler,
     model: ServiceTimeModel,
     name: str = "server",
-) -> OpenLoopRun:
-    """Serve ``workload`` open loop on one server, without the event engine.
+) -> DirectRun:
+    """Serve ``feed`` on one server, without the event engine.
 
-    A :class:`~repro.sim.source.WorkloadSource` keeps one arrival pending
-    and a :class:`~repro.server.base.Server` one completion, so a
-    single-server open loop never holds more than those two events, and
-    their times and priorities order every tie.  This loop merges the
-    two itself, the completion first on a tie (``PRIORITY_COMPLETION <
-    PRIORITY_ARRIVAL``), and calls the scheduler, the service ``model``
-    and the collectors in the order, and with the float operations, of
-    ``WorkloadSource`` -> :class:`DeviceDriver` -> ``Server`` ->
-    ``Simulator`` with no window, retry policy, metrics, rate recording
-    or completion hook.  Its samples are bit-identical to that stack's,
-    which :func:`repro.check.differential.engine_parity` certifies.
+    ``feed`` is a workload, replayed open loop, or a closed-loop
+    population.  Either way the stack holds one pending completion (a
+    :class:`~repro.server.base.Server` serves one request at a time),
+    and a completion fires before any arrival at its instant
+    (``PRIORITY_COMPLETION < PRIORITY_ARRIVAL``):
 
-    The arrival and size columns are read one value at a time, and no
-    request is kept after it completes: the collectors hold the samples.
+    * a :class:`~repro.sim.source.WorkloadSource` keeps one arrival
+      pending, so time and priority order every tie;
+    * a :class:`~repro.sim.source.ClosedLoopSource` keeps one pending
+      arrival per thinking user, and the simulator orders their ties by
+      scheduling sequence.  Here they wait in a local ``(time, sequence,
+      user)`` heap whose sequence counts pushes in that same order: the
+      users in turn at time 0, then each completion's user, whose next
+      think is drawn before the post-completion dispatch, as the
+      source's completion hook draws it.
+
+    This loop merges the pending arrivals with the completion itself
+    and calls the scheduler, the service ``model``, the collectors and
+    the population in the order, and with the float operations, of the
+    source -> :class:`DeviceDriver` -> ``Server`` -> ``Simulator`` stack
+    with no window, retry policy, metrics or rate recording.  Its
+    samples are bit-identical to that stack's, which
+    :func:`repro.check.differential.engine_parity` (open loop) and
+    :func:`~repro.check.differential.closed_loop_parity` certify.
+
+    An open loop's arrival and size columns are read one value at a
+    time, and no request is kept after it completes: the collectors
+    hold the samples.  A population keeps its own ``requests``.
     """
-    arrivals = workload.arrivals
-    sizes = workload.sizes
-    n = arrivals.size
     by_class = {
         QoSClass.PRIMARY: ResponseTimeCollector("Q1"),
         QoSClass.OVERFLOW: ResponseTimeCollector("Q2"),
@@ -572,8 +590,25 @@ def serve_open_loop(
     completed = misses = preemptions = 0
     current = None  # the request in service
     end = 0.0  # its completion instant
-    index = 0  # the next arrival
-    t = float(arrivals[0]) if n else math.inf  # its instant
+    closed = isinstance(feed, ClosedLoopPopulation)
+    pending: list = []  # a population's (time, sequence, user) arrivals
+    pushes = 0  # arrivals pushed so far: the next sequence number
+    index = n = 0  # an open loop's next arrival and its column length
+    if closed:
+        next_arrival = feed.next_arrival
+        submit = feed.submit
+        for user in range(feed.n_users):
+            at = next_arrival(user, 0.0)
+            if at is not None:
+                heappush(pending, (at, pushes, user))
+                pushes += 1
+        t = pending[0][0] if pending else math.inf
+    else:
+        arrivals = feed.arrivals
+        sizes = feed.sizes
+        n = arrivals.size
+        t = float(arrivals[0]) if n else math.inf
+    # ``t`` is the next arrival instant.
     while True:
         if current is not None and end <= t:
             # Server._complete, then DeviceDriver._on_completion.
@@ -588,22 +623,38 @@ def serve_open_loop(
             completed += 1
             if qos is primary and not request.met_deadline:
                 misses += 1
+            if closed:
+                # ClosedLoopSource._on_completion: the user thinks again.
+                user = request.client_id
+                at = next_arrival(user, now)
+                if at is not None:
+                    heappush(pending, (at, pushes, user))
+                    pushes += 1
+                    if at < t:
+                        t = at
             recheck = False
-        elif index < n:
-            # WorkloadSource._fire, then DeviceDriver.on_arrival.
-            now = t
-            if sizes is None:
-                request = Request(arrival=now, index=index)
+        else:
+            if index < n:
+                # WorkloadSource._fire.
+                now = t
+                if sizes is None:
+                    request = Request(arrival=now, index=index)
+                else:
+                    request = Request(
+                        arrival=now, index=index, service_demand=float(sizes[index])
+                    )
+                index += 1
+                t = float(arrivals[index]) if index < n else math.inf
+            elif pending:
+                # ClosedLoopSource._submit.
+                now, _, user = heappop(pending)
+                request = submit(user, now)
+                t = pending[0][0] if pending else math.inf
             else:
-                request = Request(
-                    arrival=now, index=index, service_demand=float(sizes[index])
-                )
-            index += 1
-            t = float(arrivals[index]) if index < n else math.inf
+                break
+            # DeviceDriver.on_arrival.
             on_arrival(request)
             recheck = preemptive
-        else:
-            break
         # DeviceDriver._try_dispatch and, after an arrival, _maybe_preempt.
         while True:
             if current is None:
@@ -637,7 +688,7 @@ def serve_open_loop(
             request, current = current, None
             preemptions += 1
             scheduler.on_preempt(request)
-    return OpenLoopRun(
+    return DirectRun(
         by_class=by_class,
         overall=overall,
         completed=completed,

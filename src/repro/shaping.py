@@ -41,7 +41,7 @@ from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
 from .server.cluster import SplitSystem
 from .server.sizesplit import SizeSplitSystem
 from .server.constant_rate import ConstantRateModel, constant_rate_server
-from .server.driver import DeviceDriver, serve_open_loop
+from .server.driver import DeviceDriver, serve_direct
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
@@ -189,7 +189,7 @@ class PolicyRunResult:
     telemetry: RunTelemetry | None = None
     #: Path that produced this result: the "scalar" event loop, the
     #: "batch" columnar fast path, or the "direct" heap-free single-server
-    #: open loop (:func:`repro.server.driver.serve_open_loop`) — all
+    #: loop (:func:`repro.server.driver.serve_direct`) — all
     #: bit-identical.
     engine: str = "scalar"
     #: Admission mode the classifier ran in ("count" or "work").
@@ -255,7 +255,7 @@ def run_policy(
     the configuration is ineligible), and ``"auto"`` (the process
     default) picks the first path that qualifies: the batch engine (an
     FCFS or Split run under count admission with no observability or
-    window attached), then the heap-free single-server open loop (any
+    window attached), then the heap-free single-server loop (any
     other single-server policy with none of those attached; the result
     records ``engine="direct"``), then the event loop.  The samples are
     bit-identical whichever path runs (certified by
@@ -327,7 +327,7 @@ def _run_policy(
             scheduler = make_scheduler(
                 policy, cmin, delta_c, delta, admission=config.admission
             )
-            run = serve_open_loop(
+            run = serve_direct(
                 workload, scheduler, ConstantRateModel(cmin + delta_c), name=policy
             )
             return _policy_result(
@@ -439,12 +439,13 @@ def _run_policy(
 
 
 def _direct_supports(policy: str, config: RunConfig, aqm: str | None) -> bool:
-    """Whether :func:`~repro.server.driver.serve_open_loop` can run this.
+    """Whether :func:`~repro.server.driver.serve_direct` can run this.
 
     Every single-server policy qualifies, under either admission mode,
     when nothing hooks the event loop: no rate recording, no metrics
     registry, no sampler and no in-flight window (``aqm`` is the
-    resolved window policy).
+    resolved window policy).  :func:`repro.workload.closedloop.
+    run_closed_loop` asks the same question of a population.
     """
     return (
         policy in SINGLE_SERVER_POLICIES

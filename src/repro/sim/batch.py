@@ -65,8 +65,8 @@ EPOCH = 65536
 #: (fairqueue, wf2q, drr, miser) interleave the classes through one
 #: shared server with dynamic, state-dependent pick order, and ``edf``
 #: re-sorts by live slack — none reduce to a statically-determined
-#: Lindley recurrence, so ``auto`` serves them on the heap-free open
-#: loop (:func:`repro.server.driver.serve_open_loop`) instead.
+#: Lindley recurrence, so ``auto`` serves them on the heap-free
+#: single-server loop (:func:`repro.server.driver.serve_direct`) instead.
 SUPPORTED_POLICIES = ("fcfs", "split")
 
 

@@ -6,13 +6,14 @@ creating one :class:`~repro.core.request.Request` per arrival.  Arrivals
 are injected lazily — one pending event at a time — so memory stays O(1)
 in the trace length beyond the trace itself.
 
-:class:`ClosedLoopSource` is the other traffic shape: instead of
+:class:`ClosedLoopPopulation` is the other traffic shape: instead of
 replaying a pre-materialized arrival array (open loop), it models N users
 in think-time loops — each user submits a request, waits for its
 completion, thinks for an exponentially distributed pause, and submits
 again.  Arrival times therefore *depend on completions*, which is the
 defining property of closed-loop traffic: a slow server self-throttles
-its own arrival stream.  Completions are observed through the sink's
+its own arrival stream.  :class:`ClosedLoopSource` runs a population on
+the event engine, observing completions through the sink's
 ``add_completion_hook`` callback registry
 (:meth:`repro.server.driver.DeviceDriver.add_completion_hook`).
 """
@@ -103,31 +104,97 @@ class WorkloadSource:
         return self._next >= self._arrivals.size
 
 
-class ClosedLoopSource:
-    """N users in think-time loops: the next arrival waits for completion.
+def user_stream(seed: int, user: int) -> np.random.Generator:
+    """User ``user``'s own random stream: its think pauses and demands."""
+    return make_rng(derive_seed(seed, "closed-loop", user))
 
-    Each user ``u`` runs an independent cycle seeded by
-    ``derive_seed(seed, "closed-loop", u)`` so populations are
-    reproducible per-user regardless of interleaving (and regardless of
-    how many worker processes share the simulation batch):
 
-    1. think for ``Exp(think_time)`` seconds,
-    2. submit one request (``client_id = u``),
-    3. block until the sink reports that request complete,
+class ClosedLoopPopulation:
+    """The rules of N users in think-time loops, apart from any engine.
+
+    Each user ``u`` draws from its own stream (:func:`user_stream`), so
+    populations are reproducible per user regardless of interleaving
+    (and regardless of how many worker processes share the simulation
+    batch):
+
+    1. think for ``Exp(think_time)`` seconds (:meth:`next_arrival`),
+    2. submit one request, ``client_id = u`` (:meth:`submit`),
+    3. block until that request completes,
     4. go to 1.
 
-    Submission stops at ``horizon``: a think pause that would land past
-    it retires the user.  Because step 3 observes the *sink's* completion
-    callback, arrival order genuinely depends on service order — the
-    closed-loop property the open-loop :class:`WorkloadSource` cannot
-    express.  A request the sink drops without completing (fault shedding)
-    permanently idles its user, mirroring a real user stuck waiting.
+    Submission stops at ``horizon``: a think pause that would land at or
+    past it retires the user.  Step 3 is the serving engine's business:
+    :class:`ClosedLoopSource` schedules the steps on a
+    :class:`~repro.sim.engine.Simulator`, and
+    :func:`repro.server.driver.serve_direct` runs them without one.
 
     Parameters
     ----------
     demand_sampler:
         Optional ``(rng) -> float`` drawing a positive service demand per
-        request; ``None`` issues unit-demand requests.
+        request from the user's stream; ``None`` issues unit-demand
+        requests.
+    """
+
+    def __init__(
+        self,
+        n_users: int,
+        think_time: float,
+        horizon: float,
+        seed: int = 0,
+        demand_sampler: Callable[[np.random.Generator], float] | None = None,
+    ):
+        if n_users <= 0:
+            raise ConfigurationError(f"n_users must be positive, got {n_users}")
+        if think_time <= 0:
+            raise ConfigurationError(
+                f"think_time must be positive, got {think_time}"
+            )
+        if horizon <= 0:
+            raise ConfigurationError(f"horizon must be positive, got {horizon}")
+        self.n_users = int(n_users)
+        self.think_time = float(think_time)
+        self.horizon = float(horizon)
+        self.seed = seed
+        self.demand_sampler = demand_sampler
+        self._rngs = [user_stream(seed, u) for u in range(self.n_users)]
+        #: Every submitted request, in submission order (``index`` order).
+        self.requests: list[Request] = []
+
+    def next_arrival(self, user: int, now: float) -> float | None:
+        """``user`` thinks from ``now``: its next arrival, or ``None`` if retired."""
+        t = now + self._rngs[user].exponential(self.think_time)
+        return None if t >= self.horizon else t
+
+    def submit(self, user: int, at: float) -> Request:
+        """``user``'s request arriving at ``at``, sized from its stream."""
+        demand = 1.0
+        if self.demand_sampler is not None:
+            demand = float(self.demand_sampler(self._rngs[user]))
+        request = Request(
+            arrival=at,
+            index=len(self.requests),
+            client_id=user,
+            service_demand=demand,
+        )
+        self.requests.append(request)
+        return request
+
+
+class ClosedLoopSource:
+    """A :class:`ClosedLoopPopulation` on the event engine.
+
+    Every user's first think starts at time 0; each arrival is an event
+    at ``PRIORITY_ARRIVAL``, and each completion the sink reports draws
+    that user's next think.  Because that step observes the *sink's*
+    completion callback, arrival order genuinely depends on service
+    order — the closed-loop property the open-loop
+    :class:`WorkloadSource` cannot express.  A request the sink drops
+    without completing (fault shedding) permanently idles its user,
+    mirroring a real user stuck waiting.
+
+    The parameters other than ``sim``, ``sink`` and ``on_request`` are
+    the population's.
     """
 
     def __init__(
@@ -141,14 +208,9 @@ class ClosedLoopSource:
         demand_sampler: Callable[[np.random.Generator], float] | None = None,
         on_request: Callable[[Request], None] | None = None,
     ):
-        if n_users <= 0:
-            raise ConfigurationError(f"n_users must be positive, got {n_users}")
-        if think_time <= 0:
-            raise ConfigurationError(
-                f"think_time must be positive, got {think_time}"
-            )
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
+        self.population = ClosedLoopPopulation(
+            n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
+        )
         add_hook = getattr(sink, "add_completion_hook", None)
         if add_hook is None:
             raise ConfigurationError(
@@ -157,47 +219,28 @@ class ClosedLoopSource:
             )
         self.sim = sim
         self.sink = sink
-        self.n_users = int(n_users)
-        self.think_time = float(think_time)
-        self.horizon = float(horizon)
-        self.seed = seed
-        self.demand_sampler = demand_sampler
         self.on_request = on_request
-        self._rngs = [
-            make_rng(derive_seed(seed, "closed-loop", u)) for u in range(n_users)
-        ]
         self._inflight: dict[int, int] = {}  # request index -> user
-        self._next_index = 0
-        self.requests: list[Request] = []
+        #: The population's submitted requests, in submission order.
+        self.requests = self.population.requests
         add_hook(self._on_completion)
 
     def start(self) -> None:
         """Arm every user's first arrival; call before ``sim.run()``."""
-        for user in range(self.n_users):
+        for user in range(self.population.n_users):
             self._schedule_user(user, now=0.0)
 
     def _schedule_user(self, user: int, now: float) -> None:
-        think = self._rngs[user].exponential(self.think_time)
-        t = now + think
-        if t >= self.horizon:
+        t = self.population.next_arrival(user, now)
+        if t is None:
             return
         self.sim.schedule(
             t, lambda u=user, at=t: self._submit(u, at), priority=PRIORITY_ARRIVAL
         )
 
     def _submit(self, user: int, at: float) -> None:
-        demand = 1.0
-        if self.demand_sampler is not None:
-            demand = float(self.demand_sampler(self._rngs[user]))
-        request = Request(
-            arrival=at,
-            index=self._next_index,
-            client_id=user,
-            service_demand=demand,
-        )
-        self._next_index += 1
+        request = self.population.submit(user, at)
         self._inflight[request.index] = user
-        self.requests.append(request)
         if self.on_request is not None:
             self.on_request(request)
         self.sink.on_arrival(request)

@@ -2,10 +2,10 @@
 
 The open-loop entry point (:func:`repro.shaping.run_policy`) replays a
 pre-materialized arrival column; this module is its closed-loop sibling:
-a :class:`~repro.sim.source.ClosedLoopSource` population submits
-requests whose arrival instants depend on the policy's own completions,
-so there is no workload to materialize up front — the trace is an
-*outcome* of the run.
+a :class:`~repro.sim.source.ClosedLoopPopulation` submits requests whose
+arrival instants depend on the policy's own completions, so there is no
+workload to materialize up front — the trace is an *outcome* of the
+run.
 
 Conservation is the headline invariant: every submitted request must end
 in exactly one ledger bucket (completed / dropped / shed), and on the
@@ -16,19 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.request import QoSClass, Request
+from ..core.request import QoSClass
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
 from ..perf import engines
 from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
 from ..server.aqm import make_window, resolve_aqm
 from ..server.cluster import SplitSystem
-from ..server.constant_rate import constant_rate_server
+from ..server.constant_rate import ConstantRateModel, constant_rate_server
 from ..server.sizesplit import SizeSplitSystem
-from ..server.driver import DeviceDriver
-from ..shaping import RunConfig
+from ..server.driver import DeviceDriver, serve_direct
+from ..shaping import RunConfig, _direct_supports
 from ..sim.engine import Simulator
-from ..sim.source import ClosedLoopSource
+from ..sim.source import ClosedLoopPopulation, ClosedLoopSource
 from ..sim.stats import ResponseTimeCollector
 
 
@@ -51,6 +51,12 @@ class ClosedLoopResult:
         Conservation buckets ``{"completed", "dropped", "shed"}`` (plus
         a ``"window"`` residency bucket, zero at end of run, when an
         AQM window was armed).
+    engine:
+        Path that served the population: ``"direct"``, the heap-free
+        single-server loop (:func:`repro.server.driver.serve_direct`),
+        or ``"scalar"``, the event loop.  Both give bit-identical
+        results (certified by
+        :func:`repro.check.differential.closed_loop_parity`).
     """
 
     policy: str
@@ -63,6 +69,7 @@ class ClosedLoopResult:
     overflow: ResponseTimeCollector = None
     primary_misses: int = 0
     ledger: dict = field(default_factory=dict)
+    engine: str = "scalar"
 
     @property
     def throughput(self) -> float:
@@ -105,21 +112,26 @@ def run_closed_loop(
     ``delta``), admission mode and AQM window.  Observability fields
     are rejected.  ``engine`` is resolved as
     :func:`~repro.shaping.run_policy` resolves it, so an unknown name
-    raises, and ``batch`` is rejected rather than ignored: closed-loop
-    runs are scalar-engine by nature, since the batch engine needs the
-    arrival column up front and closed-loop traffic only yields it
-    after the fact.
+    raises, and ``batch`` is rejected rather than ignored: the batch
+    engine needs the arrival column up front, and closed-loop traffic
+    only yields it after the fact.  Under ``auto`` a single-server
+    policy with no window runs on the heap-free single-server loop
+    (:func:`repro.server.driver.serve_direct`, ``engine="direct"``);
+    ``scalar``, a window or a topology (``split``, ``splitfarm``) runs
+    on the event loop (``engine="scalar"``).  Both give bit-identical
+    results.
 
     ``demand_sampler`` optionally sizes each request: any sampler from
     :mod:`repro.workload.sizes`, or any ``(rng) -> float`` callable,
     called in its scalar form ``sampler(rng)`` on each user's own stream
     once per submission.
     """
+    requested = engines.resolve_engine(config.engine)
     if (
         config.record_rates is not None
         or config.metrics is not None
         or config.sample_interval is not None
-        or engines.resolve_engine(config.engine) == "batch"
+        or requested == "batch"
     ):
         raise ConfigurationError(
             "closed-loop runs support neither observability options nor "
@@ -127,57 +139,74 @@ def run_closed_loop(
         )
     cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
     aqm = resolve_aqm(config.aqm)
-    sim = Simulator()
-    if policy == "split":
-        system = SplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
+    if requested != "scalar" and _direct_supports(policy, config, aqm):
+        population = ClosedLoopPopulation(
+            n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
         )
-    elif policy == "splitfarm":
-        system = SizeSplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
+        served = serve_direct(
+            population,
+            make_scheduler(policy, cmin, delta_c, delta, admission=config.admission),
+            ConstantRateModel(cmin + delta_c),
+            name=policy,
         )
-    elif policy in SINGLE_SERVER_POLICIES:
-        scheduler = make_scheduler(
-            policy, cmin, delta_c, delta, admission=config.admission
-        )
-        server = constant_rate_server(sim, cmin + delta_c, name=policy)
-        system = DeviceDriver(
-            sim, server, scheduler, window=make_window(aqm, delta)
-        )
+        submitted = population.requests
+        ledger = served.ledger()
+        primary_misses = served.primary_misses
+        engine = "direct"
     else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
+        sim = Simulator()
+        if policy == "split":
+            served = SplitSystem(
+                sim,
+                cmin,
+                delta_c,
+                delta,
+                admission=config.admission,
+                aqm=aqm,
+                aqm_shared=config.aqm_shared,
+            )
+        elif policy == "splitfarm":
+            served = SizeSplitSystem(
+                sim,
+                cmin,
+                delta_c,
+                delta,
+                admission=config.admission,
+                aqm=aqm,
+                aqm_shared=config.aqm_shared,
+            )
+        elif policy in SINGLE_SERVER_POLICIES:
+            scheduler = make_scheduler(
+                policy, cmin, delta_c, delta, admission=config.admission
+            )
+            server = constant_rate_server(sim, cmin + delta_c, name=policy)
+            served = DeviceDriver(
+                sim, server, scheduler, window=make_window(aqm, delta)
+            )
+        else:
+            raise ConfigurationError(f"unknown policy {policy!r}")
+        source = ClosedLoopSource(
+            sim,
+            served,
+            n_users=n_users,
+            think_time=think_time,
+            horizon=horizon,
+            seed=seed,
+            demand_sampler=demand_sampler,
+        )
+        source.start()
+        sim.run()
+        submitted = source.requests
+        ledger = served.fault_ledger()
+        primary_misses = served.primary_deadline_misses()
+        engine = "scalar"
 
-    source = ClosedLoopSource(
-        sim,
-        system,
-        n_users=n_users,
-        think_time=think_time,
-        horizon=horizon,
-        seed=seed,
-        demand_sampler=demand_sampler,
-    )
-    source.start()
-    sim.run()
-
-    ledger = system.fault_ledger()
-    if sum(ledger.values()) != len(source.requests):
+    if sum(ledger.values()) != len(submitted):
         raise SimulationError(
-            f"closed-loop conservation violated: {len(source.requests)} "
+            f"closed-loop conservation violated: {len(submitted)} "
             f"submitted but ledger accounts {sum(ledger.values())}"
         )
-    by_class = system.by_class
+    by_class = served.by_class
     if policy == "fcfs":
         primary = ResponseTimeCollector("Q1")
         overflow = ResponseTimeCollector("Q2")
@@ -189,10 +218,11 @@ def run_closed_loop(
         n_users=n_users,
         think_time=think_time,
         horizon=horizon,
-        submitted=source.requests,
-        overall=system.overall,
+        submitted=submitted,
+        overall=served.overall,
         primary=primary,
         overflow=overflow,
-        primary_misses=system.primary_deadline_misses(),
+        primary_misses=primary_misses,
         ledger=ledger,
+        engine=engine,
     )

@@ -21,6 +21,14 @@ class TestCleanRuns:
         assert "fuzz OK" in out
         assert "differential OK" in out
 
+    def test_differential_passes_a_sub_eps_tie(self, capsys):
+        """Case 4 admits a request inside the EPS tie tolerance (see
+        ``test_strict_count_tie_regression``); the first nine cases also
+        run one closed-loop population per single-server policy."""
+        assert cli.main(["--differential", "9"]) == 0
+        out = capsys.readouterr().out
+        assert "closed loops" in out
+
     def test_budget_truncates_without_failing(self, capsys):
         assert cli.main(["--fuzz", "64", "--budget", "0.0"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Differential pillar: kernels, server models, and audited policies."""
 
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from repro.core.request import Request
 from repro.core.rtt import decompose, decompose_exact
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
+from repro.perf.scalar import EPS
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.sized import BoostScheduler, NudgeScheduler, SRPTScheduler
 
@@ -74,6 +76,37 @@ class TestKernelParity:
         )
         assert problems == []
 
+    def test_strict_count_tie_regression(self):
+        """A sub-EPS tie the strict exact rule counts one request lower.
+
+        Fuzz case ``(poisson, seed 0, index 4)`` of ``repro-check
+        --differential`` (C=10, delta=0.5, 48 requests): every float
+        kernel admits request 8 (t=0.47), which misses its deadline by
+        exactly 3/90071992547409920 s (3.3e-17 s) — inside the EPS/C =
+        1e-10 s tie tolerance.  Strict exact arithmetic admits 42, the
+        kernels and the exact rule under the same tolerance admit 43; the
+        checks compare the tolerant counts and certify the knife edge.
+        """
+        case = make_case("poisson", 0, 4, max_requests=120)
+        workload = case.workload()
+        assert (len(workload), case.capacity, case.delta) == (48, 10.0, 0.5)
+        discrete = decompose(workload, case.capacity, case.delta)
+        strict = decompose_exact(workload, case.capacity, case.delta)
+        tolerant = decompose_exact(
+            workload, case.capacity, case.delta, tie_tolerance=EPS
+        )
+        assert strict.n_admitted == 42
+        assert discrete.n_admitted == tolerant.n_admitted == 43
+        first = int(np.nonzero(discrete.admitted != strict.admitted)[0][0])
+        assert first == 8 and workload.arrivals[first] == 0.47
+        prefix = discrete.admitted.copy()
+        prefix[first + 1 :] = False
+        overshoot, index = exact_mask_audit(workload, 10.0, 0.5, prefix)
+        assert (overshoot, index) == (Fraction(3, 90071992547409920), 8)
+        assert 0 < overshoot < Fraction(EPS) / 10
+        assert kernel_parity(workload, case.capacity, case.delta).ok
+        assert decomposition_cross_check(workload, case.capacity, case.delta) == []
+
 
 class TestCrossCheck:
     def test_clean_on_fuzzed_traces(self):
@@ -107,7 +140,7 @@ class TestCrossCheck:
         workload = case.workload()
         real = decompose_exact(workload, case.capacity, case.delta)
 
-        def lying_exact(wl, capacity, delta):
+        def lying_exact(wl, capacity, delta, tie_tolerance=0):
             return SimpleNamespace(
                 n_admitted=real.n_admitted - 1, admitted=real.admitted
             )

@@ -1,11 +1,12 @@
-"""Engine-parity differential: the event loop vs run_policy's fast paths.
+"""Engine-parity differential: the event loop vs the fast paths.
 
 Mirrors the kernel-parity suite one layer up: the differential harness
 must certify bit-identical behavior of the columnar batch engine and of
-the heap-free single-server open loop on the golden corpus, fuzzed
-traces and adversarial arrival columns, and — crucially — must *detect*
-a path that drifts (checked by injecting bugs into the batch engine's
-admission bound and into the open loop's tie order).
+the heap-free single-server loop — fed open-loop columns or a
+closed-loop population — on the golden corpus, fuzzed traces,
+adversarial arrival columns and tie-heavy populations, and — crucially —
+must *detect* a path that drifts (checked by injecting bugs into the
+batch engine's admission bound and into the direct loop's tie orders).
 """
 
 import inspect
@@ -25,10 +26,11 @@ from repro.check.differential import (
 )
 from repro.check.fuzz import make_case
 from repro.core.workload import Workload
-from repro.sched.registry import make_scheduler
+from repro.sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
-from repro.sim import batch
+from repro.sim import batch, source
+from repro.workload.sizes import BimodalDemand
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -134,7 +136,7 @@ class TestInjectedBugDetection:
 
 
 # ---------------------------------------------------------------------------
-# The heap-free single-server open loop (engine "direct")
+# The heap-free single-server loop (engine "direct"), open loop
 # ---------------------------------------------------------------------------
 
 #: Single-server policies the batch engine does not take.
@@ -185,7 +187,7 @@ class TestDirectPath:
         )
         report = engine_parity(workload, CMIN, DELTA_C, DELTA, policies=("srpt",))
         assert report.ok and report.bit_identical, report.summary()
-        run = driver.serve_open_loop(
+        run = driver.serve_direct(
             workload,
             make_scheduler("srpt", CMIN, DELTA_C, DELTA),
             ConstantRateModel(CMIN + DELTA_C),
@@ -198,14 +200,154 @@ class TestDirectPath:
         """Serving an arrival ahead of a completion at the same instant
         keeps the finished request's Q1 slot taken, so the arrival is
         demoted: the differential must report it."""
-        source = inspect.getsource(driver.serve_open_loop)
-        assert source.count("end <= t") == 1
-        namespace = dict(vars(driver))
-        exec(compile(source.replace("end <= t", "end < t"), driver.__file__, "exec"), namespace)
-        monkeypatch.setattr(differential, "serve_open_loop", namespace["serve_open_loop"])
+        mutant = mutated_serve_direct("end <= t", "end < t", count=1)
+        monkeypatch.setattr(differential, "serve_direct", mutant)
         # Q1 admits floor(2 · 0.5) = 1; the rate-4 server finishes
         # request 0 exactly when request 1 arrives.
         tie = Workload([0.0, 0.25], name="tie")
         report = engine_parity(tie, 2.0, 2.0, 0.5, policies=("fairqueue",))
         assert not report.ok
         assert any("Q1 completions 1 (direct) vs 2" in d for d in report.divergences)
+
+
+def mutated_serve_direct(old: str, new: str, count: int):
+    """``serve_direct`` with its ``count`` occurrences of ``old`` replaced."""
+    code = inspect.getsource(driver.serve_direct)
+    assert code.count(old) == count
+    namespace = dict(vars(driver))
+    exec(compile(code.replace(old, new), driver.__file__, "exec"), namespace)
+    return namespace["serve_direct"]
+
+
+# ---------------------------------------------------------------------------
+# The heap-free single-server loop, fed a closed-loop population
+# ---------------------------------------------------------------------------
+
+#: Unit requests, or a short/long mix; 0.5 and 4 are dyadic, so on the
+#: rate-8 server their service times are exact too.
+DEMANDS_BY_NAME = {
+    "unit": None,
+    "bimodal": BimodalDemand(short=0.5, long=4.0, long_fraction=0.25),
+}
+USERS = st.integers(1, 8)
+HORIZONS = st.floats(0.25, 6.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class DyadicStream:
+    """A user stream whose think pauses are dyadic multiples of the mean.
+
+    With a dyadic mean, every arrival lands on a 1/64 s grid, which the
+    rate-8 server's unit and bimodal service times also keep: user
+    arrivals tie each other and completions all the time.
+    """
+
+    PAUSES = (0.0, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0, 2.0)
+
+    def __init__(self, seed: int, user: int):
+        self._rng = np.random.default_rng([seed, user])
+
+    def exponential(self, scale: float) -> float:
+        return scale * self.PAUSES[int(self._rng.integers(len(self.PAUSES)))]
+
+    def random(self) -> float:
+        return float(self._rng.random())
+
+
+class ScriptedStream:
+    """A user stream that thinks the scripted pauses, then retires."""
+
+    SCRIPTS: dict = {}
+
+    def __init__(self, seed: int, user: int):
+        self._pauses = iter(self.SCRIPTS[user])
+
+    def exponential(self, scale: float) -> float:
+        return next(self._pauses, 1e9)
+
+
+class TestClosedLoopParity:
+    @pytest.mark.parametrize("demand", sorted(DEMANDS_BY_NAME))
+    @pytest.mark.parametrize("admission", ("count", "work"))
+    @pytest.mark.parametrize("policy", SINGLE_SERVER_POLICIES)
+    @settings(max_examples=12)
+    @given(
+        n_users=USERS,
+        think_time=st.floats(0.02, 2.0),
+        horizon=HORIZONS,
+        seed=SEEDS,
+    )
+    def test_population_bit_identical(
+        self, policy, admission, demand, n_users, think_time, horizon, seed
+    ):
+        problems = differential.closed_loop_parity(
+            policy, CMIN, DELTA_C, DELTA, n_users, think_time, horizon,
+            seed=seed, demand_sampler=DEMANDS_BY_NAME[demand], admission=admission,
+        )
+        assert problems == []
+
+    @pytest.mark.parametrize("policy", SINGLE_SERVER_POLICIES)
+    @settings(max_examples=25)
+    @given(
+        n_users=USERS,
+        think_time=st.sampled_from([0.0625, 0.125, 0.25, 0.5]),
+        horizon=HORIZONS,
+        seed=SEEDS,
+        admission=st.sampled_from(["count", "work"]),
+        demand=st.sampled_from(sorted(DEMANDS_BY_NAME)),
+    )
+    def test_tied_population_bit_identical(
+        self, policy, n_users, think_time, horizon, seed, admission, demand
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(source, "user_stream", DyadicStream)
+            problems = differential.closed_loop_parity(
+                policy, CMIN, DELTA_C, DELTA, n_users, think_time, horizon,
+                seed=seed, demand_sampler=DEMANDS_BY_NAME[demand],
+                admission=admission,
+            )
+        assert problems == []
+
+    def test_dyadic_streams_tie(self, monkeypatch):
+        """The tie-heavy variant really ties: arrivals share instants
+        with each other and with completions."""
+        monkeypatch.setattr(source, "user_stream", DyadicStream)
+        population = source.ClosedLoopPopulation(8, 0.125, 6.0, seed=5)
+        run = driver.serve_direct(
+            population,
+            make_scheduler("srpt", CMIN, DELTA_C, DELTA),
+            ConstantRateModel(CMIN + DELTA_C),
+        )
+        assert run.completed == len(population.requests) > 50
+        arrivals = [r.arrival for r in population.requests]
+        completions = {r.completion for r in population.requests}
+        assert len(set(arrivals)) < len(arrivals)
+        assert any(t in completions for t in arrivals)
+
+    def test_user_id_tie_order_detected(self, monkeypatch):
+        """Ordering tied user arrivals by user id instead of scheduling
+        order must be reported.  User 1 is scheduled for t=0.5 at start;
+        user 0 is served at 0.0625, done at 0.1875, and scheduled for 0.5
+        after it: the event loop submits user 1 first."""
+        monkeypatch.setattr(ScriptedStream, "SCRIPTS", {0: [0.0625, 0.3125], 1: [0.5]})
+        monkeypatch.setattr(source, "user_stream", ScriptedStream)
+        args = ("fcfs", CMIN, DELTA_C, DELTA, 2, 1.0, 2.0)
+        assert differential.closed_loop_parity(*args) == []
+        mutant = mutated_serve_direct("(at, pushes, user)", "(at, user, user)", count=2)
+        monkeypatch.setattr(differential, "serve_direct", mutant)
+        problems = differential.closed_loop_parity(*args)
+        assert any("submissions differ from submission 1" in p for p in problems)
+
+    def test_arrival_before_tied_completion_detected(self, monkeypatch):
+        """The completion-first rule holds for populations too: a user
+        arriving as the server frees up must see it free."""
+        monkeypatch.setattr(ScriptedStream, "SCRIPTS", {0: [0.0], 1: [0.25]})
+        monkeypatch.setattr(source, "user_stream", ScriptedStream)
+        # Q1 admits floor(2 · 0.5) = 1; the rate-4 server finishes user
+        # 0's request exactly when user 1 arrives.
+        args = ("fairqueue", 2.0, 2.0, 0.5, 2, 1.0, 2.0)
+        assert differential.closed_loop_parity(*args) == []
+        mutant = mutated_serve_direct("end <= t", "end < t", count=1)
+        monkeypatch.setattr(differential, "serve_direct", mutant)
+        problems = differential.closed_loop_parity(*args)
+        assert any("Q1 completions 1 (direct) vs 2" in p for p in problems)

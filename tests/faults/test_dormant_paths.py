@@ -11,8 +11,6 @@ Two under-tested corners called out by the verification work:
   state fully reset for the next episode).
 """
 
-import pytest
-
 from repro.core.workload import Workload
 from repro.faults import (
     AdaptiveShaper,

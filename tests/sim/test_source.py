@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.core.workload import Workload
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng, spawn
 from repro.sim.source import WorkloadSource

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.registry import make_scheduler

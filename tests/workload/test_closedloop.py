@@ -184,6 +184,69 @@ class TestRunClosedLoop:
             )
 
 
+class TestEngineRouting:
+    """Which loop serves a population: ``result.engine`` says."""
+
+    CONFIG = RunConfig(4.0, 2.0, 0.5)
+
+    def run(self, policy, config):
+        return run_closed_loop(
+            policy, config, n_users=6, think_time=0.4, horizon=10.0, seed=2
+        )
+
+    @pytest.mark.parametrize(
+        ("policy", "admission"),
+        [
+            ("srpt", "count"),
+            ("edf", "count"),
+            ("miser", "count"),
+            ("fcfs", "count"),
+            ("fcfs", "work"),
+        ],
+    )
+    def test_auto_serves_single_server_runs_directly(self, policy, admission):
+        config = RunConfig(4.0, 2.0, 0.5, admission=admission, engine="auto")
+        result = self.run(policy, config)
+        assert result.engine == "direct"
+        assert result.conserved() and result.submitted
+        scalar = self.run(policy, config.with_engine("scalar"))
+        assert scalar.engine == "scalar"
+        assert np.array_equal(result.overall.samples, scalar.overall.samples)
+        assert result.ledger == scalar.ledger
+
+    @pytest.mark.parametrize(
+        ("policy", "config"),
+        [
+            ("srpt", RunConfig(4.0, 2.0, 0.5, engine="scalar")),
+            ("fcfs", RunConfig(4.0, 2.0, 0.5, engine="scalar")),
+            ("srpt", RunConfig(4.0, 2.0, 0.5, aqm="unbounded")),
+            ("miser", RunConfig(4.0, 2.0, 0.5, aqm="static")),
+            ("fcfs", RunConfig(4.0, 2.0, 0.5, aqm="codel")),
+            ("edf", RunConfig(4.0, 2.0, 0.5, aqm="adaptive")),
+            ("split", RunConfig(4.0, 2.0, 0.5, engine="auto")),
+            ("splitfarm", RunConfig(4.0, 2.0, 0.5, engine="auto")),
+        ],
+    )
+    def test_event_loop_paths(self, policy, config):
+        result = self.run(policy, config)
+        assert result.engine == "scalar"
+        assert result.conserved()
+
+    @pytest.mark.parametrize("policy", ["srpt", "split"])
+    @pytest.mark.parametrize(
+        ("engine", "match"), [("batch", "engine 'batch'"), ("bogus", "unknown")]
+    )
+    def test_unrunnable_engines_still_raise(self, policy, engine, match):
+        with pytest.raises(ConfigurationError, match=match):
+            self.run(policy, RunConfig(4.0, 2.0, 0.5, engine=engine))
+
+    def test_direct_path_validates_the_population(self):
+        with pytest.raises(ConfigurationError, match="n_users"):
+            run_closed_loop(
+                "srpt", self.CONFIG, n_users=0, think_time=1.0, horizon=5.0
+            )
+
+
 class TestClosedLoopAQM:
     """Closed-loop population against an AQM-windowed stack: the window
     adds a fourth (residency) ledger bucket that must drain to zero."""
