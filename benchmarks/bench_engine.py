@@ -7,22 +7,27 @@ Two modes, mirroring ``bench_kernels.py``:
 * As a script (``make bench-json`` /
   ``python benchmarks/bench_engine.py --output BENCH_engine.json``) it
   times both engines end-to-end over a (trace size x policy) matrix
-  from 10^4 to 10^6 requests, times the heap-free single-server loop
-  (engine ``"direct"``) against the event loop for every policy the
-  batch engine does not take at 10^4 and 10^5 requests, times the same
-  loop fed a closed-loop population (:func:`run_closed_loop`, ~4x10^4
-  requests) against the event loop for every single-server policy,
-  times the columnar farm kernel against the event-driven
-  ``ServerFarm`` from 1 to 1000 units, certifies bit-parity on every
-  case, and writes the report as JSON.
+  from 10^4 to 10^6 requests, times the heap-free loop (engine
+  ``"direct"``) against the event loop for every configuration the
+  batch engine does not take — the single-server policies, split under
+  work admission and splitfarm — at 10^4 and 10^5 requests, times the
+  same loop fed a closed-loop population (:func:`run_closed_loop`,
+  ~4x10^4 requests) against the event loop for every policy, times the
+  columnar farm kernel against the event-driven ``ServerFarm`` from 1
+  to 1000 units, certifies bit-parity on every case, and writes the
+  report as JSON.  The two paths of a row run in alternation, the
+  first of them flipped every rep, and each reports its median: host
+  speed drifts over seconds, and timing one path's reps back to back
+  before the other's lets a row's speedup follow that drift.
 
 ``--quick`` is the CI smoke gate: it fails (exit 1) if ``engine_parity``
 reports any divergence on the 10^5-request reference trace — for the
-batch policies and for every policy on the direct path — if
-``closed_loop_parity`` reports any on the closed-loop population, or if
-the batch engine regresses below :data:`MIN_QUICK_SPEEDUP` on either
-batch policy.  The direct path has no speed floor there, open or
-closed.
+batch policies and for every policy on the direct path — if the direct
+loop and the event loop disagree on split under work admission there,
+if ``closed_loop_parity`` reports any divergence on the closed-loop
+population for any policy, or if the batch engine regresses below
+:data:`MIN_QUICK_SPEEDUP` on either batch policy.  The direct path has
+no speed floor there, open or closed.
 
 The committed ``BENCH_engine.json`` was produced by the script mode;
 regenerate it with ``make bench-json`` after touching either engine.
@@ -46,7 +51,7 @@ import numpy as np
 import pytest
 
 from repro.check.differential import closed_loop_parity
-from repro.sched.registry import SINGLE_SERVER_POLICIES
+from repro.sched.registry import ALL_POLICIES
 from repro.shaping import RunConfig, run_policy
 from repro.sim import batch
 from repro.traces.synthetic import poisson_workload
@@ -71,9 +76,13 @@ MIN_QUICK_SPEEDUP = 5.0
 
 POLICIES = ("fcfs", "split")
 
-#: Single-server policies the batch engine does not take: ``auto``
-#: serves them on the heap-free single-server loop (engine "direct").
-DIRECT_POLICIES = ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
+#: (policy, admission) cases the batch engine does not take: ``auto``
+#: serves them on the heap-free loop (engine "direct"), the topologies
+#: on their two sides.
+DIRECT_CASES = tuple(
+    (policy, "count")
+    for policy in ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
+) + (("split", "work"), ("splitfarm", "count"))
 
 #: Trace sizes for the direct rows (the event loop needs ~10 s per
 #: policy at 10^6).
@@ -114,8 +123,8 @@ def bench_workload():
 def test_run_policy_engine(benchmark, bench_workload, policy, engine):
     result = benchmark.pedantic(
         run_policy,
-        args=(bench_workload, policy, CMIN, DELTA_C, DELTA),
-        kwargs={"engine": engine},
+        args=(bench_workload, policy),
+        kwargs={"config": RunConfig(CMIN, DELTA_C, DELTA, engine=engine)},
         rounds=3,
         iterations=1,
     )
@@ -139,29 +148,44 @@ def test_farm_kernel(benchmark, bench_workload, units):
 # ---------------------------------------------------------------------------
 
 
-def _timed(fn, *args, reps: int = 1, **kwargs) -> tuple[float, object]:
-    """Best-of-``reps`` wall time plus the (last) result."""
-    best = float("inf")
-    result = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _timed_pair(first, second, reps: int = 1) -> tuple[float, float, object, object]:
+    """Median wall times of ``first()`` and ``second()``, plus their results.
 
-
-def _bench_end_to_end(workload, policy: str, reps: int, path: str = "batch") -> dict:
-    """The event loop vs ``path``: "batch", or "direct", which ``auto`` picks."""
-    config = RunConfig(CMIN, DELTA_C, DELTA)
-    scalar_s, scalar_run = _timed(
-        run_policy, workload, policy, config=config.with_engine("scalar"), reps=reps
+    The two run in alternation, and which one goes first flips every
+    rep, so a slow or fast spell of the host lands on both.
+    """
+    times: tuple[list, list] = ([], [])
+    results = [None, None]
+    for rep in range(reps):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for which in order:
+            start = time.perf_counter()
+            results[which] = (first, second)[which]()
+            times[which].append(time.perf_counter() - start)
+    return (
+        float(np.median(times[0])),
+        float(np.median(times[1])),
+        results[0],
+        results[1],
     )
-    fast_s, fast_run = _timed(
-        run_policy,
-        workload,
-        policy,
-        config=config.with_engine("batch" if path == "batch" else "auto"),
-        reps=reps,
+
+
+def _label(policy: str, admission: str) -> str:
+    """A row's name: the policy, with its admission mode unless count."""
+    return policy if admission == "count" else f"{policy}/{admission}"
+
+
+def _bench_end_to_end(
+    workload, policy: str, reps: int, path: str = "batch", admission: str = "count"
+) -> dict:
+    """The event loop vs ``path``: "batch", or "direct", which ``auto`` picks."""
+    config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+    scalar = config.with_engine("scalar")
+    fast = config.with_engine("batch" if path == "batch" else "auto")
+    scalar_s, fast_s, scalar_run, fast_run = _timed_pair(
+        lambda: run_policy(workload, policy, config=scalar),
+        lambda: run_policy(workload, policy, config=fast),
+        reps,
     )
     parity_ok = fast_run.engine == path and all(
         getattr(fast_run, name).samples.tolist()
@@ -171,6 +195,7 @@ def _bench_end_to_end(workload, policy: str, reps: int, path: str = "batch") -> 
     return {
         "workload": workload.name,
         "policy": policy,
+        "admission": admission,
         "n_requests": len(workload),
         "scalar_s": round(scalar_s, 4),
         f"{path}_s": round(fast_s, 4),
@@ -182,11 +207,10 @@ def _bench_end_to_end(workload, policy: str, reps: int, path: str = "batch") -> 
 def _bench_closed_loop(policy: str, reps: int) -> dict:
     """The event loop vs the direct loop on the :data:`CLOSED_LOOP` population."""
     config = RunConfig(CMIN, DELTA_C, DELTA)
-    scalar_s, scalar_run = _timed(
-        run_closed_loop, policy, config.with_engine("scalar"), reps=reps, **CLOSED_LOOP
-    )
-    direct_s, direct_run = _timed(
-        run_closed_loop, policy, config.with_engine("auto"), reps=reps, **CLOSED_LOOP
+    scalar_s, direct_s, scalar_run, direct_run = _timed_pair(
+        lambda: run_closed_loop(policy, config.with_engine("scalar"), **CLOSED_LOOP),
+        lambda: run_closed_loop(policy, config.with_engine("auto"), **CLOSED_LOOP),
+        reps,
     )
     problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
     for problem in problems:
@@ -220,9 +244,10 @@ def _bench_farm(workload, units: int, reps: int) -> dict:
             completions[request.index] = request.completion
         return completions
 
-    scalar_s, event = _timed(event_farm, reps=reps)
-    batch_s, columnar = _timed(
-        batch.farm_fcfs_completions, workload.arrivals, units, CMIN, reps=reps
+    scalar_s, batch_s, event, columnar = _timed_pair(
+        event_farm,
+        lambda: batch.farm_fcfs_completions(workload.arrivals, units, CMIN),
+        reps,
     )
     return {
         "workload": workload.name,
@@ -241,11 +266,19 @@ def _quick_gate() -> int:
 
     workload = reference_workload(100_000)
     # The default policy set covers the batch pair and every policy on
-    # the direct path.
+    # the direct path, the topologies included, under count admission.
     parity = engine_parity(workload, CMIN, DELTA_C, DELTA)
     print(parity.summary())
     failed = not parity.ok
-    for policy in SINGLE_SERVER_POLICIES:
+    # Split under work admission is the one direct case engine_parity
+    # leaves to the batch engine's count-mode twin.
+    row = _bench_end_to_end(workload, "split", reps=1, path="direct", admission="work")
+    print(
+        f"split/work @ n={row['n_requests']}: direct loop "
+        + ("bit-identical" if row["bit_parity_ok"] else "FAIL: lost bit parity")
+    )
+    failed = failed or not row["bit_parity_ok"]
+    for policy in ALL_POLICIES:
         problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
         print(f"closed-loop {policy}: " + ("; ".join(problems) or "bit-identical"))
         failed = failed or bool(problems)
@@ -301,18 +334,20 @@ def main(argv: list[str] | None = None) -> int:
     direct = []
     for n in DIRECT_SIZES:
         workload = reference_workload(n)
-        for policy in DIRECT_POLICIES:
-            row = _bench_end_to_end(workload, policy, args.reps, path="direct")
+        for policy, admission in DIRECT_CASES:
+            row = _bench_end_to_end(
+                workload, policy, args.reps, path="direct", admission=admission
+            )
             direct.append(row)
             print(
-                f"{policy:>9s} @ n={row['n_requests']:>7d}: "
+                f"{_label(policy, admission):>10s} @ n={row['n_requests']:>7d}: "
                 f"scalar {row['scalar_s']:8.3f}s  direct {row['direct_s']:7.3f}s  "
                 f"speedup {row['speedup']:6.2f}x  "
                 f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
             )
 
     closed = []
-    for policy in SINGLE_SERVER_POLICIES:
+    for policy in ALL_POLICIES:
         row = _bench_closed_loop(policy, args.reps)
         closed.append(row)
         print(
@@ -342,7 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "speedup_at_1e6": {r["policy"]: r["speedup"] for r in largest},
         "min_speedup_at_1e6": min(r["speedup"] for r in largest),
-        "direct_speedup_at_1e5": {r["policy"]: r["speedup"] for r in direct_largest},
+        "direct_speedup_at_1e5": {
+            _label(r["policy"], r["admission"]): r["speedup"] for r in direct_largest
+        },
         "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
         "closed_loop_speedup": {r["policy"]: r["speedup"] for r in closed},
         "min_closed_loop_speedup": min(r["speedup"] for r in closed),

@@ -11,10 +11,9 @@ Three verification passes, composable in one invocation:
 * ``--differential N`` — run ``N`` fuzzed traces through every
   recombination policy with the invariant auditors on, plus the kernel
   parity, execution-engine parity (scalar event loop vs columnar batch
-  engine and heap-free single-server loop), serve-vs-simulate parity
-  (one rotating policy per case), closed-loop parity (one population
-  per case, rotating through the single-server policies), and
-  server-model cross-checks;
+  engine and heap-free loop), serve-vs-simulate parity (one rotating
+  policy per case), closed-loop parity (one population per case,
+  rotating through every policy), and server-model cross-checks;
 * ``--serve-parity DIR`` — replay every golden trace under ``DIR``
   through the online serving plane (:mod:`repro.serve`) and certify
   serve ≡ simulate bit-for-bit across every policy.
@@ -33,7 +32,7 @@ import time
 from pathlib import Path
 
 from .corpus import load_golden, replay_corpus
-from ..sched.registry import SINGLE_SERVER_POLICIES
+from ..sched.registry import ALL_POLICIES
 from ..sim.rng import derive_seed
 from ..workload.sizes import BimodalDemand
 from .differential import (
@@ -161,9 +160,9 @@ def _run_differential(
             problems += 1
             lines.append(serving.summary())
         # Closed-loop parity: one population per case, rotating through
-        # the single-server policies the direct loop serves.
+        # every policy the direct loop serves.
         for problem in closed_loop_parity(
-            SINGLE_SERVER_POLICIES[index % len(SINGLE_SERVER_POLICIES)],
+            ALL_POLICIES[index % len(ALL_POLICIES)],
             case.capacity,
             max(1.0, case.capacity / 2),
             case.delta,

@@ -36,7 +36,7 @@ from ..core.rtt import decompose, decompose_exact, decompose_fluid
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..perf import kernels, scalar
-from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
+from ..sched.registry import ALL_POLICIES, SINGLE_SERVER_POLICIES, make_scheduler
 from ..server.base import Server
 from ..server.cluster import SplitSystem
 from ..server.sizesplit import SizeSplitSystem
@@ -46,7 +46,7 @@ from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from ..sim.stats import ResponseTimeCollector
 from ..server.driver import DeviceDriver, DirectRun, serve_direct
-from ..shaping import RunConfig, run_policy
+from ..shaping import RunConfig, _direct_stack, run_policy
 from .invariants import CheckingScheduler, Violation
 from .oracle import DEFAULT_TIE_TOLERANCE
 
@@ -376,9 +376,9 @@ def disk_comparability_check(
 # ---------------------------------------------------------------------------
 
 
-#: The engine-parity surface: the two policies with a columnar kernel
-#: (batch) and every other single-server policy, which ``auto`` serves on
-#: the heap-free single-server loop (:func:`repro.server.driver.serve_direct`).
+#: The engine-parity surface, every policy: the two with a columnar
+#: kernel (batch) and the rest, which ``auto`` serves on the heap-free
+#: loop (:func:`repro.server.driver.serve_direct`).
 ENGINE_PARITY_POLICIES = (
     "fcfs",
     "split",
@@ -390,6 +390,7 @@ ENGINE_PARITY_POLICIES = (
     "srpt",
     "nudge",
     "boost",
+    "splitfarm",
 )
 
 
@@ -498,12 +499,13 @@ def engine_parity(
       report records whether they were in fact bit-identical) and on the
       **conservation ledger** (every arrival completed, nothing dropped
       or shed, equal primary deadline-miss counts);
-    * **direct** (every other single-server policy): the heap-free
-      single-server loop (:func:`repro.server.driver.serve_direct`) and the
-      :class:`~repro.server.driver.DeviceDriver` stack must agree
-      exactly on every per-class response sequence in completion order
-      (so on the admitted count), the primary deadline misses, the
-      preemptions and the completion count.
+    * **direct** (every other policy, single-server or topology): the
+      heap-free loop (:func:`repro.server.driver.serve_direct`) and the
+      event-loop stack (a :class:`~repro.server.driver.DeviceDriver`,
+      or the topology's system) must agree exactly on every per-class
+      response sequence — completion order, merged in side order for a
+      topology — (so on the admitted count), the primary deadline
+      misses, the preemptions and the completion count.
 
     A policy that neither path takes is a divergence.  This is the
     ``engine_parity`` differential backing the ``REPRO_ENGINE=auto``
@@ -520,14 +522,14 @@ def engine_parity(
             drift = _batch_parity(
                 workload, policy, cmin, delta_c, delta, atol, divergences
             )
-        elif policy in SINGLE_SERVER_POLICIES:
+        elif policy in ALL_POLICIES:
             drift = _direct_parity(
                 workload, policy, cmin, delta_c, delta, "count", divergences
             )
         else:
             divergences.append(
-                f"{policy}: not batch-eligible ({reason}) and not a "
-                "single-server policy"
+                f"{policy}: not batch-eligible ({reason}) and not a policy "
+                "the direct loop serves"
             )
             continue
         max_drift = max(max_drift, drift)
@@ -560,14 +562,10 @@ def _batch_parity(
     )
     # The scalar side picks a sized workload's demand column up from
     # WorkloadSource automatically; hand the same column to the batch
-    # kernels (unit runs keep the seed-era call shape).
-    arrivals = workload.arrivals
-    if workload.sizes is None:
-        run = batch.run_batch(arrivals, policy, cmin, delta_c, delta)
-    else:
-        run = batch.run_batch(
-            arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
-        )
+    # kernels.
+    run = batch.run_batch(
+        workload.arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
+    )
     if ledger["completed"] != len(workload) or ledger["dropped"] or ledger["shed"]:
         divergences.append(f"{policy}: scalar ledger not conserving: {ledger}")
     if run.overall.size != len(workload) or run.admitted.size != len(workload):
@@ -616,18 +614,16 @@ def _direct_parity(
     """Heap-free open loop vs event loop, bit for bit; returns the drift.
 
     ``admission`` is the classifier mode of both runs, so work admission
-    (under which ``auto`` takes fcfs to the direct loop too) is certified
-    the same way.
+    (under which ``auto`` takes fcfs and split to the direct loop too)
+    is certified the same way.
     """
     reference, _ = _event_loop_system(
         workload, policy, cmin, delta_c, delta, admission
     )
-    run = serve_direct(
-        workload,
-        make_scheduler(policy, cmin, delta_c, delta, admission=admission),
-        ConstantRateModel(cmin + delta_c),
-        name=policy,
+    sides, route = _direct_stack(
+        policy, RunConfig(cmin, delta_c, delta, admission=admission)
     )
+    run = serve_direct(workload, *sides, route=route)
     expected = len(workload)
     if run.completed != expected or len(reference.completed) != expected:
         divergences.append(
@@ -638,13 +634,14 @@ def _direct_parity(
 
 
 def _compare_direct(
-    label: str, reference: DeviceDriver, run: DirectRun, divergences: list[str]
+    label: str, reference, run: DirectRun, divergences: list[str]
 ) -> float:
     """A direct run vs its event-loop ``reference``; returns the drift.
 
-    Every per-class response sequence in completion order (so the
-    admitted count), the primary deadline misses and the preemptions
-    must be equal.
+    ``reference`` is a :class:`~repro.server.driver.DeviceDriver` or a
+    topology's system.  Every per-class response sequence in its
+    reported order (so the admitted count), the primary deadline misses
+    and the preemptions must be equal.
     """
     drift = 0.0
     pairs = [(reference.overall, run.overall)] + [
@@ -692,12 +689,13 @@ def closed_loop_parity(
 ) -> list[str]:
     """Certify the direct loop against the event loop on one population.
 
-    The single-server ``policy`` serves the same closed-loop population
-    twice: on :func:`repro.server.driver.serve_direct`, as
+    ``policy`` (any, single-server or topology) serves the same
+    closed-loop population twice: on
+    :func:`repro.server.driver.serve_direct`, as
     :func:`~repro.workload.closedloop.run_closed_loop` serves it under
-    ``auto``, and on the ``ClosedLoopSource`` -> ``DeviceDriver`` event
-    loop it runs under ``engine="scalar"``.  Bit for bit, the two must
-    agree on
+    ``auto``, and on the ``ClosedLoopSource`` -> ``DeviceDriver`` (or
+    topology system) event loop it runs under ``engine="scalar"``.  Bit
+    for bit, the two must agree on
 
     * the submitted requests in submission order — arrival,
       ``client_id``, ``service_demand``, ``qos_class`` and completion —
@@ -719,12 +717,10 @@ def closed_loop_parity(
         users, policy, cmin, delta_c, delta, admission
     )
     population = ClosedLoopPopulation(**users)
-    run = serve_direct(
-        population,
-        make_scheduler(policy, cmin, delta_c, delta, admission=admission),
-        ConstantRateModel(cmin + delta_c),
-        name=policy,
+    sides, route = _direct_stack(
+        policy, RunConfig(cmin, delta_c, delta, admission=admission)
     )
+    run = serve_direct(population, *sides, route=route)
     label = f"closed-loop {policy}"
     problems: list[str] = []
     fields = ("arrival", "client_id", "service_demand", "qos_class", "completion")
@@ -811,6 +807,9 @@ def serve_parity(
     recipe of ``run_policy``'s event path) and once through the online
     :class:`~repro.serve.harness.ServiceHarness` in ``chunks`` audited
     epochs — and the two runs are compared per arrival index.  The
+    harness's collectors must also equal, sample for sample, those of
+    :func:`~repro.shaping.run_policy` on the path ``auto`` takes (batch,
+    or the heap-free loop), and so must its primary misses.  The
     topologies need a positive overflow capacity, so with
     ``delta_c == 0`` they are skipped (recorded, not silently dropped).
     """
@@ -879,6 +878,22 @@ def serve_parity(
             divergences.append(
                 f"{policy}: serve conservation violated: "
                 f"{served.conservation.summary()}"
+            )
+        # run_policy's own path (batch, or the heap-free loop) against the
+        # same harness: every collector in its reported order.
+        fast = run_policy(workload, policy, config=RunConfig(cmin, delta_c, delta))
+        for name in ("overall", "primary", "overflow"):
+            if not np.array_equal(
+                getattr(served, name).samples, getattr(fast, name).samples
+            ):
+                divergences.append(
+                    f"{policy}: {name} responses differ between serve and "
+                    f"run_policy (engine {fast.engine})"
+                )
+        if fast.primary_misses != served.primary_misses:
+            divergences.append(
+                f"{policy}: primary misses {served.primary_misses} (serve) vs "
+                f"{fast.primary_misses} (run_policy, engine {fast.engine})"
             )
     return ServeParityReport(
         workload_name=workload.name,

@@ -313,9 +313,7 @@ def run_resilient(
         demotions=(
             system.demotions
             if isinstance(system, DeviceDriver)
-            else system.small_driver.demotions + system.large_driver.demotions
-            if isinstance(system, SizeSplitSystem)
-            else system.primary_driver.demotions + system.overflow_driver.demotions
+            else sum(driver.demotions for driver in system.drivers)
         ),
         failovers=getattr(system, "failovers", 0),
         conservation=conservation,

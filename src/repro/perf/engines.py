@@ -17,15 +17,16 @@ that :func:`repro.shaping.run_policy` uses to serve a workload:
     requesting it for an ineligible configuration is an error.
 ``auto``
     The first path that qualifies, per configuration: batch; then the
-    heap-free single-server loop
-    (:func:`repro.server.driver.serve_direct`) for every other
-    single-server run with no rate recording, metrics, sampler or
-    in-flight window; then the event loop.  The default.  Closed-loop
-    populations (:func:`repro.workload.closedloop.run_closed_loop`)
-    take the same single-server loop under the same condition.  The
-    direct loop is not an engine name: nothing needs to force it, and
-    ``scalar`` against ``auto`` is its A/B.  Results record the path
-    taken in ``PolicyRunResult.engine`` (``"scalar"``, ``"batch"`` or
+    heap-free loop (:func:`repro.server.driver.serve_direct`) for every
+    other run with no rate recording, metrics, sampler or in-flight
+    window — a single-server policy on one server, ``split`` and
+    ``splitfarm`` on their front end's two single-unit sides; then the
+    event loop.  The default.  Closed-loop populations
+    (:func:`repro.workload.closedloop.run_closed_loop`) take the same
+    loop under the same condition.  The direct loop is not an engine
+    name: nothing needs to force it, and ``scalar`` against ``auto`` is
+    its A/B.  Results record the path taken in
+    ``PolicyRunResult.engine`` (``"scalar"``, ``"batch"`` or
     ``"direct"``) and ``ClosedLoopResult.engine`` (``"scalar"`` or
     ``"direct"``).
 
@@ -78,7 +79,7 @@ def resolve_engine(name: str | None = None) -> str:
     """Resolve a request to ``"scalar"``, ``"batch"``, or ``"auto"``.
 
     ``auto`` is returned as-is — whether it lands on the batch path, the
-    heap-free single-server loop or the event loop is a per-configuration
+    heap-free loop or the event loop is a per-configuration
     decision made by :func:`repro.shaping.run_policy` (or
     :func:`repro.workload.closedloop.run_closed_loop`), not a
     process-wide one.

@@ -46,10 +46,6 @@ ALL_POLICIES = SINGLE_SERVER_POLICIES + TOPOLOGY_POLICIES
 CLASSIFIER_FREE_POLICIES = ("fcfs", "srpt", "nudge", "boost")
 
 def _classifier(cmin, delta, admission):
-    # Count mode uses the seed-era two-argument call so test doubles
-    # that replace ``OnlineRTTClassifier.__init__`` keep working.
-    if admission == "count":
-        return OnlineRTTClassifier(cmin, delta)
     return OnlineRTTClassifier(cmin, delta, mode=admission)
 
 

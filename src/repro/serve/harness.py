@@ -741,10 +741,7 @@ class ServiceHarness:
         demotions = (
             system.demotions
             if isinstance(system, DeviceDriver)
-            else system.small_driver.demotions + system.large_driver.demotions
-            if isinstance(system, SizeSplitSystem)
-            else system.primary_driver.demotions
-            + system.overflow_driver.demotions
+            else sum(driver.demotions for driver in system.drivers)
         )
         return ServeRunResult(
             policy=self.policy,

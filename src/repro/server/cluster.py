@@ -13,10 +13,18 @@ fails over — an arrival whose dedicated server is down is routed to the
 surviving server (a ``Q1`` arrival is demoted to ``Q2`` first, releasing
 its admission slot, since the overflow server carries no guarantee).
 Routing decisions and failovers are surfaced as ``split.*`` counters.
+
+Split's rules — the classifier, the routing rule, the two sides'
+capacities and schedulers — live in :class:`SplitFrontEnd`, apart from
+any engine: :class:`SplitSystem` drives its sides on the event engine
+and :func:`~repro.server.driver.serve_direct` without one.
+:class:`TopologySystem` is the reporting surface both two-sided
+topologies share.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
 from ..core.request import QoSClass, Request
@@ -28,11 +36,197 @@ from ..sim.engine import Simulator
 from ..sim.stats import ResponseTimeCollector
 from .aqm import make_window
 from .base import Server
-from .constant_rate import constant_rate_server
-from .driver import DeviceDriver
+from .constant_rate import ConstantRateModel, constant_rate_server
+from .driver import CLASS_LABELS, DeviceDriver, Side, merge_sides
+
+#: Split's sides, in the order its results merge them.
+PRIMARY_SIDE, OVERFLOW_SIDE = 0, 1
 
 
-class SplitSystem:
+class SplitFrontEnd:
+    """Split's rules, apart from any engine.
+
+    The classifier decomposes arrivals on ``cmin``; :meth:`route` sends
+    ``Q1`` to the primary side (capacity ``cmin``) and ``Q2`` to the
+    overflow side (capacity ``delta_c``), each a single FCFS unit.
+    ``admission`` is the classifier's mode (``"count"`` or ``"work"``).
+    """
+
+    def __init__(
+        self, cmin: float, delta_c: float, delta: float, admission: str = "count"
+    ):
+        if delta_c <= 0:
+            raise ConfigurationError(
+                f"Split needs a positive overflow capacity, got {delta_c}"
+            )
+        self.classifier = OnlineRTTClassifier(cmin, delta, mode=admission)
+        overflow = FCFSScheduler()
+        # Both sides run FCFS; distinct scheduler names keep their
+        # ``sched.<name>.*`` counters apart in a shared registry.
+        overflow.name = "q2.fcfs"
+        #: Primary side, then overflow side.
+        self.sides = (
+            Side(_NotifyingFCFS(self.classifier), ConstantRateModel(cmin), "primary"),
+            Side(overflow, ConstantRateModel(delta_c), "overflow"),
+        )
+
+    def route(self, request: Request) -> int:
+        """Classify ``request``; its side: primary for ``Q1``, else overflow."""
+        if self.classifier.classify(request) is QoSClass.PRIMARY:
+            return PRIMARY_SIDE
+        return OVERFLOW_SIDE
+
+
+class TopologySystem:
+    """A topology's front end with one driver per side, on one simulator.
+
+    Presents :class:`~repro.server.driver.DeviceDriver`'s reporting
+    surface for the whole topology.  Every collector merges the sides in
+    side order (:func:`~repro.server.driver.merge_sides`), class by
+    class: a request may complete on either side in either class.
+
+    Parameters
+    ----------
+    sim, front:
+        The simulation engine and the topology's front end (its
+        ``classifier``, ``route`` and ``sides``).
+    make_server:
+        ``(side) -> Server``: the server (or farm) behind each side.
+    prefixes:
+        Each side's driver metric prefix.
+    metrics, retry, aqm, aqm_shared, delta:
+        As for the topologies' constructors; windows are built with
+        ``make_window(aqm, delta)``.
+    """
+
+    #: :meth:`window_snapshot`'s key for each side's window.
+    window_keys: tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        sim: Simulator,
+        front,
+        make_server: Callable[[Side], Server],
+        prefixes: tuple[str, ...],
+        metrics: MetricsRegistry | None,
+        retry,
+        aqm: str | None,
+        aqm_shared: bool,
+        delta: float,
+    ):
+        self.sim = sim
+        self.classifier = front.classifier
+        self.route = front.route
+        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.aqm = aqm
+        self.aqm_shared = bool(aqm_shared)
+        shared_window = make_window(aqm, delta) if self.aqm_shared else None
+        self.drivers = tuple(
+            DeviceDriver(
+                sim,
+                make_server(side),
+                side.scheduler,
+                metrics=self.metrics,
+                metrics_prefix=prefix,
+                retry=retry,
+                classifier=self.classifier,
+                window=shared_window if self.aqm_shared else make_window(aqm, delta),
+            )
+            for side, prefix in zip(front.sides, prefixes)
+        )
+
+    def add_completion_hook(self, hook) -> None:
+        """Register ``hook(request)`` on every side's driver.
+
+        Whichever side completes a request, the hook fires exactly once
+        — the observation point closed-loop sources need.
+        """
+        for driver in self.drivers:
+            driver.add_completion_hook(hook)
+
+    @property
+    def completed(self) -> list[Request]:
+        return list(chain.from_iterable(d.completed for d in self.drivers))
+
+    @property
+    def dropped(self) -> list[Request]:
+        return list(chain.from_iterable(d.dropped for d in self.drivers))
+
+    @property
+    def shed(self) -> list[Request]:
+        return list(chain.from_iterable(d.shed for d in self.drivers))
+
+    @property
+    def q1_completed(self) -> int:
+        return sum(d.q1_completed for d in self.drivers)
+
+    @property
+    def q1_missed(self) -> int:
+        return sum(d.q1_missed for d in self.drivers)
+
+    @property
+    def preemptions(self) -> int:
+        return sum(d.preemptions for d in self.drivers)
+
+    @property
+    def overall(self) -> ResponseTimeCollector:
+        return merge_sides([d.overall for d in self.drivers])
+
+    @property
+    def by_class(self) -> dict[QoSClass, ResponseTimeCollector]:
+        return {
+            qos: merge_sides([d.by_class[qos] for d in self.drivers])
+            for qos, _ in CLASS_LABELS
+        }
+
+    def fraction_within(self, bound: float) -> float:
+        """Completed-weighted compliance across the sides.
+
+        Empty drivers contribute zero weight rather than polluting the
+        average with their NaN ``fraction_within`` (an empty collector
+        has no compliance to report — see ``repro.sim.stats``).
+        """
+        total = sum(len(d.completed) for d in self.drivers)
+        if total == 0:
+            return float("nan")
+        hits = sum(
+            driver.overall.fraction_within(bound) * len(driver.completed)
+            for driver in self.drivers
+            if driver.completed
+        )
+        return hits / total
+
+    def primary_deadline_misses(self) -> int:
+        return sum(d.primary_deadline_misses() for d in self.drivers)
+
+    def fault_ledger(self) -> dict[str, int]:
+        """Aggregated conservation buckets across the drivers.
+
+        Per-driver ``window`` residency sums correctly even for a shared
+        window (each driver counts only its own residents).
+        """
+        ledger = {
+            "completed": sum(len(d.completed) for d in self.drivers),
+            "dropped": sum(len(d.dropped) for d in self.drivers),
+            "shed": sum(len(d.shed) for d in self.drivers),
+        }
+        if self.aqm is not None:
+            ledger["window"] = sum(d._window_resident for d in self.drivers)
+        return ledger
+
+    def window_snapshot(self) -> dict | None:
+        """Window statistics (one dict when shared, per-side otherwise)."""
+        if self.aqm is None:
+            return None
+        if self.aqm_shared:
+            return self.drivers[0].window_snapshot()
+        return {
+            key: driver.window_snapshot()
+            for key, driver in zip(self.window_keys, self.drivers)
+        }
+
+
+class SplitSystem(TopologySystem):
     """Front end routing RTT classes to two independent servers.
 
     Parameters
@@ -73,6 +267,8 @@ class SplitSystem:
         concurrencies); default is a per-driver window each.
     """
 
+    window_keys = ("q1", "q2")
+
     def __init__(
         self,
         sim: Simulator,
@@ -86,48 +282,19 @@ class SplitSystem:
         aqm: str | None = None,
         aqm_shared: bool = False,
     ):
-        if delta_c <= 0:
-            raise ConfigurationError(
-                f"Split needs a positive overflow capacity, got {delta_c}"
-            )
-        self.sim = sim
-        # Count mode keeps the seed-era two-argument construction so test
-        # doubles that replace the classifier's __init__ keep working.
-        if admission == "count":
-            self.classifier = OnlineRTTClassifier(cmin, delta)
-        else:
-            self.classifier = OnlineRTTClassifier(cmin, delta, mode=admission)
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        factory = server_factory if server_factory is not None else (
-            lambda s, capacity, name: constant_rate_server(s, capacity, name)
-        )
-        self.aqm = aqm
-        self.aqm_shared = bool(aqm_shared)
-        shared_window = make_window(aqm, delta) if self.aqm_shared else None
-        self.primary_driver = DeviceDriver(
+        factory = server_factory if server_factory is not None else constant_rate_server
+        super().__init__(
             sim,
-            factory(sim, cmin, "primary"),
-            _NotifyingFCFS(self),
-            metrics=self.metrics,
-            metrics_prefix="q1.driver",
-            retry=retry,
-            classifier=self.classifier,
-            window=shared_window if self.aqm_shared else make_window(aqm, delta),
+            SplitFrontEnd(cmin, delta_c, delta, admission),
+            lambda side: factory(sim, side.model.capacity, side.name),
+            ("q1.driver", "q2.driver"),
+            metrics,
+            retry,
+            aqm,
+            aqm_shared,
+            delta,
         )
-        overflow_sched = FCFSScheduler()
-        # Both servers run FCFS; distinct scheduler names keep their
-        # ``sched.<name>.*`` counters apart in the shared registry.
-        overflow_sched.name = "q2.fcfs"
-        self.overflow_driver = DeviceDriver(
-            sim,
-            factory(sim, delta_c, "overflow"),
-            overflow_sched,
-            metrics=self.metrics,
-            metrics_prefix="q2.driver",
-            retry=retry,
-            classifier=self.classifier,
-            window=shared_window if self.aqm_shared else make_window(aqm, delta),
-        )
+        self.primary_driver, self.overflow_driver = self.drivers
         self._m_routed_q1 = self.metrics.counter("split.routed_q1")
         self._m_routed_q2 = self.metrics.counter("split.routed_q2")
         self._m_failovers = self.metrics.counter("split.failovers")
@@ -151,8 +318,7 @@ class SplitSystem:
         both servers down, the request queues at its dedicated driver
         and waits for repair.
         """
-        qos = self.classifier.classify(request)
-        if qos is QoSClass.PRIMARY:
+        if self.route(request) == PRIMARY_SIDE:
             self._m_routed_q1.inc()
             if self._down(self.primary_driver) and not self._down(self.overflow_driver):
                 self.failovers += 1
@@ -171,124 +337,16 @@ class SplitSystem:
             else:
                 self.overflow_driver.on_arrival(request)
 
-    def add_completion_hook(self, hook) -> None:
-        """Register ``hook(request)`` on both drivers.
-
-        Whichever server completes a request, the hook fires exactly once
-        — the observation point closed-loop sources need.
-        """
-        self.primary_driver.add_completion_hook(hook)
-        self.overflow_driver.add_completion_hook(hook)
-
-    # ------------------------------------------------------------------
-    # Aggregated views matching DeviceDriver's reporting surface
-    # ------------------------------------------------------------------
-
-    @property
-    def completed(self) -> list[Request]:
-        return self.primary_driver.completed + self.overflow_driver.completed
-
-    @property
-    def dropped(self) -> list[Request]:
-        return self.primary_driver.dropped + self.overflow_driver.dropped
-
-    @property
-    def shed(self) -> list[Request]:
-        return self.primary_driver.shed + self.overflow_driver.shed
-
-    @property
-    def q1_completed(self) -> int:
-        return self.primary_driver.q1_completed + self.overflow_driver.q1_completed
-
-    @property
-    def q1_missed(self) -> int:
-        return self.primary_driver.q1_missed + self.overflow_driver.q1_missed
-
-    @property
-    def overall(self) -> ResponseTimeCollector:
-        merged = ResponseTimeCollector("overall")
-        merged.extend(self.primary_driver.overall.samples)
-        merged.extend(self.overflow_driver.overall.samples)
-        return merged
-
-    @property
-    def by_class(self) -> dict[QoSClass, ResponseTimeCollector]:
-        if self.failovers == 0:
-            return {
-                QoSClass.PRIMARY: self.primary_driver.by_class[QoSClass.PRIMARY],
-                QoSClass.OVERFLOW: self.overflow_driver.by_class[QoSClass.OVERFLOW],
-            }
-        # Failovers may land either class on either server: merge.
-        merged = {}
-        for qos in (QoSClass.PRIMARY, QoSClass.OVERFLOW):
-            collector = ResponseTimeCollector("Q1" if qos is QoSClass.PRIMARY else "Q2")
-            collector.extend(self.primary_driver.by_class[qos].samples)
-            collector.extend(self.overflow_driver.by_class[qos].samples)
-            merged[qos] = collector
-        return merged
-
-    def fraction_within(self, bound: float) -> float:
-        """Completed-weighted compliance across both servers.
-
-        Empty drivers contribute zero weight rather than polluting the
-        average with their NaN ``fraction_within`` (an empty collector
-        has no compliance to report — see ``repro.sim.stats``).
-        """
-        total = len(self.primary_driver.completed) + len(self.overflow_driver.completed)
-        if total == 0:
-            return float("nan")
-        hits = sum(
-            driver.overall.fraction_within(bound) * len(driver.completed)
-            for driver in (self.primary_driver, self.overflow_driver)
-            if driver.completed
-        )
-        return hits / total
-
-    def primary_deadline_misses(self) -> int:
-        return (
-            self.primary_driver.primary_deadline_misses()
-            + self.overflow_driver.primary_deadline_misses()
-        )
-
-    def fault_ledger(self) -> dict[str, int]:
-        """Aggregated conservation buckets across both drivers.
-
-        Per-driver ``window`` residency sums correctly even for a shared
-        window (each driver counts only its own residents).
-        """
-        ledger = {
-            "completed": len(self.completed),
-            "dropped": len(self.dropped),
-            "shed": len(self.shed),
-        }
-        if self.aqm is not None:
-            ledger["window"] = (
-                self.primary_driver._window_resident
-                + self.overflow_driver._window_resident
-            )
-        return ledger
-
-    def window_snapshot(self) -> dict | None:
-        """Window statistics (one dict when shared, per-driver otherwise)."""
-        if self.aqm is None:
-            return None
-        if self.aqm_shared:
-            return self.primary_driver.window_snapshot()
-        return {
-            "q1": self.primary_driver.window_snapshot(),
-            "q2": self.overflow_driver.window_snapshot(),
-        }
-
 
 class _NotifyingFCFS(FCFSScheduler):
     """FCFS that releases the classifier's Q1 slot on completion."""
 
     name = "q1.fcfs"
 
-    def __init__(self, system: SplitSystem):
+    def __init__(self, classifier: OnlineRTTClassifier):
         super().__init__()
-        self._system = system
+        self._classifier = classifier
 
     def on_completion(self, request: Request) -> None:
-        self._system.classifier.on_completion(request)
+        self._classifier.on_completion(request)
         self._note_completion(request)

@@ -38,13 +38,14 @@ so the fault plane exerts *backpressure* instead of requeuing
 instantaneously.  With ``window=None`` (default) none of this exists
 and the dispatch loop is bit-identical to the pre-AQM driver.
 
-The heap-free single-server loop
---------------------------------
+The heap-free loop
+------------------
 :func:`serve_direct` serves an open-loop workload or a closed-loop
-population on one server with none of the above armed, without the
-event engine: it merges the pending arrivals with the in-flight
-completion itself and calls the same scheduler, service model and
-collectors as this driver would.
+population with none of the above armed, without the event engine, on
+one server or on a topology's single-unit sides behind its front end:
+it merges the pending arrivals with the pending completions itself and
+calls the same front end, schedulers, service models and collectors as
+the drivers would.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ import math
 from collections import deque
 from heapq import heappop, heappush
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..core.request import QoSClass, Request
-from ..exceptions import SimulationError
+from ..exceptions import ConfigurationError, SimulationError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_MONITOR
@@ -66,6 +67,13 @@ from ..sim.stats import RateRecorder, ResponseTimeCollector
 from ..sched.base import Scheduler
 from .aqm import InflightWindow
 from .base import Server, ServiceTimeModel
+
+#: Every class a request can complete in, and its collector's name.
+CLASS_LABELS = (
+    (QoSClass.PRIMARY, "Q1"),
+    (QoSClass.OVERFLOW, "Q2"),
+    (QoSClass.UNCLASSIFIED, "all"),
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> server)
     from ..core.workload import Workload
@@ -133,11 +141,7 @@ class DeviceDriver:
         #: External completion observers (closed-loop sources); see
         #: :meth:`add_completion_hook`.
         self._completion_hooks: list = []
-        self.by_class = {
-            QoSClass.PRIMARY: ResponseTimeCollector("Q1"),
-            QoSClass.OVERFLOW: ResponseTimeCollector("Q2"),
-            QoSClass.UNCLASSIFIED: ResponseTimeCollector("all"),
-        }
+        self.by_class = class_collectors()
         self.overall = ResponseTimeCollector("overall")
         self.completion_rates = RateRecorder(record_rates) if record_rates else None
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -516,12 +520,42 @@ class DeviceDriver:
         return self.q1_missed
 
 
+class Side(NamedTuple):
+    """One single-unit server that :func:`serve_direct` serves.
+
+    ``scheduler`` orders the side's queue, ``model`` gives its service
+    times, and ``name`` labels its errors.
+    """
+
+    scheduler: Scheduler
+    model: ServiceTimeModel
+    name: str = "server"
+
+
+def class_collectors() -> dict:
+    """Empty per-class collectors, keyed and named as a driver keeps them."""
+    return {qos: ResponseTimeCollector(label) for qos, label in CLASS_LABELS}
+
+
+def merge_sides(collectors: list[ResponseTimeCollector]) -> ResponseTimeCollector:
+    """One collector holding ``collectors``' samples in the order given.
+
+    A topology reports every collector merged this way, in side order:
+    the first side's samples in completion order, then the next side's.
+    """
+    merged = ResponseTimeCollector(collectors[0].name)
+    for collector in collectors:
+        merged.extend(collector.samples)
+    return merged
+
+
 @dataclass(frozen=True)
 class DirectRun:
     """What :func:`serve_direct` measured.
 
     ``by_class`` and ``overall`` are filled exactly as
-    :class:`DeviceDriver`'s collectors of the same names.
+    :class:`DeviceDriver`'s collectors of the same names, and for a
+    topology merged in side order, as its system merges them.
     """
 
     by_class: dict
@@ -530,7 +564,7 @@ class DirectRun:
     completed: int
     #: Primary-class requests that completed after their deadline.
     primary_misses: int
-    #: Times the scheduler pulled the in-flight request off the server.
+    #: Times a scheduler pulled the in-flight request off its server.
     preemptions: int
 
     def ledger(self) -> dict[str, int]:
@@ -538,19 +572,32 @@ class DirectRun:
         return {"completed": self.completed, "dropped": 0, "shed": 0}
 
 
+#: The completion key of an idle side: later than any pending completion.
+_IDLE = (math.inf, 0)
+
+
 def serve_direct(
     feed: "Workload | ClosedLoopPopulation",
-    scheduler: Scheduler,
-    model: ServiceTimeModel,
-    name: str = "server",
+    *sides: Side,
+    route: "Callable[[Request], int] | None" = None,
 ) -> DirectRun:
-    """Serve ``feed`` on one server, without the event engine.
+    """Serve ``feed`` on one server or a topology, without the event engine.
 
     ``feed`` is a workload, replayed open loop, or a closed-loop
-    population.  Either way the stack holds one pending completion (a
+    population.  ``sides`` are single-unit servers.  One side serves
+    every request.  Several sides need ``route``, the topology's front
+    end: it classifies an arrival and returns the index of the side
+    that queues it (:meth:`~repro.server.cluster.SplitFrontEnd.route`,
+    :meth:`~repro.server.sizesplit.SizeSplitFrontEnd.route`).
+
+    Each side holds at most one pending completion (a
     :class:`~repro.server.base.Server` serves one request at a time),
     and a completion fires before any arrival at its instant
-    (``PRIORITY_COMPLETION < PRIORITY_ARRIVAL``):
+    (``PRIORITY_COMPLETION < PRIORITY_ARRIVAL``).  Same-instant
+    completions on different sides fire in dispatch order: the
+    simulator orders them by the sequence their completion events got
+    at dispatch, and one event dispatches on one side at most.  Among
+    arrivals:
 
     * a :class:`~repro.sim.source.WorkloadSource` keeps one arrival
       pending, so time and priority order every tie;
@@ -562,30 +609,63 @@ def serve_direct(
       think is drawn before the post-completion dispatch, as the
       source's completion hook draws it.
 
-    This loop merges the pending arrivals with the completion itself
-    and calls the scheduler, the service ``model``, the collectors and
-    the population in the order, and with the float operations, of the
-    source -> :class:`DeviceDriver` -> ``Server`` -> ``Simulator`` stack
-    with no window, retry policy, metrics or rate recording.  Its
-    samples are bit-identical to that stack's, which
-    :func:`repro.check.differential.engine_parity` (open loop) and
-    :func:`~repro.check.differential.closed_loop_parity` certify.
+    This loop merges the pending arrivals with the pending completions
+    itself and calls the front end, the schedulers, the service models,
+    the collectors and the population in the order, and with the float
+    operations, of the source -> front end -> :class:`DeviceDriver` ->
+    ``Server`` -> ``Simulator`` stack with no window, retry policy,
+    metrics or rate recording: a completion runs its side's
+    ``on_completion``, its collectors and the user's next think, then
+    dispatches on that side only; an arrival is routed, queued, and
+    dispatches on its side only.  Its samples are bit-identical to that
+    stack's, which :func:`repro.check.differential.engine_parity` (open
+    loop) and :func:`~repro.check.differential.closed_loop_parity`
+    certify.  A topology's collectors are merged in side order
+    (:func:`merge_sides`), as its system reports them.
 
     An open loop's arrival and size columns are read one value at a
     time, and no request is kept after it completes: the collectors
     hold the samples.  A population keeps its own ``requests``.
     """
-    by_class = {
-        QoSClass.PRIMARY: ResponseTimeCollector("Q1"),
-        QoSClass.OVERFLOW: ResponseTimeCollector("Q2"),
-        QoSClass.UNCLASSIFIED: ResponseTimeCollector("all"),
-    }
-    overall = ResponseTimeCollector("overall")
-    on_arrival = scheduler.on_arrival
-    select = scheduler.select
-    on_completion = scheduler.on_completion
-    service_time = model.service_time
-    preemptive = bool(getattr(scheduler, "preemptive", False))
+    routed = route is not None
+    if not sides or (len(sides) > 1 and not routed):
+        raise ConfigurationError(
+            f"serve_direct needs one side, or a route over several; got "
+            f"{len(sides)} side(s) and route={route!r}"
+        )
+    collectors = [(class_collectors(), ResponseTimeCollector("overall")) for _ in sides]
+    # What the loop calls on each side, rebound whenever it changes side.
+    units = [
+        (
+            scheduler,
+            scheduler.select,
+            scheduler.on_arrival,
+            scheduler.on_completion,
+            model.service_time,
+            bool(getattr(scheduler, "preemptive", False)),
+            side_classes,
+            side_overall,
+        )
+        for (scheduler, model, _), (side_classes, side_overall) in zip(sides, collectors)
+    ]
+    (
+        scheduler,
+        select,
+        on_arrival,
+        on_completion,
+        service_time,
+        preemptive,
+        by_class,
+        overall,
+    ) = units[0]
+    # A topology's sides: each one's request in service and its
+    # completion key, (instant, dispatch sequence), or _IDLE.  Between
+    # events the loop serves side ``k``, the one whose completion fires
+    # first; ``current`` and ``end`` are its.
+    inflight = [None] * len(sides)
+    keys = [_IDLE] * len(sides)
+    dispatches = 0
+    k = 0
     primary = QoSClass.PRIMARY
     completed = misses = preemptions = 0
     current = None  # the request in service
@@ -652,6 +732,24 @@ def serve_direct(
                 t = pending[0][0] if pending else math.inf
             else:
                 break
+            if routed:
+                # The front end classifies and routes; the side's driver
+                # takes the arrival.
+                side = route(request)
+                if side != k:
+                    k = side
+                    (
+                        scheduler,
+                        select,
+                        on_arrival,
+                        on_completion,
+                        service_time,
+                        preemptive,
+                        by_class,
+                        overall,
+                    ) = units[k]
+                    current = inflight[k]
+                    end = keys[k][0]
             # DeviceDriver.on_arrival.
             on_arrival(request)
             recheck = preemptive
@@ -669,7 +767,7 @@ def serve_direct(
                     request.remaining_service = None
                 if duration <= 0:
                     raise SimulationError(
-                        f"{name}: non-positive service time {duration}"
+                        f"{sides[k].name}: non-positive service time {duration}"
                     )
                 request.dispatch = now
                 current = request
@@ -688,6 +786,35 @@ def serve_direct(
             request, current = current, None
             preemptions += 1
             scheduler.on_preempt(request)
+        if routed:
+            if current is not inflight[k]:
+                # Side k completed or dispatched: a dispatch's completion
+                # event takes the simulator's next sequence.
+                inflight[k] = current
+                keys[k] = _IDLE if current is None else (end, dispatches)
+                dispatches += 1
+            # Serve the side whose completion fires first next.
+            side = keys.index(min(keys))
+            if side != k:
+                k = side
+                (
+                    scheduler,
+                    select,
+                    on_arrival,
+                    on_completion,
+                    service_time,
+                    preemptive,
+                    by_class,
+                    overall,
+                ) = units[k]
+                current = inflight[k]
+                end = keys[k][0]
+    if routed:
+        by_class = {
+            qos: merge_sides([classes[qos] for classes, _ in collectors])
+            for qos in by_class
+        }
+        overall = merge_sides([side_overall for _, side_overall in collectors])
     return DirectRun(
         by_class=by_class,
         overall=overall,

@@ -17,9 +17,14 @@ repo's shaping stack:
   by size, not by class, which is exactly the SPLIT-vs-decomposition
   contrast the ``tailbakeoff`` experiment measures.
 
+The rules — the size threshold, the capacity split, the classifier and
+the slot-releasing schedulers — live in :class:`SizeSplitFrontEnd`,
+apart from any engine: :class:`SizeSplitSystem` drives its sides on the
+event engine and :func:`~repro.server.driver.serve_direct` without one.
 The aggregation surface (``completed`` / ``overall`` / ``by_class`` /
-``fault_ledger`` / ``add_completion_hook``) mirrors
-:class:`~repro.server.cluster.SplitSystem` so the run layer and the
+``fault_ledger`` / ``add_completion_hook``) is
+:class:`~repro.server.cluster.TopologySystem`'s, shared with
+:class:`~repro.server.cluster.SplitSystem`, so the run layer and the
 closed-loop source drive either topology unchanged.
 """
 
@@ -29,18 +34,78 @@ from typing import Callable
 
 from ..core.request import QoSClass, Request
 from ..exceptions import ConfigurationError
-from ..obs.registry import NULL_REGISTRY, MetricsRegistry
+from ..obs.registry import MetricsRegistry
 from ..sched.classifier import OnlineRTTClassifier
 from ..sched.fcfs import FCFSScheduler
 from ..sim.engine import Simulator
-from ..sim.stats import ResponseTimeCollector
-from .aqm import make_window
 from .base import Server
-from .driver import DeviceDriver
+from .cluster import TopologySystem
+from .constant_rate import ConstantRateModel
+from .driver import Side
 from .farm import ServerFarm, constant_rate_farm
 
+#: The partitions, in the order results merge them.
+SMALL_SIDE, LARGE_SIDE = 0, 1
 
-class SizeSplitSystem:
+
+class SizeSplitFrontEnd:
+    """The size-threshold farm's rules, apart from any engine.
+
+    The classifier runs RTT admission on ``cmin``/``delta`` for QoS
+    accounting; :meth:`route` places a request by size: the small side
+    takes ``service_demand <= threshold``.  The sides split the total
+    rate ``cmin + delta_c``, ``small_share`` of it to the small side;
+    each is a single FCFS unit of its side's rate.
+    """
+
+    def __init__(
+        self,
+        cmin: float,
+        delta_c: float,
+        delta: float,
+        threshold: float = 2.0,
+        small_share: float = 0.5,
+        admission: str = "count",
+    ):
+        total = cmin + delta_c
+        if total <= 0:
+            raise ConfigurationError(
+                f"splitfarm needs positive total capacity, got {total}"
+            )
+        if threshold <= 0:
+            raise ConfigurationError(f"threshold must be positive, got {threshold}")
+        if not 0.0 < small_share < 1.0:
+            raise ConfigurationError(
+                f"small_share must be in (0, 1), got {small_share}"
+            )
+        self.threshold = threshold
+        self.small_share = small_share
+        self.classifier = OnlineRTTClassifier(cmin, delta, mode=admission)
+        # Primary requests land on either side (placement is by size), so
+        # *both* schedulers must release the classifier's Q1 slot.
+        #: Small side, then large side.
+        self.sides = (
+            Side(
+                _SlotReleasingFCFS(self.classifier, "small.fcfs"),
+                ConstantRateModel(small_share * total),
+                "small",
+            ),
+            Side(
+                _SlotReleasingFCFS(self.classifier, "large.fcfs"),
+                ConstantRateModel((1.0 - small_share) * total),
+                "large",
+            ),
+        )
+
+    def route(self, request: Request) -> int:
+        """Classify ``request`` for QoS accounting; its side is by size."""
+        self.classifier.classify(request)
+        if request.service_demand <= self.threshold:
+            return SMALL_SIDE
+        return LARGE_SIDE
+
+
+class SizeSplitSystem(TopologySystem):
     """Front end routing small/large requests to partitioned farms.
 
     Parameters
@@ -79,6 +144,8 @@ class SizeSplitSystem:
         their farm concurrencies) instead of one window per partition.
     """
 
+    window_keys = ("small", "large")
+
     def __init__(
         self,
         sim: Simulator,
@@ -95,53 +162,24 @@ class SizeSplitSystem:
         aqm: str | None = None,
         aqm_shared: bool = False,
     ):
-        total = cmin + delta_c
-        if total <= 0:
-            raise ConfigurationError(
-                f"splitfarm needs positive total capacity, got {total}"
-            )
-        if threshold <= 0:
-            raise ConfigurationError(f"threshold must be positive, got {threshold}")
-        if not 0.0 < small_share < 1.0:
-            raise ConfigurationError(
-                f"small_share must be in (0, 1), got {small_share}"
-            )
-        self.sim = sim
+        front = SizeSplitFrontEnd(
+            cmin, delta_c, delta, threshold, small_share, admission
+        )
         self.threshold = threshold
         self.small_share = small_share
-        # Count mode keeps the seed-era two-argument construction so test
-        # doubles that replace the classifier's __init__ keep working.
-        if admission == "count":
-            self.classifier = OnlineRTTClassifier(cmin, delta)
-        else:
-            self.classifier = OnlineRTTClassifier(cmin, delta, mode=admission)
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         factory = farm_factory if farm_factory is not None else constant_rate_farm
-        self.aqm = aqm
-        self.aqm_shared = bool(aqm_shared)
-        shared_window = make_window(aqm, delta) if self.aqm_shared else None
-        # Primary requests land on either side (placement is by size), so
-        # *both* schedulers must release the classifier's Q1 slot.
-        self.small_driver = DeviceDriver(
+        super().__init__(
             sim,
-            factory(sim, small_share * total, units_per_side, "small"),
-            _SlotReleasingFCFS(self, "small.fcfs"),
-            metrics=self.metrics,
-            metrics_prefix="small.driver",
-            retry=retry,
-            classifier=self.classifier,
-            window=shared_window if self.aqm_shared else make_window(aqm, delta),
+            front,
+            lambda side: factory(sim, side.model.capacity, units_per_side, side.name),
+            ("small.driver", "large.driver"),
+            metrics,
+            retry,
+            aqm,
+            aqm_shared,
+            delta,
         )
-        self.large_driver = DeviceDriver(
-            sim,
-            factory(sim, (1.0 - small_share) * total, units_per_side, "large"),
-            _SlotReleasingFCFS(self, "large.fcfs"),
-            metrics=self.metrics,
-            metrics_prefix="large.driver",
-            retry=retry,
-            classifier=self.classifier,
-            window=shared_window if self.aqm_shared else make_window(aqm, delta),
-        )
+        self.small_driver, self.large_driver = self.drivers
         self._m_routed_small = self.metrics.counter("splitfarm.routed_small")
         self._m_routed_large = self.metrics.counter("splitfarm.routed_large")
         self.routed_small = 0
@@ -151,130 +189,32 @@ class SizeSplitSystem:
     def servers(self) -> list[Server]:
         """All service units, small partition first (fault targets)."""
         units: list[Server] = []
-        for driver in (self.small_driver, self.large_driver):
+        for driver in self.drivers:
             farm = driver.server
             units.extend(getattr(farm, "units", [farm]))
         return units
 
-    def is_small(self, request: Request) -> bool:
-        return request.service_demand <= self.threshold
-
     def on_arrival(self, request: Request) -> None:
         """Classify for QoS accounting, then place by size."""
-        self.classifier.classify(request)
-        if self.is_small(request):
+        side = self.route(request)
+        if side == SMALL_SIDE:
             self.routed_small += 1
             self._m_routed_small.inc()
-            self.small_driver.on_arrival(request)
         else:
             self.routed_large += 1
             self._m_routed_large.inc()
-            self.large_driver.on_arrival(request)
-
-    def add_completion_hook(self, hook) -> None:
-        """Register ``hook(request)`` on both drivers (fires once each)."""
-        self.small_driver.add_completion_hook(hook)
-        self.large_driver.add_completion_hook(hook)
-
-    # ------------------------------------------------------------------
-    # Aggregated views matching DeviceDriver's reporting surface
-    # ------------------------------------------------------------------
-
-    @property
-    def completed(self) -> list[Request]:
-        return self.small_driver.completed + self.large_driver.completed
-
-    @property
-    def dropped(self) -> list[Request]:
-        return self.small_driver.dropped + self.large_driver.dropped
-
-    @property
-    def shed(self) -> list[Request]:
-        return self.small_driver.shed + self.large_driver.shed
-
-    @property
-    def q1_completed(self) -> int:
-        return self.small_driver.q1_completed + self.large_driver.q1_completed
-
-    @property
-    def q1_missed(self) -> int:
-        return self.small_driver.q1_missed + self.large_driver.q1_missed
-
-    @property
-    def overall(self) -> ResponseTimeCollector:
-        merged = ResponseTimeCollector("overall")
-        merged.extend(self.small_driver.overall.samples)
-        merged.extend(self.large_driver.overall.samples)
-        return merged
-
-    @property
-    def by_class(self) -> dict[QoSClass, ResponseTimeCollector]:
-        # Classes mix on both sides by design: always merge.
-        merged = {}
-        for qos, label in (
-            (QoSClass.PRIMARY, "Q1"),
-            (QoSClass.OVERFLOW, "Q2"),
-            (QoSClass.UNCLASSIFIED, "all"),
-        ):
-            collector = ResponseTimeCollector(label)
-            collector.extend(self.small_driver.by_class[qos].samples)
-            collector.extend(self.large_driver.by_class[qos].samples)
-            merged[qos] = collector
-        return merged
-
-    def fraction_within(self, bound: float) -> float:
-        """Completed-weighted compliance across both partitions."""
-        total = len(self.small_driver.completed) + len(self.large_driver.completed)
-        if total == 0:
-            return float("nan")
-        hits = sum(
-            driver.overall.fraction_within(bound) * len(driver.completed)
-            for driver in (self.small_driver, self.large_driver)
-            if driver.completed
-        )
-        return hits / total
-
-    def primary_deadline_misses(self) -> int:
-        return (
-            self.small_driver.primary_deadline_misses()
-            + self.large_driver.primary_deadline_misses()
-        )
-
-    def fault_ledger(self) -> dict[str, int]:
-        """Aggregated conservation buckets across both drivers."""
-        ledger = {
-            "completed": len(self.completed),
-            "dropped": len(self.dropped),
-            "shed": len(self.shed),
-        }
-        if self.aqm is not None:
-            ledger["window"] = (
-                self.small_driver._window_resident
-                + self.large_driver._window_resident
-            )
-        return ledger
-
-    def window_snapshot(self) -> dict | None:
-        """Window statistics (one dict when shared, per-partition otherwise)."""
-        if self.aqm is None:
-            return None
-        if self.aqm_shared:
-            return self.small_driver.window_snapshot()
-        return {
-            "small": self.small_driver.window_snapshot(),
-            "large": self.large_driver.window_snapshot(),
-        }
+        self.drivers[side].on_arrival(request)
 
 
 class _SlotReleasingFCFS(FCFSScheduler):
     """FCFS that releases the classifier's Q1 slot on completion."""
 
-    def __init__(self, system: SizeSplitSystem, name: str):
+    def __init__(self, classifier: OnlineRTTClassifier, name: str):
         super().__init__()
         self.name = name
-        self._system = system
+        self._classifier = classifier
 
     def on_completion(self, request: Request) -> None:
         if request.qos_class is QoSClass.PRIMARY:
-            self._system.classifier.on_completion(request)
+            self._classifier.on_completion(request)
         self._note_completion(request)

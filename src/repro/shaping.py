@@ -38,10 +38,10 @@ from .obs.sampler import Sampler, attach_standard_probes
 from .perf import engines
 from .sched.registry import ALL_POLICIES, SINGLE_SERVER_POLICIES, make_scheduler
 from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
-from .server.cluster import SplitSystem
-from .server.sizesplit import SizeSplitSystem
+from .server.cluster import SplitFrontEnd, SplitSystem
+from .server.sizesplit import SizeSplitFrontEnd, SizeSplitSystem
 from .server.constant_rate import ConstantRateModel, constant_rate_server
-from .server.driver import DeviceDriver, serve_direct
+from .server.driver import DeviceDriver, Side, serve_direct
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
@@ -188,9 +188,9 @@ class PolicyRunResult:
     #: ``sample_interval=``); ``None`` for unobserved runs.
     telemetry: RunTelemetry | None = None
     #: Path that produced this result: the "scalar" event loop, the
-    #: "batch" columnar fast path, or the "direct" heap-free single-server
-    #: loop (:func:`repro.server.driver.serve_direct`) — all
-    #: bit-identical.
+    #: "batch" columnar fast path, or the "direct" heap-free loop
+    #: (:func:`repro.server.driver.serve_direct`, one server or a
+    #: topology's sides) — all bit-identical.
     engine: str = "scalar"
     #: Admission mode the classifier ran in ("count" or "work").
     admission: str = "count"
@@ -255,11 +255,12 @@ def run_policy(
     the configuration is ineligible), and ``"auto"`` (the process
     default) picks the first path that qualifies: the batch engine (an
     FCFS or Split run under count admission with no observability or
-    window attached), then the heap-free single-server loop (any
-    other single-server policy with none of those attached; the result
-    records ``engine="direct"``), then the event loop.  The samples are
-    bit-identical whichever path runs (certified by
-    :func:`repro.check.differential.engine_parity`).
+    window attached), then the heap-free loop (every other policy with
+    none of those attached — a single-server policy on its one server,
+    Split under work admission and splitfarm on their front end's two
+    sides; the result records ``engine="direct"``), then the event
+    loop.  The samples are bit-identical whichever path runs (certified
+    by :func:`repro.check.differential.engine_parity`).
     """
     if config is not None:
         flat = (cmin, delta_c, delta, record_rates, metrics, sample_interval, engine)
@@ -324,12 +325,8 @@ def _run_policy(
                 "(use engine='auto' to fall back to the event engine)"
             )
         if _direct_supports(policy, config, aqm):
-            scheduler = make_scheduler(
-                policy, cmin, delta_c, delta, admission=config.admission
-            )
-            run = serve_direct(
-                workload, scheduler, ConstantRateModel(cmin + delta_c), name=policy
-            )
+            sides, route = _direct_stack(policy, config)
+            run = serve_direct(workload, *sides, route=route)
             return _policy_result(
                 workload,
                 policy,
@@ -441,19 +438,42 @@ def _run_policy(
 def _direct_supports(policy: str, config: RunConfig, aqm: str | None) -> bool:
     """Whether :func:`~repro.server.driver.serve_direct` can run this.
 
-    Every single-server policy qualifies, under either admission mode,
-    when nothing hooks the event loop: no rate recording, no metrics
-    registry, no sampler and no in-flight window (``aqm`` is the
-    resolved window policy).  :func:`repro.workload.closedloop.
-    run_closed_loop` asks the same question of a population.
+    Every policy qualifies, single-server or topology, under either
+    admission mode, when nothing hooks the event loop: no rate
+    recording, no metrics registry, no sampler and no in-flight window
+    (``aqm`` is the resolved window policy).
+    :func:`repro.workload.closedloop.run_closed_loop` asks the same
+    question of a population.
     """
     return (
-        policy in SINGLE_SERVER_POLICIES
+        policy in ALL_POLICIES
         and config.record_rates is None
         and config.metrics is None
         and config.sample_interval is None
         and aqm is None
     )
+
+
+def _direct_stack(policy: str, config: RunConfig) -> tuple:
+    """``(sides, route)``: what :func:`~repro.server.driver.serve_direct`
+    serves ``policy`` on.
+
+    A topology is its front end's single-unit sides and routing rule
+    (:class:`~repro.server.cluster.SplitFrontEnd`,
+    :class:`~repro.server.sizesplit.SizeSplitFrontEnd`); any other
+    policy is one rate ``cmin + delta_c`` server and no route.
+    """
+    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
+    if policy == "split":
+        front = SplitFrontEnd(cmin, delta_c, delta, config.admission)
+    elif policy == "splitfarm":
+        front = SizeSplitFrontEnd(cmin, delta_c, delta, admission=config.admission)
+    else:
+        scheduler = make_scheduler(
+            policy, cmin, delta_c, delta, admission=config.admission
+        )
+        return (Side(scheduler, ConstantRateModel(cmin + delta_c), policy),), None
+    return front.sides, front.route
 
 
 def _policy_result(

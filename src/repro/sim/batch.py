@@ -65,8 +65,8 @@ EPOCH = 65536
 #: (fairqueue, wf2q, drr, miser) interleave the classes through one
 #: shared server with dynamic, state-dependent pick order, and ``edf``
 #: re-sorts by live slack — none reduce to a statically-determined
-#: Lindley recurrence, so ``auto`` serves them on the heap-free
-#: single-server loop (:func:`repro.server.driver.serve_direct`) instead.
+#: Lindley recurrence, so ``auto`` serves them on the heap-free loop
+#: (:func:`repro.server.driver.serve_direct`) instead.
 SUPPORTED_POLICIES = ("fcfs", "split")
 
 
@@ -332,12 +332,7 @@ def run_batch(
     arrivals = _check_arrivals(arrivals)
     demands = _check_demands(demands, arrivals.size)
     if policy == "fcfs":
-        # Unit-demand runs use the seed-era call shapes so test doubles
-        # that replace the kernels keep working.
-        if demands is None:
-            completions = fcfs_completions(arrivals, cmin + delta_c)
-        else:
-            completions = fcfs_completions(arrivals, cmin + delta_c, demands)
+        completions = fcfs_completions(arrivals, cmin + delta_c, demands)
         overall = completions - arrivals
         empty = np.empty(0, dtype=np.float64)
         return BatchRun(
@@ -349,10 +344,7 @@ def run_batch(
             admitted=np.zeros(arrivals.size, dtype=bool),
         )
     if policy == "split":
-        if demands is None:
-            cols = split_columns(arrivals, cmin, delta_c, delta)
-        else:
-            cols = split_columns(arrivals, cmin, delta_c, delta, demands)
+        cols = split_columns(arrivals, cmin, delta_c, delta, demands)
         q1_arrivals = arrivals[cols.admitted]
         primary = cols.q1_completions - q1_arrivals
         overflow = cols.q2_completions - arrivals[~cols.admitted]

@@ -141,8 +141,20 @@ class ResponseTimeCollector:
             self._folded = len(samples)
 
     def extend(self, response_times: Sequence[float]) -> None:
-        for value in response_times:
-            self.add(float(value))
+        """:meth:`add` every value, in order, in one pass.
+
+        The stored samples, and so the lazily folded moments, are those
+        of adding the values one by one; a negative value raises before
+        any is stored.
+        """
+        values = np.asarray(response_times, dtype=np.float64)
+        negative = values < 0
+        if negative.any():
+            raise SimulationError(
+                f"negative response time {float(values[negative.argmax()])} "
+                f"in {self.name}"
+            )
+        self._samples.extend(values.tolist())
 
     def extend_array(self, response_times) -> None:
         """Bulk ingestion for columnar runs (:mod:`repro.sim.batch`).

@@ -23,10 +23,10 @@ from ..perf import engines
 from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
 from ..server.aqm import make_window, resolve_aqm
 from ..server.cluster import SplitSystem
-from ..server.constant_rate import ConstantRateModel, constant_rate_server
+from ..server.constant_rate import constant_rate_server
 from ..server.sizesplit import SizeSplitSystem
 from ..server.driver import DeviceDriver, serve_direct
-from ..shaping import RunConfig, _direct_supports
+from ..shaping import RunConfig, _direct_stack, _direct_supports
 from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopPopulation, ClosedLoopSource
 from ..sim.stats import ResponseTimeCollector
@@ -53,9 +53,9 @@ class ClosedLoopResult:
         AQM window was armed).
     engine:
         Path that served the population: ``"direct"``, the heap-free
-        single-server loop (:func:`repro.server.driver.serve_direct`),
-        or ``"scalar"``, the event loop.  Both give bit-identical
-        results (certified by
+        loop (:func:`repro.server.driver.serve_direct`) on one server or
+        a topology's sides, or ``"scalar"``, the event loop.  Both give
+        bit-identical results (certified by
         :func:`repro.check.differential.closed_loop_parity`).
     """
 
@@ -114,12 +114,13 @@ def run_closed_loop(
     :func:`~repro.shaping.run_policy` resolves it, so an unknown name
     raises, and ``batch`` is rejected rather than ignored: the batch
     engine needs the arrival column up front, and closed-loop traffic
-    only yields it after the fact.  Under ``auto`` a single-server
-    policy with no window runs on the heap-free single-server loop
-    (:func:`repro.server.driver.serve_direct`, ``engine="direct"``);
-    ``scalar``, a window or a topology (``split``, ``splitfarm``) runs
-    on the event loop (``engine="scalar"``).  Both give bit-identical
-    results.
+    only yields it after the fact.  Under ``auto`` every policy with no
+    window runs on the heap-free loop
+    (:func:`repro.server.driver.serve_direct`, ``engine="direct"``): a
+    single-server policy on its one server, ``split`` and ``splitfarm``
+    on their front end's two single-unit sides.  ``scalar`` or a window
+    runs on the event loop (``engine="scalar"``).  Both give
+    bit-identical results.
 
     ``demand_sampler`` optionally sizes each request: any sampler from
     :mod:`repro.workload.sizes`, or any ``(rng) -> float`` callable,
@@ -143,12 +144,8 @@ def run_closed_loop(
         population = ClosedLoopPopulation(
             n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
         )
-        served = serve_direct(
-            population,
-            make_scheduler(policy, cmin, delta_c, delta, admission=config.admission),
-            ConstantRateModel(cmin + delta_c),
-            name=policy,
-        )
+        sides, route = _direct_stack(policy, config)
+        served = serve_direct(population, *sides, route=route)
         submitted = population.requests
         ledger = served.ledger()
         primary_misses = served.primary_misses

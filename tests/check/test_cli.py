@@ -46,8 +46,8 @@ class TestInjectedBugDetection:
     def test_off_by_one_limit_fails_corpus(self, capsys, monkeypatch):
         original = OnlineRTTClassifier.__init__
 
-        def off_by_one(self, capacity, delta):
-            original(self, capacity, delta)
+        def off_by_one(self, capacity, delta, mode="count"):
+            original(self, capacity, delta, mode)
             self.limit += 1  # admit one request beyond C*delta
             self.planned_limit += 1
 

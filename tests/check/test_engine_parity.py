@@ -2,11 +2,12 @@
 
 Mirrors the kernel-parity suite one layer up: the differential harness
 must certify bit-identical behavior of the columnar batch engine and of
-the heap-free single-server loop — fed open-loop columns or a
-closed-loop population — on the golden corpus, fuzzed traces,
-adversarial arrival columns and tie-heavy populations, and — crucially —
-must *detect* a path that drifts (checked by injecting bugs into the
-batch engine's admission bound and into the direct loop's tie orders).
+the heap-free loop — one server or a topology's two sides, fed
+open-loop columns or a closed-loop population — on the golden corpus,
+fuzzed traces, adversarial arrival columns and tie-heavy populations,
+and — crucially — must *detect* a path that drifts (checked by
+injecting bugs into the batch engine's admission bound and into the
+direct loop's tie orders and side merge).
 """
 
 import inspect
@@ -25,11 +26,13 @@ from repro.check.differential import (
     engine_parity,
 )
 from repro.check.fuzz import make_case
+from repro.core.request import QoSClass
 from repro.core.workload import Workload
-from repro.sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
+from repro.sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
 from repro.sim import batch, source
+from repro.shaping import RunConfig, _direct_stack
 from repro.workload.sizes import BimodalDemand
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -74,9 +77,7 @@ class TestReportShape:
         assert report.policies == ENGINE_PARITY_POLICIES
 
     def test_ineligible_policy_is_a_divergence(self):
-        report = engine_parity(
-            Workload([0.0]), 10.0, 5.0, 1.0, policies=("splitfarm",)
-        )
+        report = engine_parity(Workload([0.0]), 10.0, 5.0, 1.0, policies=("lifo",))
         assert not report.ok
         assert "not batch-eligible" in report.summary()
 
@@ -113,8 +114,8 @@ class TestInjectedBugDetection:
         """A batch server running a hair fast trips the drift check."""
         true_fcfs = batch.fcfs_completions
 
-        def fast_fcfs(arrivals, capacity):
-            return true_fcfs(arrivals, capacity * (1.0 + 1e-6))
+        def fast_fcfs(arrivals, capacity, demands=None):
+            return true_fcfs(arrivals, capacity * (1.0 + 1e-6), demands)
 
         monkeypatch.setattr(batch, "fcfs_completions", fast_fcfs)
         report = engine_parity(bursty, 50.0, 25.0, 0.1, policies=("fcfs",))
@@ -126,8 +127,10 @@ class TestInjectedBugDetection:
         """A batch run that loses a request fails the completion count."""
         true_run = batch.run_batch
 
-        def lossy_run(arrivals, policy, cmin, delta_c, delta):
-            return true_run(arrivals[:-1], policy, cmin, delta_c, delta)
+        def lossy_run(arrivals, policy, cmin, delta_c, delta, demands=None):
+            if demands is not None:
+                demands = demands[:-1]
+            return true_run(arrivals[:-1], policy, cmin, delta_c, delta, demands)
 
         monkeypatch.setattr(batch, "run_batch", lossy_run)
         report = engine_parity(bursty, 50.0, 25.0, 0.1, policies=("fcfs",))
@@ -136,22 +139,27 @@ class TestInjectedBugDetection:
 
 
 # ---------------------------------------------------------------------------
-# The heap-free single-server loop (engine "direct"), open loop
+# The heap-free loop (engine "direct"), open loop
 # ---------------------------------------------------------------------------
 
-#: Single-server policies the batch engine does not take.
-DIRECT_POLICIES = ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
-#: (policy, admission) pairs ``auto`` serves on the open loop: fcfs too
-#: under work admission, which the batch engine cannot express.
+#: Policies the batch engine does not take.
+DIRECT_POLICIES = (
+    "fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost", "splitfarm"
+)
+#: (policy, admission) pairs the direct loop serves on the open loop:
+#: fcfs and split too under work admission, which the batch engine
+#: cannot express, and split under count, which ``auto`` sends to batch.
 DIRECT_CASES = [
     (policy, admission)
     for policy in DIRECT_POLICIES
     for admission in ("count", "work")
-] + [("fcfs", "work")]
+] + [("fcfs", "work"), ("split", "count"), ("split", "work")]
 
 #: A rate-8 server (Cmin 4 + ΔC 4) serves a unit of demand in 1/8 s and
 #: every gap and demand below is dyadic, so sums are exact: arrivals land
 #: on completion instants and same-instant ties are the common case.
+#: The topologies' sides run at 4 (split: Cmin and ΔC; splitfarm: half
+#: of 8 each), so their completions tie each other too.
 #: Zero gaps make simultaneous bursts.  Q1 admits floor(4 · 0.5) = 2.
 CMIN, DELTA_C, DELTA = 4.0, 4.0, 0.5
 GAPS = st.sampled_from([0.0, 0.0, 0.0, 0.0625, 0.125, 0.125, 0.25, 0.5, 2.0])
@@ -189,9 +197,11 @@ class TestDirectPath:
         assert report.ok and report.bit_identical, report.summary()
         run = driver.serve_direct(
             workload,
-            make_scheduler("srpt", CMIN, DELTA_C, DELTA),
-            ConstantRateModel(CMIN + DELTA_C),
-            name="srpt",
+            driver.Side(
+                make_scheduler("srpt", CMIN, DELTA_C, DELTA),
+                ConstantRateModel(CMIN + DELTA_C),
+                "srpt",
+            ),
         )
         assert run.preemptions >= 1
         assert run.completed == len(workload)
@@ -209,13 +219,41 @@ class TestDirectPath:
         assert not report.ok
         assert any("Q1 completions 1 (direct) vs 2" in d for d in report.divergences)
 
+    def test_completion_order_merge_detected(self, monkeypatch):
+        """Split's sides report merged in side order: collecting both
+        sides' samples in completion order instead must be reported.
+        Three simultaneous arrivals: two Q1 on the primary side, done at
+        0.25 and 0.5, one Q2 on the overflow side, done at 0.25."""
+        tie = Workload([0.0, 0.0, 0.0], name="tie")
+        divergences = []
+        differential._direct_parity(
+            tie, "split", CMIN, DELTA_C, DELTA, "count", divergences
+        )
+        assert divergences == []
+        # One set of collectors for both sides, and no merge.
+        merge = "    if routed:\n        by_class = {"
+        mutant = mutated_serve_direct(
+            "for _ in sides]",
+            "] * len(sides)",
+            count=1,
+            also=[(merge, merge.replace("routed", "False"), 1)],
+        )
+        monkeypatch.setattr(differential, "serve_direct", mutant)
+        differential._direct_parity(
+            tie, "split", CMIN, DELTA_C, DELTA, "count", divergences
+        )
+        assert any("overall responses differ from completion 1" in d for d in divergences)
 
-def mutated_serve_direct(old: str, new: str, count: int):
-    """``serve_direct`` with its ``count`` occurrences of ``old`` replaced."""
+
+def mutated_serve_direct(old: str, new: str, count: int, also=()):
+    """``serve_direct`` with its ``count`` occurrences of ``old`` replaced,
+    and likewise for each further ``(old, new, count)`` in ``also``."""
     code = inspect.getsource(driver.serve_direct)
-    assert code.count(old) == count
+    for old, new, count in ((old, new, count), *also):
+        assert code.count(old) == count
+        code = code.replace(old, new)
     namespace = dict(vars(driver))
-    exec(compile(code.replace(old, new), driver.__file__, "exec"), namespace)
+    exec(compile(code, driver.__file__, "exec"), namespace)
     return namespace["serve_direct"]
 
 
@@ -266,10 +304,31 @@ class ScriptedStream:
         return next(self._pauses, 1e9)
 
 
+class ScriptedSizes(ScriptedStream):
+    """A scripted stream whose submissions also take scripted demands;
+    ``ScriptedSizes.demand`` is the matching demand sampler."""
+
+    DEMANDS: dict = {}
+
+    def __init__(self, seed: int, user: int):
+        super().__init__(seed, user)
+        self._demands = iter(self.DEMANDS[user])
+
+    def demand(self) -> float:
+        return next(self._demands)
+
+
+def first_side(policy: str, request) -> bool:
+    """Whether a healthy run served ``request`` on the topology's first side."""
+    if policy == "split":
+        return request.qos_class is QoSClass.PRIMARY
+    return request.service_demand <= 2.0
+
+
 class TestClosedLoopParity:
     @pytest.mark.parametrize("demand", sorted(DEMANDS_BY_NAME))
     @pytest.mark.parametrize("admission", ("count", "work"))
-    @pytest.mark.parametrize("policy", SINGLE_SERVER_POLICIES)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     @settings(max_examples=12)
     @given(
         n_users=USERS,
@@ -286,7 +345,7 @@ class TestClosedLoopParity:
         )
         assert problems == []
 
-    @pytest.mark.parametrize("policy", SINGLE_SERVER_POLICIES)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     @settings(max_examples=25)
     @given(
         n_users=USERS,
@@ -315,14 +374,33 @@ class TestClosedLoopParity:
         population = source.ClosedLoopPopulation(8, 0.125, 6.0, seed=5)
         run = driver.serve_direct(
             population,
-            make_scheduler("srpt", CMIN, DELTA_C, DELTA),
-            ConstantRateModel(CMIN + DELTA_C),
+            driver.Side(
+                make_scheduler("srpt", CMIN, DELTA_C, DELTA),
+                ConstantRateModel(CMIN + DELTA_C),
+            ),
         )
         assert run.completed == len(population.requests) > 50
         arrivals = [r.arrival for r in population.requests]
         completions = {r.completion for r in population.requests}
         assert len(set(arrivals)) < len(arrivals)
         assert any(t in completions for t in arrivals)
+
+    @pytest.mark.parametrize("policy", TOPOLOGY_POLICIES)
+    def test_topology_sides_tie(self, policy, monkeypatch):
+        """On a topology the tie-heavy variant ties across sides: the two
+        sides complete at shared instants, and arrivals land on them."""
+        monkeypatch.setattr(source, "user_stream", DyadicStream)
+        population = source.ClosedLoopPopulation(
+            8, 0.5, 12.0, seed=5, demand_sampler=DEMANDS_BY_NAME["bimodal"]
+        )
+        sides, route = _direct_stack(policy, RunConfig(CMIN, DELTA_C, DELTA))
+        run = driver.serve_direct(population, *sides, route=route)
+        requests = population.requests
+        assert run.completed == len(requests) > 50
+        first = {r.completion for r in requests if first_side(policy, r)}
+        second = {r.completion for r in requests if not first_side(policy, r)}
+        assert first & second
+        assert any(r.arrival in first and r.arrival in second for r in requests)
 
     def test_user_id_tie_order_detected(self, monkeypatch):
         """Ordering tied user arrivals by user id instead of scheduling
@@ -337,6 +415,24 @@ class TestClosedLoopParity:
         monkeypatch.setattr(differential, "serve_direct", mutant)
         problems = differential.closed_loop_parity(*args)
         assert any("submissions differ from submission 1" in p for p in problems)
+
+    def test_side_index_tie_order_detected(self, monkeypatch):
+        """Tied completions on two sides fire in dispatch order; firing
+        them in side order instead must be reported.  User 0's large
+        request is dispatched on the large side at 0 and user 1's small
+        one on the small side at 0.75: both finish at 1.0.  Both users
+        then think 0.5, so the completion that fires first submits first
+        at 1.5: user 0 in the event loop."""
+        monkeypatch.setattr(ScriptedSizes, "SCRIPTS", {0: [0.0, 0.5], 1: [0.75, 0.5]})
+        monkeypatch.setattr(ScriptedSizes, "DEMANDS", {0: [4.0, 1.0], 1: [1.0, 1.0]})
+        monkeypatch.setattr(source, "user_stream", ScriptedSizes)
+        args = ("splitfarm", CMIN, DELTA_C, DELTA, 2, 1.0, 4.0)
+        sampler = ScriptedSizes.demand
+        assert differential.closed_loop_parity(*args, demand_sampler=sampler) == []
+        mutant = mutated_serve_direct("(end, dispatches)", "(end, k)", count=1)
+        monkeypatch.setattr(differential, "serve_direct", mutant)
+        problems = differential.closed_loop_parity(*args, demand_sampler=sampler)
+        assert any("submissions differ from submission 2" in p for p in problems)
 
     def test_arrival_before_tied_completion_detected(self, monkeypatch):
         """The completion-first rule holds for populations too: a user

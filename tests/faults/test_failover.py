@@ -1,15 +1,26 @@
 """Structural failover: crashed units in farms and the split topology."""
 
+import pytest
+
 from repro.core.request import QoSClass, Request
 from repro.core.workload import Workload
-from repro.faults import FaultableServer, RetryPolicy
+from repro.faults import (
+    FaultableServer,
+    FaultSchedule,
+    RateDroop,
+    RetryPolicy,
+    run_resilient,
+)
+from repro.serve.harness import ServiceHarness
 from repro.sched.fcfs import FCFSScheduler
 from repro.server.cluster import SplitSystem
 from repro.server.constant_rate import ConstantRateModel
 from repro.server.driver import DeviceDriver
 from repro.server.farm import ServerFarm
 from repro.sim.engine import Simulator
+from repro.shaping import WorkloadShaper
 from repro.sim.source import WorkloadSource
+from repro.traces import library
 
 
 class TestFaultableFarm:
@@ -114,9 +125,10 @@ class TestSplitFailover:
         # Everything ran on the primary server; the dead one served nothing.
         assert system.overflow_driver.completed == []
 
-    def test_no_failover_keeps_per_driver_collectors(self):
-        """by_class returns the original per-driver collectors when no
-        failover happened — the bit-identical healthy path."""
+    def test_no_failover_keeps_per_driver_samples(self):
+        """With no failover each class holds exactly its own driver's
+        samples — the bit-identical healthy path — although every class
+        merges both drivers."""
         sim = Simulator()
         system = self._system(sim)
         request = Request(arrival=0.0)
@@ -124,12 +136,13 @@ class TestSplitFailover:
         sim.run()
         assert system.failovers == 0
         by_class = system.by_class
-        assert by_class[QoSClass.PRIMARY] is system.primary_driver.by_class[
-            QoSClass.PRIMARY
-        ]
-        assert by_class[QoSClass.OVERFLOW] is system.overflow_driver.by_class[
-            QoSClass.OVERFLOW
-        ]
+        for qos, driver in (
+            (QoSClass.PRIMARY, system.primary_driver),
+            (QoSClass.OVERFLOW, system.overflow_driver),
+        ):
+            assert by_class[qos].samples.tolist() == (
+                driver.by_class[qos].samples.tolist()
+            )
 
     def test_both_down_waits_for_repair(self):
         sim = Simulator()
@@ -143,3 +156,39 @@ class TestSplitFailover:
         assert system.failovers == 0  # no live alternative at arrival
         assert request.completion is not None
         assert request.completion > 2.0
+
+
+class TestSplitDemotedRetries:
+    """A Q1 request that times out is demoted to Q2 and retried on the
+    primary server — not a failover.  Its sample must still count in
+    one class: the per-class results merge both servers."""
+
+    @staticmethod
+    def _serve(entry):
+        workload = library.websearch(duration=120, seed=3)
+        plan = WorkloadShaper(delta=0.05, fraction=0.95).plan(workload)
+        schedule = FaultSchedule([RateDroop(20, 25, 400), RateDroop(70, 75, 400)])
+        retry = RetryPolicy(
+            timeout_q1=0.5, timeout_q2=2.0, max_retries=3, backoff_base=0.025
+        )
+        if entry == "run_resilient":
+            return run_resilient(
+                workload, "split", plan.cmin, plan.delta_c, 0.05,
+                schedule=schedule, retry=retry, seed=3,
+            )
+        harness = ServiceHarness(
+            "split", plan.cmin, plan.delta_c, 0.05,
+            faults=schedule, retry=retry, seed=3,
+        )
+        return harness.replay(workload)
+
+    @pytest.mark.parametrize("entry", ["run_resilient", "ServiceHarness"])
+    def test_classes_cover_every_completion(self, entry):
+        result = self._serve(entry)
+        completed = len(result.completed)
+        demoted = [
+            r for r in result.completed
+            if r.retries and r.qos_class is QoSClass.OVERFLOW
+        ]
+        assert demoted  # the droops time Q1 requests out
+        assert len(result.primary) + len(result.overflow) == completed

@@ -14,7 +14,7 @@ import pytest
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.perf import engines
-from repro.shaping import run_policy
+from repro.shaping import RunConfig, run_policy
 from repro.sim import batch
 from repro.sim.stats import ResponseTimeCollector
 from repro.traces.synthetic import poisson_workload
@@ -32,8 +32,8 @@ CONFIG = dict(cmin=200.0, delta_c=40.0, delta=0.05)
 
 
 def run_both(workload, policy, **config):
-    scalar = run_policy(workload, policy, engine="scalar", **config)
-    columnar = run_policy(workload, policy, engine="batch", **config)
+    scalar = run_policy(workload, policy, config=RunConfig(engine="scalar", **config))
+    columnar = run_policy(workload, policy, config=RunConfig(engine="batch", **config))
     return scalar, columnar
 
 
@@ -120,7 +120,9 @@ class TestEngineSelection:
 
     def test_argument_beats_override(self):
         with engines.use_engine("batch"):
-            result = run_policy(ZERO_GAP, "fcfs", engine="scalar", **CONFIG)
+            result = run_policy(
+                ZERO_GAP, "fcfs", config=RunConfig(engine="scalar", **CONFIG)
+            )
         assert result.engine == "scalar"
 
     def test_override_beats_env(self, monkeypatch):
@@ -144,40 +146,48 @@ class TestEligibility:
         # open loop, which is bit-identical to the event loop.
         result = run_policy(ZERO_GAP, policy, **CONFIG)
         assert result.engine == "direct"
-        reference = run_policy(ZERO_GAP, policy, engine="scalar", **CONFIG)
+        reference = run_policy(
+            ZERO_GAP, policy, config=RunConfig(engine="scalar", **CONFIG)
+        )
         assert np.array_equal(result.overall.samples, reference.overall.samples)
 
     def test_auto_falls_back_when_observed(self):
         from repro.obs import MetricsRegistry
 
         result = run_policy(
-            ZERO_GAP, "fcfs", metrics=MetricsRegistry(), **CONFIG
+            ZERO_GAP, "fcfs", config=RunConfig(metrics=MetricsRegistry(), **CONFIG)
         )
         assert result.engine == "scalar"
         assert result.telemetry is not None
 
     def test_auto_falls_back_for_sampler(self):
-        result = run_policy(ZERO_GAP, "split", sample_interval=0.5, **CONFIG)
+        result = run_policy(
+            ZERO_GAP, "split", config=RunConfig(sample_interval=0.5, **CONFIG)
+        )
         assert result.engine == "scalar"
 
     def test_auto_falls_back_for_rate_recording(self):
-        result = run_policy(ZERO_GAP, "fcfs", record_rates=0.1, **CONFIG)
+        result = run_policy(
+            ZERO_GAP, "fcfs", config=RunConfig(record_rates=0.1, **CONFIG)
+        )
         assert result.engine == "scalar"
         assert result.completion_series is not None
 
     def test_forced_batch_rejects_ineligible_policy(self):
         with pytest.raises(ConfigurationError, match="cannot run this configuration"):
-            run_policy(ZERO_GAP, "miser", engine="batch", **CONFIG)
+            run_policy(ZERO_GAP, "miser", config=RunConfig(engine="batch", **CONFIG))
 
     def test_forced_batch_rejects_observability(self):
         with pytest.raises(ConfigurationError, match="cannot run this configuration"):
             run_policy(
-                ZERO_GAP, "fcfs", engine="batch", sample_interval=0.5, **CONFIG
+                ZERO_GAP,
+                "fcfs",
+                config=RunConfig(engine="batch", sample_interval=0.5, **CONFIG),
             )
 
     def test_unknown_policy_still_rejected_under_batch(self):
         with pytest.raises(ConfigurationError, match="unknown policy"):
-            run_policy(ZERO_GAP, "lifo", engine="batch", **CONFIG)
+            run_policy(ZERO_GAP, "lifo", config=RunConfig(engine="batch", **CONFIG))
 
     def test_supports_reports_reasons(self):
         ok, reason = batch.supports("fcfs")

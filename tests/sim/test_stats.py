@@ -80,6 +80,10 @@ class TestResponseTimeCollector:
         c = ResponseTimeCollector("q")
         with pytest.raises(SimulationError, match="negative"):
             c.add(-0.1)
+        # extend names the collector too, and stores none of the batch.
+        with pytest.raises(SimulationError, match=r"negative response time -0.2 in q"):
+            c.extend([0.1, -0.2, 0.3])
+        assert len(c) == 0
 
     def test_cdf(self):
         c = ResponseTimeCollector()
@@ -147,6 +151,7 @@ SAMPLES = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
 COLLECTOR_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), SAMPLES),
+        st.tuples(st.just("extend"), st.lists(SAMPLES, max_size=8)),
         st.tuples(st.just("extend_array"), st.lists(SAMPLES, max_size=8)),
         st.tuples(st.just("read")),
     ),
@@ -175,6 +180,10 @@ class TestLazyMoments:
             if op[0] == "add":
                 collector.add(op[1])
                 _eager_add(reference, op[1])
+            elif op[0] == "extend":
+                collector.extend(op[1])
+                for x in op[1]:
+                    _eager_add(reference, x)
             elif op[0] == "extend_array":
                 collector.extend_array(op[1])
                 reference.add_array(op[1])

@@ -115,10 +115,18 @@ class TestWorkAdmissionRuns:
         with pytest.raises(ConfigurationError, match="work"):
             run_policy(sized, "split", config=config)
 
-    def test_auto_engine_falls_back_to_scalar_for_work(self, sized):
+    def test_auto_engine_serves_work_split_directly(self, sized):
+        """The batch engine cannot run work admission; auto takes the
+        direct loop, which must match the event loop."""
         config = RunConfig(4.0, 2.0, 0.5, admission="work", engine="auto")
         result = run_policy(sized, "split", config=config)
-        assert result.engine == "scalar"
+        assert result.engine == "direct"
+        scalar = run_policy(sized, "split", config=config.with_engine("scalar"))
+        assert scalar.engine == "scalar"
+        for collector in ("overall", "primary", "overflow"):
+            assert np.array_equal(
+                getattr(result, collector).samples, getattr(scalar, collector).samples
+            ), collector
 
     def test_sized_split_bit_identical_across_engines(self, workload):
         # Count-bound sized runs are batch-eligible; demands <= 1 keep

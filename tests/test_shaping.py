@@ -71,7 +71,9 @@ class TestRunPolicy:
 
     def test_rate_recording(self, workload, plan):
         result = run_policy(
-            workload, "miser", plan.cmin, plan.delta_c, plan.delta, record_rates=1.0
+            workload,
+            "miser",
+            config=RunConfig(plan.cmin, plan.delta_c, plan.delta, record_rates=1.0),
         )
         starts, rates = result.completion_series
         assert rates.sum() * 1.0 == pytest.approx(len(workload))
@@ -79,8 +81,9 @@ class TestRunPolicy:
     def test_rate_recording_rejected_for_split(self, workload, plan):
         with pytest.raises(ConfigurationError, match="single-server"):
             run_policy(
-                workload, "split", plan.cmin, plan.delta_c, plan.delta,
-                record_rates=1.0,
+                workload,
+                "split",
+                config=RunConfig(plan.cmin, plan.delta_c, plan.delta, record_rates=1.0),
             )
 
     def test_unknown_policy(self, workload, plan):
@@ -138,6 +141,18 @@ class TestEngineRouting:
     @pytest.mark.parametrize("policy", ("fcfs", "split"))
     def test_count_fcfs_and_split_stay_batch(self, workload, config, policy):
         assert run_policy(workload, policy, config=config).engine == "batch"
+
+    @pytest.mark.parametrize(
+        ("policy", "admission"),
+        [("split", "work"), ("splitfarm", "count"), ("splitfarm", "work")],
+    )
+    def test_topologies_take_direct_path(self, workload, plan, policy, admission):
+        config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission=admission)
+        result = run_policy(workload, policy, config=config)
+        assert result.engine == "direct"
+        reference = run_policy(workload, policy, config=config.with_engine("scalar"))
+        assert reference.engine == "scalar"
+        self.assert_same_samples(result, reference)
 
     @pytest.mark.parametrize(
         "change",
@@ -244,11 +259,9 @@ class TestRunTelemetry:
         result = run_policy(
             workload,
             "miser",
-            plan.cmin,
-            plan.delta_c,
-            0.1,
-            metrics=registry,
-            sample_interval=1.0,
+            config=RunConfig(
+                plan.cmin, plan.delta_c, 0.1, metrics=registry, sample_interval=1.0
+            ),
         )
         telemetry = result.telemetry
         assert telemetry is not None

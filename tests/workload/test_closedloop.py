@@ -229,8 +229,21 @@ class TestEngineRouting:
     )
     def test_event_loop_paths(self, policy, config):
         result = self.run(policy, config)
-        assert result.engine == "scalar"
         assert result.conserved()
+        if config.engine != "auto":
+            assert result.engine == "scalar"
+            return
+        # A topology with no window takes the direct loop under auto and
+        # must equal its forced event-loop run.
+        assert result.engine == "direct"
+        scalar = self.run(policy, config.with_engine("scalar"))
+        assert scalar.engine == "scalar"
+        for collector in ("overall", "primary", "overflow"):
+            assert np.array_equal(
+                getattr(result, collector).samples, getattr(scalar, collector).samples
+            ), collector
+        assert result.ledger == scalar.ledger
+        assert result.primary_misses == scalar.primary_misses
 
     @pytest.mark.parametrize("policy", ["srpt", "split"])
     @pytest.mark.parametrize(
