@@ -117,27 +117,6 @@ class OnlineRTTClassifier:
         immediately before handing the request to the serving stack, and
         the stack's own :meth:`classify` remains the single authority.
         """
-        return self._admits(request)
-
-    def classify(self, request: Request) -> QoSClass:
-        """Assign the request to ``Q1`` or ``Q2`` (Algorithm 1).
-
-        Admits iff ``lenQ1 <= maxQ1 - 1`` (count mode) or iff the
-        outstanding Q1 work plus this request's demand fits in ``C·δ``
-        (work mode); increments the occupancy ledgers on admission and
-        stamps the request's deadline.
-        """
-        if self._admits(request):
-            self.len_q1 += 1
-            self.work_q1 += request.service_demand
-            self.n_primary += 1
-            request.classify(QoSClass.PRIMARY, delta=self.delta)
-            return QoSClass.PRIMARY
-        self.n_overflow += 1
-        request.classify(QoSClass.OVERFLOW)
-        return QoSClass.OVERFLOW
-
-    def _admits(self, request: Request) -> bool:
         if self.mode == "work":
             # Degradation (set_limit below planned) shrinks the work
             # budget too; the 1e-9 epsilon mirrors the count-mode floor
@@ -147,6 +126,24 @@ class OnlineRTTClassifier:
             )
             return self.work_q1 + request.service_demand <= budget + 1e-9
         return self.len_q1 < self.limit
+
+    def classify(self, request: Request) -> QoSClass:
+        """Assign the request to ``Q1`` or ``Q2`` (Algorithm 1).
+
+        Admits iff ``lenQ1 <= maxQ1 - 1`` (count mode) or iff the
+        outstanding Q1 work plus this request's demand fits in ``C·δ``
+        (work mode); increments the occupancy ledgers on admission and
+        stamps the request's deadline.
+        """
+        if self.would_admit(request):
+            self.len_q1 += 1
+            self.work_q1 += request.service_demand
+            self.n_primary += 1
+            request.classify(QoSClass.PRIMARY, delta=self.delta)
+            return QoSClass.PRIMARY
+        self.n_overflow += 1
+        request.classify(QoSClass.OVERFLOW)
+        return QoSClass.OVERFLOW
 
     def on_completion(self, request: Request) -> None:
         """Release the request's ``Q1`` slot (departure decrement)."""

@@ -28,7 +28,7 @@ Two granularities, matching the paper's two admission stories:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.admission import AdmittedClient
 from ..core.capacity import CapacityPlanner
@@ -55,22 +55,53 @@ class Verdict(enum.Enum):
     PASS = "pass"
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """One answered admit/demote/reject query, with the state it saw."""
+class AdmissionDecision(NamedTuple):
+    """One answered admit/demote/reject query, with the state it saw.
+
+    Deciding formats nothing: :attr:`reason` is rendered from the
+    recorded state when it is read.
+    """
 
     verdict: Verdict
-    reason: str
     #: Classifier occupancy/bound at decision time (``None`` for PASS).
     len_q1: int | None = None
     limit: int | None = None
     #: AQM window occupancy at decision time (``None``: no window).
     window_occupancy: int | None = None
+    #: Work-mode classifier state: the outstanding Q1 work and the
+    #: candidate's demand (``None`` in count mode and for PASS).
+    work_q1: float | None = None
+    demand: float | None = None
 
     @property
     def serves(self) -> bool:
         """Whether the request proceeds into the serving stack."""
         return self.verdict is not Verdict.REJECT
+
+    @property
+    def reason(self) -> str:
+        """Why the verdict was reached, in words."""
+        verdict = self.verdict
+        if verdict is Verdict.PASS:
+            return "classifier-free policy: requests are not classified"
+        if verdict is Verdict.ADMIT:
+            if self.work_q1 is None:
+                return (
+                    f"lenQ1 {self.len_q1} fits the C*delta bound {self.limit}"
+                )
+            return (
+                f"admitted work {self.work_q1:g} + {self.demand:g} fits "
+                "the work bound"
+            )
+        if verdict is Verdict.REJECT:
+            return (
+                "guaranteed class full and the device window is "
+                f"saturated ({self.window_occupancy} in flight)"
+            )
+        return (
+            f"guaranteed class full (lenQ1 {self.len_q1} at bound "
+            f"{self.limit}): overflow"
+        )
 
 
 class AdmissionService:
@@ -131,18 +162,22 @@ class AdmissionService:
         self.device_depth = device_depth
         self.clients: list[AdmittedClient] = []
         metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._observed = metrics.enabled
         self._m_admit = metrics.counter("serve.admission.admit")
         self._m_demote = metrics.counter("serve.admission.demote")
         self._m_reject = metrics.counter("serve.admission.reject")
         self._m_pass = metrics.counter("serve.admission.pass")
-        self._counters = {
-            Verdict.ADMIT: self._m_admit,
-            Verdict.DEMOTE: self._m_demote,
-            Verdict.REJECT: self._m_reject,
-            Verdict.PASS: self._m_pass,
+        self._admitted = self._demoted = self._rejected = self._passed = 0
+
+    @property
+    def decided(self) -> dict[Verdict, int]:
+        """Decision tallies by verdict (always-on, cheap)."""
+        return {
+            Verdict.ADMIT: self._admitted,
+            Verdict.DEMOTE: self._demoted,
+            Verdict.REJECT: self._rejected,
+            Verdict.PASS: self._passed,
         }
-        #: Decision tallies by verdict (always-on, cheap).
-        self.decided: dict[Verdict, int] = {v: 0 for v in Verdict}
 
     # ------------------------------------------------------------------
     # Per-request decisions
@@ -155,59 +190,44 @@ class AdmissionService:
         the stack's own ``classify()`` stays authoritative, and the
         harness cross-checks this prediction against it.
         """
-        occupancy = None if self.window is None else int(self.window.occupancy)
-        if self.classifier is None:
-            decision = AdmissionDecision(
-                verdict=Verdict.PASS,
-                reason="classifier-free policy: requests are not classified",
-                window_occupancy=occupancy,
-            )
-        elif self.classifier.would_admit(request):
-            decision = AdmissionDecision(
-                verdict=Verdict.ADMIT,
-                reason=(
-                    f"lenQ1 {self.classifier.len_q1} fits the "
-                    f"C*delta bound {self.classifier.limit}"
-                    if self.classifier.mode == "count"
-                    else (
-                        f"admitted work {self.classifier.work_q1:g} + "
-                        f"{request.service_demand:g} fits the work bound"
-                    )
-                ),
-                len_q1=self.classifier.len_q1,
-                limit=self.classifier.limit,
-                window_occupancy=occupancy,
-            )
+        window = self.window
+        occupancy = None if window is None else window.occupancy
+        classifier = self.classifier
+        if classifier is None:
+            self._passed += 1
+            if self._observed:
+                self._m_pass.inc()
+            return AdmissionDecision(Verdict.PASS, None, None, occupancy)
+        if classifier.would_admit(request):
+            verdict = Verdict.ADMIT
+            self._admitted += 1
+            counter = self._m_admit
         elif (
             self.reject_on_overload
-            and self.window is not None
-            and not self.window.has_slot()
+            and window is not None
+            and not window.has_slot()
         ):
-            decision = AdmissionDecision(
-                verdict=Verdict.REJECT,
-                reason=(
-                    "guaranteed class full and the device window is "
-                    f"saturated ({occupancy} in flight)"
-                ),
-                len_q1=self.classifier.len_q1,
-                limit=self.classifier.limit,
-                window_occupancy=occupancy,
-            )
+            verdict = Verdict.REJECT
+            self._rejected += 1
+            counter = self._m_reject
         else:
-            decision = AdmissionDecision(
-                verdict=Verdict.DEMOTE,
-                reason=(
-                    f"guaranteed class full "
-                    f"(lenQ1 {self.classifier.len_q1} at bound "
-                    f"{self.classifier.limit}): overflow"
-                ),
-                len_q1=self.classifier.len_q1,
-                limit=self.classifier.limit,
-                window_occupancy=occupancy,
+            verdict = Verdict.DEMOTE
+            self._demoted += 1
+            counter = self._m_demote
+        if self._observed:
+            counter.inc()
+        if classifier.mode == "count":
+            return AdmissionDecision(
+                verdict, classifier.len_q1, classifier.limit, occupancy
             )
-        self.decided[decision.verdict] += 1
-        self._counters[decision.verdict].inc()
-        return decision
+        return AdmissionDecision(
+            verdict,
+            classifier.len_q1,
+            classifier.limit,
+            occupancy,
+            classifier.work_q1,
+            request.service_demand,
+        )
 
     # ------------------------------------------------------------------
     # Per-client onboarding (the offline controller's policy, live)

@@ -8,8 +8,8 @@ plan itself — ``Cmin + ΔC`` — must move.  The :class:`Autoscaler` closes
 that loop in the monitoring → decision → actuation style of
 software-defined storage QoS controllers:
 
-* **monitoring** — every delivered request lands in a sliding trace
-  window (:meth:`Autoscaler.observe`);
+* **monitoring** — every arriving request, rejected ones included,
+  lands in a sliding trace window (:meth:`Autoscaler.observe`);
 * **decision** — each epoch the window is re-planned through the same
   :class:`~repro.core.capacity.CapacityPlanner` bisection the offline
   pipeline uses (``device_depth`` δ_eff correction included), producing
@@ -190,7 +190,12 @@ class Autoscaler:
     # ------------------------------------------------------------------
 
     def observe(self, request: Request) -> None:
-        """Feed one delivered request into the sliding window."""
+        """Feed one arriving request into the sliding window.
+
+        The harness calls this for every arrival before the admission
+        decision, so the window holds the demand offered, requests the
+        service goes on to reject included.
+        """
         self._window.append((request.arrival, request.service_demand))
 
     def _evict(self, now: float) -> None:

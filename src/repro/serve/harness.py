@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -101,19 +102,22 @@ class StagedSource:
             raise ConfigurationError(
                 f"staged arrival must be finite, got {arrival}"
             )
-        if self._records and arrival < self._records[-1][0]:
+        records = self._records
+        if records and arrival < records[-1][0]:
             raise ConfigurationError(
                 f"staged arrival {arrival} precedes the last staged "
-                f"arrival {self._records[-1][0]}; stage in order"
+                f"arrival {records[-1][0]}; stage in order"
             )
-        if size is not None and not (size > 0 and math.isfinite(size)):
-            raise ConfigurationError(
-                f"size must be positive and finite, got {size}"
-            )
-        self._records.append((arrival, None if size is None else float(size)))
+        if size is not None:
+            if not (size > 0 and math.isfinite(size)):
+                raise ConfigurationError(
+                    f"size must be positive and finite, got {size}"
+                )
+            size = float(size)
+        records.append((arrival, size))
         if self._started and not self._armed:
             self._schedule_next()
-        return len(self._records) - 1
+        return len(records) - 1
 
     def stage_workload(self, workload: Workload) -> None:
         """Stage every arrival of ``workload`` (sizes included)."""
@@ -139,29 +143,35 @@ class StagedSource:
             self._schedule_next()
 
     def _schedule_next(self) -> None:
-        if self._next >= len(self._records):
-            return
-        t = max(float(self._records[self._next][0]), self.sim.now)
-        self.sim.schedule(t, self._fire, priority=PRIORITY_ARRIVAL)
-        self._armed = True
+        """Arm the next record, at its arrival or now if that is later."""
+        index = self._next
+        if index < len(self._records):
+            arrival = self._records[index][0]
+            now = self.sim.now
+            # ``max(arrival, now)``: the arrival itself on a tie.
+            self.sim.schedule(
+                now if now > arrival else arrival, self._fire, PRIORITY_ARRIVAL
+            )
+            self._armed = True
+        else:
+            self._armed = False
 
     def _fire(self) -> None:
         index = self._next
         arrival, size = self._records[index]
         if size is None:
             request = Request(
-                arrival=float(arrival), index=index, client_id=self.client_id
+                arrival=arrival, index=index, client_id=self.client_id
             )
         else:
             request = Request(
-                arrival=float(arrival),
+                arrival=arrival,
                 index=index,
                 client_id=self.client_id,
-                service_demand=float(size),
+                service_demand=size,
             )
         self.requests.append(request)
-        self._next += 1
-        self._armed = False
+        self._next = index + 1
         # Mirror WorkloadSource: arm the next arrival before delivering
         # this one so a synchronously-draining sink cannot starve us.
         self._schedule_next()
@@ -363,7 +373,9 @@ class ServiceHarness:
                 metrics=metrics,
             )
         self.autoscaler = autoscaler
-        self.source = StagedSource(self.sim, self._gate(), on_request=self._on_request)
+        # The harness is the source's sink: staged requests take the
+        # same gate (``on_arrival``) as a closed-loop population's.
+        self.source = StagedSource(self.sim, self)
         self.delivered: list[Request] = []
         self.rejected: list[Request] = []
         self.violations: list[str] = []
@@ -372,6 +384,7 @@ class ServiceHarness:
         self.controller: AdaptiveShaper | None = None
         self._started = False
         registry = metrics if metrics is not None else NULL_REGISTRY
+        self._observed = registry.enabled
         self._m_ingested = registry.counter("serve.ingested")
         self._m_delivered = registry.counter("serve.delivered")
         self._m_rejected = registry.counter("serve.rejected")
@@ -530,53 +543,47 @@ class ServiceHarness:
     # Ingestion and delivery (predict-then-verify)
     # ------------------------------------------------------------------
 
-    def _gate(self):
-        harness = self
-
-        class _Gate:
-            def on_arrival(self, request: Request) -> None:
-                harness._deliver(request)
-
-        return _Gate()
-
-    def _on_request(self, request: Request) -> None:
-        self._m_ingested.inc()
+    # Public sink surface: staged requests arrive here, and so do the
+    # externally-built requests of a closed-loop population
+    # (repro.sim.source.ClosedLoopSource) the harness serves as sink.
+    def on_arrival(self, request: Request) -> None:
+        if self._observed:
+            self._m_ingested.inc()
         if self.autoscaler is not None:
             self.autoscaler.observe(request)
         if self._user_on_request is not None:
             self._user_on_request(request)
+        self._deliver(request)
 
     def _deliver(self, request: Request) -> None:
-        decision = self.admission_service.decide(request)
-        if not decision.serves:
+        verdict = self.admission_service.decide(request).verdict
+        if verdict is Verdict.REJECT:
             self.rejected.append(request)
-            self._m_rejected.inc()
+            if self._observed:
+                self._m_rejected.inc()
             return
         self.delivered.append(request)
-        self._m_delivered.inc()
+        if self._observed:
+            self._m_delivered.inc()
         clf = self.classifier
-        if clf is not None and decision.verdict in (Verdict.ADMIT, Verdict.DEMOTE):
-            before = (clf.n_primary, clf.n_overflow)
+        if clf is None or verdict is Verdict.PASS:
             self.system.on_arrival(request)
-            moved = (clf.n_primary - before[0], clf.n_overflow - before[1])
-            expected = (1, 0) if decision.verdict is Verdict.ADMIT else (0, 1)
-            if moved != expected:
-                self.violations.append(
-                    f"request {request.index} at t={request.arrival:g}: "
-                    f"predicted {decision.verdict.value}, classifier moved "
-                    f"(primary, overflow) by {moved}"
-                )
-                self._m_violations.inc()
+            return
+        primary, overflow = clf.n_primary, clf.n_overflow
+        self.system.on_arrival(request)
+        if verdict is Verdict.ADMIT:
+            kept = clf.n_primary == primary + 1 and clf.n_overflow == overflow
         else:
-            self.system.on_arrival(request)
-
-    # Public sink surface: the harness itself can serve as the sink of a
-    # closed-loop population (repro.sim.source.ClosedLoopSource), whose
-    # externally-built requests then flow through the same admission
-    # gate as staged ones.
-    def on_arrival(self, request: Request) -> None:
-        self._on_request(request)
-        self._deliver(request)
+            kept = clf.n_primary == primary and clf.n_overflow == overflow + 1
+        if not kept:
+            moved = (clf.n_primary - primary, clf.n_overflow - overflow)
+            self.violations.append(
+                f"request {request.index} at t={request.arrival:g}: "
+                f"predicted {verdict.value}, classifier moved "
+                f"(primary, overflow) by {moved}"
+            )
+            if self._observed:
+                self._m_violations.inc()
 
     def add_completion_hook(self, hook) -> None:
         self.system.add_completion_hook(hook)
@@ -706,17 +713,12 @@ class ServiceHarness:
         appear in any terminal bucket).
         """
         system = self.system
+        # A topology builds these lists afresh on every read.
+        completed, dropped, shed = system.completed, system.dropped, system.shed
         conservation = assert_conservation(
-            self.delivered,
-            system.completed,
-            dropped=system.dropped,
-            shed=system.shed,
+            self.delivered, completed, dropped=dropped, shed=shed
         )
-        terminal_ids = (
-            {id(r) for r in system.completed}
-            | {id(r) for r in system.dropped}
-            | {id(r) for r in system.shed}
-        )
+        terminal_ids = set(map(id, chain(completed, dropped, shed)))
         for request in self.rejected:
             if id(request) in terminal_ids:
                 raise SimulationError(
@@ -725,7 +727,7 @@ class ServiceHarness:
         n = len(self.source.requests)
         responses = np.full(n, np.nan, dtype=np.float64)
         admitted = np.zeros(n, dtype=bool)
-        for request in system.completed:
+        for request in completed:
             # The same single float op the batch engine uses; adding
             # arrival back would reassociate and cost bit-parity.
             responses[request.index] = request.completion - request.arrival
@@ -757,9 +759,9 @@ class ServiceHarness:
             overflow=overflow,
             primary_misses=system.primary_deadline_misses(),
             ledger=dict(system.fault_ledger()),
-            completed=list(system.completed),
-            dropped=list(system.dropped),
-            shed=list(system.shed),
+            completed=list(completed),
+            dropped=list(dropped),
+            shed=list(shed),
             rejected=list(self.rejected),
             violations=tuple(self.violations),
             decisions={

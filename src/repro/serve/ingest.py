@@ -57,6 +57,16 @@ MAX_LEAD = 3600.0
 MIN_SIZE = 2.0**-20
 MAX_SIZE = 2.0**20
 
+#: The scanner ``json.loads`` runs (the default decoder's), without the
+#: per-call checks around it. A stripped line it reads to the end holds
+#: one whole JSON value, which ``json.loads`` would return unchanged.
+_scan = json.JSONDecoder().scan_once
+
+#: The fields a line may carry.
+_FIELDS = frozenset(("arrival", "size"))
+#: The types of a JSON number.
+_NUMBER = (int, float)
+
 
 class IngestServer:
     """Front door of the serving plane.
@@ -72,7 +82,8 @@ class IngestServer:
 
     def __init__(self, harness: ServiceHarness, clock=None):
         self.harness = harness
-        self._clock = clock if clock is not None else (lambda: harness.sim.now)
+        #: ``None``: the harness's virtual clock.
+        self._clock = clock
         self._last = 0.0
         self._server: asyncio.AbstractServer | None = None
         self.accepted = 0
@@ -85,7 +96,12 @@ class IngestServer:
     def submit(self, arrival: float | None = None, size: float | None = None) -> dict:
         """Stage one request; returns the response object."""
         # Clamp forward to here: monotone staging is the source's contract.
-        floor = max(self._last, float(self._clock()))
+        clock = self._clock
+        now = float(self.harness.sim.now if clock is None else clock())
+        last = self._last
+        # ``max(last, now)``, and ``max(requested, floor)`` below: the
+        # first argument on a tie, so a -0.0 arrival stages as -0.0.
+        floor = now if now > last else last
         try:
             stamped = floor
             if arrival is not None:
@@ -95,7 +111,7 @@ class IngestServer:
                         f"arrival {requested:g} lies more than {MAX_LEAD:g} s "
                         f"past the endpoint's clock ({floor:g})"
                     )
-                stamped = max(requested, floor)
+                stamped = floor if floor > requested else requested
             if size is not None:
                 size = _finite("size", size)
                 if not MIN_SIZE <= size <= MAX_SIZE:
@@ -118,27 +134,36 @@ class IngestServer:
             self.malformed += 1
             return {"ok": False, "error": "empty line"}
         try:
-            payload = json.loads(line)
-        except ValueError as exc:
-            self.malformed += 1
-            return {"ok": False, "error": f"bad JSON: {exc}"}
+            payload, end = _scan(line, 0)
+        except (StopIteration, ValueError, TypeError):
+            end = -1
+        if end != len(line):
+            # Anything else takes json.loads itself: its message for a
+            # byte-order mark or trailing data, its decoding of bytes.
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:
+                self.malformed += 1
+                return {"ok": False, "error": f"bad JSON: {exc}"}
         if not isinstance(payload, dict):
             self.malformed += 1
             return {"ok": False, "error": "expected a JSON object"}
-        unknown = set(payload) - {"arrival", "size"}
-        if unknown:
+        if not _FIELDS.issuperset(payload):
             self.malformed += 1
-            return {"ok": False, "error": f"unknown fields {sorted(unknown)}"}
+            unknown = sorted(set(payload) - _FIELDS)
+            return {"ok": False, "error": f"unknown fields {unknown}"}
         arrival = payload.get("arrival")
         size = payload.get("size")
-        for name, value in (("arrival", arrival), ("size", size)):
-            # JSON true/false parse to bool, an int subclass: not a number.
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                self.malformed += 1
-                return {"ok": False, "error": f"{name} must be a number"}
-        return self.submit(arrival=arrival, size=size)
+        # JSON true/false parse to bool, an int subclass: not a number.
+        # JSON values are of the exact built-in types, so the type of a
+        # bool is not in _NUMBER.
+        if arrival is not None and type(arrival) not in _NUMBER:
+            self.malformed += 1
+            return {"ok": False, "error": "arrival must be a number"}
+        if size is not None and type(size) not in _NUMBER:
+            self.malformed += 1
+            return {"ok": False, "error": "size must be a number"}
+        return self.submit(arrival, size)
 
     # ------------------------------------------------------------------
     # TCP endpoint

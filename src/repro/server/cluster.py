@@ -295,6 +295,10 @@ class SplitSystem(TopologySystem):
             delta,
         )
         self.primary_driver, self.overflow_driver = self.drivers
+        # Bound once: every arrival reads both servers' ``down`` flags.
+        self._primary_server = self.primary_driver.server
+        self._overflow_server = self.overflow_driver.server
+        self._observed = self.metrics.enabled
         self._m_routed_q1 = self.metrics.counter("split.routed_q1")
         self._m_routed_q2 = self.metrics.counter("split.routed_q2")
         self._m_failovers = self.metrics.counter("split.failovers")
@@ -303,11 +307,7 @@ class SplitSystem(TopologySystem):
     @property
     def servers(self) -> list[Server]:
         """Both backing servers, primary first (fault-injection targets)."""
-        return [self.primary_driver.server, self.overflow_driver.server]
-
-    @staticmethod
-    def _down(driver: DeviceDriver) -> bool:
-        return getattr(driver.server, "down", False)
+        return [self._primary_server, self._overflow_server]
 
     def on_arrival(self, request: Request) -> None:
         """Classify, then route to the class's dedicated server.
@@ -318,9 +318,13 @@ class SplitSystem(TopologySystem):
         both servers down, the request queues at its dedicated driver
         and waits for repair.
         """
+        primary, overflow = self._primary_server, self._overflow_server
         if self.route(request) == PRIMARY_SIDE:
-            self._m_routed_q1.inc()
-            if self._down(self.primary_driver) and not self._down(self.overflow_driver):
+            if self._observed:
+                self._m_routed_q1.inc()
+            if getattr(primary, "down", False) and not getattr(
+                overflow, "down", False
+            ):
                 self.failovers += 1
                 self._m_failovers.inc()
                 self.classifier.on_completion(request)
@@ -329,8 +333,11 @@ class SplitSystem(TopologySystem):
             else:
                 self.primary_driver.on_arrival(request)
         else:
-            self._m_routed_q2.inc()
-            if self._down(self.overflow_driver) and not self._down(self.primary_driver):
+            if self._observed:
+                self._m_routed_q2.inc()
+            if getattr(overflow, "down", False) and not getattr(
+                primary, "down", False
+            ):
                 self.failovers += 1
                 self._m_failovers.inc()
                 self.primary_driver.on_arrival(request)

@@ -113,6 +113,66 @@ class TestPerRequestDifferential:
             if decision.verdict is Verdict.DEMOTE:
                 assert decision.len_q1 == limit
 
+    def test_reason_renders_the_state_the_decision_saw(self):
+        from repro.core.request import Request
+        from repro.sched.classifier import OnlineRTTClassifier
+        from repro.server.aqm import InflightWindow
+
+        classifier = OnlineRTTClassifier(CMIN, DELTA)  # bound 2
+        window = InflightWindow(depth=1)
+        service = AdmissionService(
+            classifier=classifier, window=window, reject_on_overload=True
+        )
+        admit = service.decide(Request(arrival=0.0, index=0))
+        assert admit.reason == "lenQ1 0 fits the C*delta bound 2"
+        for index in (1, 2):
+            classifier.classify(Request(arrival=0.0, index=index))
+        demote = service.decide(Request(arrival=0.0, index=3))
+        assert demote.reason == (
+            "guaranteed class full (lenQ1 2 at bound 2): overflow"
+        )
+        window.on_enter(Request(arrival=0.0, index=4), 0.0)
+        reject = service.decide(Request(arrival=0.0, index=5))
+        assert (reject.verdict, reject.window_occupancy) == (Verdict.REJECT, 1)
+        assert reject.reason == (
+            "guaranteed class full and the device window is saturated "
+            "(1 in flight)"
+        )
+        work = AdmissionService(
+            classifier=OnlineRTTClassifier(CMIN, DELTA, mode="work")
+        )
+        sized = work.decide(Request(arrival=0.0, index=0, service_demand=0.5))
+        assert sized.reason == "admitted work 0 + 0.5 fits the work bound"
+        passed = AdmissionService().decide(Request(arrival=0.0, index=0))
+        assert passed.reason == (
+            "classifier-free policy: requests are not classified"
+        )
+        assert service.decided == {
+            Verdict.ADMIT: 1, Verdict.DEMOTE: 1, Verdict.REJECT: 1, Verdict.PASS: 0
+        }
+
+    def test_a_wrong_prediction_is_a_violation(self, bursty):
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        harness = ServiceHarness("split", CMIN, DELTA_C, DELTA, metrics=registry)
+        original = harness.admission_service.decide
+
+        def demote_every_admit(request):
+            decision = original(request)
+            if decision.verdict is Verdict.ADMIT:
+                return decision._replace(verdict=Verdict.DEMOTE)
+            return decision
+
+        harness.admission_service.decide = demote_every_admit
+        served = harness.replay(bursty)
+        assert len(served.violations) == served.decisions["admit"] > 0
+        assert served.violations[0] == (
+            f"request 0 at t={bursty.arrivals[0]:g}: predicted demote, "
+            "classifier moved (primary, overflow) by (1, 0)"
+        )
+        assert registry.value("serve.violations") == len(served.violations)
+
 
 class TestClientDifferential:
     @pytest.mark.parametrize("worst_case", [False, True])

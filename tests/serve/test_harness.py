@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -16,11 +18,14 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import random_schedule
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
+    AutoscalerConfig,
+    IngestServer,
     Node,
     PlacementPlanner,
     ServiceHarness,
     StagedSource,
 )
+from repro.shaping import WorkloadShaper
 from repro.sim.engine import Simulator
 from repro.sim.source import ClosedLoopSource
 from repro.traces import library
@@ -282,6 +287,70 @@ class TestRejectPath:
         assert terminal + len(served.rejected) == len(storm)
         assert math.isnan(
             served.responses[served.rejected[0].index]
+        )
+
+
+class TestChaosConfigurationPinned:
+    """The benchmark's chaos-serve stack, pinned bit for bit.
+
+    The parity replays need the pure-observer admission service, so
+    this is the one test that pins what the reject path, CoDel, retries,
+    failover and the adaptive controller serve together: a short
+    WebSearch trace through the JSON-lines endpoint, as perfbench's
+    chaos-serve feeds its 300 s one.
+    """
+
+    def test_reject_path_output_is_pinned(self):
+        delta, seed = 0.050, 5
+        workload = library.websearch(duration=20.0, seed=seed)
+        plan = WorkloadShaper(delta=delta, fraction=0.95).plan(workload)
+        harness = ServiceHarness(
+            "split",
+            plan.cmin,
+            plan.delta_c,
+            delta,
+            aqm="codel",
+            reject_on_overload=True,
+            autoscaler=AutoscalerConfig(
+                interval=1.0, window=5.0, cmin_floor=plan.cmin, mode="shadow"
+            ),
+            faults=random_schedule(
+                seed,
+                horizon=workload.duration,
+                crashes=3,
+                droops=3,
+                storms=3,
+                units=1,
+                max_crash_fraction=1e-4,
+                max_factor=2.0,
+            ),
+            retry=RetryPolicy(
+                timeout_q1=10 * delta,
+                timeout_q2=40 * delta,
+                max_retries=3,
+                backoff_base=delta / 2,
+            ),
+            adaptive=True,
+            seed=seed,
+        )
+        ingest = IngestServer(harness)
+        for arrival in workload.arrivals:
+            assert ingest.handle_line(json.dumps({"arrival": float(arrival)}))["ok"]
+        result = harness.run(chunks=4)
+        assert result.violations == ()
+        assert result.ledger == {
+            "completed": 6447, "dropped": 0, "shed": 0, "window": 0
+        }
+        assert result.decisions == {
+            "admit": 6335, "demote": 112, "reject": 348, "pass": 0
+        }
+        assert len(result.rejected) == 348
+        assert result.failovers == 89
+        digest = hashlib.sha256(
+            result.responses.tobytes() + result.admitted.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "c4df68b966d9cad6677f52d07cab462cec9d22e0ac38f329f982bfc95dec96db"
         )
 
 

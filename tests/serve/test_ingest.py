@@ -5,12 +5,14 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import struct
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.exceptions import ConfigurationError
 from repro.faults.retry import RetryPolicy
 from repro.serve import IngestServer, ServiceHarness
 from repro.serve.autoscaler import AutoscalerConfig
@@ -237,3 +239,180 @@ class TestSocketEndpoint:
             await server.close()
 
         asyncio.run(drive())
+
+
+# ---------------------------------------------------------------------------
+# Differential: the endpoint against a plain reading of its protocol
+# ---------------------------------------------------------------------------
+
+
+def _reference_finite(name: str, value) -> float:
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {number}")
+    return number
+
+
+class _ReferenceIngest:
+    """The protocol read plainly: ``handle_line``, ``submit``, ``stage``.
+
+    ``json.loads``, ``max`` and a loop over the fields, with the same
+    checks and messages; staged records are kept in ``records``. The
+    endpoint must answer every line as this does and stage the same
+    records, bit for bit.
+    """
+
+    def __init__(self, clock):
+        self._clock = clock
+        self._last = 0.0
+        self.records: list[tuple[float, float | None]] = []
+
+    def stage(self, arrival, size=None) -> int:
+        arrival = float(arrival)
+        if not math.isfinite(arrival):
+            raise ConfigurationError(
+                f"staged arrival must be finite, got {arrival}"
+            )
+        if self.records and arrival < self.records[-1][0]:
+            raise ConfigurationError(
+                f"staged arrival {arrival} precedes the last staged "
+                f"arrival {self.records[-1][0]}; stage in order"
+            )
+        if size is not None and not (size > 0 and math.isfinite(size)):
+            raise ConfigurationError(
+                f"size must be positive and finite, got {size}"
+            )
+        self.records.append((arrival, None if size is None else float(size)))
+        return len(self.records) - 1
+
+    def submit(self, arrival=None, size=None) -> dict:
+        floor = max(self._last, float(self._clock()))
+        try:
+            stamped = floor
+            if arrival is not None:
+                requested = _reference_finite("arrival", arrival)
+                if requested > floor + MAX_LEAD:
+                    raise ConfigurationError(
+                        f"arrival {requested:g} lies more than {MAX_LEAD:g} s "
+                        f"past the endpoint's clock ({floor:g})"
+                    )
+                stamped = max(requested, floor)
+            if size is not None:
+                size = _reference_finite("size", size)
+                if not MIN_SIZE <= size <= MAX_SIZE:
+                    raise ConfigurationError(
+                        f"size must be positive, within [{MIN_SIZE:g}, "
+                        f"{MAX_SIZE:g}], got {size:g}"
+                    )
+            index = self.stage(stamped, size)
+        except ConfigurationError as exc:
+            return {"ok": False, "error": str(exc)}
+        self._last = stamped
+        return {"ok": True, "index": index, "arrival": stamped}
+
+    def handle_line(self, line: str) -> dict:
+        line = line.strip()
+        if not line:
+            return {"ok": False, "error": "empty line"}
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:
+            return {"ok": False, "error": f"bad JSON: {exc}"}
+        if not isinstance(payload, dict):
+            return {"ok": False, "error": "expected a JSON object"}
+        unknown = set(payload) - {"arrival", "size"}
+        if unknown:
+            return {"ok": False, "error": f"unknown fields {sorted(unknown)}"}
+        arrival = payload.get("arrival")
+        size = payload.get("size")
+        for name, value in (("arrival", arrival), ("size", size)):
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                return {"ok": False, "error": f"{name} must be a number"}
+        return self.submit(arrival=arrival, size=size)
+
+
+def _bits(record: tuple) -> tuple:
+    """A staged record by type and IEEE bit pattern (-0.0 is not 0.0)."""
+    return tuple(
+        None if x is None else (type(x).__name__, struct.pack("<d", x))
+        for x in record
+    )
+
+
+#: Numbers on the edges of the float conversion: integers beyond the
+#: float range, next to ordinary values.
+_EDGE_NUMBERS = st.sampled_from(
+    [0, 1, 1.0, 2**1024, -(2**1024), 10**400, -(10**400)]
+) | st.floats(min_value=-2.0, max_value=8.0)
+#: Signed zeros: at a 0.0 floor, ``max`` keeps its first argument on a
+#: tie, so a -0.0 arrival stages as -0.0.
+_SIGNED_ZERO_LINES = st.sampled_from(
+    [
+        '{"arrival": -0.0}',
+        '{"arrival": 0.0}',
+        '{"arrival": -0}',
+        '{"arrival": -0.0, "size": 1.0}',
+        '{"size": -0.0}',
+    ]
+)
+#: Lines JSON-encoding leaves out: a byte-order mark, trailing data,
+#: white space around a value, a repeated key.
+_RAW_LINES = st.sampled_from(
+    [
+        '\ufeff{"arrival": 1.0}',
+        '{"arrival": 1.0} x',
+        '{"arrival": 1.0}{}',
+        '{"arrival": 1.0}\t\n',
+        ' \x0b{"arrival": 2.5, "size": 1}\r',
+        '{"arrival": 1.0, "arrival": 3.0}',
+        '{"arrival": true}',
+        '{"size": 1e400}',
+        '{"arrival": 1} // note',
+        "NaN",
+        "[{}]",
+    ]
+)
+_DIFFERENTIAL_LINES = (
+    _LINES
+    | st.fixed_dictionaries(
+        {}, optional={"arrival": _EDGE_NUMBERS, "size": _EDGE_NUMBERS}
+    ).map(json.dumps)
+    | _SIGNED_ZERO_LINES
+    | _RAW_LINES
+)
+
+
+class TestReferenceDifferential:
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.0, 0.5, 3.0, MAX_LEAD]),
+                _DIFFERENTIAL_LINES,
+            ),
+            max_size=12,
+        )
+    )
+    @example(steps=[(0.0, '{"arrival": -0.0}')])
+    @example(steps=[(0.0, '{"arrival": 1.0}'), (0.0, '{"size": true}')])
+    @example(steps=[(2.0, '{"arrival": 1.5}'), (0.0, '{"arrival": 1.0} x')])
+    def test_replies_and_records_match_line_for_line(self, steps):
+        harness = _plain_harness()
+        server = IngestServer(harness)
+        reference = _ReferenceIngest(clock=lambda: harness.sim.now)
+        for advance, line in steps:
+            if advance:
+                # An unstarted harness: the clock moves, nothing fires.
+                harness.sim.run(until=harness.sim.now + advance)
+            # repr tells -0.0 from 0.0 and an int from a float.
+            assert repr(server.handle_line(line)) == repr(
+                reference.handle_line(line)
+            )
+        staged = harness.source._records
+        assert [_bits(r) for r in staged] == [_bits(r) for r in reference.records]
+        assert server.accepted == len(staged)
+        assert server.accepted + server.malformed == len(steps)
