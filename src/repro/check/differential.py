@@ -36,17 +36,15 @@ from ..core.rtt import decompose, decompose_exact, decompose_fluid
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..perf import kernels, scalar
-from ..sched.registry import ALL_POLICIES, SINGLE_SERVER_POLICIES, make_scheduler
+from ..sched.registry import ALL_POLICIES, make_scheduler
 from ..server.base import Server
-from ..server.cluster import SplitSystem
-from ..server.sizesplit import SizeSplitSystem
 from ..server.constant_rate import ConstantRateModel, constant_rate_server
 from ..server.disk import DiskModel, DiskParameters
 from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from ..sim.stats import ResponseTimeCollector
 from ..server.driver import DeviceDriver, DirectRun, serve_direct
-from ..shaping import RunConfig, _direct_stack, run_policy
+from ..shaping import RunConfig, build_stack, check_policy, run_policy
 from .invariants import CheckingScheduler, Violation
 from .oracle import DEFAULT_TIE_TOLERANCE
 
@@ -430,14 +428,7 @@ class EngineParityReport:
         return "engine parity VIOLATED: " + "; ".join(self.divergences)
 
 
-def _event_loop_system(
-    feed,
-    policy: str,
-    cmin: float,
-    delta_c: float,
-    delta: float,
-    admission: str = "count",
-):
+def _event_loop_system(feed, policy: str, config: RunConfig):
     """The event-loop stack for ``policy``, run over ``feed``; returns
     the system and its source.
 
@@ -446,14 +437,7 @@ def _event_loop_system(
     by a ``ClosedLoopSource`` as ``run_closed_loop`` serves it.
     """
     sim = Simulator()
-    if policy == "split":
-        system = SplitSystem(sim, cmin, delta_c, delta, admission=admission)
-    elif policy == "splitfarm":
-        system = SizeSplitSystem(sim, cmin, delta_c, delta, admission=admission)
-    else:
-        scheduler = make_scheduler(policy, cmin, delta_c, delta, admission=admission)
-        server = constant_rate_server(sim, cmin + delta_c, name=policy)
-        system = DeviceDriver(sim, server, scheduler)
+    system = build_stack(policy, config, sim).system
     if isinstance(feed, Workload):
         source = WorkloadSource(sim, feed, system)
     else:
@@ -467,7 +451,7 @@ def _scalar_columns(
     workload: Workload, policy: str, cmin: float, delta_c: float, delta: float
 ):
     """Event-engine run returning per-index columns + conservation ledger."""
-    system, _ = _event_loop_system(workload, policy, cmin, delta_c, delta)
+    system, _ = _event_loop_system(workload, policy, RunConfig(cmin, delta_c, delta))
     # Per-index *response* columns: ``completion - arrival`` is the same
     # float operation the batch engine applies to its completion columns,
     # so the comparison stays bit-faithful (re-adding the arrival would
@@ -617,12 +601,9 @@ def _direct_parity(
     (under which ``auto`` takes fcfs and split to the direct loop too)
     is certified the same way.
     """
-    reference, _ = _event_loop_system(
-        workload, policy, cmin, delta_c, delta, admission
-    )
-    sides, route = _direct_stack(
-        policy, RunConfig(cmin, delta_c, delta, admission=admission)
-    )
+    config = RunConfig(cmin, delta_c, delta, admission=admission)
+    reference, _ = _event_loop_system(workload, policy, config)
+    sides, route = build_stack(policy, config)
     run = serve_direct(workload, *sides, route=route)
     expected = len(workload)
     if run.completed != expected or len(reference.completed) != expected:
@@ -713,13 +694,10 @@ def closed_loop_parity(
         "seed": seed,
         "demand_sampler": demand_sampler,
     }
-    reference, source = _event_loop_system(
-        users, policy, cmin, delta_c, delta, admission
-    )
+    config = RunConfig(cmin, delta_c, delta, admission=admission)
+    reference, source = _event_loop_system(users, policy, config)
     population = ClosedLoopPopulation(**users)
-    sides, route = _direct_stack(
-        policy, RunConfig(cmin, delta_c, delta, admission=admission)
-    )
+    sides, route = build_stack(policy, config)
     run = serve_direct(population, *sides, route=route)
     label = f"closed-loop {policy}"
     problems: list[str] = []
@@ -951,13 +929,11 @@ def run_checked(
     (every completion on the small partition had demand at or below the
     threshold, every large-side completion above it).
     """
-    if cmin <= 0 or delta_c < 0 or delta <= 0:
-        raise ConfigurationError(
-            f"bad configuration: cmin={cmin}, delta_c={delta_c}, delta={delta}"
-        )
+    config = RunConfig(cmin, delta_c, delta)
+    check_policy(policy, config)
     violations: list[Violation] = []
     if policy == "split":
-        result = run_policy(workload, policy, cmin, delta_c, delta)
+        result = run_policy(workload, policy, config=config)
         if result.primary_misses:
             violations.append(
                 Violation(
@@ -984,7 +960,7 @@ def run_checked(
         )
     if policy == "splitfarm":
         sim = Simulator()
-        system = SizeSplitSystem(sim, cmin, delta_c, delta)
+        system = build_stack(policy, config, sim).system
         WorkloadSource(sim, workload, system).start()
         sim.run()
         ledger = system.fault_ledger()
@@ -1036,8 +1012,6 @@ def run_checked(
             p99_response=system.overall.percentile(99),
             violations=tuple(violations),
         )
-    if policy not in SINGLE_SERVER_POLICIES:
-        raise ConfigurationError(f"unknown policy {policy!r}")
     sim = Simulator()
     checker = CheckingScheduler(make_scheduler(policy, cmin, delta_c, delta))
     server = constant_rate_server(sim, cmin + delta_c, name=policy)

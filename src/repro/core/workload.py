@@ -41,6 +41,8 @@ def _as_sizes(sizes, n: int) -> Optional[np.ndarray]:
         raise WorkloadError(
             f"sizes length {array.size} does not match {n} arrivals"
         )
+    if array.size and not np.isfinite(array).all():
+        raise WorkloadError("sizes must be finite (no NaN or infinity)")
     if array.size and array.min() <= 0:
         raise WorkloadError("sizes must be positive")
     array.flags.writeable = False
@@ -77,6 +79,10 @@ class Workload:
         array = np.asarray(arrivals, dtype=np.float64)
         if array.ndim != 1:
             raise WorkloadError(f"arrivals must be 1-D, got shape {array.shape}")
+        # NaN passes both checks below, so every engine would then read
+        # it differently (a NaN mean, a miss, or an event-time error).
+        if array.size and not np.isfinite(array).all():
+            raise WorkloadError("arrivals must be finite (no NaN or infinity)")
         if array.size and array[0] < 0:
             raise WorkloadError(f"arrivals must be non-negative, first is {array[0]}")
         if array.size > 1 and np.any(np.diff(array) < 0):

@@ -30,7 +30,29 @@ from ..exceptions import ConfigurationError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..obs.sampler import Sampler
 from ..sched.classifier import OnlineRTTClassifier
+from ..sched.registry import CLASSIFIER_FREE_POLICIES
 from ..server.driver import DeviceDriver
+
+
+def adaptive_refusal(policy: str) -> str | None:
+    """Why the controller cannot steer ``policy``; ``None`` when it can.
+
+    Every fault-plane entry point refuses ``adaptive=True`` with this
+    message, and :func:`~repro.faults.harness.run_chaos` turns adaptive
+    control on wherever it is ``None``.
+    """
+    if policy == "splitfarm":
+        return (
+            "adaptive control is not supported for splitfarm: Q1 "
+            "completions span both size partitions, so no single driver "
+            "carries the controller's inputs"
+        )
+    if policy in CLASSIFIER_FREE_POLICIES:
+        return (
+            f"policy {policy!r} has no admission bound to adapt (use a "
+            "classifying policy or adaptive=False)"
+        )
+    return None
 
 
 @dataclass(frozen=True)

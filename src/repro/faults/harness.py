@@ -1,21 +1,23 @@
 """Fault-tolerant serving harness: `run_policy` for a world that breaks.
 
 :func:`run_resilient` mirrors :func:`repro.shaping.run_policy` — same
-capacity allocation, same policies — but builds the stack from
-crash-capable parts: a :class:`~repro.faults.server.FaultableServer`
-(or two, for Split) behind a :class:`~repro.faults.injector.
-FaultyModel`, a :class:`~repro.faults.injector.FaultInjector` turning
-the :class:`~repro.faults.schedule.FaultSchedule` into simulator
-events, optional driver-level timeout/retry, and an optional
+capacity allocation, same policies, the same stack from
+:func:`repro.shaping.build_stack` — but with crash-capable units
+(:func:`~repro.faults.injector.faulty_units`: a
+:class:`~repro.faults.server.FaultableServer` behind a
+:class:`~repro.faults.injector.FaultyModel`, one per unit), a
+:class:`~repro.faults.injector.FaultInjector` turning the
+:class:`~repro.faults.schedule.FaultSchedule` into simulator events,
+optional driver-level timeout/retry, and an optional
 :class:`~repro.faults.controller.AdaptiveShaper` closing the loop from
 miss rate back to ``maxQ1``.  After every run the conservation
 invariant is asserted: each arrival completed, was shed, or was dropped
 exactly once.
 
 With an empty schedule, no retry policy, and no controller, the run is
-bit-identical to :func:`run_policy` on the same workload — the chaos
-machinery is structurally dormant (``benchmarks/bench_faults.py`` keeps
-the <5% overhead promise honest).
+bit-identical to :func:`run_policy` on the same workload and admission
+mode — the chaos machinery is structurally dormant
+(``benchmarks/bench_faults.py`` keeps the <5% overhead promise honest).
 
 :func:`run_chaos` derives a randomized schedule from a seed and runs
 the full resilient stack — the unit of the chaos suite in CI.
@@ -30,63 +32,30 @@ from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry
 from ..obs.sampler import Sampler, attach_standard_probes
-from ..sched.registry import (
-    CLASSIFIER_FREE_POLICIES,
-    SINGLE_SERVER_POLICIES,
-    make_scheduler,
-)
-from ..server.aqm import make_window, resolve_aqm
-from ..server.cluster import SplitSystem
-from ..server.constant_rate import ConstantRateModel
-from ..server.driver import DeviceDriver
-from ..server.farm import ServerFarm
-from ..server.sizesplit import SizeSplitSystem
+from ..server.aqm import resolve_aqm
+from ..shaping import RunConfig, build_stack, class_results
 from ..sim.engine import Simulator
-from ..sim.rng import derive_seed
 from ..sim.source import WorkloadSource
 from ..sim.stats import ResponseTimeCollector
-from .controller import AdaptiveShaper, ControllerConfig
-from .injector import FaultInjector, FaultState, FaultyModel
+from .controller import AdaptiveShaper, ControllerConfig, adaptive_refusal
+from .injector import FaultInjector, FaultState, faulty_units
 from .invariants import ConservationReport, assert_conservation
 from .retry import RetryPolicy
 from .schedule import FaultSchedule, random_schedule
-from .server import FaultableServer
 
 #: Policies the resilience experiment compares (the paper's four
 #: recombiners; the classifier-free FCFS baseline cannot adapt).
 RESILIENCE_POLICIES = ("fcfs", "split", "fairqueue", "miser")
 
 
-@dataclass(frozen=True)
-class ResilientRunResult:
-    """Outcome of one fault-injected (or healthy-baseline) run."""
+class DeadlineCompliance:
+    """The deadline metrics of a fault-plane run's result.
 
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    schedule: FaultSchedule
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    completed: list = field(repr=False, default_factory=list)
-    dropped: list = field(repr=False, default_factory=list)
-    shed: list = field(repr=False, default_factory=list)
-    primary_misses: int = 0
-    demotions: int = 0
-    failovers: int = 0
-    conservation: ConservationReport | None = None
-    #: Controller stats when adaptive shaping ran (else None).
-    degrades: int | None = None
-    recoveries: int | None = None
-    final_limit: int | None = None
-    samples: list = field(repr=False, default_factory=list)
-    #: AQM window policy the stack ran with (``None`` = no window).
-    aqm: str | None = None
-    #: Final window statistics (``snapshot()`` dict(s)); ``None`` when
-    #: no window was armed.
-    window: dict | None = None
+    Shared by :class:`ResilientRunResult` and
+    :class:`~repro.serve.harness.ServeRunResult`, which carry the
+    ``delta``, ``overall``, ``primary``, ``primary_misses`` and
+    ``completed`` it reads.
+    """
 
     def fraction_within(self, bound: float | None = None) -> float:
         return self.overall.fraction_within(self.delta if bound is None else bound)
@@ -123,6 +92,38 @@ class ResilientRunResult:
         return float("nan")
 
 
+@dataclass(frozen=True)
+class ResilientRunResult(DeadlineCompliance):
+    """Outcome of one fault-injected (or healthy-baseline) run."""
+
+    policy: str
+    workload_name: str
+    cmin: float
+    delta_c: float
+    delta: float
+    schedule: FaultSchedule
+    overall: ResponseTimeCollector
+    primary: ResponseTimeCollector
+    overflow: ResponseTimeCollector
+    completed: list = field(repr=False, default_factory=list)
+    dropped: list = field(repr=False, default_factory=list)
+    shed: list = field(repr=False, default_factory=list)
+    primary_misses: int = 0
+    demotions: int = 0
+    failovers: int = 0
+    conservation: ConservationReport | None = None
+    #: Controller stats when adaptive shaping ran (else None).
+    degrades: int | None = None
+    recoveries: int | None = None
+    final_limit: int | None = None
+    samples: list = field(repr=False, default_factory=list)
+    #: AQM window policy the stack ran with (``None`` = no window).
+    aqm: str | None = None
+    #: Final window statistics (``snapshot()`` dict(s)); ``None`` when
+    #: no window was armed.
+    window: dict | None = None
+
+
 def run_resilient(
     workload: Workload,
     policy: str,
@@ -139,14 +140,18 @@ def run_resilient(
     metrics: MetricsRegistry | None = None,
     aqm: str | None = None,
     aqm_shared: bool = False,
+    admission: str = "count",
 ) -> ResilientRunResult:
     """Serve ``workload`` under ``policy`` on a fault-injected stack.
 
     Capacity allocation follows :func:`repro.shaping.run_policy`
-    (Section 4.3).  ``schedule`` drives the injector; ``retry`` arms the
-    driver's timeout/retry path; ``adaptive=True`` installs an
+    (Section 4.3), on :func:`repro.shaping.build_stack`'s stack.
+    ``schedule`` drives the injector; ``retry`` arms the driver's
+    timeout/retry path; ``adaptive=True`` installs an
     :class:`AdaptiveShaper` on the sampler cadence (``sample_interval``
-    defaults to ``delta`` when unset).  The conservation invariant is
+    defaults to ``delta`` when unset).  ``admission`` is the
+    classifier's mode, ``"count"`` or ``"work"``, as in
+    :class:`~repro.shaping.RunConfig`.  The conservation invariant is
     asserted before returning.
 
     ``aqm`` arms a driver-level in-flight window (:mod:`repro.server.
@@ -155,103 +160,34 @@ def run_resilient(
     of instantaneous requeue.  The ledger gains a ``window`` residency
     bucket, asserted drained (zero) at end of run.
     """
-    if cmin <= 0 or delta_c < 0 or delta <= 0:
-        raise ConfigurationError(
-            f"bad configuration: cmin={cmin}, delta_c={delta_c}, delta={delta}"
-        )
+    config = RunConfig(
+        cmin,
+        delta_c,
+        delta,
+        metrics=metrics,
+        admission=admission,
+        aqm=aqm,
+        aqm_shared=aqm_shared,
+    )
+    refusal = adaptive_refusal(policy) if adaptive else None
+    if refusal is not None:
+        raise ConfigurationError(refusal)
     schedule = schedule if schedule is not None else FaultSchedule()
     aqm = resolve_aqm(aqm)
     sim = Simulator()
     state = FaultState()
-
-    if policy == "split":
-        def factory(sim_, capacity, name):
-            return FaultableServer(
-                sim_,
-                FaultyModel(
-                    ConstantRateModel(capacity),
-                    state,
-                    seed=derive_seed(seed, "faults.server", name),
-                ),
-                name=name,
-                inflight=inflight,
-            )
-
-        system = SplitSystem(
-            sim, cmin, delta_c, delta,
-            metrics=metrics, server_factory=factory, retry=retry,
-            aqm=aqm, aqm_shared=aqm_shared,
-        )
-        servers = system.servers
-        loop_driver = system.primary_driver
-        shed_from = system.overflow_driver
-        classifier = system.classifier
-    elif policy == "splitfarm":
-        if adaptive:
-            raise ConfigurationError(
-                "adaptive control is not supported for splitfarm: Q1 "
-                "completions span both size partitions, so no single "
-                "driver carries the controller's inputs"
-            )
-
-        def farm_factory(sim_, capacity, units, name):
-            def unit_factory(s, model, name="unit"):
-                return FaultableServer(s, model, name=name, inflight=inflight)
-
-            models = [
-                FaultyModel(
-                    ConstantRateModel(capacity / units),
-                    state,
-                    seed=derive_seed(seed, "faults.server", f"{name}[{i}]"),
-                )
-                for i in range(units)
-            ]
-            return ServerFarm(sim_, models, name=name, unit_factory=unit_factory)
-
-        system = SizeSplitSystem(
-            sim, cmin, delta_c, delta,
-            metrics=metrics, farm_factory=farm_factory, retry=retry,
-            aqm=aqm, aqm_shared=aqm_shared,
-        )
-        servers = system.servers
-        loop_driver = system.small_driver
-        shed_from = system.large_driver
-        classifier = system.classifier
-    elif policy in SINGLE_SERVER_POLICIES:
-        scheduler = make_scheduler(policy, cmin, delta_c, delta)
-        server = FaultableServer(
-            sim,
-            FaultyModel(
-                ConstantRateModel(cmin + delta_c),
-                state,
-                seed=derive_seed(seed, "faults.server", policy),
-            ),
-            name=policy,
-            inflight=inflight,
-        )
-        system = DeviceDriver(
-            sim, server, scheduler, metrics=metrics, retry=retry,
-            window=make_window(aqm, delta),
-        )
-        servers = [server]
-        loop_driver = system
-        shed_from = system
-        classifier = system.classifier
-    else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
-
+    stack = build_stack(
+        policy, config, sim, retry=retry, unit=faulty_units(state, seed, inflight)
+    )
+    system = stack.system
+    classifier = system.classifier
     injector = FaultInjector(
-        sim, schedule, servers=servers, state=state, metrics=metrics
+        sim, schedule, servers=stack.servers, state=state, metrics=metrics
     )
     injector.install()
 
     sampler: Sampler | None = None
     controller: AdaptiveShaper | None = None
-    if adaptive and classifier is None:
-        raise ConfigurationError(
-            f"policy {policy!r} has no admission bound to adapt (use a "
-            "classifying policy or adaptive=False)"
-        )
     if adaptive or sample_interval is not None:
         interval = sample_interval if sample_interval is not None else delta
         sampler = Sampler(sim, interval)
@@ -262,11 +198,11 @@ def run_resilient(
         sampler.install(until=horizon)
         if adaptive:
             controller = AdaptiveShaper(
-                driver=loop_driver,
+                driver=stack.loop_driver,
                 classifier=classifier,
                 config=controller_config,
                 metrics=metrics,
-                shed_from=shed_from,
+                shed_from=stack.shed_from,
             ).install(sampler)
 
     source = WorkloadSource(sim, workload, system)
@@ -289,13 +225,7 @@ def run_resilient(
                 f"({residue} requests still resident)"
             )
 
-    by_class = system.by_class
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
+    primary, overflow = class_results(policy, system.by_class)
     return ResilientRunResult(
         policy=policy,
         workload_name=workload.name,
@@ -310,11 +240,7 @@ def run_resilient(
         dropped=list(system.dropped),
         shed=list(system.shed),
         primary_misses=system.primary_deadline_misses(),
-        demotions=(
-            system.demotions
-            if isinstance(system, DeviceDriver)
-            else sum(driver.demotions for driver in system.drivers)
-        ),
+        demotions=system.demotions,
         failovers=getattr(system, "failovers", 0),
         conservation=conservation,
         degrades=controller.degrades if controller is not None else None,
@@ -342,15 +268,18 @@ def run_chaos(
     metrics: MetricsRegistry | None = None,
     aqm: str | None = None,
     aqm_shared: bool = False,
+    admission: str = "count",
 ) -> ResilientRunResult:
     """One chaos-suite run: derive a schedule from ``seed`` and go.
 
-    ``adaptive`` defaults to True for every adaptable classifying policy
-    and False for the classifier-free ones (FCFS/SRPT/Nudge/Boost have
-    no admission bound to steer) and for splitfarm (its Q1 completions
-    span both partitions).  The retry policy defaults to generous
-    per-class timeouts (``10·delta`` for Q1, ``40·delta`` for Q2) with
-    three retries.
+    ``adaptive`` defaults to True for every policy the controller can
+    steer and False for the classifier-free ones (FCFS/SRPT/Nudge/Boost
+    have no admission bound to steer) and for splitfarm (its Q1
+    completions span both partitions): see
+    :func:`~repro.faults.controller.adaptive_refusal`.  The retry policy
+    defaults to generous per-class timeouts (``10·delta`` for Q1,
+    ``40·delta`` for Q2) with three retries.  ``admission`` is the
+    classifier's mode, as for :func:`run_resilient`.
     """
     schedule = random_schedule(
         seed,
@@ -368,7 +297,7 @@ def run_chaos(
             backoff_base=delta / 2,
         )
     if adaptive is None:
-        adaptive = policy not in CLASSIFIER_FREE_POLICIES and policy != "splitfarm"
+        adaptive = adaptive_refusal(policy) is None
     return run_resilient(
         workload,
         policy,
@@ -383,4 +312,5 @@ def run_chaos(
         metrics=metrics,
         aqm=aqm,
         aqm_shared=aqm_shared,
+        admission=admission,
     )

@@ -62,6 +62,26 @@ class FaultyModel:
         return duration
 
 
+def faulty_units(state: FaultState, seed: int, inflight: str = "requeue"):
+    """A :func:`repro.shaping.build_stack` unit factory for the fault plane.
+
+    Each unit is a :class:`~repro.faults.server.FaultableServer`
+    (``inflight`` as there) serving through a :class:`FaultyModel` that
+    reads ``state``.  A unit's spike stream is derived from ``seed`` and
+    its name, so a run reproduces from its seed alone.
+    """
+
+    def unit(sim: Simulator, model: ServiceTimeModel, name: str) -> FaultableServer:
+        return FaultableServer(
+            sim,
+            FaultyModel(model, state, seed=derive_seed(seed, "faults.server", name)),
+            name=name,
+            inflight=inflight,
+        )
+
+    return unit
+
+
 class FaultInjector:
     """Installs a schedule's events onto a simulator.
 

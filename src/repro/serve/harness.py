@@ -15,10 +15,11 @@ certify **serve ≡ simulate, bit for bit**:
   current one is delivered, identical :class:`~repro.core.request.
   Request` construction — while also accepting requests staged mid-run
   (the ingestion path);
-* the serving stack is constructed with the very same component recipe
-  as ``run_policy`` (healthy) or ``run_resilient`` (fault mode), so
-  event order, float operation order, and therefore every response time
-  are identical;
+* the serving stack is :func:`repro.shaping.build_stack`'s, the one
+  ``run_policy`` (healthy) and ``run_resilient`` (fault mode, with
+  :func:`~repro.faults.injector.faulty_units`) serve on, so event
+  order, float operation order, and therefore every response time are
+  identical;
 * the admission service runs **predict-then-verify**: each delivery is
   preceded by a read-only :meth:`~repro.serve.admission.AdmissionService.
   decide` and followed by a check that the stack's authoritative
@@ -35,7 +36,7 @@ clock lands on the boundary — and every chunk edge doubles as an epoch
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -43,24 +44,19 @@ import numpy as np
 from ..core.request import QoSClass, Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
-from ..faults.controller import AdaptiveShaper, ControllerConfig
-from ..faults.injector import FaultInjector, FaultState, FaultyModel
+from ..faults.controller import AdaptiveShaper, ControllerConfig, adaptive_refusal
+from ..faults.harness import DeadlineCompliance
+from ..faults.injector import FaultInjector, FaultState, faulty_units
 from ..faults.invariants import ConservationReport, assert_conservation
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
-from ..faults.server import FaultableServer
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..obs.sampler import Sampler, attach_standard_probes
-from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
-from ..server.aqm import make_window, resolve_aqm
-from ..server.cluster import SplitSystem
-from ..server.constant_rate import ConstantRateModel, constant_rate_server
-from ..server.driver import DeviceDriver
-from ..server.farm import ServerFarm
-from ..server.sizesplit import SizeSplitSystem
+from ..server.aqm import resolve_aqm
+from ..server.base import Server
+from ..shaping import RunConfig, build_stack, class_results
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_ARRIVAL
-from ..sim.rng import derive_seed
 from ..sim.stats import ResponseTimeCollector
 from .admission import AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig
@@ -181,7 +177,7 @@ class StagedSource:
 
 
 @dataclass(frozen=True)
-class ServeRunResult:
+class ServeRunResult(DeadlineCompliance):
     """Outcome of one harness run: the serving plane's full ledger."""
 
     policy: str
@@ -221,40 +217,6 @@ class ServeRunResult:
     window: dict | None = None
     final_limit: int | None = None
 
-    def fraction_within(self, bound: float | None = None) -> float:
-        return self.overall.fraction_within(
-            self.delta if bound is None else bound
-        )
-
-    def q1_compliance(self) -> float:
-        total = len(self.primary)
-        if total == 0:
-            return float("nan")
-        return 1.0 - self.primary_misses / total
-
-    def q1_compliance_after(self, instant: float) -> float:
-        """Q1 deadline compliance among arrivals after ``instant``.
-
-        Same acceptance metric as :meth:`repro.faults.harness.
-        ResilientRunResult.q1_compliance_after` — at
-        ``schedule.last_clear`` it answers whether the *service*
-        restored the guarantee after the faults cleared.
-        """
-        done = [
-            r
-            for r in self.completed
-            if r.qos_class is QoSClass.PRIMARY and r.arrival > instant
-        ]
-        if done:
-            return sum(1 for r in done if r.met_deadline) / len(done)
-        if not any(r.qos_class is QoSClass.PRIMARY for r in self.completed):
-            late = [r for r in self.completed if r.arrival > instant]
-            if late:
-                return sum(
-                    1 for r in late if r.response_time <= self.delta + 1e-12
-                ) / len(late)
-        return float("nan")
-
 
 class ServiceHarness:
     """Drive the full serving plane under a deterministic virtual clock.
@@ -279,8 +241,8 @@ class ServiceHarness:
         ``AutoscalerConfig`` (a loop is built around the stack's
         classifier) or a prebuilt ``Autoscaler``; ``None`` disables.
     faults, retry, adaptive, controller_config, inflight, seed:
-        Arm the fault plane; the stack is then built with
-        ``run_resilient``'s exact component recipe.
+        Arm the fault plane; the stack then has ``run_resilient``'s
+        crash-capable units (:func:`~repro.faults.injector.faulty_units`).
     sample_interval:
         Periodic probe sampling (defaults to ``delta`` in fault mode
         when ``adaptive`` needs a sampler, else disabled).
@@ -320,11 +282,18 @@ class ServiceHarness:
                 "cmin, delta_c and delta are required (directly or via "
                 "a placement plan)"
             )
-        if cmin <= 0 or delta_c < 0 or delta <= 0:
-            raise ConfigurationError(
-                f"bad configuration: cmin={cmin}, delta_c={delta_c}, "
-                f"delta={delta}"
-            )
+        config = RunConfig(
+            cmin,
+            delta_c,
+            delta,
+            metrics=metrics,
+            admission=admission,
+            aqm=aqm,
+            aqm_shared=aqm_shared,
+        )
+        refusal = adaptive_refusal(policy) if adaptive else None
+        if refusal is not None:
+            raise ConfigurationError(refusal)
         self.policy = policy
         self.cmin = float(cmin)
         self.delta_c = float(delta_c)
@@ -339,23 +308,39 @@ class ServiceHarness:
             )
         self.metrics = metrics
         self.schedule = faults
-        self.retry = retry
         self.adaptive = bool(adaptive)
         self.controller_config = controller_config
-        self.inflight = inflight
-        self.seed = seed
         self.sample_interval = sample_interval
         self.aqm = resolve_aqm(aqm)
-        self.aqm_shared = bool(aqm_shared)
         self._user_on_request = on_request
-        self._fault_mode = (
-            faults is not None or retry is not None or self.adaptive
-        )
         self.sim = Simulator()
-        self._build_stack(admission)
+        fault_mode = faults is not None or retry is not None or self.adaptive
+        state = FaultState()
+        # The stack enforces the deadline left after any placement charge.
+        stack = build_stack(
+            policy,
+            replace(config, delta=self.effective_delta),
+            self.sim,
+            retry=retry,
+            unit=faulty_units(state, seed, inflight) if fault_mode else Server,
+        )
+        self._stack = stack
+        self.system = stack.system
+        self.classifier = self.system.classifier
+        self.injector = None
+        if fault_mode:
+            self.injector = FaultInjector(
+                self.sim,
+                faults if faults is not None else FaultSchedule(),
+                servers=stack.servers,
+                state=state,
+                metrics=metrics,
+            )
         self.admission_service = AdmissionService(
             classifier=self.classifier,
-            window=self._decision_window(),
+            # A reject replaces a *demotion*, so the saturation signal is
+            # the window of the driver demoted work would land on.
+            window=stack.shed_from.window,
             reject_on_overload=reject_on_overload,
             metrics=metrics,
         )
@@ -389,155 +374,6 @@ class ServiceHarness:
         self._m_delivered = registry.counter("serve.delivered")
         self._m_rejected = registry.counter("serve.rejected")
         self._m_violations = registry.counter("serve.violations")
-
-    # ------------------------------------------------------------------
-    # Stack construction (the certified recipes, verbatim)
-    # ------------------------------------------------------------------
-
-    def _build_stack(self, admission: str) -> None:
-        sim = self.sim
-        cmin, delta_c = self.cmin, self.delta_c
-        delta = self.effective_delta
-        metrics = self.metrics
-        policy = self.policy
-        aqm = self.aqm
-        if self._fault_mode:
-            state = FaultState()
-            self._fault_state = state
-            if policy == "split":
-                def factory(sim_, capacity, name):
-                    return FaultableServer(
-                        sim_,
-                        FaultyModel(
-                            ConstantRateModel(capacity),
-                            state,
-                            seed=derive_seed(self.seed, "faults.server", name),
-                        ),
-                        name=name,
-                        inflight=self.inflight,
-                    )
-
-                self.system = SplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    server_factory=factory, retry=self.retry,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-                self.servers = self.system.servers
-                self._loop_driver = self.system.primary_driver
-                self._shed_from = self.system.overflow_driver
-            elif policy == "splitfarm":
-                if self.adaptive:
-                    raise ConfigurationError(
-                        "adaptive control is not supported for splitfarm"
-                    )
-
-                def farm_factory(sim_, capacity, units, name):
-                    def unit_factory(s, model, name="unit"):
-                        return FaultableServer(
-                            s, model, name=name, inflight=self.inflight
-                        )
-
-                    models = [
-                        FaultyModel(
-                            ConstantRateModel(capacity / units),
-                            state,
-                            seed=derive_seed(
-                                self.seed, "faults.server", f"{name}[{i}]"
-                            ),
-                        )
-                        for i in range(units)
-                    ]
-                    return ServerFarm(
-                        sim_, models, name=name, unit_factory=unit_factory
-                    )
-
-                self.system = SizeSplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    farm_factory=farm_factory, retry=self.retry,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-                self.servers = self.system.servers
-                self._loop_driver = self.system.small_driver
-                self._shed_from = self.system.large_driver
-            elif policy in SINGLE_SERVER_POLICIES:
-                scheduler = make_scheduler(
-                    policy, cmin, delta_c, delta, admission=admission
-                )
-                server = FaultableServer(
-                    sim,
-                    FaultyModel(
-                        ConstantRateModel(cmin + delta_c),
-                        state,
-                        seed=derive_seed(self.seed, "faults.server", policy),
-                    ),
-                    name=policy,
-                    inflight=self.inflight,
-                )
-                self.system = DeviceDriver(
-                    sim, server, scheduler, metrics=metrics, retry=self.retry,
-                    window=make_window(aqm, delta),
-                )
-                self.servers = [server]
-                self._loop_driver = self.system
-                self._shed_from = self.system
-            else:
-                raise ConfigurationError(f"unknown policy {policy!r}")
-            self.injector = FaultInjector(
-                sim,
-                self.schedule if self.schedule is not None else FaultSchedule(),
-                servers=self.servers,
-                state=state,
-                metrics=metrics,
-            )
-        else:
-            self.injector = None
-            self.servers = []
-            if policy == "split":
-                self.system = SplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-            elif policy == "splitfarm":
-                self.system = SizeSplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-            elif policy in SINGLE_SERVER_POLICIES:
-                scheduler = make_scheduler(
-                    policy, cmin, delta_c, delta, admission=admission
-                )
-                server = constant_rate_server(
-                    sim, cmin + delta_c, name=policy
-                )
-                self.system = DeviceDriver(
-                    sim, server, scheduler, metrics=metrics,
-                    window=make_window(aqm, delta),
-                )
-            else:
-                raise ConfigurationError(f"unknown policy {policy!r}")
-            self._loop_driver = getattr(
-                self.system, "primary_driver",
-                getattr(self.system, "small_driver", self.system),
-            )
-            self._shed_from = getattr(
-                self.system, "overflow_driver",
-                getattr(self.system, "large_driver", self.system),
-            )
-        self.classifier = self.system.classifier
-        if self.adaptive and self.classifier is None:
-            raise ConfigurationError(
-                f"policy {policy!r} has no admission bound to adapt"
-            )
-
-    def _decision_window(self):
-        # A reject replaces a *demotion*, so the saturation signal is
-        # the window of the driver demoted work would land on (the
-        # overflow side in a topology, the only driver otherwise).
-        return getattr(self._shed_from, "window", None)
 
     # ------------------------------------------------------------------
     # Ingestion and delivery (predict-then-verify)
@@ -613,11 +449,11 @@ class ServiceHarness:
             )
             if self.adaptive:
                 self.controller = AdaptiveShaper(
-                    driver=self._loop_driver,
+                    driver=self._stack.loop_driver,
                     classifier=self.classifier,
                     config=self.controller_config,
                     metrics=self.metrics,
-                    shed_from=self._shed_from,
+                    shed_from=self._stack.shed_from,
                 ).install(self.sampler)
         if self.autoscaler is not None and self.autoscaler.config.mode != "off":
             self.sim.every(
@@ -733,18 +569,7 @@ class ServiceHarness:
             responses[request.index] = request.completion - request.arrival
         for request in self.delivered:
             admitted[request.index] = request.qos_class is QoSClass.PRIMARY
-        by_class = system.by_class
-        if self.policy == "fcfs":
-            primary = ResponseTimeCollector("Q1")
-            overflow = ResponseTimeCollector("Q2")
-        else:
-            primary = by_class[QoSClass.PRIMARY]
-            overflow = by_class[QoSClass.OVERFLOW]
-        demotions = (
-            system.demotions
-            if isinstance(system, DeviceDriver)
-            else sum(driver.demotions for driver in system.drivers)
-        )
+        primary, overflow = class_results(self.policy, system.by_class)
         return ServeRunResult(
             policy=self.policy,
             workload_name=getattr(self, "_workload_name", "staged"),
@@ -776,7 +601,7 @@ class ServiceHarness:
                 if self.autoscaler is not None
                 else ()
             ),
-            demotions=demotions,
+            demotions=system.demotions,
             failovers=getattr(system, "failovers", 0),
             aqm=self.aqm,
             window=system.window_snapshot() if self.aqm is not None else None,

@@ -135,14 +135,15 @@ class IngestServer:
             return {"ok": False, "error": "empty line"}
         try:
             payload, end = _scan(line, 0)
-        except (StopIteration, ValueError, TypeError):
+        except (StopIteration, ValueError, TypeError, RecursionError):
             end = -1
         if end != len(line):
             # Anything else takes json.loads itself: its message for a
-            # byte-order mark or trailing data, its decoding of bytes.
+            # byte-order mark or trailing data, its decoding of bytes,
+            # and for nesting deeper than the decoder recurses.
             try:
                 payload = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 self.malformed += 1
                 return {"ok": False, "error": f"bad JSON: {exc}"}
         if not isinstance(payload, dict):

@@ -169,6 +169,10 @@ class TopologySystem:
         return sum(d.preemptions for d in self.drivers)
 
     @property
+    def demotions(self) -> int:
+        return sum(d.demotions for d in self.drivers)
+
+    @property
     def overall(self) -> ResponseTimeCollector:
         return merge_sides([d.overall for d in self.drivers])
 

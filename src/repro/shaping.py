@@ -22,10 +22,10 @@ True
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from .core.capacity import CapacityPlan, CapacityPlanner
 from .core.request import QoSClass
@@ -36,12 +36,14 @@ from .obs.export import export_run
 from .obs.registry import MetricsRegistry
 from .obs.sampler import Sampler, attach_standard_probes
 from .perf import engines
-from .sched.registry import ALL_POLICIES, SINGLE_SERVER_POLICIES, make_scheduler
+from .sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
 from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
-from .server.cluster import SplitFrontEnd, SplitSystem
-from .server.sizesplit import SizeSplitFrontEnd, SizeSplitSystem
-from .server.constant_rate import ConstantRateModel, constant_rate_server
+from .server.base import Server, ServiceTimeModel
+from .server.cluster import SplitFrontEnd, SplitSystem, TopologySystem
+from .server.constant_rate import ConstantRateModel
 from .server.driver import DeviceDriver, Side, serve_direct
+from .server.farm import ServerFarm
+from .server.sizesplit import SizeSplitFrontEnd, SizeSplitSystem
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
@@ -55,10 +57,10 @@ PLANNER_CACHE_SIZE = 8
 class RunConfig:
     """Complete configuration of one :func:`run_policy` simulation.
 
-    Consolidates what used to be a growing keyword surface (capacity
-    parameters, observability options, engine selection, and now the
-    admission mode) into one validated value that can be stored, hashed
-    into experiment manifests, and passed around whole:
+    One validated value — capacity plan, observability, engine,
+    admission mode and window — that every entry point builds its stack
+    from (:func:`build_stack`), and that can be stored, hashed into
+    experiment manifests, and passed around whole:
 
     >>> run_policy(workload, "split", config=RunConfig(3.0, 2.0, 0.5))
 
@@ -223,33 +225,26 @@ def run_policy(
     cmin: float | None = None,
     delta_c: float | None = None,
     delta: float | None = None,
-    record_rates: float | None = None,
-    metrics: MetricsRegistry | None = None,
-    sample_interval: float | None = None,
-    engine: str | None = None,
     config: RunConfig | None = None,
 ) -> PolicyRunResult:
     """Simulate serving ``workload`` under ``policy`` and collect stats.
 
-    The preferred call shape is ``run_policy(workload, policy,
-    config=RunConfig(...))``; the flat ``cmin``/``delta_c``/``delta``
-    positional form is kept for compatibility, and the flat
-    observability/engine keywords (``record_rates``, ``metrics``,
-    ``sample_interval``, ``engine``) are a deprecated shim over the
-    equivalent :class:`RunConfig` fields.
+    Pass the run as ``config=RunConfig(...)``, or only its capacity plan
+    as the flat ``cmin``/``delta_c``/``delta``, not both.
 
     Capacity allocation follows Section 4.3: the total provisioned
     capacity is always ``cmin + delta_c``.  FCFS uses all of it on the
     unpartitioned stream; Split dedicates ``cmin`` to ``Q1`` and
     ``delta_c`` to ``Q2`` on separate servers; FairQueue/WF²Q/Miser share
-    a single ``cmin + delta_c`` server between the classes.
+    a single ``cmin + delta_c`` server between the classes.  The stack
+    is :func:`build_stack`'s.
 
-    Passing ``metrics`` threads a registry through the driver(s) and
-    scheduler; ``sample_interval`` additionally installs a periodic
-    :class:`~repro.obs.sampler.Sampler` with the standard probe set.
-    Either one populates ``PolicyRunResult.telemetry``.
+    ``config.metrics`` threads a registry through the driver(s) and
+    scheduler; ``config.sample_interval`` additionally installs a
+    periodic :class:`~repro.obs.sampler.Sampler` with the standard probe
+    set.  Either one populates ``PolicyRunResult.telemetry``.
 
-    ``engine`` overrides the execution-engine selection of
+    ``config.engine`` overrides the execution-engine selection of
     :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
     event loop, ``"batch"`` demands the columnar fast path (an error if
     the configuration is ineligible), and ``"auto"`` (the process
@@ -263,52 +258,25 @@ def run_policy(
     by :func:`repro.check.differential.engine_parity`).
     """
     if config is not None:
-        flat = (cmin, delta_c, delta, record_rates, metrics, sample_interval, engine)
-        if any(value is not None for value in flat):
+        if any(value is not None for value in (cmin, delta_c, delta)):
             raise ConfigurationError(
-                "pass either config=RunConfig(...) or the flat keyword "
-                "arguments, not both"
+                "pass either config=RunConfig(...) or cmin/delta_c/delta, "
+                "not both"
             )
-    else:
-        if cmin is None or delta_c is None or delta is None:
-            raise ConfigurationError(
-                "run_policy needs cmin, delta_c, and delta "
-                "(directly or via config=RunConfig(...))"
-            )
-        if any(
-            value is not None
-            for value in (record_rates, metrics, sample_interval, engine)
-        ):
-            warnings.warn(
-                "passing record_rates/metrics/sample_interval/engine directly "
-                "to run_policy is deprecated; use config=RunConfig(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = RunConfig(
-            cmin=cmin,
-            delta_c=delta_c,
-            delta=delta,
-            record_rates=record_rates,
-            metrics=metrics,
-            sample_interval=sample_interval,
-            engine=engine,
+    elif cmin is None or delta_c is None or delta is None:
+        raise ConfigurationError(
+            "run_policy needs cmin, delta_c, and delta "
+            "(directly or via config=RunConfig(...))"
         )
-    return _run_policy(workload, policy, config)
-
-
-def _run_policy(
-    workload: Workload, policy: str, config: RunConfig
-) -> PolicyRunResult:
-    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
+    else:
+        config = RunConfig(cmin, delta_c, delta)
+    check_policy(policy, config)
     # Resolve the effective window policy (aqm= argument, Registry
     # override, or REPRO_AQM) once, so engine eligibility, the armed
     # window, and the result snapshot can never disagree.
     aqm = resolve_aqm(config.aqm)
     requested = engines.resolve_engine(config.engine)
     if requested != "scalar":
-        if policy not in ALL_POLICIES:
-            raise ConfigurationError(f"unknown policy {policy!r}")
         eligible, reason = batch.supports(
             policy,
             record_rates=config.record_rates,
@@ -324,8 +292,8 @@ def _run_policy(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"
             )
-        if _direct_supports(policy, config, aqm):
-            sides, route = _direct_stack(policy, config)
+        if _direct_supports(config, aqm):
+            sides, route = build_stack(policy, config)
             run = serve_direct(workload, *sides, route=route)
             return _policy_result(
                 workload,
@@ -337,53 +305,9 @@ def _run_policy(
                 primary_misses=run.primary_misses,
                 engine="direct",
             )
-    metrics = config.metrics
     sample_interval = config.sample_interval
     sim = Simulator()
-    if policy == "split":
-        if config.record_rates is not None:
-            raise ConfigurationError("rate recording is single-server only")
-        system = SplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            metrics=metrics,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
-        )
-        sink = system
-    elif policy == "splitfarm":
-        if config.record_rates is not None:
-            raise ConfigurationError("rate recording is single-server only")
-        system = SizeSplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            metrics=metrics,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
-        )
-        sink = system
-    elif policy in SINGLE_SERVER_POLICIES:
-        scheduler = make_scheduler(
-            policy, cmin, delta_c, delta, admission=config.admission
-        )
-        server = constant_rate_server(sim, cmin + delta_c, name=policy)
-        system = DeviceDriver(
-            sim,
-            server,
-            scheduler,
-            record_rates=config.record_rates,
-            metrics=metrics,
-            window=make_window(aqm, delta),
-        )
-        sink = system
-    else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
+    system = build_stack(policy, config, sim).system
 
     sampler: Sampler | None = None
     if sample_interval is not None:
@@ -393,24 +317,24 @@ def _run_policy(
         # ``duration`` is captured by the final snapshot below.
         sampler.install(until=workload.duration)
 
-    source = WorkloadSource(sim, workload, sink)
+    source = WorkloadSource(sim, workload, system)
     source.start()
     sim.run()
     if sampler is not None:
         sampler.sample_now()
 
     telemetry: RunTelemetry | None = None
-    if metrics is not None or sampler is not None:
+    if config.metrics is not None or sampler is not None:
         telemetry = RunTelemetry(
-            registry=metrics if metrics is not None else system.metrics,
+            registry=config.metrics if config.metrics is not None else system.metrics,
             samples=sampler.records if sampler is not None else [],
             meta={
                 "policy": policy,
                 "workload": workload.name,
                 "requests": len(workload),
-                "cmin": cmin,
-                "delta_c": delta_c,
-                "delta": delta,
+                "cmin": config.cmin,
+                "delta_c": config.delta_c,
+                "delta": config.delta,
                 "duration": workload.duration,
                 "sample_interval": sample_interval,
             },
@@ -435,7 +359,131 @@ def _run_policy(
     )
 
 
-def _direct_supports(policy: str, config: RunConfig, aqm: str | None) -> bool:
+def check_policy(policy: str, config: RunConfig) -> None:
+    """Refuse ``policy`` under ``config`` if no stack can run it.
+
+    The one check every entry point makes, before it picks an engine;
+    :class:`RunConfig` has already refused bad capacities and
+    ``aqm_shared`` without ``aqm``.
+    """
+    if policy not in ALL_POLICIES:
+        raise ConfigurationError(f"unknown policy {policy!r}")
+    if config.record_rates is not None and policy in TOPOLOGY_POLICIES:
+        raise ConfigurationError("rate recording is single-server only")
+
+
+class Stack(NamedTuple):
+    """An event-loop stack :func:`build_stack` assembled on a simulator.
+
+    ``system`` is the sink a source feeds; ``servers`` its service units
+    in fault-schedule ``unit`` order.  ``loop_driver`` carries the ``Q1``
+    completions the adaptive controller reads (primary or small side),
+    ``shed_from`` the demoted work (overflow or large side); a
+    single-server stack's one driver is both.
+    """
+
+    system: DeviceDriver | TopologySystem
+    servers: list
+    loop_driver: DeviceDriver
+    shed_from: DeviceDriver
+
+
+def build_stack(
+    policy: str,
+    config: RunConfig,
+    sim: Simulator | None = None,
+    retry=None,
+    unit: Callable[[Simulator, ServiceTimeModel, str], Server] = Server,
+):
+    """The stack that serves ``policy`` under ``config``: the one recipe.
+
+    With no ``sim``: ``(sides, route)`` for
+    :func:`~repro.server.driver.serve_direct`, a topology's front-end
+    sides and routing rule, or one rate ``cmin + delta_c`` side and no
+    route.  With a ``sim``: a :class:`Stack` on it, whose service units
+    are ``unit(sim, model, name)`` — plain servers by default, or
+    :func:`repro.faults.injector.faulty_units` for the fault plane —
+    named ``primary``/``overflow`` (split), ``small[0]``/``large[0]``
+    (splitfarm's one-unit farms) or after the policy.  ``retry`` arms
+    every driver's timeout/retry path.
+    """
+    check_policy(policy, config)
+    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
+    admission = config.admission
+    if sim is None:
+        if policy == "split":
+            front = SplitFrontEnd(cmin, delta_c, delta, admission)
+        elif policy == "splitfarm":
+            front = SizeSplitFrontEnd(cmin, delta_c, delta, admission=admission)
+        else:
+            scheduler = make_scheduler(policy, cmin, delta_c, delta, admission)
+            return (Side(scheduler, ConstantRateModel(cmin + delta_c), policy),), None
+        return front.sides, front.route
+    aqm = resolve_aqm(config.aqm)
+    shared = dict(
+        metrics=config.metrics,
+        retry=retry,
+        admission=admission,
+        aqm=aqm,
+        aqm_shared=config.aqm_shared,
+    )
+    if policy == "split":
+        system = SplitSystem(
+            sim,
+            cmin,
+            delta_c,
+            delta,
+            server_factory=lambda s, rate, name: unit(s, ConstantRateModel(rate), name),
+            **shared,
+        )
+        return Stack(
+            system, system.servers, system.primary_driver, system.overflow_driver
+        )
+    if policy == "splitfarm":
+        system = SizeSplitSystem(
+            sim,
+            cmin,
+            delta_c,
+            delta,
+            farm_factory=lambda s, rate, units, name: ServerFarm(
+                s,
+                [ConstantRateModel(rate / units) for _ in range(units)],
+                name=name,
+                unit_factory=unit,
+            ),
+            **shared,
+        )
+        return Stack(
+            system, system.servers, system.small_driver, system.large_driver
+        )
+    scheduler = make_scheduler(policy, cmin, delta_c, delta, admission)
+    server = unit(sim, ConstantRateModel(cmin + delta_c), policy)
+    driver = DeviceDriver(
+        sim,
+        server,
+        scheduler,
+        record_rates=config.record_rates,
+        metrics=config.metrics,
+        retry=retry,
+        window=make_window(aqm, delta),
+    )
+    return Stack(driver, [server], driver, driver)
+
+
+def class_results(
+    policy: str, by_class: dict
+) -> tuple[ResponseTimeCollector, ResponseTimeCollector]:
+    """The ``(primary, overflow)`` collectors a run's result reports.
+
+    FCFS classifies nothing, so its pair is empty and ``overall`` holds
+    every sample.
+    """
+    if policy == "fcfs":
+        return ResponseTimeCollector("Q1"), ResponseTimeCollector("Q2")
+    return by_class[QoSClass.PRIMARY], by_class[QoSClass.OVERFLOW]
+
+
+def _direct_supports(config: RunConfig, aqm: str | None) -> bool:
     """Whether :func:`~repro.server.driver.serve_direct` can run this.
 
     Every policy qualifies, single-server or topology, under either
@@ -446,34 +494,11 @@ def _direct_supports(policy: str, config: RunConfig, aqm: str | None) -> bool:
     question of a population.
     """
     return (
-        policy in ALL_POLICIES
-        and config.record_rates is None
+        config.record_rates is None
         and config.metrics is None
         and config.sample_interval is None
         and aqm is None
     )
-
-
-def _direct_stack(policy: str, config: RunConfig) -> tuple:
-    """``(sides, route)``: what :func:`~repro.server.driver.serve_direct`
-    serves ``policy`` on.
-
-    A topology is its front end's single-unit sides and routing rule
-    (:class:`~repro.server.cluster.SplitFrontEnd`,
-    :class:`~repro.server.sizesplit.SizeSplitFrontEnd`); any other
-    policy is one rate ``cmin + delta_c`` server and no route.
-    """
-    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
-    if policy == "split":
-        front = SplitFrontEnd(cmin, delta_c, delta, config.admission)
-    elif policy == "splitfarm":
-        front = SizeSplitFrontEnd(cmin, delta_c, delta, admission=config.admission)
-    else:
-        scheduler = make_scheduler(
-            policy, cmin, delta_c, delta, admission=config.admission
-        )
-        return (Side(scheduler, ConstantRateModel(cmin + delta_c), policy),), None
-    return front.sides, front.route
 
 
 def _policy_result(
@@ -487,21 +512,12 @@ def _policy_result(
     engine: str = "scalar",
     **extra,
 ) -> PolicyRunResult:
-    """Package one served run, refusing a run that lost a request.
-
-    FCFS classifies nothing, so its result carries empty ``Q1``/``Q2``
-    collectors and ``overall`` holds every sample.
-    """
+    """Package one served run, refusing a run that lost a request."""
     if completed != len(workload):
         raise SimulationError(
             f"{policy}: {completed} of {len(workload)} requests completed"
         )
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
+    primary, overflow = class_results(policy, by_class)
     return PolicyRunResult(
         policy=policy,
         workload_name=workload.name,

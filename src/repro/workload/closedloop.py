@@ -16,17 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.request import QoSClass
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
 from ..perf import engines
-from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
-from ..server.aqm import make_window, resolve_aqm
-from ..server.cluster import SplitSystem
-from ..server.constant_rate import constant_rate_server
-from ..server.sizesplit import SizeSplitSystem
-from ..server.driver import DeviceDriver, serve_direct
-from ..shaping import RunConfig, _direct_stack, _direct_supports
+from ..server.aqm import resolve_aqm
+from ..server.driver import serve_direct
+from ..shaping import (
+    RunConfig,
+    _direct_supports,
+    build_stack,
+    check_policy,
+    class_results,
+)
 from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopPopulation, ClosedLoopSource
 from ..sim.stats import ResponseTimeCollector
@@ -127,6 +128,7 @@ def run_closed_loop(
     called in its scalar form ``sampler(rng)`` on each user's own stream
     once per submission.
     """
+    check_policy(policy, config)
     requested = engines.resolve_engine(config.engine)
     if (
         config.record_rates is not None
@@ -138,13 +140,11 @@ def run_closed_loop(
             "closed-loop runs support neither observability options nor "
             "engine 'batch'; use a plain RunConfig(cmin, delta_c, delta)"
         )
-    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
-    aqm = resolve_aqm(config.aqm)
-    if requested != "scalar" and _direct_supports(policy, config, aqm):
+    if requested != "scalar" and _direct_supports(config, resolve_aqm(config.aqm)):
         population = ClosedLoopPopulation(
             n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
         )
-        sides, route = _direct_stack(policy, config)
+        sides, route = build_stack(policy, config)
         served = serve_direct(population, *sides, route=route)
         submitted = population.requests
         ledger = served.ledger()
@@ -152,36 +152,7 @@ def run_closed_loop(
         engine = "direct"
     else:
         sim = Simulator()
-        if policy == "split":
-            served = SplitSystem(
-                sim,
-                cmin,
-                delta_c,
-                delta,
-                admission=config.admission,
-                aqm=aqm,
-                aqm_shared=config.aqm_shared,
-            )
-        elif policy == "splitfarm":
-            served = SizeSplitSystem(
-                sim,
-                cmin,
-                delta_c,
-                delta,
-                admission=config.admission,
-                aqm=aqm,
-                aqm_shared=config.aqm_shared,
-            )
-        elif policy in SINGLE_SERVER_POLICIES:
-            scheduler = make_scheduler(
-                policy, cmin, delta_c, delta, admission=config.admission
-            )
-            server = constant_rate_server(sim, cmin + delta_c, name=policy)
-            served = DeviceDriver(
-                sim, server, scheduler, window=make_window(aqm, delta)
-            )
-        else:
-            raise ConfigurationError(f"unknown policy {policy!r}")
+        served = build_stack(policy, config, sim).system
         source = ClosedLoopSource(
             sim,
             served,
@@ -203,13 +174,7 @@ def run_closed_loop(
             f"closed-loop conservation violated: {len(submitted)} "
             f"submitted but ledger accounts {sum(ledger.values())}"
         )
-    by_class = served.by_class
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
+    primary, overflow = class_results(policy, served.by_class)
     return ClosedLoopResult(
         policy=policy,
         n_users=n_users,

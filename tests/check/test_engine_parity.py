@@ -32,7 +32,7 @@ from repro.sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
 from repro.sim import batch, source
-from repro.shaping import RunConfig, _direct_stack
+from repro.shaping import RunConfig, build_stack
 from repro.workload.sizes import BimodalDemand
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -393,7 +393,7 @@ class TestClosedLoopParity:
         population = source.ClosedLoopPopulation(
             8, 0.5, 12.0, seed=5, demand_sampler=DEMANDS_BY_NAME["bimodal"]
         )
-        sides, route = _direct_stack(policy, RunConfig(CMIN, DELTA_C, DELTA))
+        sides, route = build_stack(policy, RunConfig(CMIN, DELTA_C, DELTA))
         run = driver.serve_direct(population, *sides, route=route)
         requests = population.requests
         assert run.completed == len(requests) > 50

@@ -46,6 +46,22 @@ class TestConstruction:
         with pytest.raises(WorkloadError, match="1-D"):
             Workload(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        ("arrivals", "sizes", "match"),
+        [
+            ([0.0, 0.1, np.nan, 0.3, 0.4], None, "arrivals must be finite"),
+            ([0.0, np.inf], None, "arrivals must be finite"),
+            ([0.0, 1.0], [1.0, np.nan], "sizes must be finite"),
+            ([0.0, 1.0], [np.inf, 1.0], "sizes must be finite"),
+        ],
+        ids=["nan-arrival", "inf-arrival", "nan-size", "inf-size"],
+    )
+    def test_rejects_non_finite(self, arrivals, sizes, match):
+        """NaN passes the sorted and non-negative checks, and the engines
+        then read it differently; infinity is no arrival time either."""
+        with pytest.raises(WorkloadError, match=match):
+            Workload(arrivals, sizes=sizes)
+
     def test_ties_allowed(self):
         w = Workload([1.0, 1.0, 1.0])
         assert len(w) == 3

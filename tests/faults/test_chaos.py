@@ -149,19 +149,42 @@ class TestDeterminism:
         assert a.schedule.events != b.schedule.events
 
 
-class TestHealthyPathIdentical:
-    @pytest.mark.parametrize("policy", RESILIENCE_POLICIES)
-    def test_bit_identical_to_run_policy(self, workload, policy):
-        """No faults, no retry, no controller: the resilient stack must
-        reproduce run_policy's response times exactly."""
-        from repro.shaping import run_policy
+#: Policies whose healthy fault-plane stack must equal run_policy's.
+HEALTHY_POLICIES = RESILIENCE_POLICIES + ("edf", "splitfarm")
 
-        plain = run_policy(workload, policy, CMIN, DELTA_C, DELTA)
-        resilient = run_resilient(workload, policy, CMIN, DELTA_C, DELTA)
-        assert list(plain.overall.samples) == list(resilient.overall.samples)
-        assert plain.primary_misses == resilient.primary_misses
-        assert list(plain.primary.samples) == list(resilient.primary.samples)
-        assert list(plain.overflow.samples) == list(resilient.overflow.samples)
+
+@pytest.fixture(scope="module")
+def sized(workload):
+    """``workload`` with every eighth request at demand 8."""
+    sizes = np.ones(len(workload))
+    sizes[::8] = 8.0
+    return workload.with_sizes(sizes)
+
+
+class TestHealthyPathIdentical:
+    @pytest.mark.parametrize(
+        ("policy", "admission"),
+        [pytest.param(p, "count", id=p) for p in HEALTHY_POLICIES]
+        + [pytest.param(p, "work", id=f"{p}-work") for p in HEALTHY_POLICIES],
+    )
+    def test_bit_identical_to_run_policy(self, workload, sized, policy, admission):
+        """No faults, no retry, no controller: the resilient stack must
+        reproduce run_policy's response times exactly, in either
+        admission mode."""
+        from repro.shaping import RunConfig, run_policy
+
+        config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+        for feed in (workload, sized):
+            plain = run_policy(feed, policy, config=config)
+            resilient = run_resilient(
+                feed, policy, CMIN, DELTA_C, DELTA, admission=admission
+            )
+            assert list(plain.overall.samples) == list(resilient.overall.samples)
+            assert plain.primary_misses == resilient.primary_misses
+            assert list(plain.primary.samples) == list(resilient.primary.samples)
+            assert list(plain.overflow.samples) == list(
+                resilient.overflow.samples
+            )
 
 
 class TestMissCounterAgreement:

@@ -398,7 +398,7 @@ class TestPlacement:
 
 
 class TestFaultMode:
-    def test_fault_replay_matches_run_resilient(self, bursty):
+    def test_fault_replay_matches_run_resilient(self, bursty, sized):
         schedule = random_schedule(5, horizon=12.0, units=2)
         retry = RetryPolicy(
             timeout_q1=10 * DELTA,
@@ -406,8 +406,14 @@ class TestFaultMode:
             max_retries=3,
             backoff_base=DELTA / 2,
         )
+        for workload in (bursty, sized):
+            for admission in ("count", "work"):
+                self._replay_matches(workload, schedule, retry, admission)
+
+    @staticmethod
+    def _replay_matches(workload, schedule, retry, admission):
         offline = run_resilient(
-            bursty,
+            workload,
             "split",
             CMIN,
             DELTA_C,
@@ -416,18 +422,20 @@ class TestFaultMode:
             retry=retry,
             adaptive=True,
             seed=5,
+            admission=admission,
         )
         harness = ServiceHarness(
             "split",
             CMIN,
             DELTA_C,
             DELTA,
+            admission=admission,
             faults=schedule,
             retry=retry,
             adaptive=True,
             seed=5,
         )
-        served = harness.replay(bursty, chunks=4)
+        served = harness.replay(workload, chunks=4)
         assert not served.violations
         assert served.ledger["completed"] == len(offline.completed)
         assert served.ledger["dropped"] == len(offline.dropped)

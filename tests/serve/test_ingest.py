@@ -47,6 +47,12 @@ class TestProtocol:
             ('{"arrival": 1e308}', "past the endpoint's clock"),
             ('{"size": 5e-324}', "within"),
             ('{"size": 2e6}', "within"),
+            # Nesting past the decoder's recursion limit, well inside the
+            # endpoint's 64 KiB line limit.
+            pytest.param("[" * 5000 + "]" * 5000, "bad JSON", id="deep array"),
+            pytest.param(
+                '{"a":' * 5000 + "1" + "}" * 5000, "bad JSON", id="deep object"
+            ),
         ],
     )
     def test_malformed_lines_never_raise(self, line, error):

@@ -1,11 +1,10 @@
-"""Tests for RunConfig, the run_policy shim, and size-aware runs."""
+"""Tests for RunConfig, run_policy's flat capacity form, and size-aware runs."""
 
 import numpy as np
 import pytest
 
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
-from repro.obs import MetricsRegistry
 from repro.shaping import RunConfig, run_policy
 from repro.workload import BimodalDemand, attach_demands
 
@@ -52,15 +51,6 @@ class TestRunPolicyShim:
     def test_missing_capacities_rejected(self, workload):
         with pytest.raises(ConfigurationError, match="needs cmin"):
             run_policy(workload, "split", 3.0, 2.0)
-
-    def test_flat_observability_kwargs_deprecated_but_working(self, workload):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            result = run_policy(
-                workload, "miser", 3.0, 2.0, 0.5, metrics=registry
-            )
-        assert result.telemetry is not None
-        assert len(result.overall) == len(workload)
 
     def test_flat_capacities_alone_do_not_warn(self, workload, recwarn):
         result = run_policy(workload, "split", 3.0, 2.0, 0.5)
