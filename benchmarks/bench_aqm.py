@@ -188,9 +188,10 @@ def test_bufferbloat_headline(quick_report):
             ), (scenario, managed)
 
 
-def test_adaptive_windows_squeeze(quick_report):
+@pytest.mark.parametrize("scenario", ["open", "closed"])
+def test_adaptive_windows_squeeze(quick_report, scenario):
     for aqm in ("codel", "adaptive"):
-        cell = _cell(quick_report, aqm, "open")
+        cell = _cell(quick_report, aqm, scenario)
         assert cell["squeezes"] > 0
         assert 0 < cell["window_depth"] < 64
 

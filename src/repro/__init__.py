@@ -25,8 +25,8 @@ from .core.workload import Workload
 from .exceptions import ReproError
 from .serve import AdmissionService, Autoscaler, AutoscalerConfig, ServiceHarness
 from .shaping import (
-    PolicyRunResult,
     RunConfig,
+    RunResult,
     ShapingOutcome,
     WorkloadShaper,
     run_policy,
@@ -48,8 +48,8 @@ __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "ServiceHarness",
-    "PolicyRunResult",
     "RunConfig",
+    "RunResult",
     "ShapingOutcome",
     "WorkloadShaper",
     "run_policy",

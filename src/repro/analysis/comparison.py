@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..core.capacity import CapacityPlanner
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
-from ..shaping import PolicyRunResult, run_policy
+from ..shaping import RunResult, run_policy
 from .reporting import format_table
 
 #: Default bins in seconds, matching Figure 6.
@@ -31,10 +31,10 @@ class PolicyComparison:
     fraction: float
     cmin: float
     delta_c: float
-    runs: dict  # policy -> PolicyRunResult
+    runs: dict  # policy -> RunResult
     edges: tuple
 
-    def run(self, policy: str) -> PolicyRunResult:
+    def run(self, policy: str) -> RunResult:
         return self.runs[policy]
 
     def ranking(self, bound: float | None = None) -> list[str]:

@@ -714,9 +714,9 @@ def closed_loop_parity(
             f"({len(got)} direct vs {len(want)} event loop)"
         )
     ledger = reference.fault_ledger()
-    if run.ledger() != ledger:
+    if run.fault_ledger() != ledger:
         problems.append(
-            f"{label}: ledger {run.ledger()} (direct) vs {ledger} (event loop)"
+            f"{label}: ledger {run.fault_ledger()} (direct) vs {ledger} (event loop)"
         )
     _compare_direct(label, reference, run, problems)
     return problems

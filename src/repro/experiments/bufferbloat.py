@@ -100,7 +100,7 @@ class BloatCell:
     fraction_within: float
     p99: float
     conserved: bool
-    #: Final window depth (-1 = unbounded, 0 = no window / not surfaced).
+    #: Final window depth (-1 = unbounded, 0 = no window).
     window_depth: int
     squeezes: int
     gated: int
@@ -169,6 +169,7 @@ def run(config: ExperimentConfig | None = None) -> BufferbloatResult:
             horizon=config.duration,
             seed=37 + config.seed_offset,
         )
+        depth, squeezes, gated = _window_stats(closed.window)
         cells.append(
             BloatCell(
                 aqm=label,
@@ -178,11 +179,10 @@ def run(config: ExperimentConfig | None = None) -> BufferbloatResult:
                 primary_misses=closed.primary_misses,
                 fraction_within=closed.overall.fraction_within(DELTA),
                 p99=closed.overall.percentile_exact(99),
-                conserved=closed.conserved()
-                and closed.ledger.get("window", 0) == 0,
-                window_depth=0,  # snapshot not surfaced by the closed loop
-                squeezes=0,
-                gated=0,
+                conserved=sum(closed.ledger.values()) == len(closed.submitted),
+                window_depth=depth,
+                squeezes=squeezes,
+                gated=gated,
             )
         )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..analysis.reporting import format_table
 from ..core.capacity import CapacityPlanner
-from ..shaping import PolicyRunResult, run_policy
+from ..shaping import RunResult, run_policy
 from ..units import ms, to_ms
 from .common import FIGURE6_EDGES, ExperimentConfig
 
@@ -37,7 +37,7 @@ class Figure6Panel:
     delta: float
     cmin: float
     delta_c: float
-    runs: dict  # policy -> PolicyRunResult
+    runs: dict  # policy -> RunResult
 
     def bins(self, policy: str) -> dict:
         return self.runs[policy].binned_fractions(list(FIGURE6_EDGES))
@@ -57,7 +57,7 @@ class Figure6Result:
         raise KeyError(fraction)
 
 
-def _overflow_ratio(miser: PolicyRunResult, fair: PolicyRunResult) -> tuple:
+def _overflow_ratio(miser: RunResult, fair: RunResult) -> tuple:
     fair_mean = fair.overflow.stats.mean
     fair_max = fair.overflow.stats.max
     if len(miser.overflow) == 0 or len(fair.overflow) == 0:

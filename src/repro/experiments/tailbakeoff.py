@@ -136,7 +136,7 @@ def run(config: ExperimentConfig | None = None) -> TailBakeoffResult:
                 p50=closed.overall.percentile_exact(50),
                 p99=closed.overall.percentile_exact(99),
                 p999=closed.overall.percentile_exact(99.9),
-                conserved=closed.conserved(),
+                conserved=sum(closed.ledger.values()) == len(closed.submitted),
             )
         )
         chaos = run_chaos(

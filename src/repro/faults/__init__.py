@@ -27,7 +27,6 @@ It provides, bottom-up:
 from .controller import AdaptiveShaper, ControllerConfig
 from .harness import (
     RESILIENCE_POLICIES,
-    ResilientRunResult,
     run_chaos,
     run_resilient,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "INFLIGHT_POLICIES",
     "RESILIENCE_POLICIES",
     "RateDroop",
-    "ResilientRunResult",
     "RetryPolicy",
     "SpikeStorm",
     "assert_conservation",

@@ -12,7 +12,10 @@ optional driver-level timeout/retry, and an optional
 :class:`~repro.faults.controller.AdaptiveShaper` closing the loop from
 miss rate back to ``maxQ1``.  After every run the conservation
 invariant is asserted: each arrival completed, was shed, or was dropped
-exactly once.
+exactly once.  :class:`~repro.serve.harness.ServiceHarness` serves its
+fault mode on the same three steps: :func:`fault_stack` builds,
+:func:`start_monitors` arms the injector, sampler and controller, and
+:func:`fault_fields` packages the fault plane's part of the result.
 
 With an empty schedule, no retry policy, and no controller, the run is
 bit-identical to :func:`run_policy` on the same workload and admission
@@ -25,21 +28,17 @@ the full resilient stack — the unit of the chaos suite in CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..core.request import QoSClass
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry
 from ..obs.sampler import Sampler, attach_standard_probes
 from ..server.aqm import resolve_aqm
-from ..shaping import RunConfig, build_stack, class_results
+from ..shaping import RunConfig, RunResult, Stack, build_stack, run_result
 from ..sim.engine import Simulator
 from ..sim.source import WorkloadSource
-from ..sim.stats import ResponseTimeCollector
 from .controller import AdaptiveShaper, ControllerConfig, adaptive_refusal
 from .injector import FaultInjector, FaultState, faulty_units
-from .invariants import ConservationReport, assert_conservation
+from .invariants import assert_conservation
 from .retry import RetryPolicy
 from .schedule import FaultSchedule, random_schedule
 
@@ -48,80 +47,106 @@ from .schedule import FaultSchedule, random_schedule
 RESILIENCE_POLICIES = ("fcfs", "split", "fairqueue", "miser")
 
 
-class DeadlineCompliance:
-    """The deadline metrics of a fault-plane run's result.
+def refuse_adaptive(policy: str, adaptive: bool) -> None:
+    """Refuse ``adaptive=True`` where the controller cannot steer ``policy``."""
+    refusal = adaptive_refusal(policy) if adaptive else None
+    if refusal is not None:
+        raise ConfigurationError(refusal)
 
-    Shared by :class:`ResilientRunResult` and
-    :class:`~repro.serve.harness.ServeRunResult`, which carry the
-    ``delta``, ``overall``, ``primary``, ``primary_misses`` and
-    ``completed`` it reads.
+
+def fault_stack(
+    policy: str,
+    config: RunConfig,
+    sim: Simulator,
+    schedule: FaultSchedule,
+    retry: RetryPolicy | None = None,
+    inflight: str = "requeue",
+    seed: int = 0,
+) -> tuple[Stack, FaultInjector]:
+    """:func:`~repro.shaping.build_stack`'s stack on crash-capable units.
+
+    The units come from :func:`~repro.faults.injector.faulty_units`; the
+    returned :class:`FaultInjector` turns ``schedule`` into events on
+    them once :func:`start_monitors` installs it.
     """
-
-    def fraction_within(self, bound: float | None = None) -> float:
-        return self.overall.fraction_within(self.delta if bound is None else bound)
-
-    def q1_compliance(self) -> float:
-        """Deadline compliance over every completed primary request."""
-        total = len(self.primary)
-        if total == 0:
-            return float("nan")
-        return 1.0 - self.primary_misses / total
-
-    def q1_compliance_after(self, instant: float) -> float:
-        """Q1 deadline compliance among arrivals after ``instant``.
-
-        The chaos acceptance metric: evaluated at ``schedule.last_clear``
-        it measures whether shaping *restored* the guarantee once the
-        faults ended.
-        """
-        done = [
-            r
-            for r in self.completed
-            if r.qos_class is QoSClass.PRIMARY and r.arrival > instant
-        ]
-        if done:
-            return sum(1 for r in done if r.met_deadline) / len(done)
-        if not any(r.qos_class is QoSClass.PRIMARY for r in self.completed):
-            # Classifier-free run (FCFS): fall back to the overall
-            # within-delta fraction over the same post-fault window.
-            late = [r for r in self.completed if r.arrival > instant]
-            if late:
-                return sum(
-                    1 for r in late if r.response_time <= self.delta + 1e-12
-                ) / len(late)
-        return float("nan")
+    state = FaultState()
+    stack = build_stack(
+        policy, config, sim, retry=retry, unit=faulty_units(state, seed, inflight)
+    )
+    injector = FaultInjector(
+        sim, schedule, servers=stack.servers, state=state, metrics=config.metrics
+    )
+    return stack, injector
 
 
-@dataclass(frozen=True)
-class ResilientRunResult(DeadlineCompliance):
-    """Outcome of one fault-injected (or healthy-baseline) run."""
+def start_monitors(
+    sim: Simulator,
+    stack: Stack,
+    config: RunConfig,
+    injector: FaultInjector | None,
+    horizon: float,
+    sample_interval: float | None = None,
+    adaptive: bool = False,
+    controller_config: ControllerConfig | None = None,
+) -> tuple[Sampler | None, AdaptiveShaper | None]:
+    """Install the injector, then the sampler and the adaptive controller.
 
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    schedule: FaultSchedule
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    completed: list = field(repr=False, default_factory=list)
-    dropped: list = field(repr=False, default_factory=list)
-    shed: list = field(repr=False, default_factory=list)
-    primary_misses: int = 0
-    demotions: int = 0
-    failovers: int = 0
-    conservation: ConservationReport | None = None
-    #: Controller stats when adaptive shaping ran (else None).
-    degrades: int | None = None
-    recoveries: int | None = None
-    final_limit: int | None = None
-    samples: list = field(repr=False, default_factory=list)
-    #: AQM window policy the stack ran with (``None`` = no window).
-    aqm: str | None = None
-    #: Final window statistics (``snapshot()`` dict(s)); ``None`` when
-    #: no window was armed.
-    window: dict | None = None
+    A sampler runs when ``sample_interval`` asks for one or the
+    controller needs its cadence (every ``config.delta``, the stack's
+    deadline, unless ``sample_interval`` says otherwise).  It keeps
+    ticking 20 intervals past ``horizon``, the end of arrivals or
+    faults, so the controller can observe the post-fault recovery and
+    restore the planned bound.  Returns ``(sampler, controller)``, each
+    ``None`` when not armed.
+    """
+    if injector is not None:
+        injector.install()
+    if not adaptive and sample_interval is None:
+        return None, None
+    interval = sample_interval if sample_interval is not None else config.delta
+    sampler = Sampler(sim, interval)
+    attach_standard_probes(sampler, stack.system)
+    sampler.install(until=horizon + 20 * interval)
+    controller = None
+    if adaptive:
+        controller = AdaptiveShaper(
+            driver=stack.loop_driver,
+            classifier=stack.system.classifier,
+            config=controller_config,
+            metrics=config.metrics,
+            shed_from=stack.shed_from,
+        ).install(sampler)
+    return sampler, controller
+
+
+def fault_fields(
+    stack: Stack, delivered: list, controller: AdaptiveShaper | None
+) -> dict:
+    """The fault plane's :class:`~repro.shaping.RunResult` fields.
+
+    Audits by identity that every ``delivered`` request ended in exactly
+    one terminal list (:func:`assert_conservation`), and returns those
+    lists with the audit, the demotions, failovers and the controller's
+    statistics.  A topology builds each list afresh on every read, so
+    each is read once.
+    """
+    system = stack.system
+    completed, dropped, shed = system.completed, system.dropped, system.shed
+    conservation = assert_conservation(
+        delivered, completed, dropped=dropped, shed=shed
+    )
+    classifier = system.classifier
+    return dict(
+        completed=list(completed),
+        dropped=list(dropped),
+        shed=list(shed),
+        conservation=conservation,
+        demotions=system.demotions,
+        failovers=getattr(system, "failovers", 0),
+        degrades=controller.degrades if controller is not None else None,
+        recoveries=controller.recoveries if controller is not None else None,
+        final_limit=classifier.limit if classifier is not None else None,
+    )
 
 
 def run_resilient(
@@ -141,24 +166,24 @@ def run_resilient(
     aqm: str | None = None,
     aqm_shared: bool = False,
     admission: str = "count",
-) -> ResilientRunResult:
+) -> RunResult:
     """Serve ``workload`` under ``policy`` on a fault-injected stack.
 
     Capacity allocation follows :func:`repro.shaping.run_policy`
-    (Section 4.3), on :func:`repro.shaping.build_stack`'s stack.
-    ``schedule`` drives the injector; ``retry`` arms the driver's
-    timeout/retry path; ``adaptive=True`` installs an
-    :class:`AdaptiveShaper` on the sampler cadence (``sample_interval``
-    defaults to ``delta`` when unset).  ``admission`` is the
-    classifier's mode, ``"count"`` or ``"work"``, as in
-    :class:`~repro.shaping.RunConfig`.  The conservation invariant is
-    asserted before returning.
+    (Section 4.3), on :func:`fault_stack`'s stack.  ``schedule`` drives
+    the injector; ``retry`` arms the driver's timeout/retry path;
+    ``adaptive=True`` installs an :class:`AdaptiveShaper` on the sampler
+    cadence (``sample_interval`` defaults to ``delta`` when unset).
+    ``admission`` is the classifier's mode, ``"count"`` or ``"work"``,
+    as in :class:`~repro.shaping.RunConfig`.  The conservation invariant
+    is asserted before returning, and the sampler's records are the
+    result's ``telemetry.samples``.
 
     ``aqm`` arms a driver-level in-flight window (:mod:`repro.server.
     aqm`): crash-requeues and retries then re-enter through the
     scheduler and must re-acquire a window slot — backpressure instead
     of instantaneous requeue.  The ledger gains a ``window`` residency
-    bucket, asserted drained (zero) at end of run.
+    bucket, checked drained (zero) at end of run.
     """
     config = RunConfig(
         cmin,
@@ -169,86 +194,39 @@ def run_resilient(
         aqm=aqm,
         aqm_shared=aqm_shared,
     )
-    refusal = adaptive_refusal(policy) if adaptive else None
-    if refusal is not None:
-        raise ConfigurationError(refusal)
+    refuse_adaptive(policy, adaptive)
     schedule = schedule if schedule is not None else FaultSchedule()
     aqm = resolve_aqm(aqm)
     sim = Simulator()
-    state = FaultState()
-    stack = build_stack(
-        policy, config, sim, retry=retry, unit=faulty_units(state, seed, inflight)
+    stack, injector = fault_stack(
+        policy, config, sim, schedule, retry=retry, inflight=inflight, seed=seed
     )
-    system = stack.system
-    classifier = system.classifier
-    injector = FaultInjector(
-        sim, schedule, servers=stack.servers, state=state, metrics=metrics
+    sampler, controller = start_monitors(
+        sim,
+        stack,
+        config,
+        injector,
+        max(workload.duration, schedule.last_clear),
+        sample_interval,
+        adaptive,
+        controller_config,
     )
-    injector.install()
-
-    sampler: Sampler | None = None
-    controller: AdaptiveShaper | None = None
-    if adaptive or sample_interval is not None:
-        interval = sample_interval if sample_interval is not None else delta
-        sampler = Sampler(sim, interval)
-        attach_standard_probes(sampler, system)
-        # Keep ticking past the arrival window so the controller can
-        # observe the post-fault recovery and restore the planned bound.
-        horizon = max(workload.duration, schedule.last_clear) + 20 * interval
-        sampler.install(until=horizon)
-        if adaptive:
-            controller = AdaptiveShaper(
-                driver=stack.loop_driver,
-                classifier=classifier,
-                config=controller_config,
-                metrics=metrics,
-                shed_from=stack.shed_from,
-            ).install(sampler)
-
-    source = WorkloadSource(sim, workload, system)
+    source = WorkloadSource(sim, workload, stack.system)
     source.start()
     sim.run()
     if sampler is not None:
         sampler.sample_now()
-
-    conservation = assert_conservation(
-        source.requests,
-        system.completed,
-        dropped=system.dropped,
-        shed=system.shed,
-    )
-    if aqm is not None:
-        residue = system.fault_ledger().get("window", 0)
-        if residue != 0:
-            raise AssertionError(
-                f"{policy}: window not drained at end of run "
-                f"({residue} requests still resident)"
-            )
-
-    primary, overflow = class_results(policy, system.by_class)
-    return ResilientRunResult(
-        policy=policy,
-        workload_name=workload.name,
-        cmin=cmin,
-        delta_c=delta_c,
-        delta=delta,
-        schedule=schedule,
-        overall=system.overall,
-        primary=primary,
-        overflow=overflow,
-        completed=list(system.completed),
-        dropped=list(system.dropped),
-        shed=list(system.shed),
-        primary_misses=system.primary_deadline_misses(),
-        demotions=system.demotions,
-        failovers=getattr(system, "failovers", 0),
-        conservation=conservation,
-        degrades=controller.degrades if controller is not None else None,
-        recoveries=controller.recoveries if controller is not None else None,
-        final_limit=classifier.limit if classifier is not None else None,
-        samples=sampler.records if sampler is not None else [],
+    return run_result(
+        stack.system,
+        policy,
+        config,
+        workload.name,
+        len(source.requests),
+        workload.duration,
         aqm=aqm,
-        window=system.window_snapshot() if aqm is not None else None,
+        sampler=sampler,
+        schedule=schedule,
+        **fault_fields(stack, source.requests, controller),
     )
 
 
@@ -269,7 +247,7 @@ def run_chaos(
     aqm: str | None = None,
     aqm_shared: bool = False,
     admission: str = "count",
-) -> ResilientRunResult:
+) -> RunResult:
     """One chaos-suite run: derive a schedule from ``seed`` and go.
 
     ``adaptive`` defaults to True for every policy the controller can
@@ -278,9 +256,11 @@ def run_chaos(
     completions span both partitions): see
     :func:`~repro.faults.controller.adaptive_refusal`.  The retry policy
     defaults to generous per-class timeouts (``10·delta`` for Q1,
-    ``40·delta`` for Q2) with three retries.  ``admission`` is the
-    classifier's mode, as for :func:`run_resilient`.
+    ``40·delta`` for Q2) with three retries, once the plan is validated.
+    ``admission`` is the classifier's mode, as for :func:`run_resilient`.
     """
+    # Refuse a bad plan before the retry default below reads ``delta``.
+    RunConfig(cmin, delta_c, delta)
     schedule = random_schedule(
         seed,
         horizon=workload.duration,

@@ -31,9 +31,6 @@ class ConservationReport:
     completed: int
     dropped: int
     shed: int
-    #: Requests resident in a device window at audit time (mid-run
-    #: audits only; zero for a finished run — windows must drain).
-    window: int = 0
     #: Requests appearing in more than one terminal bucket.
     duplicated: tuple[int, ...] = field(default_factory=tuple)
     #: Injected requests appearing in no terminal bucket (leaked).
@@ -50,8 +47,6 @@ class ConservationReport:
             f"injected={self.injected} completed={self.completed} "
             f"dropped={self.dropped} shed={self.shed}"
         )
-        if self.window:
-            line += f" window={self.window}"
         if self.ok:
             return f"conservation OK: {line}"
         problems = []
@@ -69,25 +64,19 @@ def check_conservation(
     completed: Iterable[Request],
     dropped: Iterable[Request] = (),
     shed: Iterable[Request] = (),
-    window: Iterable[Request] = (),
 ) -> ConservationReport:
     """Audit that every injected request reached exactly one terminal state.
 
     Identity-based (``id``), not index-based: retried requests keep their
     identity across requeues, and two requests may legally share an
-    ``index`` across workloads.
-
-    ``window`` is the non-terminal residency bucket for *mid-run* audits
-    of an AQM-armed stack: a request currently in the device window is
-    accounted for (not leaked) but must not also appear terminal.  A
-    finished run must pass an empty ``window``.
+    ``index`` across workloads.  A request still in a device window is
+    in no bucket, so it is reported leaked.
     """
     injected = list(injected)
     buckets = {
         "completed": list(completed),
         "dropped": list(dropped),
         "shed": list(shed),
-        "window": list(window),
     }
     injected_ids = {id(r): r for r in injected}
     seen: dict[int, str] = {}
@@ -107,7 +96,6 @@ def check_conservation(
         completed=len(buckets["completed"]),
         dropped=len(buckets["dropped"]),
         shed=len(buckets["shed"]),
-        window=len(buckets["window"]),
         duplicated=tuple(sorted(duplicated)),
         missing=tuple(sorted(missing)),
         foreign=tuple(sorted(foreign)),
@@ -119,10 +107,9 @@ def assert_conservation(
     completed: Iterable[Request],
     dropped: Iterable[Request] = (),
     shed: Iterable[Request] = (),
-    window: Iterable[Request] = (),
 ) -> ConservationReport:
     """:func:`check_conservation`, raising ``SimulationError`` on violation."""
-    report = check_conservation(injected, completed, dropped, shed, window)
+    report = check_conservation(injected, completed, dropped, shed)
     if not report.ok:
         raise SimulationError(report.summary())
     return report

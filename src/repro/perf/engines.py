@@ -22,13 +22,13 @@ that :func:`repro.shaping.run_policy` uses to serve a workload:
     window — a single-server policy on one server, ``split`` and
     ``splitfarm`` on their front end's two single-unit sides; then the
     event loop.  The default.  Closed-loop populations
-    (:func:`repro.workload.closedloop.run_closed_loop`) take the same
-    loop under the same condition.  The direct loop is not an engine
-    name: nothing needs to force it, and ``scalar`` against ``auto`` is
-    its A/B.  Results record the path taken in
-    ``PolicyRunResult.engine`` (``"scalar"``, ``"batch"`` or
-    ``"direct"``) and ``ClosedLoopResult.engine`` (``"scalar"`` or
-    ``"direct"``).
+    (:func:`repro.workload.closedloop.run_closed_loop`) share the same
+    run body (:func:`repro.shaping.serve_feed`), so they take the same
+    loop under the same condition; only ``batch`` is refused for them.
+    The direct loop is not an engine name: nothing needs to force it,
+    and ``scalar`` against ``auto`` is its A/B.  Results record the path
+    taken in ``RunResult.engine`` (``"scalar"``, ``"batch"`` or
+    ``"direct"``; a closed loop's is never ``"batch"``).
 
 Selection, highest priority first (mirroring ``REPRO_KERNEL``):
 

@@ -37,27 +37,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
 from ..core.request import QoSClass, Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
-from ..faults.controller import AdaptiveShaper, ControllerConfig, adaptive_refusal
-from ..faults.harness import DeadlineCompliance
-from ..faults.injector import FaultInjector, FaultState, faulty_units
-from ..faults.invariants import ConservationReport, assert_conservation
+from ..faults.controller import AdaptiveShaper, ControllerConfig
+from ..faults.harness import fault_fields, fault_stack, refuse_adaptive, start_monitors
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
-from ..obs.sampler import Sampler, attach_standard_probes
+from ..obs.sampler import Sampler
 from ..server.aqm import resolve_aqm
-from ..server.base import Server
-from ..shaping import RunConfig, build_stack, class_results
+from ..shaping import RunConfig, RunResult, build_stack, run_result
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_ARRIVAL
-from ..sim.stats import ResponseTimeCollector
 from .admission import AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .placement import PlacementPlan
@@ -177,45 +172,28 @@ class StagedSource:
 
 
 @dataclass(frozen=True)
-class ServeRunResult(DeadlineCompliance):
-    """Outcome of one harness run: the serving plane's full ledger."""
+class ServeRunResult(RunResult):
+    """A :class:`~repro.shaping.RunResult` plus the serving plane's ledger.
 
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
+    ``delta`` is the planned deadline; the fault-plane fields are filled
+    in every mode, and ``schedule`` is ``None`` unless faults were given.
+    """
+
     #: Deadline actually enforced by the stack (``delta`` minus any
     #: placement latency charge; equals ``delta`` without a placement).
-    effective_delta: float
+    effective_delta: float | None = None
     #: Per-arrival-index response times (NaN for dropped/shed/rejected).
-    responses: np.ndarray = field(repr=False)
+    responses: np.ndarray | None = field(repr=False, default=None)
     #: Per-arrival-index admitted-to-Q1 mask.
-    admitted: np.ndarray = field(repr=False)
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    primary_misses: int
-    ledger: dict
-    completed: list = field(repr=False, default_factory=list)
-    dropped: list = field(repr=False, default_factory=list)
-    shed: list = field(repr=False, default_factory=list)
+    admitted: np.ndarray | None = field(repr=False, default=None)
     rejected: list = field(repr=False, default_factory=list)
     #: Predict-then-verify mismatches (must be empty for a certified run).
     violations: tuple = ()
     #: Admission decision tallies by verdict name.
     decisions: dict = field(default_factory=dict)
-    conservation: ConservationReport | None = None
     #: (time, outstanding) pairs from every epoch/chunk audit.
     audits: tuple = ()
-    schedule: FaultSchedule | None = None
-    samples: list = field(repr=False, default_factory=list)
     autoscaler_decisions: tuple = ()
-    demotions: int = 0
-    failovers: int = 0
-    aqm: str | None = None
-    window: dict | None = None
-    final_limit: int | None = None
 
 
 class ServiceHarness:
@@ -283,21 +261,18 @@ class ServiceHarness:
                 "a placement plan)"
             )
         config = RunConfig(
-            cmin,
-            delta_c,
-            delta,
+            float(cmin),
+            float(delta_c),
+            float(delta),
             metrics=metrics,
             admission=admission,
             aqm=aqm,
             aqm_shared=aqm_shared,
         )
-        refusal = adaptive_refusal(policy) if adaptive else None
-        if refusal is not None:
-            raise ConfigurationError(refusal)
+        refuse_adaptive(policy, adaptive)
         self.policy = policy
-        self.cmin = float(cmin)
-        self.delta_c = float(delta_c)
-        self.delta = float(delta)
+        self.config = config
+        self.cmin, self.delta_c, self.delta = config.cmin, config.delta_c, config.delta
         self.placement = placement
         self.effective_delta = (
             float(placement.effective_delta) if placement is not None else self.delta
@@ -306,7 +281,6 @@ class ServiceHarness:
             raise ConfigurationError(
                 "placement latency consumes the whole deadline budget"
             )
-        self.metrics = metrics
         self.schedule = faults
         self.adaptive = bool(adaptive)
         self.controller_config = controller_config
@@ -314,28 +288,24 @@ class ServiceHarness:
         self.aqm = resolve_aqm(aqm)
         self._user_on_request = on_request
         self.sim = Simulator()
-        fault_mode = faults is not None or retry is not None or self.adaptive
-        state = FaultState()
         # The stack enforces the deadline left after any placement charge.
-        stack = build_stack(
-            policy,
-            replace(config, delta=self.effective_delta),
-            self.sim,
-            retry=retry,
-            unit=faulty_units(state, seed, inflight) if fault_mode else Server,
-        )
+        self._stack_config = replace(config, delta=self.effective_delta)
+        self.injector = None
+        if faults is not None or retry is not None or self.adaptive:
+            stack, self.injector = fault_stack(
+                policy,
+                self._stack_config,
+                self.sim,
+                faults if faults is not None else FaultSchedule(),
+                retry=retry,
+                inflight=inflight,
+                seed=seed,
+            )
+        else:
+            stack = build_stack(policy, self._stack_config, self.sim)
         self._stack = stack
         self.system = stack.system
         self.classifier = self.system.classifier
-        self.injector = None
-        if fault_mode:
-            self.injector = FaultInjector(
-                self.sim,
-                faults if faults is not None else FaultSchedule(),
-                servers=stack.servers,
-                state=state,
-                metrics=metrics,
-            )
         self.admission_service = AdmissionService(
             classifier=self.classifier,
             # A reject replaces a *demotion*, so the saturation signal is
@@ -432,29 +402,17 @@ class ServiceHarness:
         if self._started:
             return
         self._started = True
-        if self.injector is not None:
-            self.injector.install()
-        needs_sampler = self.adaptive or self.sample_interval is not None
-        if needs_sampler:
-            interval = (
-                self.sample_interval
-                if self.sample_interval is not None
-                else self.effective_delta
-            )
-            self.sampler = Sampler(self.sim, interval)
-            attach_standard_probes(self.sampler, self)
-            last_clear = self.schedule.last_clear if self.schedule else 0.0
-            self.sampler.install(
-                until=max(horizon, last_clear) + 20 * interval
-            )
-            if self.adaptive:
-                self.controller = AdaptiveShaper(
-                    driver=self._stack.loop_driver,
-                    classifier=self.classifier,
-                    config=self.controller_config,
-                    metrics=self.metrics,
-                    shed_from=self._stack.shed_from,
-                ).install(self.sampler)
+        last_clear = self.schedule.last_clear if self.schedule else 0.0
+        self.sampler, self.controller = start_monitors(
+            self.sim,
+            self._stack,
+            self._stack_config,
+            self.injector,
+            max(horizon, last_clear),
+            self.sample_interval,
+            self.adaptive,
+            self.controller_config,
+        )
         if self.autoscaler is not None and self.autoscaler.config.mode != "off":
             self.sim.every(
                 self.autoscaler.config.interval,
@@ -489,7 +447,7 @@ class ServiceHarness:
         self.sim.run()
         if self.sampler is not None:
             self.sampler.sample_now()
-        self.audit(final=True)
+        self.audit()
         return self.result()
 
     def run_epochs(
@@ -507,13 +465,14 @@ class ServiceHarness:
     # Audits and results
     # ------------------------------------------------------------------
 
-    def audit(self, final: bool = False) -> int:
+    def audit(self) -> int:
         """O(1) count-conservation check; returns outstanding requests.
 
         ``injected == rejected + completed + dropped + shed + window +
         outstanding`` with ``outstanding >= 0`` must hold at *every*
-        instant; the final audit (all sources drained) also demands
-        ``outstanding == 0`` and an empty device window.
+        instant.  At end of run, :meth:`result` makes the one end-of-run
+        check of :func:`~repro.shaping.run_result`: nothing outstanding
+        and an empty device window.
         """
         ledger = self.system.fault_ledger()
         terminal = ledger["completed"] + ledger["dropped"] + ledger["shed"]
@@ -527,17 +486,6 @@ class ServiceHarness:
                 f"injected but {terminal} terminal + {resident} resident "
                 f"+ {len(self.rejected)} rejected"
             )
-        if final:
-            if self.source.exhausted and outstanding != 0:
-                raise SimulationError(
-                    f"end-of-run audit: {outstanding} requests neither "
-                    "completed nor accounted as dropped/shed/rejected"
-                )
-            if self.aqm is not None and resident != 0:
-                raise SimulationError(
-                    f"device window not drained at end of run "
-                    f"({resident} resident)"
-                )
         self.audits.append((now, outstanding))
         return outstanding
 
@@ -545,67 +493,43 @@ class ServiceHarness:
         """Snapshot the plane into a :class:`ServeRunResult`.
 
         Asserts identity-based conservation over every *delivered*
-        request (rejected ones never entered the stack and must not
-        appear in any terminal bucket).
+        request: a rejected one never entered the stack, so one found in
+        a terminal bucket fails the audit as foreign.
         """
-        system = self.system
-        # A topology builds these lists afresh on every read.
-        completed, dropped, shed = system.completed, system.dropped, system.shed
-        conservation = assert_conservation(
-            self.delivered, completed, dropped=dropped, shed=shed
-        )
-        terminal_ids = set(map(id, chain(completed, dropped, shed)))
-        for request in self.rejected:
-            if id(request) in terminal_ids:
-                raise SimulationError(
-                    f"rejected request {request.index} leaked into the stack"
-                )
+        fields = fault_fields(self._stack, self.delivered, self.controller)
         n = len(self.source.requests)
         responses = np.full(n, np.nan, dtype=np.float64)
         admitted = np.zeros(n, dtype=bool)
-        for request in completed:
+        for request in fields["completed"]:
             # The same single float op the batch engine uses; adding
             # arrival back would reassociate and cost bit-parity.
             responses[request.index] = request.completion - request.arrival
         for request in self.delivered:
             admitted[request.index] = request.qos_class is QoSClass.PRIMARY
-        primary, overflow = class_results(self.policy, system.by_class)
-        return ServeRunResult(
-            policy=self.policy,
-            workload_name=getattr(self, "_workload_name", "staged"),
-            cmin=self.cmin,
-            delta_c=self.delta_c,
-            delta=self.delta,
+        return run_result(
+            self.system,
+            self.policy,
+            self.config,
+            getattr(self, "_workload_name", "staged"),
+            len(self.delivered),
+            self.source.horizon,
+            aqm=self.aqm,
+            sampler=self.sampler,
+            result=ServeRunResult,
+            schedule=self.schedule,
             effective_delta=self.effective_delta,
             responses=responses,
             admitted=admitted,
-            overall=system.overall,
-            primary=primary,
-            overflow=overflow,
-            primary_misses=system.primary_deadline_misses(),
-            ledger=dict(system.fault_ledger()),
-            completed=list(completed),
-            dropped=list(dropped),
-            shed=list(shed),
             rejected=list(self.rejected),
             violations=tuple(self.violations),
             decisions={
                 v.value: n for v, n in self.admission_service.decided.items()
             },
-            conservation=conservation,
             audits=tuple(self.audits),
-            schedule=self.schedule,
-            samples=self.sampler.records if self.sampler is not None else [],
             autoscaler_decisions=(
                 tuple(self.autoscaler.decisions)
                 if self.autoscaler is not None
                 else ()
             ),
-            demotions=system.demotions,
-            failovers=getattr(system, "failovers", 0),
-            aqm=self.aqm,
-            window=system.window_snapshot() if self.aqm is not None else None,
-            final_limit=(
-                self.classifier.limit if self.classifier is not None else None
-            ),
+            **fields,
         )

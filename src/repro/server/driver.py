@@ -551,11 +551,13 @@ def merge_sides(collectors: list[ResponseTimeCollector]) -> ResponseTimeCollecto
 
 @dataclass(frozen=True)
 class DirectRun:
-    """What :func:`serve_direct` measured.
+    """What :func:`serve_direct` (or the batch engine) measured.
 
     ``by_class`` and ``overall`` are filled exactly as
     :class:`DeviceDriver`'s collectors of the same names, and for a
-    topology merged in side order, as its system merges them.
+    topology merged in side order, as its system merges them.  The
+    reporting methods are :class:`DeviceDriver`'s, so
+    :func:`repro.shaping.run_result` packages either alike.
     """
 
     by_class: dict
@@ -567,9 +569,12 @@ class DirectRun:
     #: Times a scheduler pulled the in-flight request off its server.
     preemptions: int
 
-    def ledger(self) -> dict[str, int]:
+    def fault_ledger(self) -> dict[str, int]:
         """:meth:`DeviceDriver.fault_ledger`'s buckets: nothing drops or sheds."""
         return {"completed": self.completed, "dropped": 0, "shed": 0}
+
+    def primary_deadline_misses(self) -> int:
+        return self.primary_misses
 
 
 #: The completion key of an idle side: later than any pending completion.

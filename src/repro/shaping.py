@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core.capacity import CapacityPlan, CapacityPlanner
 from .core.request import QoSClass
@@ -33,7 +33,7 @@ from .core.rtt import DecompositionResult, decompose
 from .core.workload import Workload
 from .exceptions import ConfigurationError, SimulationError
 from .obs.export import export_run
-from .obs.registry import MetricsRegistry
+from .obs.registry import NULL_REGISTRY, MetricsRegistry
 from .obs.sampler import Sampler, attach_standard_probes
 from .perf import engines
 from .sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
@@ -41,13 +41,17 @@ from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
 from .server.base import Server, ServiceTimeModel
 from .server.cluster import SplitFrontEnd, SplitSystem, TopologySystem
 from .server.constant_rate import ConstantRateModel
-from .server.driver import DeviceDriver, Side, serve_direct
+from .server.driver import DeviceDriver, DirectRun, Side, serve_direct
 from .server.farm import ServerFarm
 from .server.sizesplit import SizeSplitFrontEnd, SizeSplitSystem
 from .sim import batch
 from .sim.engine import Simulator
-from .sim.source import WorkloadSource
+from .sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from .sim.stats import ResponseTimeCollector
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> shaping)
+    from .faults.invariants import ConservationReport
+    from .faults.schedule import FaultSchedule
 
 #: Planners kept strongly alive by a :class:`WorkloadShaper` (LRU).
 PLANNER_CACHE_SIZE = 8
@@ -158,21 +162,60 @@ class RunTelemetry:
 
 
 @dataclass(frozen=True)
-class PolicyRunResult:
-    """Measured outcome of serving a workload under one policy.
+class RunResult:
+    """Measured outcome of one run, however its traffic reached the stack.
+
+    Every entry point returns one: :func:`run_policy` (open loop),
+    :func:`repro.workload.closedloop.run_closed_loop` (closed loop),
+    :func:`repro.faults.harness.run_resilient` and ``run_chaos`` (the
+    fault plane) and, as its subclass
+    :class:`~repro.serve.harness.ServeRunResult`, the serving plane.
+    :func:`run_result` packages each one after the same end-of-run
+    check, so every result reports a run that lost no request.
 
     Attributes
     ----------
-    policy:
-        Policy name ("fcfs", "split", "fairqueue", "wf2q", "miser").
-    workload_name, cmin, delta_c, delta:
-        The experiment configuration.
+    policy, workload_name, cmin, delta_c, delta:
+        The run's configuration.  A closed loop is named
+        ``closed-loop-<policy>-<users>u``.
     overall, primary, overflow:
         Response-time collectors for the whole stream and per class.
         Under FCFS nothing is classified, so ``primary``/``overflow`` are
         empty and ``overall`` carries everything.
     primary_misses:
         Guaranteed-class requests that finished after ``arrival + delta``.
+    ledger:
+        Conservation buckets ``{"completed", "dropped", "shed"}``, plus
+        a ``"window"`` residency bucket (checked zero) when a window was
+        armed.  Only the fault plane drops and sheds.
+    engine:
+        Path that served the run, all bit-identical: the ``"scalar"``
+        event loop, the ``"batch"`` columnar fast path (open loop only),
+        or the ``"direct"`` heap-free loop
+        (:func:`repro.server.driver.serve_direct`, one server or a
+        topology's sides).
+    admission, aqm:
+        The classifier's admission mode and the in-flight window policy
+        the stack ran with (``None`` = no window).
+    window:
+        Final window statistics (``snapshot()`` dict, or per-driver dicts
+        for the two-driver topologies); ``None`` when no window was armed.
+    completion_series:
+        ``(bin_starts, completion rate IOPS)`` when rate recording was on.
+    telemetry:
+        Metrics and samples when a registry or a sampler was attached;
+        ``None`` for unobserved runs.
+    submitted:
+        A closed loop's requests in submission order: its arrival trace
+        is an outcome of the run (:meth:`observed_workload`).  Empty for
+        the other entry points; an open loop keeps no requests.
+    schedule, completed, dropped, shed, conservation:
+        The fault plane's schedule, terminal requests and identity audit
+        (:func:`repro.faults.invariants.assert_conservation`).
+    demotions, failovers, degrades, recoveries, final_limit:
+        The fault plane's Q1 demotions and failovers, and the adaptive
+        controller's statistics (``None`` when it did not run;
+        ``final_limit`` is the classifier's last ``maxQ1``).
     """
 
     policy: str
@@ -184,23 +227,24 @@ class PolicyRunResult:
     primary: ResponseTimeCollector
     overflow: ResponseTimeCollector
     primary_misses: int
-    #: (bin_starts, completion rate IOPS) when rate recording was enabled.
-    completion_series: tuple | None = None
-    #: Metrics + samples when observability was enabled (``metrics=`` /
-    #: ``sample_interval=``); ``None`` for unobserved runs.
-    telemetry: RunTelemetry | None = None
-    #: Path that produced this result: the "scalar" event loop, the
-    #: "batch" columnar fast path, or the "direct" heap-free loop
-    #: (:func:`repro.server.driver.serve_direct`, one server or a
-    #: topology's sides) — all bit-identical.
+    ledger: dict
     engine: str = "scalar"
-    #: Admission mode the classifier ran in ("count" or "work").
     admission: str = "count"
-    #: In-flight window policy the driver ran with (``None`` = no window).
     aqm: str | None = None
-    #: Final window statistics (``snapshot()`` dict, or per-driver dicts
-    #: for the two-driver topologies); ``None`` when no window was armed.
     window: dict | None = None
+    completion_series: tuple | None = None
+    telemetry: RunTelemetry | None = None
+    submitted: list = field(repr=False, default_factory=list)
+    schedule: FaultSchedule | None = None
+    completed: list = field(repr=False, default_factory=list)
+    dropped: list = field(repr=False, default_factory=list)
+    shed: list = field(repr=False, default_factory=list)
+    conservation: ConservationReport | None = None
+    demotions: int = 0
+    failovers: int = 0
+    degrades: int | None = None
+    recoveries: int | None = None
+    final_limit: int | None = None
 
     @property
     def total_capacity(self) -> float:
@@ -218,6 +262,48 @@ class PolicyRunResult:
         """Figure 6-style cumulative bins over the overall distribution."""
         return self.overall.binned_fractions(edges)
 
+    def q1_compliance(self) -> float:
+        """Deadline compliance over every completed primary request."""
+        total = len(self.primary)
+        if total == 0:
+            return float("nan")
+        return 1.0 - self.primary_misses / total
+
+    def q1_compliance_after(self, instant: float) -> float:
+        """Q1 deadline compliance among arrivals after ``instant``.
+
+        The chaos acceptance metric, over a fault-plane run's
+        ``completed`` requests: evaluated at ``schedule.last_clear`` it
+        measures whether shaping *restored* the guarantee once the
+        faults ended.
+        """
+        done = [
+            r
+            for r in self.completed
+            if r.qos_class is QoSClass.PRIMARY and r.arrival > instant
+        ]
+        if done:
+            return sum(1 for r in done if r.met_deadline) / len(done)
+        if not any(r.qos_class is QoSClass.PRIMARY for r in self.completed):
+            # Classifier-free run (FCFS): fall back to the overall
+            # within-delta fraction over the same post-fault window.
+            late = [r for r in self.completed if r.arrival > instant]
+            if late:
+                return sum(
+                    1 for r in late if r.response_time <= self.delta + 1e-12
+                ) / len(late)
+        return float("nan")
+
+    def observed_workload(self) -> Workload:
+        """The arrival trace a closed loop's population generated.
+
+        Materializing it closes the loop back into the open-loop
+        tooling: the observed trace can be decomposed, replayed, or
+        golden-recorded like any other workload.
+        """
+        ordered = sorted(self.submitted, key=lambda r: (r.arrival, r.index))
+        return Workload.from_requests(ordered, name=self.workload_name)
+
 
 def run_policy(
     workload: Workload,
@@ -226,7 +312,7 @@ def run_policy(
     delta_c: float | None = None,
     delta: float | None = None,
     config: RunConfig | None = None,
-) -> PolicyRunResult:
+) -> RunResult:
     """Simulate serving ``workload`` under ``policy`` and collect stats.
 
     Pass the run as ``config=RunConfig(...)``, or only its capacity plan
@@ -242,7 +328,7 @@ def run_policy(
     ``config.metrics`` threads a registry through the driver(s) and
     scheduler; ``config.sample_interval`` additionally installs a
     periodic :class:`~repro.obs.sampler.Sampler` with the standard probe
-    set.  Either one populates ``PolicyRunResult.telemetry``.
+    set.  Either one populates ``RunResult.telemetry``.
 
     ``config.engine`` overrides the execution-engine selection of
     :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
@@ -292,70 +378,157 @@ def run_policy(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"
             )
-        if _direct_supports(config, aqm):
-            sides, route = build_stack(policy, config)
-            run = serve_direct(workload, *sides, route=route)
-            return _policy_result(
-                workload,
-                policy,
-                config,
-                run.by_class,
-                run.overall,
-                completed=run.completed,
-                primary_misses=run.primary_misses,
-                engine="direct",
+    return serve_feed(workload, policy, config, aqm, requested)
+
+
+def serve_feed(
+    feed: Workload | ClosedLoopPopulation,
+    policy: str,
+    config: RunConfig,
+    aqm: str | None,
+    requested: str,
+) -> RunResult:
+    """The run body :func:`run_policy` and ``run_closed_loop`` share.
+
+    ``feed`` is a workload, replayed open loop, or a closed-loop
+    population; ``aqm`` the resolved window policy and ``requested``
+    the resolved engine, never ``"batch"``.  Unless it is
+    ``"scalar"``, every policy, single-server or topology, takes the
+    heap-free loop when nothing hooks the event loop: no rate recording,
+    metrics registry, sampler or window.  Every other run takes the
+    event loop, which attaches them.
+    """
+    closed = isinstance(feed, ClosedLoopPopulation)
+    if closed:
+        name, duration = f"closed-loop-{policy}-{feed.n_users}u", feed.horizon
+    else:
+        name, duration = feed.name, feed.duration
+    sampler = series = None
+    hooked = (
+        config.record_rates is not None
+        or config.metrics is not None
+        or config.sample_interval is not None
+        or aqm is not None
+    )
+    if requested != "scalar" and not hooked:
+        sides, route = build_stack(policy, config)
+        report = serve_direct(feed, *sides, route=route)
+        engine, submitted = "direct", feed.requests if closed else []
+    else:
+        sim = Simulator()
+        report = build_stack(policy, config, sim).system
+        if config.sample_interval is not None:
+            sampler = Sampler(sim, config.sample_interval)
+            attach_standard_probes(sampler, report)
+            # Periodic ticks cover the arrivals; the drain tail past
+            # them is captured by the final snapshot below.
+            sampler.install(until=duration)
+        if closed:
+            source = ClosedLoopSource(
+                sim,
+                report,
+                feed.n_users,
+                feed.think_time,
+                feed.horizon,
+                seed=feed.seed,
+                demand_sampler=feed.demand_sampler,
             )
-    sample_interval = config.sample_interval
-    sim = Simulator()
-    system = build_stack(policy, config, sim).system
+        else:
+            source = WorkloadSource(sim, feed, report)
+        source.start()
+        sim.run()
+        if sampler is not None:
+            sampler.sample_now()
+        if config.record_rates is not None:
+            series = report.completion_rates.series()
+        engine, submitted = "scalar", source.requests if closed else []
+    return run_result(
+        report,
+        policy,
+        config,
+        name,
+        len(submitted) if closed else len(feed),
+        duration,
+        aqm=aqm,
+        sampler=sampler,
+        engine=engine,
+        submitted=submitted,
+        completion_series=series,
+    )
 
-    sampler: Sampler | None = None
-    if sample_interval is not None:
-        sampler = Sampler(sim, sample_interval)
-        attach_standard_probes(sampler, system)
-        # Periodic ticks cover the arrival window; the drain tail past
-        # ``duration`` is captured by the final snapshot below.
-        sampler.install(until=workload.duration)
 
-    source = WorkloadSource(sim, workload, system)
-    source.start()
-    sim.run()
-    if sampler is not None:
-        sampler.sample_now()
+def run_result(
+    report: DeviceDriver | TopologySystem | DirectRun,
+    policy: str,
+    config: RunConfig,
+    workload_name: str,
+    requests: int,
+    duration: float,
+    aqm: str | None = None,
+    sampler: Sampler | None = None,
+    result: type = RunResult,
+    **fields,
+) -> RunResult:
+    """Package a finished run as a ``result``: the one end-of-run check.
 
+    ``report`` served the run: a driver, a topology's system, or a
+    :class:`~repro.server.driver.DirectRun` (the heap-free loop's, or the
+    batch engine's collectors).  ``requests`` entered it.  Each of them
+    must have ended completed, dropped or shed, and none may still be
+    in a device window; otherwise the run lost a request and
+    :class:`~repro.exceptions.SimulationError` is raised.
+
+    ``aqm`` is the resolved window policy.  A registry in
+    ``config.metrics`` or a ``sampler`` makes the result's telemetry
+    (``duration`` goes into its meta line).  ``fields`` fill the rest of
+    the ``result`` type's fields.
+    """
+    ledger = report.fault_ledger()
+    resident = ledger.get("window", 0)
+    if resident:
+        raise SimulationError(
+            f"{policy}: window not drained at end of run "
+            f"({resident} requests still resident)"
+        )
+    ended = ledger["completed"] + ledger["dropped"] + ledger["shed"]
+    if ended != requests:
+        raise SimulationError(
+            f"{policy}: {ended} of {requests} requests ended completed, "
+            "dropped or shed"
+        )
     telemetry: RunTelemetry | None = None
     if config.metrics is not None or sampler is not None:
         telemetry = RunTelemetry(
-            registry=config.metrics if config.metrics is not None else system.metrics,
+            registry=config.metrics if config.metrics is not None else NULL_REGISTRY,
             samples=sampler.records if sampler is not None else [],
             meta={
                 "policy": policy,
-                "workload": workload.name,
-                "requests": len(workload),
+                "workload": workload_name,
+                "requests": requests,
                 "cmin": config.cmin,
                 "delta_c": config.delta_c,
                 "delta": config.delta,
-                "duration": workload.duration,
-                "sample_interval": sample_interval,
+                "duration": duration,
+                "sample_interval": sampler.interval if sampler is not None else None,
             },
         )
-
-    return _policy_result(
-        workload,
-        policy,
-        config,
-        system.by_class,
-        system.overall,
-        completed=len(system.completed),
-        primary_misses=system.primary_deadline_misses(),
-        completion_series=(
-            system.completion_rates.series()
-            if config.record_rates is not None
-            else None
-        ),
-        telemetry=telemetry,
+    primary, overflow = class_results(policy, report.by_class)
+    return result(
+        policy=policy,
+        workload_name=workload_name,
+        cmin=config.cmin,
+        delta_c=config.delta_c,
+        delta=config.delta,
+        overall=report.overall,
+        primary=primary,
+        overflow=overflow,
+        primary_misses=report.primary_deadline_misses(),
+        ledger=ledger,
+        admission=config.admission,
         aqm=aqm,
-        window=system.window_snapshot() if aqm is not None else None,
+        window=report.window_snapshot() if aqm is not None else None,
+        telemetry=telemetry,
+        **fields,
     )
 
 
@@ -483,67 +656,15 @@ def class_results(
     return by_class[QoSClass.PRIMARY], by_class[QoSClass.OVERFLOW]
 
 
-def _direct_supports(config: RunConfig, aqm: str | None) -> bool:
-    """Whether :func:`~repro.server.driver.serve_direct` can run this.
-
-    Every policy qualifies, single-server or topology, under either
-    admission mode, when nothing hooks the event loop: no rate
-    recording, no metrics registry, no sampler and no in-flight window
-    (``aqm`` is the resolved window policy).
-    :func:`repro.workload.closedloop.run_closed_loop` asks the same
-    question of a population.
-    """
-    return (
-        config.record_rates is None
-        and config.metrics is None
-        and config.sample_interval is None
-        and aqm is None
-    )
-
-
-def _policy_result(
-    workload: Workload,
-    policy: str,
-    config: RunConfig,
-    by_class: dict,
-    overall: ResponseTimeCollector,
-    completed: int,
-    primary_misses: int,
-    engine: str = "scalar",
-    **extra,
-) -> PolicyRunResult:
-    """Package one served run, refusing a run that lost a request."""
-    if completed != len(workload):
-        raise SimulationError(
-            f"{policy}: {completed} of {len(workload)} requests completed"
-        )
-    primary, overflow = class_results(policy, by_class)
-    return PolicyRunResult(
-        policy=policy,
-        workload_name=workload.name,
-        cmin=config.cmin,
-        delta_c=config.delta_c,
-        delta=config.delta,
-        overall=overall,
-        primary=primary,
-        overflow=overflow,
-        primary_misses=primary_misses,
-        engine=engine,
-        admission=config.admission,
-        **extra,
-    )
-
-
-def _run_policy_batch(
-    workload: Workload, policy: str, config: RunConfig
-) -> PolicyRunResult:
+def _run_policy_batch(workload: Workload, policy: str, config: RunConfig) -> RunResult:
     """Columnar fast path of :func:`run_policy` (eligible configs only).
 
     Delegates the dynamics to :func:`repro.sim.batch.run_batch` and
     repackages the response columns into the same collectors the scalar
     engine fills — in the same sample order, so downstream consumers
-    cannot tell the engines apart.  Sized workloads pass their demand
-    column straight through.
+    cannot tell the engines apart — handed over as a
+    :class:`~repro.server.driver.DirectRun`.  Sized workloads pass their
+    demand column straight through.
     """
     run = batch.run_batch(
         workload.arrivals,
@@ -559,14 +680,20 @@ def _run_policy_batch(
     primary.extend_array(run.primary)
     overflow = ResponseTimeCollector("Q2")
     overflow.extend_array(run.overflow)
-    return _policy_result(
-        workload,
-        policy,
-        config,
-        {QoSClass.PRIMARY: primary, QoSClass.OVERFLOW: overflow},
-        overall,
+    collected = DirectRun(
+        by_class={QoSClass.PRIMARY: primary, QoSClass.OVERFLOW: overflow},
+        overall=overall,
         completed=len(overall),
         primary_misses=run.primary_misses,
+        preemptions=0,
+    )
+    return run_result(
+        collected,
+        policy,
+        config,
+        workload.name,
+        len(workload),
+        workload.duration,
         engine="batch",
     )
 
@@ -579,7 +706,7 @@ class ShapingOutcome:
     decomposition: DecompositionResult
     runs: dict
 
-    def run(self, policy: str) -> PolicyRunResult:
+    def run(self, policy: str) -> RunResult:
         try:
             return self.runs[policy]
         except KeyError:

@@ -321,7 +321,7 @@ def run_batch(
     """Run one eligible policy configuration on the batch engine.
 
     ``repro.shaping.run_policy`` calls this and repackages the arrays
-    into its normal ``PolicyRunResult``; tests and benchmarks may call
+    into its normal ``RunResult``; tests and benchmarks may call
     it directly for array-level access.  ``demands`` optionally sizes
     each request (``None`` is the unit-cost model).
     """

@@ -8,6 +8,7 @@ record stream onto the arrival-sequence view the shaping algorithms use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +28,8 @@ class TraceRecord:
     unit: int = 0  # ASU / device id
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp):
+            raise TraceFormatError(f"non-finite timestamp {self.timestamp}")
         if self.timestamp < 0:
             raise TraceFormatError(f"negative timestamp {self.timestamp}")
         if self.size < 0:

@@ -41,18 +41,15 @@ def parse_line(line: str, line_number: int | None = None) -> TraceRecord | None:
             line_number=line_number,
         )
     try:
-        timestamp = float(parts[0])
-        unit = int(parts[1])
-        lba = int(parts[2])
-        size = int(parts[3])
-        kind = IOKind.parse(parts[4])
+        return TraceRecord(
+            timestamp=float(parts[0]),
+            unit=int(parts[1]),
+            lba=int(parts[2]),
+            size=int(parts[3]),
+            kind=IOKind.parse(parts[4]),
+        )
     except (ValueError, TraceFormatError) as exc:
         raise TraceFormatError(str(exc), line_number=line_number) from exc
-    if timestamp < 0:
-        raise TraceFormatError(
-            f"negative timestamp {timestamp}", line_number=line_number
-        )
-    return TraceRecord(timestamp=timestamp, lba=lba, size=size, kind=kind, unit=unit)
 
 
 def iter_records(source: str | Path | TextIO) -> Iterator[TraceRecord]:

@@ -37,14 +37,15 @@ def parse_line(line: str, line_number: int | None = None) -> TraceRecord:
             line_number=line_number,
         )
     try:
-        unit = int(parts[0])
-        lba = int(parts[1])
-        size = int(parts[2])
-        kind = IOKind.parse(parts[3])
-        timestamp = float(parts[4])
+        return TraceRecord(
+            unit=int(parts[0]),
+            lba=int(parts[1]),
+            size=int(parts[2]),
+            kind=IOKind.parse(parts[3]),
+            timestamp=float(parts[4]),
+        )
     except (ValueError, TraceFormatError) as exc:
         raise TraceFormatError(str(exc), line_number=line_number) from exc
-    return TraceRecord(timestamp=timestamp, lba=lba, size=size, kind=kind, unit=unit)
 
 
 def iter_records(

@@ -40,6 +40,15 @@ class TestCleanRuns:
         assert "truncated" not in capsys.readouterr().out
 
 
+class TestRefusals:
+    def test_refuses_an_aqm_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_AQM", "static")
+        assert cli.main(["--differential", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_AQM" in captured.err
+        assert "differential" not in captured.out
+
+
 class TestInjectedBugDetection:
     """Acceptance: a seeded off-by-one in maxQ1 must fail the corpus."""
 

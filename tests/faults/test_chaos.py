@@ -121,7 +121,7 @@ class TestRestoration:
         result = run_chaos(workload, "miser", CMIN, DELTA_C, DELTA, seed=1)
         assert result.degrades is not None and result.degrades > 0
         assert result.recoveries is not None and result.recoveries > 0
-        assert result.samples, "adaptive run must carry sampler records"
+        assert result.telemetry.samples, "adaptive run must carry sampler records"
 
     def test_planned_bound_restored_after_faults(self, workload):
         """The final classifier limit equals the planned C*delta bound —

@@ -238,7 +238,7 @@ class TestAuditsAndDriving:
             "split", CMIN, DELTA_C, DELTA, sample_interval=1.0
         )
         served = harness.replay(bursty)
-        assert served.samples, "periodic sampling produced no records"
+        assert served.telemetry.samples, "periodic sampling produced no records"
 
     def test_configuration_validation(self):
         with pytest.raises(ConfigurationError, match="required"):

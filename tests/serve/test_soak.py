@@ -76,4 +76,4 @@ def test_service_survives_1e5_virtual_seconds_of_chaos():
 
     # The monitoring planes kept up for the whole horizon.
     assert len(result.autoscaler_decisions) == int(HORIZON / 500.0)
-    assert result.samples
+    assert result.telemetry.samples

@@ -14,7 +14,7 @@ PUBLIC_API = {
         "Workload", "WorkloadShaper", "run_policy", "GraduatedSLA",
         "CapacityPlanner", "CapacityPlan", "consolidate",
         "self_consolidation", "decompose", "decompose_fluid",
-        "SharedServer", "Tenant", "PolicyRunResult", "RunConfig",
+        "SharedServer", "Tenant", "RunResult", "RunConfig",
         "ShapingOutcome",
         "ReproError", "__version__",
     ],
@@ -89,7 +89,7 @@ PUBLIC_API = {
     "repro.workload": [
         "UserPopulation", "poisson_poisson_workload", "attach_demands",
         "ConstantDemand", "ExponentialDemand", "LognormalDemand",
-        "BimodalDemand", "ClosedLoopResult", "run_closed_loop",
+        "BimodalDemand", "run_closed_loop",
     ],
     "repro.core.registry": ["Registry"],
     "repro.experiments": [
@@ -105,7 +105,7 @@ PUBLIC_API = {
         "FaultInjector", "FaultState", "FaultyModel", "RetryPolicy",
         "AdaptiveShaper", "ControllerConfig", "ConservationReport",
         "check_conservation", "assert_conservation",
-        "ResilientRunResult", "run_resilient", "run_chaos",
+        "run_resilient", "run_chaos",
         "RESILIENCE_POLICIES",
     ],
 }

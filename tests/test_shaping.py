@@ -8,7 +8,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
 from repro.perf import engines
 from repro.server.aqm import AQM_POLICIES
-from repro.shaping import PolicyRunResult, RunConfig, WorkloadShaper, run_policy
+from repro.shaping import RunConfig, RunResult, WorkloadShaper, run_policy
 
 POLICIES = ("fcfs", "split", "fairqueue", "wf2q", "miser")
 
@@ -100,7 +100,7 @@ class TestRunPolicy:
 
 
 class TestEngineRouting:
-    """Which path ``auto`` takes, as recorded in ``PolicyRunResult.engine``."""
+    """Which path ``auto`` takes, as recorded in ``RunResult.engine``."""
 
     @pytest.fixture(autouse=True)
     def _auto(self, monkeypatch):
@@ -207,7 +207,7 @@ class TestWorkloadShaper:
     def test_shape_end_to_end(self, workload):
         shaper = WorkloadShaper(delta=0.1, fraction=0.9)
         outcome = shaper.shape(workload, policies=("miser", "fcfs"))
-        assert isinstance(outcome.run("miser"), PolicyRunResult)
+        assert isinstance(outcome.run("miser"), RunResult)
         assert outcome.decomposition.fraction_admitted >= 0.9
         with pytest.raises(ConfigurationError, match="not simulated"):
             outcome.run("split")

@@ -66,6 +66,11 @@ CASES = [
         id="negative-delta_c",
     ),
     pytest.param(
+        "split", (4.0, 2.0, 0.0), {}, EVERY,
+        "bad configuration: cmin=4.0, delta_c=2.0, delta=0.0",
+        id="zero-delta",
+    ),
+    pytest.param(
         "lifo", PLAN, {}, EVERY, "unknown policy 'lifo'", id="unknown-policy"
     ),
     pytest.param(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.sampler import depth_reconciles
 from repro.server.constant_rate import constant_rate_server
 from repro.server.driver import DeviceDriver
 from repro.sched.registry import make_scheduler
@@ -100,19 +102,30 @@ class TestRunClosedLoop:
             policy, self.CONFIG, n_users=6, think_time=0.4,
             horizon=20.0, seed=2,
         )
-        assert result.conserved()
+        assert sum(result.ledger.values()) == len(result.submitted)
         assert result.ledger["completed"] == len(result.submitted)
-        assert result.throughput == pytest.approx(
-            len(result.submitted) / 20.0
-        )
 
-    def test_deterministic(self):
-        a = run_closed_loop(
-            "split", self.CONFIG, n_users=5, think_time=0.3, horizon=15.0, seed=9
+    @pytest.mark.parametrize(
+        ("config", "n_users", "horizon", "seed", "demands"),
+        [
+            pytest.param(CONFIG, 5, 15.0, 9, None, id="unit"),
+            # Split under a bimodal demand mix, long enough to queue.
+            pytest.param(
+                RunConfig(8.0, 4.0, 0.5), 12, 120.0, 41, BimodalDemand(long=4.0),
+                id="bimodal",
+            ),
+        ],
+    )
+    def test_deterministic(self, config, n_users, horizon, seed, demands):
+        a, b = (
+            run_closed_loop(
+                "split", config, n_users=n_users, think_time=0.3,
+                horizon=horizon, seed=seed, demand_sampler=demands,
+            )
+            for _ in range(2)
         )
-        b = run_closed_loop(
-            "split", self.CONFIG, n_users=5, think_time=0.3, horizon=15.0, seed=9
-        )
+        for result in (a, b):
+            assert sum(result.ledger.values()) == len(result.submitted)
         assert np.array_equal(a.overall.samples, b.overall.samples)
         assert [r.arrival for r in a.submitted] == [r.arrival for r in b.submitted]
 
@@ -149,7 +162,7 @@ class TestRunClosedLoop:
             "split", config, n_users=4, think_time=0.4,
             horizon=15.0, seed=1, demand_sampler=ConstantDemand(0.5),
         )
-        assert result.conserved()
+        assert sum(result.ledger.values()) == len(result.submitted)
 
     def test_observed_workload_round_trips(self):
         result = run_closed_loop(
@@ -160,12 +173,57 @@ class TestRunClosedLoop:
         assert len(observed) == len(result.submitted)
         assert np.all(np.diff(observed.arrivals) >= 0)
 
-    def test_rejects_observability_config(self):
-        config = RunConfig(4.0, 2.0, 0.5, sample_interval=0.1)
-        with pytest.raises(ConfigurationError, match="observability"):
-            run_closed_loop(
-                "split", config, n_users=2, think_time=1.0, horizon=5.0
-            )
+    @pytest.mark.parametrize("policy", ["split", "miser", "fcfs"])
+    def test_sample_interval_gives_reconciling_telemetry(self, policy):
+        config = RunConfig(
+            4.0, 2.0, 0.5, sample_interval=0.5, metrics=MetricsRegistry()
+        )
+        result = run_closed_loop(
+            policy, config, n_users=6, think_time=0.4, horizon=10.0, seed=2
+        )
+        assert result.engine == "scalar"
+        samples = result.telemetry.samples
+        assert len(samples) > 10
+        assert samples[-1]["t"] >= 10.0  # the drain's final snapshot
+        prefixes = ("q1_", "q2_") if policy == "split" else ("",)
+        for prefix in prefixes:
+            assert f"{prefix}arrivals" in samples[0]
+            assert depth_reconciles(samples, prefix=prefix)
+        assert result.telemetry.meta["requests"] == len(result.submitted)
+
+    def test_metrics_count_every_completion(self):
+        registry = MetricsRegistry()
+        config = RunConfig(4.0, 2.0, 0.5, metrics=registry)
+        result = run_closed_loop(
+            "miser", config, n_users=6, think_time=0.4, horizon=10.0, seed=2
+        )
+        assert result.telemetry.registry is registry
+        assert registry.value("driver.completions") == result.ledger["completed"]
+        assert result.ledger["completed"] == len(result.submitted) > 0
+
+    def test_record_rates_gives_a_completion_series(self):
+        config = RunConfig(4.0, 2.0, 0.5, record_rates=1.0)
+        result = run_closed_loop(
+            "fcfs", config, n_users=6, think_time=0.4, horizon=10.0, seed=2
+        )
+        starts, rates = result.completion_series
+        assert len(starts) == len(rates) > 0
+        assert sum(rates) * config.record_rates == pytest.approx(len(result.submitted))
+
+    def test_instruments_leave_the_samples_alone(self):
+        plain = run_closed_loop(
+            "srpt", RunConfig(4.0, 2.0, 0.5), n_users=6,
+            think_time=0.4, horizon=10.0, seed=2,
+        )
+        observed = run_closed_loop(
+            "srpt",
+            RunConfig(4.0, 2.0, 0.5, metrics=MetricsRegistry(), sample_interval=0.5),
+            n_users=6, think_time=0.4, horizon=10.0, seed=2,
+        )
+        assert plain.engine == "direct" and observed.engine == "scalar"
+        assert plain.telemetry is None
+        assert np.array_equal(plain.overall.samples, observed.overall.samples)
+        assert plain.ledger == observed.ledger
 
     @pytest.mark.parametrize(
         ("engine", "match"), [("batch", "engine 'batch'"), ("bogus", "unknown")]
@@ -208,7 +266,8 @@ class TestEngineRouting:
         config = RunConfig(4.0, 2.0, 0.5, admission=admission, engine="auto")
         result = self.run(policy, config)
         assert result.engine == "direct"
-        assert result.conserved() and result.submitted
+        assert sum(result.ledger.values()) == len(result.submitted)
+        assert result.submitted
         scalar = self.run(policy, config.with_engine("scalar"))
         assert scalar.engine == "scalar"
         assert np.array_equal(result.overall.samples, scalar.overall.samples)
@@ -229,7 +288,7 @@ class TestEngineRouting:
     )
     def test_event_loop_paths(self, policy, config):
         result = self.run(policy, config)
-        assert result.conserved()
+        assert sum(result.ledger.values()) == len(result.submitted)
         if config.engine != "auto":
             assert result.engine == "scalar"
             return
@@ -270,16 +329,42 @@ class TestClosedLoopAQM:
         result = run_closed_loop(
             policy, config, n_users=6, think_time=0.4, horizon=20.0, seed=2
         )
-        assert result.conserved()
+        assert sum(result.ledger.values()) == len(result.submitted)
         assert result.ledger["window"] == 0
         assert result.ledger["completed"] == len(result.submitted)
+
+    @pytest.mark.parametrize(
+        ("policy", "aqm", "keys"),
+        [
+            ("miser", "codel", None),
+            ("fcfs", "unbounded", None),
+            ("split", "static", ("q1", "q2")),
+        ],
+    )
+    def test_window_snapshot_reported(self, policy, aqm, keys):
+        config = RunConfig(4.0, 2.0, 0.5, aqm=aqm)
+        result = run_closed_loop(
+            policy, config, n_users=8, think_time=0.2, horizon=20.0, seed=3
+        )
+        assert result.aqm == aqm
+        snapshots = (
+            [result.window] if keys is None else [result.window[k] for k in keys]
+        )
+        for snapshot in snapshots:
+            assert snapshot["policy"] == aqm
+            assert snapshot["occupancy"] == 0
+        plain = run_closed_loop(
+            policy, RunConfig(4.0, 2.0, 0.5), n_users=8, think_time=0.2,
+            horizon=20.0, seed=3,
+        )
+        assert plain.window is None and plain.aqm is None
 
     def test_shared_window_split(self):
         config = RunConfig(4.0, 2.0, 0.5, aqm="codel", aqm_shared=True)
         result = run_closed_loop(
             "split", config, n_users=8, think_time=0.2, horizon=20.0, seed=3
         )
-        assert result.conserved()
+        assert sum(result.ledger.values()) == len(result.submitted)
         assert result.ledger["window"] == 0
 
     def test_dormant_identical_with_and_without_aqm_field(self):
