@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError
+from ..units import met_deadline
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class ComplianceMonitor:
     def record(self, arrival: float, response_time: float) -> None:
         index = int(arrival / self.window)
         self._totals[index] = self._totals.get(index, 0) + 1
-        if response_time <= self.delta + 1e-12:
+        if met_deadline(response_time, self.delta):
             self._within[index] = self._within.get(index, 0) + 1
 
     def record_requests(self, requests) -> None:

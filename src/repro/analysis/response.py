@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
+from ..units import count_within
 
 
 def fcfs_response_times(workload: Workload, capacity: float) -> np.ndarray:
@@ -35,11 +36,11 @@ def fcfs_response_times(workload: Workload, capacity: float) -> np.ndarray:
 
 
 def compliance(response_times: Sequence[float], bound: float) -> float:
-    """Fraction of responses within ``bound``."""
+    """Fraction of responses within ``bound`` (:func:`repro.units.met_deadline`)."""
     samples = np.asarray(response_times, dtype=float)
     if samples.size == 0:
         return 1.0
-    return float(np.count_nonzero(samples <= bound + 1e-12) / samples.size)
+    return count_within(samples, bound) / samples.size
 
 
 def cdf_points(response_times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from ..core.request import QoSClass, Request
 from ..core.rtt import decompose, decompose_exact, decompose_fluid
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
-from ..perf import kernels, scalar
+from ..perf import kernels
 from ..sched.registry import ALL_POLICIES, make_scheduler
 from ..server.base import Server
 from ..server.constant_rate import ConstantRateModel, constant_rate_server
@@ -45,6 +45,7 @@ from ..sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from ..sim.stats import ResponseTimeCollector
 from ..server.driver import DeviceDriver, DirectRun, serve_direct
 from ..shaping import RunConfig, build_stack, check_policy, run_policy
+from ..units import EPS
 from .invariants import CheckingScheduler, Violation
 from .oracle import DEFAULT_TIE_TOLERANCE
 
@@ -215,7 +216,7 @@ def decomposition_cross_check(
         workload, capacity, delta, tie_tolerance=DEFAULT_TIE_TOLERANCE
     )
     fluid = decompose_fluid(workload, capacity, delta)
-    tolerance = Fraction(scalar.EPS) / Fraction(capacity)  # seconds
+    tolerance = Fraction(EPS) / Fraction(capacity)  # seconds
     if discrete.n_admitted != tolerant.n_admitted:
         problems.append(
             f"float admitted {discrete.n_admitted} but exact-Fraction "
@@ -266,7 +267,7 @@ def decomposition_cross_check(
 
 
 def fcfs_lindley_check(
-    workload: Workload, capacity: float, atol: float = 1e-9
+    workload: Workload, capacity: float, atol: float = EPS
 ) -> list[str]:
     """Event-driven FCFS simulation vs the closed-form Lindley recursion.
 
@@ -430,28 +431,28 @@ class EngineParityReport:
 
 def _event_loop_system(feed, policy: str, config: RunConfig):
     """The event-loop stack for ``policy``, run over ``feed``; returns
-    the system and its source.
+    the system.
 
     ``feed`` is a workload, replayed by a ``WorkloadSource`` as
-    ``run_policy`` replays it, or a dict of population arguments, served
-    by a ``ClosedLoopSource`` as ``run_closed_loop`` serves it.
+    ``run_policy`` replays it, or a closed-loop population, served by a
+    ``ClosedLoopSource`` as ``run_closed_loop`` serves it.
     """
     sim = Simulator()
     system = build_stack(policy, config, sim).system
     if isinstance(feed, Workload):
         source = WorkloadSource(sim, feed, system)
     else:
-        source = ClosedLoopSource(sim, system, **feed)
+        source = ClosedLoopSource(sim, system, feed)
     source.start()
     sim.run()
-    return system, source
+    return system
 
 
 def _scalar_columns(
     workload: Workload, policy: str, cmin: float, delta_c: float, delta: float
 ):
     """Event-engine run returning per-index columns + conservation ledger."""
-    system, _ = _event_loop_system(workload, policy, RunConfig(cmin, delta_c, delta))
+    system = _event_loop_system(workload, policy, RunConfig(cmin, delta_c, delta))
     # Per-index *response* columns: ``completion - arrival`` is the same
     # float operation the batch engine applies to its completion columns,
     # so the comparison stays bit-faithful (re-adding the arrival would
@@ -470,7 +471,7 @@ def engine_parity(
     delta_c: float,
     delta: float,
     policies: tuple[str, ...] = ENGINE_PARITY_POLICIES,
-    atol: float = scalar.EPS,
+    atol: float = EPS,
 ) -> EngineParityReport:
     """Certify ``run_policy``'s fast paths against the event engine.
 
@@ -602,7 +603,7 @@ def _direct_parity(
     is certified the same way.
     """
     config = RunConfig(cmin, delta_c, delta, admission=admission)
-    reference, _ = _event_loop_system(workload, policy, config)
+    reference = _event_loop_system(workload, policy, config)
     sides, route = build_stack(policy, config)
     run = serve_direct(workload, *sides, route=route)
     expected = len(workload)
@@ -687,23 +688,17 @@ def closed_loop_parity(
 
     Returns the problems found; an empty list is parity.
     """
-    users = {
-        "n_users": n_users,
-        "think_time": think_time,
-        "horizon": horizon,
-        "seed": seed,
-        "demand_sampler": demand_sampler,
-    }
     config = RunConfig(cmin, delta_c, delta, admission=admission)
-    reference, source = _event_loop_system(users, policy, config)
-    population = ClosedLoopPopulation(**users)
+    users = (n_users, think_time, horizon, seed, demand_sampler)
+    served, direct = ClosedLoopPopulation(*users), ClosedLoopPopulation(*users)
+    reference = _event_loop_system(served, policy, config)
     sides, route = build_stack(policy, config)
-    run = serve_direct(population, *sides, route=route)
+    run = serve_direct(direct, *sides, route=route)
     label = f"closed-loop {policy}"
     problems: list[str] = []
     fields = ("arrival", "client_id", "service_demand", "qos_class", "completion")
-    want = [[getattr(r, f) for f in fields] for r in source.requests]
-    got = [[getattr(r, f) for f in fields] for r in population.requests]
+    want = [[getattr(r, f) for f in fields] for r in served.requests]
+    got = [[getattr(r, f) for f in fields] for r in direct.requests]
     if want != got:
         first = next(
             (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
@@ -776,7 +771,7 @@ def serve_parity(
     delta: float,
     policies: tuple[str, ...] = DEFAULT_POLICIES,
     chunks: int = 4,
-    atol: float = scalar.EPS,
+    atol: float = EPS,
 ) -> ServeParityReport:
     """Certify serve ≡ simulate on one trace.
 

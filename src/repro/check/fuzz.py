@@ -41,7 +41,6 @@ Generators
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -52,6 +51,7 @@ from ..exceptions import ConfigurationError
 from ..faults.schedule import random_schedule
 from ..sim.rng import derive_seed, make_rng
 from ..traces.synthetic import bmodel_workload, mmpp2_workload, poisson_workload
+from ..units import q1_limit
 from .oracle import certify_optimality
 
 #: Fuzzable generator names, in round-robin order.
@@ -130,8 +130,7 @@ def _gen_adversarial(
     rng: np.random.Generator, capacity: float, delta: float
 ) -> np.ndarray:
     """Boundary storms, delta-ties, zero-gap batches, fault-window spikes."""
-    max_q1 = capacity * delta
-    limit = max(1, math.floor(max_q1 + 1e-9))
+    limit = max(1, q1_limit(capacity, delta))
     shape = int(rng.integers(4))
     arrivals: list[float] = []
     if shape == 0:

@@ -63,6 +63,7 @@ from ..sched.fair import FairQueueScheduler
 from ..sched.fcfs import FCFSScheduler
 from ..sched.miser import MiserScheduler
 from ..sched.sized import BoostScheduler, NudgeScheduler, SRPTScheduler
+from ..units import EPS
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ class CheckingScheduler(Scheduler):
                 request.qos_class is QoSClass.OVERFLOW
                 and q1_backlog > 0
                 and miser_slack is not None
-                and miser_slack < request.service_demand - 1e-9
+                and miser_slack < request.service_demand - EPS
             ):
                 self._flag(
                     "miser-slack",
@@ -219,7 +220,7 @@ class CheckingScheduler(Scheduler):
                     f"past {q1_backlog} primaries with min_slack="
                     f"{miser_slack}",
                 )
-            if inner.min_slack < -1e-9:
+            if inner.min_slack < -EPS:
                 self._flag(
                     "miser-slack", f"min_slack went negative: {inner.min_slack}"
                 )
@@ -241,7 +242,7 @@ class CheckingScheduler(Scheduler):
             # The snapshot minimum includes the request that was popped,
             # so a correct SRPT dispatch matches it exactly.
             work = inner.remaining_work(request)
-            if srpt_min is not None and work > srpt_min + 1e-9:
+            if srpt_min is not None and work > srpt_min + EPS:
                 self._flag(
                     "srpt-order",
                     f"dispatched remaining work {work} above queued "

@@ -25,7 +25,7 @@ length:
 room-units) tie tolerance: a request whose deadline margin is a hair
 negative still counts as feasible, because decimal-grid arrivals are not
 binary-exact and strict comparison would let one-ulp representation
-noise decide admissions (see ``repro.perf.scalar.EPS``).  The oracle
+noise decide admissions (see :data:`repro.units.EPS`).  The oracle
 certifies optimality under the *same* feasibility relation, so its
 default ``tie_tolerance`` equals the kernels'.  Pass ``tie_tolerance=0``
 to get the strict-rational optimum instead (it can differ by one
@@ -50,7 +50,7 @@ from typing import Sequence
 from ..core.rtt import decompose, decompose_fluid
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
-from ..perf.scalar import EPS
+from ..units import EPS
 
 #: Server models the oracle understands.
 MODELS = ("discrete", "fluid")

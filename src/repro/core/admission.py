@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exceptions import AdmissionError, ConfigurationError
+from ..units import EPS
 from .capacity import CapacityPlanner
 from .sla import GraduatedSLA
 from .workload import Workload
@@ -87,7 +88,7 @@ class AdmissionController:
     def try_admit(self, workload: Workload, sla: GraduatedSLA) -> AdmittedClient | None:
         """Admit the client if its planned capacity fits; else ``None``."""
         needed = self.required_capacity(workload, sla)
-        if needed > self.available + 1e-9:
+        if needed > self.available + EPS:
             return None
         client = AdmittedClient(
             name=workload.name, sla=sla, planned_capacity=needed

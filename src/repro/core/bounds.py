@@ -24,10 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..units import EPS
 from .curves import ArrivalCurve
 from .workload import Workload
-
-_EPS = 1e-9
 
 
 def sgn(x: float) -> int:
@@ -53,7 +52,7 @@ def lemma1_lower_bound(workload: Workload, capacity: float, delta: float) -> int
         return 0
     excess = curve.cumulative - capacity * (curve.instants + delta)
     worst = float(excess.max())
-    return sgn(worst - _EPS) if worst > _EPS else 0
+    return sgn(worst - EPS) if worst > EPS else 0
 
 
 def _busy_period_slices(arrivals: np.ndarray, capacity: float) -> list[slice]:
@@ -72,7 +71,7 @@ def _busy_period_slices(arrivals: np.ndarray, capacity: float) -> list[slice]:
     for i in range(1, arrivals.size):
         t = float(arrivals[i])
         backlog -= (t - prev_t) * capacity
-        if backlog <= _EPS:
+        if backlog <= EPS:
             slices.append(slice(start, i))
             start = i
             backlog = 0.0
@@ -125,7 +124,7 @@ def subset_feasible(
         finish = 0.0
         for t in arrivals:
             finish = max(finish, t) + service
-            if finish > t + delta + _EPS:
+            if finish > t + delta + EPS:
                 return False
         return True
     backlog = 0.0
@@ -134,7 +133,7 @@ def subset_feasible(
         backlog = max(0.0, backlog - (t - prev) * capacity)
         backlog += 1.0
         prev = t
-        if backlog > capacity * delta + _EPS:
+        if backlog > capacity * delta + EPS:
             return False
     return True
 

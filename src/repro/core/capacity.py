@@ -28,6 +28,7 @@ import numpy as np
 
 from ..exceptions import CapacityError, ConfigurationError
 from ..perf import kernels as _kernels
+from ..units import EPS
 from .rtt import count_admitted
 from .workload import Workload
 
@@ -270,7 +271,7 @@ class CapacityPlanner:
         """Admission count needed to certify ``fraction`` (exact at f=1)."""
         if fraction >= 1.0:
             return self.n_requests
-        return math.ceil(fraction * self.n_requests - 1e-9)
+        return math.ceil(fraction * self.n_requests - EPS)
 
     # ------------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import CapacityError, ConfigurationError
+from ..units import EPS
 from .capacity import CapacityPlanner
 from .rtt import decompose
 from .sla import GraduatedSLA
@@ -135,7 +136,7 @@ def plan_tiers(
     covered = 0
     for tier in sla:
         required_total = (
-            total if tier.fraction >= 1.0 else math.ceil(tier.fraction * total - 1e-9)
+            total if tier.fraction >= 1.0 else math.ceil(tier.fraction * total - EPS)
         )
         required_here = max(0, required_total - covered)
         if required_here == 0 or len(remaining) == 0:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .. import units
+
 
 class IOKind(enum.Enum):
     """I/O direction of a block request."""
@@ -132,7 +134,8 @@ class Request:
 
     @property
     def met_deadline(self) -> bool:
-        """Whether the request completed by its deadline.
+        """Whether the request completed by its deadline
+        (:func:`repro.units.met_deadline`).
 
         Requests without a deadline (unclassified or overflow) trivially
         report ``True`` — they carry no guarantee to violate.
@@ -141,7 +144,7 @@ class Request:
             return True
         if self.completion is None:
             return False
-        return self.completion <= self.deadline + 1e-12
+        return units.met_deadline(self.completion, self.deadline)
 
     @property
     def is_primary(self) -> bool:

@@ -43,13 +43,8 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..perf import kernels as _kernels
+from ..units import EPS
 from .workload import Workload
-
-#: Tolerance used when comparing event times / queue occupancies in the
-#: float implementations.  Chosen far below any meaningful inter-arrival
-#: gap (traces have >= microsecond resolution) but far above accumulated
-#: double rounding error for realistic trace lengths.
-_EPS = 1e-9
 
 
 def _validate(capacity: float, delta: float) -> None:
@@ -215,7 +210,7 @@ def decompose_fluid(
     backlog = 0.0  # fluid backlog of Q1 (requests, fractional)
     prev_t = 0.0
     pos = 0
-    eps = _EPS
+    eps = EPS
     floor = math.floor
     for t, n in zip(instants, counts):
         backlog = max(0.0, backlog - (t - prev_t) * capacity)

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..units import count_within
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,7 @@ class GraduatedSLA:
             if samples.size == 0:
                 achieved = 1.0
             else:
-                achieved = float(
-                    np.count_nonzero(samples <= tier.delta + 1e-12) / samples.size
-                )
+                achieved = count_within(samples, tier.delta) / samples.size
             report.append(TierCompliance(tier=tier, achieved_fraction=achieved))
         return report
 

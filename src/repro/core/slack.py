@@ -29,6 +29,7 @@ import heapq
 import math
 
 from ..exceptions import SchedulerError
+from ..units import EPS
 
 
 class SlackTracker:
@@ -117,4 +118,4 @@ def initial_slack(max_queue: float, occupancy: float) -> int:
     unit-demand workloads the work equals the queue length and this is
     exactly the paper's ``floor(maxQ1 - lenQ1)``.
     """
-    return max(0, math.floor(max_queue - occupancy + 1e-9))
+    return max(0, math.floor(max_queue - occupancy + EPS))

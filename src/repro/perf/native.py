@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .scalar import EPS
+from ..units import EPS
 
 _C_SOURCE = r"""
 #include <math.h>

@@ -2,11 +2,11 @@
 
 These are the semantics the faster backends must reproduce: the
 deadline-form RTT admission rule from :mod:`repro.core.rtt`, processed
-batch-by-batch with double-precision arithmetic and the ``_EPS``
-floor tolerance.  The native backend replays the exact same sequence of
+batch-by-batch with double-precision arithmetic and the
+:data:`repro.units.EPS` floor tolerance.  The native backend replays the exact same sequence of
 floating-point operations (and is therefore bit-identical); the numpy
 backend is allowed to reassociate sums inside provably-safe stretches,
-which can only matter for knife-edge ties far finer than ``_EPS``.
+which can only matter for knife-edge ties far finer than ``EPS``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-#: Floor tolerance shared by every backend.  See ``repro.core.rtt._EPS``.
-EPS = 1e-9
+from ..units import EPS
 
 
 def _as_iteration_lists(instants, counts):

@@ -52,8 +52,8 @@ import math
 
 import numpy as np
 
+from ..units import EPS, q1_limit
 from . import scalar
-from .scalar import EPS
 
 #: Maximum batches per safe-run chunk.  Bounds the reassociation error of
 #: the prefix-sum closed form (~chunk * ulp(total service time)) far
@@ -93,7 +93,7 @@ def _safety(t: np.ndarray, n: np.ndarray, capacity: float, delta: float):
     ceiling = t + delta
     np.minimum(w, ceiling, out=w)
     room = np.empty(t.size, dtype=np.float64)
-    room[0] = math.floor(delta * capacity + EPS)  # entry state is idle
+    room[0] = q1_limit(capacity, delta)  # entry state is idle
     if t.size > 1:
         scratch = np.maximum(w[:-1], t[1:])  # worst entry base per batch
         np.subtract(ceiling[1:], scratch, out=scratch)

@@ -12,10 +12,9 @@ the underlying disks" (Section 4).
 
 from __future__ import annotations
 
-import math
-
 from ..core.request import QoSClass, Request
 from ..exceptions import ConfigurationError
+from ..units import EPS, q1_limit
 
 
 class OnlineRTTClassifier:
@@ -53,7 +52,7 @@ class OnlineRTTClassifier:
         self.delta = float(delta)
         self.mode = mode
         #: Queue bound in whole requests: occupancy never exceeds this.
-        self.limit = math.floor(capacity * delta + 1e-9)
+        self.limit = q1_limit(capacity, delta)
         #: The planned (healthy-server) bound; ``set_limit`` may shrink
         #: ``limit`` below this during degradation, never above it.
         self.planned_limit = self.limit
@@ -105,7 +104,7 @@ class OnlineRTTClassifier:
                 f"capacity must be positive, got {capacity}"
             )
         self.capacity = float(capacity)
-        self.limit = math.floor(self.capacity * self.delta + 1e-9)
+        self.limit = q1_limit(self.capacity, self.delta)
         self.planned_limit = self.limit
         self.work_limit = self.capacity * self.delta
 
@@ -119,12 +118,12 @@ class OnlineRTTClassifier:
         """
         if self.mode == "work":
             # Degradation (set_limit below planned) shrinks the work
-            # budget too; the 1e-9 epsilon mirrors the count-mode floor
+            # budget too; the EPS tolerance mirrors the count-mode floor
             # so a demand landing exactly on the boundary is admitted.
             budget = (
                 float(self.limit) if self.limit < self.planned_limit else self.work_limit
             )
-            return self.work_q1 + request.service_demand <= budget + 1e-9
+            return self.work_q1 + request.service_demand <= budget + EPS
         return self.len_q1 < self.limit
 
     def classify(self, request: Request) -> QoSClass:

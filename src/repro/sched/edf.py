@@ -20,10 +20,10 @@ cumulative demand of the primaries up to and including position ``k``
 exploit slack Miser forgets (a primary request that waited keeps its
 absolute deadline, but Miser's stored slack never grows back).
 
-Deadline ties are resolved with the shared kernel EPS semantics
-(:data:`repro.perf.scalar.EPS`, in room units — divided by the rate via
-``EPS * service_time`` to land in seconds), matching the admission
-kernels and the exact oracle instead of the historical literal 1e-12.
+Deadline ties are resolved with the admission tolerance
+(:data:`repro.units.EPS`, in room units — multiplied by the service
+time, ``EPS * service_time``, to land in seconds), matching the
+admission kernels and the exact oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import deque
 
 from ..core.request import QoSClass, Request
 from ..exceptions import ConfigurationError
-from ..perf.scalar import EPS
+from ..units import EPS
 from .base import Scheduler
 from .classifier import OnlineRTTClassifier
 

@@ -28,6 +28,7 @@ from collections import deque
 
 from ..core.request import QoSClass, Request
 from ..core.slack import SlackTracker, initial_slack
+from ..units import EPS
 from .base import Scheduler
 from .classifier import OnlineRTTClassifier
 
@@ -65,7 +66,7 @@ class MiserScheduler(Scheduler):
         # constrained primary request can spare the head's worth of work.
         # (At unit demand the gate is exactly the original min_slack >= 1.)
         if self._q2 and (
-            self._tracker.min_slack() + 1e-9 >= self._q2[0].service_demand
+            self._tracker.min_slack() + EPS >= self._q2[0].service_demand
         ):
             if self._q1:
                 self.slack_dispatches += 1

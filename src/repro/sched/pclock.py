@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from ..core.request import Request
 from ..exceptions import ConfigurationError, SchedulerError
+from ..units import EPS
 from .base import Scheduler
 
 #: Deadline assigned to best-effort requests: never beats a real SLA tag.
@@ -153,10 +154,10 @@ def feasible(flows: dict[int, FlowSLA], capacity: float) -> bool:
         sum(rho_i) <= C   and   sigma_i <= (C - sum_{j!=i} rho_j) * delta_i
     """
     total_rho = sum(sla.rho for sla in flows.values())
-    if total_rho > capacity + 1e-9:
+    if total_rho > capacity + EPS:
         return False
     for sla in flows.values():
         residual = capacity - (total_rho - sla.rho)
-        if sla.sigma > residual * sla.delta + 1e-9:
+        if sla.sigma > residual * sla.delta + EPS:
             return False
     return True

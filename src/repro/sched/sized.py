@@ -39,12 +39,8 @@ from collections import deque
 
 from ..core.request import Request
 from ..exceptions import ConfigurationError
+from ..units import EPS
 from .base import Scheduler
-
-#: Work-unit tolerance for SRPT preemption ties: an arrival must beat the
-#: in-flight remainder by more than this to trigger a preemption, so
-#: equal-work requests never thrash.
-PREEMPT_EPS = 1e-9
 
 
 class SRPTScheduler(Scheduler):
@@ -93,9 +89,11 @@ class SRPTScheduler(Scheduler):
         self._push(request)
 
     def should_preempt(self, current: Request, remaining: float, now: float) -> bool:
+        # An arrival must beat the in-flight remainder by more than EPS
+        # work units, so equal-work requests never thrash.
         if not self._heap:
             return False
-        return self._heap[0][0] < remaining * self.service_rate - PREEMPT_EPS
+        return self._heap[0][0] < remaining * self.service_rate - EPS
 
     def select(self, now: float) -> Request | None:
         if not self._heap:

@@ -39,6 +39,7 @@ from ..exceptions import AdmissionError, ConfigurationError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..sched.classifier import OnlineRTTClassifier
 from ..server.aqm import InflightWindow
+from ..units import EPS
 
 
 class Verdict(enum.Enum):
@@ -268,12 +269,12 @@ class AdmissionService:
     ) -> AdmittedClient | None:
         """Onboard the client if its planned capacity fits; else ``None``.
 
-        The availability rule (``needed > available + 1e-9`` rejects) is
+        The availability rule (``needed > available + EPS`` rejects) is
         the offline controller's, verbatim — the serve-vs-core admission
         differential holds decision-for-decision on any client prefix.
         """
         needed = self.required_capacity(workload, sla)
-        if needed > self.available + 1e-9:
+        if needed > self.available + EPS:
             return None
         client = AdmittedClient(
             name=workload.name, sla=sla, planned_capacity=needed

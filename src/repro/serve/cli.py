@@ -34,6 +34,7 @@ from ..faults.retry import RetryPolicy
 from ..faults.schedule import random_schedule
 from ..shaping import WorkloadShaper
 from ..traces.library import load as load_library
+from ..units import q1_limit
 from .autoscaler import AutoscalerConfig
 from .harness import ServeRunResult, ServiceHarness
 from .placement import Node, PlacementPlanner
@@ -203,7 +204,7 @@ def _cmd_place(args) -> int:
     print(
         f"latency tax: {plan.latency_tax:.1%} of the deadline budget; "
         f"admission bound {plan.admission_limit} "
-        f"(unplaced: {int(plan.cmin * plan.delta + 1e-9)})"
+        f"(unplaced: {q1_limit(plan.cmin, plan.delta)})"
     )
     return 0
 

@@ -9,12 +9,11 @@ makes the service a pure function of its inputs, which is what lets the
 differential harness (:func:`repro.check.differential.serve_parity`)
 certify **serve ≡ simulate, bit for bit**:
 
-* :class:`StagedSource` reproduces :class:`~repro.sim.source.
-  WorkloadSource`'s delivery semantics exactly — one pending event at a
-  time at arrival priority, the next arrival scheduled *before* the
-  current one is delivered, identical :class:`~repro.core.request.
-  Request` construction — while also accepting requests staged mid-run
-  (the ingestion path);
+* :class:`StagedSource` delivers through :class:`~repro.sim.source.
+  WorkloadSource`'s own path — one pending event at a time at arrival
+  priority, the next arrival scheduled *before* the current one is
+  delivered, the same :class:`~repro.core.request.Request`
+  construction — and adds only staging mid-run (the ingestion path);
 * the serving stack is :func:`repro.shaping.build_stack`'s, the one
   ``run_policy`` (healthy) and ``run_resilient`` (fault mode, with
   :func:`~repro.faults.injector.faulty_units`) serve on, so event
@@ -52,33 +51,30 @@ from ..obs.sampler import Sampler
 from ..server.aqm import resolve_aqm
 from ..shaping import RunConfig, RunResult, build_stack, run_result
 from ..sim.engine import Simulator
-from ..sim.events import PRIORITY_ARRIVAL
+from ..sim.source import WorkloadSource
 from .admission import AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .placement import PlacementPlan
 
 
-class StagedSource:
-    """A :class:`~repro.sim.source.WorkloadSource` that accepts staging.
+class StagedSource(WorkloadSource):
+    """A :class:`~repro.sim.source.WorkloadSource` whose records are staged.
 
-    Replays records with the open-loop source's exact semantics (one
-    pending event, schedule-next-before-deliver, arrival priority) so a
-    staged replay of a workload is event-for-event identical to feeding
-    the same workload through ``run_policy``.  Unlike the workload
-    source, records may be staged *while the clock runs* — the ingestion
-    front end appends and, if the source had drained, re-arms it.
+    Delivery is the workload source's own (one pending event,
+    schedule-next-before-deliver, arrival priority), so a staged replay
+    of a workload is event-for-event identical to feeding the same
+    workload through ``run_policy``.  This class adds only the staging:
+    records may be appended *while the clock runs*, and a source that
+    had drained is re-armed.
     """
 
-    def __init__(self, sim: Simulator, sink, client_id: int = 0, on_request=None):
-        self.sim = sim
-        self.sink = sink
-        self.client_id = client_id
-        self.on_request = on_request
-        self._records: list[tuple[float, float | None]] = []
-        self._next = 0
+    def __init__(self, sim: Simulator, sink):
+        super().__init__(sim, Workload([], name="staged"), sink)
+        # The staged records, read by index by the inherited delivery;
+        # a record staged without a size has the default demand.
+        self._arrivals: list[float] = []
+        self._sizes: list[float | None] = []
         self._started = False
-        self._armed = False
-        self.requests: list[Request] = []
 
     def stage(self, arrival: float, size: float | None = None) -> int:
         """Append one request record; returns its index.
@@ -93,22 +89,24 @@ class StagedSource:
             raise ConfigurationError(
                 f"staged arrival must be finite, got {arrival}"
             )
-        records = self._records
-        if records and arrival < records[-1][0]:
+        arrivals = self._arrivals
+        if arrivals and arrival < arrivals[-1]:
             raise ConfigurationError(
                 f"staged arrival {arrival} precedes the last staged "
-                f"arrival {records[-1][0]}; stage in order"
+                f"arrival {arrivals[-1]}; stage in order"
             )
-        if size is not None:
-            if not (size > 0 and math.isfinite(size)):
-                raise ConfigurationError(
-                    f"size must be positive and finite, got {size}"
-                )
-            size = float(size)
-        records.append((arrival, size))
-        if self._started and not self._armed:
+        if size is not None and not (size > 0 and math.isfinite(size)):
+            raise ConfigurationError(
+                f"size must be positive and finite, got {size}"
+            )
+        # Once started, a source has an arrival pending unless every
+        # staged record has fired.
+        drained = self._next == len(arrivals)
+        arrivals.append(arrival)
+        self._sizes.append(None if size is None else float(size))
+        if self._started and drained:
             self._schedule_next()
-        return len(records) - 1
+        return len(arrivals) - 1
 
     def stage_workload(self, workload: Workload) -> None:
         """Stage every arrival of ``workload`` (sizes included)."""
@@ -122,53 +120,12 @@ class StagedSource:
     @property
     def horizon(self) -> float:
         """Latest staged arrival (0.0 when nothing is staged)."""
-        return self._records[-1][0] if self._records else 0.0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._records)
+        return self._arrivals[-1] if self._arrivals else 0.0
 
     def start(self) -> None:
-        self._started = True
-        if not self._armed:
+        if not self._started:
+            self._started = True
             self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        """Arm the next record, at its arrival or now if that is later."""
-        index = self._next
-        if index < len(self._records):
-            arrival = self._records[index][0]
-            now = self.sim.now
-            # ``max(arrival, now)``: the arrival itself on a tie.
-            self.sim.schedule(
-                now if now > arrival else arrival, self._fire, PRIORITY_ARRIVAL
-            )
-            self._armed = True
-        else:
-            self._armed = False
-
-    def _fire(self) -> None:
-        index = self._next
-        arrival, size = self._records[index]
-        if size is None:
-            request = Request(
-                arrival=arrival, index=index, client_id=self.client_id
-            )
-        else:
-            request = Request(
-                arrival=arrival,
-                index=index,
-                client_id=self.client_id,
-                service_demand=size,
-            )
-        self.requests.append(request)
-        self._next = index + 1
-        # Mirror WorkloadSource: arm the next arrival before delivering
-        # this one so a synchronously-draining sink cannot starve us.
-        self._schedule_next()
-        if self.on_request is not None:
-            self.on_request(request)
-        self.sink.on_arrival(request)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ bit-identical to the un-placed stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..exceptions import CapacityError, ConfigurationError
+from ..units import EPS, q1_limit
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class PlacementPlan:
     @property
     def admission_limit(self) -> int:
         """The placed admission bound ``⌊Cmin · δ_eff⌋`` (cf. ``maxQ1``)."""
-        return math.floor(self.cmin * self.effective_delta + 1e-9)
+        return q1_limit(self.cmin, self.effective_delta)
 
     @property
     def latency_tax(self) -> float:
@@ -140,7 +140,7 @@ class PlacementPlanner:
         return [
             n
             for n in self.nodes
-            if n.capacity + 1e-9 >= cmin and delta - n.latency > 0
+            if n.capacity + EPS >= cmin and delta - n.latency > 0
         ]
 
     def plan(self, cmin: float, delta_c: float, delta: float) -> PlacementPlan:
@@ -191,11 +191,11 @@ class PlacementPlanner:
         others = [
             n
             for n in self.nodes
-            if n.name != q1.name and n.capacity + 1e-9 >= delta_c
+            if n.name != q1.name and n.capacity + EPS >= delta_c
         ]
         if others:
             return min(others, key=lambda n: (n.latency, -n.capacity, n.name))
-        if q1.capacity + 1e-9 >= cmin + delta_c:
+        if q1.capacity + EPS >= cmin + delta_c:
             return q1
         raise CapacityError(
             f"no node fits the overflow partition (delta_c={delta_c:g}) "
@@ -222,7 +222,7 @@ class PlacementPlanner:
             usable = [
                 Node(n.name, remaining[n.name], n.latency)
                 for n in self.nodes
-                if remaining[n.name] + 1e-9 >= slice_cmin
+                if remaining[n.name] + EPS >= slice_cmin
                 and delta - n.latency > 0
             ]
             planner = PlacementPlanner(usable) if usable else None
@@ -242,7 +242,7 @@ class PlacementPlanner:
         ]
         q2_host = None
         for node in sorted(leftovers, key=lambda n: (n.latency, n.name)):
-            if node.capacity + 1e-9 >= delta_c:
+            if node.capacity + EPS >= delta_c:
                 q2_host = node
                 break
         if delta_c > 0 and q2_host is None:

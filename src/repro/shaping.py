@@ -48,6 +48,7 @@ from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from .sim.stats import ResponseTimeCollector
+from .units import met_deadline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> shaping)
     from .faults.invariants import ConservationReport
@@ -290,7 +291,7 @@ class RunResult:
             late = [r for r in self.completed if r.arrival > instant]
             if late:
                 return sum(
-                    1 for r in late if r.response_time <= self.delta + 1e-12
+                    1 for r in late if met_deadline(r.response_time, self.delta)
                 ) / len(late)
         return float("nan")
 
@@ -413,7 +414,7 @@ def serve_feed(
     if requested != "scalar" and not hooked:
         sides, route = build_stack(policy, config)
         report = serve_direct(feed, *sides, route=route)
-        engine, submitted = "direct", feed.requests if closed else []
+        engine = "direct"
     else:
         sim = Simulator()
         report = build_stack(policy, config, sim).system
@@ -424,15 +425,7 @@ def serve_feed(
             # them is captured by the final snapshot below.
             sampler.install(until=duration)
         if closed:
-            source = ClosedLoopSource(
-                sim,
-                report,
-                feed.n_users,
-                feed.think_time,
-                feed.horizon,
-                seed=feed.seed,
-                demand_sampler=feed.demand_sampler,
-            )
+            source = ClosedLoopSource(sim, report, feed)
         else:
             source = WorkloadSource(sim, feed, report)
         source.start()
@@ -441,7 +434,8 @@ def serve_feed(
             sampler.sample_now()
         if config.record_rates is not None:
             series = report.completion_rates.series()
-        engine, submitted = "scalar", source.requests if closed else []
+        engine = "scalar"
+    submitted = feed.requests if closed else []
     return run_result(
         report,
         policy,

@@ -53,6 +53,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..units import count_within
 from .stats import OnlineStats
 
 #: Arrivals processed per sweep.  Each epoch converts one array slice to
@@ -121,8 +122,8 @@ def _admission_limit(cmin: float, delta: float) -> int:
     """The classifier's ``maxQ1`` bound, read off the real classifier.
 
     Instantiating :class:`~repro.sched.classifier.OnlineRTTClassifier`
-    (rather than re-deriving ``floor(cmin * delta + 1e-9)`` here) keeps
-    a single source of truth: any change — or injected bug — in the
+    (rather than calling :func:`repro.units.q1_limit` here) keeps a
+    single source of truth: any change — or injected bug — in the
     classifier's bound is replayed identically by both engines.
     Imported lazily to keep :mod:`repro.sim` importable before
     :mod:`repro.sched`.
@@ -235,7 +236,7 @@ def split_columns(
 
     Replays ``SplitSystem`` exactly: the classifier admits iff the
     number of outstanding ``Q1`` requests is below
-    ``floor(cmin * delta + 1e-9)``, where a ``Q1`` completion at the
+    ``q1_limit(cmin, delta)``, where a ``Q1`` completion at the
     arrival's own instant has already released its slot (completions
     fire first at a tie).  Admitted requests are served FCFS at rate
     ``cmin``, the rest FCFS at rate ``delta_c``.  ``demands`` gives
@@ -304,7 +305,8 @@ class BatchRun:
     #: Per-class responses (empty under FCFS, which classifies nothing).
     primary: np.ndarray
     overflow: np.ndarray
-    #: Primary completions later than ``arrival + delta`` (+1e-12).
+    #: Primary completions that missed ``arrival + delta``
+    #: (:func:`repro.units.met_deadline`).
     primary_misses: int
     #: Boolean admission mask over arrival indices (all-False for FCFS).
     admitted: np.ndarray
@@ -348,9 +350,9 @@ def run_batch(
         q1_arrivals = arrivals[cols.admitted]
         primary = cols.q1_completions - q1_arrivals
         overflow = cols.q2_completions - arrivals[~cols.admitted]
-        # met_deadline: completion <= (arrival + delta) + 1e-12.
-        misses = int(
-            np.count_nonzero(cols.q1_completions > (q1_arrivals + delta) + 1e-12)
+        # Request.met_deadline, on the completion form.
+        misses = q1_arrivals.size - count_within(
+            cols.q1_completions, q1_arrivals + delta
         )
         # SplitSystem.overall concatenates the primary driver's samples
         # before the overflow driver's (not time-interleaved).
@@ -378,7 +380,8 @@ class StreamSummary:
     """One-pass aggregate of a streamed columnar run."""
 
     stats: OnlineStats
-    #: Completions with response <= bound (+1e-12); 0 when no bound.
+    #: Completions whose response is within ``bound``
+    #: (:func:`repro.units.met_deadline`); 0 when no bound.
     within: int = 0
     bound: float | None = None
 
@@ -397,9 +400,7 @@ class StreamSummary:
 def _ingest(summary: StreamSummary, responses: np.ndarray) -> None:
     summary.stats.add_array(responses)
     if summary.bound is not None and responses.size:
-        summary.within += int(
-            np.count_nonzero(responses <= summary.bound + 1e-12)
-        )
+        summary.within += count_within(responses, summary.bound)
 
 
 def fcfs_stream(

@@ -45,6 +45,11 @@ class WorkloadSource:
     column, each materialized request gets the matching
     ``service_demand``.  Unsized workloads produce the default demand of
     1.0 — the identical requests this source always produced.
+
+    This is the one open-loop delivery path: one pending arrival event
+    at a time, the next armed before the current one is delivered.
+    :class:`repro.serve.harness.StagedSource` feeds it records staged
+    while the clock runs.
     """
 
     def __init__(
@@ -70,14 +75,21 @@ class WorkloadSource:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        if self._next >= self._arrivals.size:
-            return
-        t = float(self._arrivals[self._next])
-        self.sim.schedule(t, self._fire, priority=PRIORITY_ARRIVAL)
+        """Arm the next arrival, at its instant or now if that is later.
+
+        A workload's arrivals are sorted and non-negative, so only a
+        record staged behind the clock is ever moved up to now.
+        """
+        index = self._next
+        if index < len(self._arrivals):
+            t = float(self._arrivals[index])
+            now = self.sim.now
+            self.sim.schedule(now if now > t else t, self._fire, PRIORITY_ARRIVAL)
 
     def _fire(self) -> None:
         index = self._next
-        if self._sizes is None:
+        size = None if self._sizes is None else self._sizes[index]
+        if size is None:
             request = Request(
                 arrival=float(self._arrivals[index]),
                 index=index,
@@ -88,7 +100,7 @@ class WorkloadSource:
                 arrival=float(self._arrivals[index]),
                 index=index,
                 client_id=self.client_id,
-                service_demand=float(self._sizes[index]),
+                service_demand=float(size),
             )
         self.requests.append(request)
         self._next += 1
@@ -101,7 +113,7 @@ class WorkloadSource:
 
     @property
     def exhausted(self) -> bool:
-        return self._next >= self._arrivals.size
+        return self._next >= len(self._arrivals)
 
 
 def user_stream(seed: int, user: int) -> np.random.Generator:
@@ -193,24 +205,13 @@ class ClosedLoopSource:
     without completing (fault shedding) permanently idles its user,
     mirroring a real user stuck waiting.
 
-    The parameters other than ``sim``, ``sink`` and ``on_request`` are
-    the population's.
+    ``population`` is served as given: each user draws from the
+    population's own stream, and its ``requests`` fill as users submit.
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        sink: RequestSink,
-        n_users: int,
-        think_time: float,
-        horizon: float,
-        seed: int = 0,
-        demand_sampler: Callable[[np.random.Generator], float] | None = None,
-        on_request: Callable[[Request], None] | None = None,
+        self, sim: Simulator, sink: RequestSink, population: ClosedLoopPopulation
     ):
-        self.population = ClosedLoopPopulation(
-            n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
-        )
         add_hook = getattr(sink, "add_completion_hook", None)
         if add_hook is None:
             raise ConfigurationError(
@@ -219,10 +220,10 @@ class ClosedLoopSource:
             )
         self.sim = sim
         self.sink = sink
-        self.on_request = on_request
+        self.population = population
         self._inflight: dict[int, int] = {}  # request index -> user
         #: The population's submitted requests, in submission order.
-        self.requests = self.population.requests
+        self.requests = population.requests
         add_hook(self._on_completion)
 
     def start(self) -> None:
@@ -241,8 +242,6 @@ class ClosedLoopSource:
     def _submit(self, user: int, at: float) -> None:
         request = self.population.submit(user, at)
         self._inflight[request.index] = user
-        if self.on_request is not None:
-            self.on_request(request)
         self.sink.on_arrival(request)
 
     def _on_completion(self, request: Request) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from ..obs.registry import validate_edges
+from ..units import count_within
 
 
 class OnlineStats:
@@ -193,7 +194,7 @@ class ResponseTimeCollector:
         """
         if not self._samples:
             return float("nan")
-        return float(np.count_nonzero(self.samples <= bound + 1e-12)) / len(self)
+        return float(count_within(self.samples, bound)) / len(self)
 
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile (``p`` in [0, 100])."""

@@ -27,7 +27,7 @@ from repro.serve import (
 )
 from repro.shaping import WorkloadShaper
 from repro.sim.engine import Simulator
-from repro.sim.source import ClosedLoopSource
+from repro.sim.source import ClosedLoopPopulation, ClosedLoopSource
 from repro.traces import library
 from repro.traces.synthetic import poisson_workload
 
@@ -468,10 +468,7 @@ class TestClosedLoopSink:
         source = ClosedLoopSource(
             harness.sim,
             harness,
-            n_users=4,
-            think_time=0.4,
-            horizon=10.0,
-            seed=3,
+            ClosedLoopPopulation(n_users=4, think_time=0.4, horizon=10.0, seed=3),
         )
         source.start()
         harness.sim.run()

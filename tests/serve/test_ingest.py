@@ -418,7 +418,7 @@ class TestReferenceDifferential:
             assert repr(server.handle_line(line)) == repr(
                 reference.handle_line(line)
             )
-        staged = harness.source._records
+        staged = list(zip(harness.source._arrivals, harness.source._sizes))
         assert [_bits(r) for r in staged] == [_bits(r) for r in reference.records]
         assert server.accepted == len(staged)
         assert server.accepted + server.malformed == len(steps)

@@ -1,6 +1,11 @@
-"""Tests for unit helpers and the exception hierarchy."""
+"""Tests for unit helpers, the tolerance rules and the exception hierarchy."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import exceptions, units
 
@@ -29,7 +34,45 @@ class TestUnits:
     def test_constants(self):
         assert units.MILLISECOND == 1e-3
         assert units.MICROSECOND == 1e-6
-        assert 0 < units.TIME_EPSILON < units.MICROSECOND
+
+
+_times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_offsets = st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 2e-12, 1e-9])
+
+
+class TestToleranceRules:
+    """Knife edges of the deadline predicate and the Q1 limit."""
+
+    @pytest.mark.parametrize("limit", [0.0, 0.01, 12.345, 3600.0])
+    def test_met_deadline_holds_at_the_slack_and_fails_one_ulp_past(self, limit):
+        edge = limit + units.DEADLINE_SLACK
+        assert units.met_deadline(edge, limit)
+        assert not units.met_deadline(math.nextafter(edge, math.inf), limit)
+
+    @given(edges=st.lists(st.tuples(_times, _offsets), max_size=30), shared=_times)
+    def test_count_within_agrees_with_met_deadline(self, edges, shared):
+        # Each value sits on or beside a knife edge: its own limit's
+        # (array limits) or the shared limit's (one limit).
+        offsets = np.array([offset for _, offset in edges])
+        limits = np.array([limit for limit, _ in edges])
+        values = limits + offsets
+        assert units.count_within(values, limits) == sum(
+            units.met_deadline(v, limit)
+            for v, limit in zip(values.tolist(), limits.tolist())
+        )
+        values = shared + offsets
+        assert units.count_within(values, shared) == sum(
+            units.met_deadline(v, shared) for v in values.tolist()
+        )
+
+    def test_count_within_is_an_int(self):
+        assert type(units.count_within(np.array([0.5, 2.0]), 1.0)) is int
+
+    def test_q1_limit_counts_a_knife_edge_slot(self):
+        assert math.floor(90 * 0.7) == 62
+        assert units.q1_limit(90, 0.7) == 63
+        # Only representation noise is forgiven, not a real shortfall.
+        assert units.q1_limit(1.0, 1.0 - 1e-6) == 0
 
 
 class TestExceptionHierarchy:

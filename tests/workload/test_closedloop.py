@@ -10,8 +10,9 @@ from repro.server.constant_rate import constant_rate_server
 from repro.server.driver import DeviceDriver
 from repro.sched.registry import make_scheduler
 from repro.shaping import RunConfig
+from repro.sim import source as source_module
 from repro.sim.engine import Simulator
-from repro.sim.source import ClosedLoopSource
+from repro.sim.source import ClosedLoopPopulation, ClosedLoopSource
 from repro.workload import BimodalDemand, ConstantDemand, run_closed_loop
 
 
@@ -25,8 +26,7 @@ def _run_source(rate, n_users=4, think_time=0.5, horizon=30.0, seed=3):
     sim = Simulator()
     driver = _fcfs_system(sim, rate)
     source = ClosedLoopSource(
-        sim, driver, n_users=n_users, think_time=think_time,
-        horizon=horizon, seed=seed,
+        sim, driver, ClosedLoopPopulation(n_users, think_time, horizon, seed=seed)
     )
     source.start()
     sim.run()
@@ -75,7 +75,7 @@ class TestClosedLoopSource:
 
         with pytest.raises(ConfigurationError, match="add_completion_hook"):
             ClosedLoopSource(
-                Simulator(), NoHooks(), n_users=1, think_time=1.0, horizon=1.0
+                Simulator(), NoHooks(), ClosedLoopPopulation(1, 1.0, 1.0)
             )
 
     @pytest.mark.parametrize(
@@ -87,10 +87,26 @@ class TestClosedLoopSource:
         ],
     )
     def test_validation(self, kwargs):
-        sim = Simulator()
-        driver = _fcfs_system(sim, 1.0)
         with pytest.raises(ConfigurationError):
-            ClosedLoopSource(sim, driver, **kwargs)
+            ClosedLoopPopulation(**kwargs)
+
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    def test_each_user_stream_is_derived_once(self, monkeypatch, engine):
+        # The event loop serves the run's own population: deriving a
+        # second one inside the source would draw every stream twice.
+        derive = source_module.user_stream
+        derived = []
+
+        def counting(seed, user):
+            derived.append(user)
+            return derive(seed, user)
+
+        monkeypatch.setattr(source_module, "user_stream", counting)
+        run_closed_loop(
+            "fcfs", RunConfig(4.0, 2.0, 0.5, engine=engine), n_users=5,
+            think_time=0.4, horizon=5.0, seed=1,
+        )
+        assert sorted(derived) == [0, 1, 2, 3, 4]
 
 
 class TestRunClosedLoop:
