@@ -22,16 +22,11 @@ With no pass selected, a default smoke run executes: the corpus (when
 ``tests/corpus`` exists), a small fuzz batch, and a small differential
 batch.  Exit status is non-zero iff *any* selected pass found a
 problem, so the command slots directly into CI.
-
-``REPRO_AQM`` is refused with exit status 2: it would arm a device
-window on the event-loop references and not on the heap-free loop or
-the pinned outcomes they are compared with.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -260,13 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if "REPRO_AQM" in os.environ:
-        print(
-            "refusing to run: REPRO_AQM set; it would arm a device window on "
-            "some of the compared runs and not on the others",
-            file=sys.stderr,
-        )
-        return 2
     passes: list[tuple[int, list[str]]] = []
     selected = any(
         value is not None

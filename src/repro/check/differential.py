@@ -283,7 +283,7 @@ def fcfs_lindley_check(
     arrivals = workload.arrivals
     if arrivals.size == 0:
         return problems
-    # Pin the event engine: under REPRO_ENGINE=auto run_policy would take
+    # Pin the event engine: under engine="auto" run_policy would take
     # the columnar path, which is itself Lindley-based — the check would
     # compare the recurrence with itself instead of with the simulator.
     result = run_policy(
@@ -493,7 +493,7 @@ def engine_parity(
       misses, the preemptions and the completion count.
 
     A policy that neither path takes is a divergence.  This is the
-    ``engine_parity`` differential backing the ``REPRO_ENGINE=auto``
+    ``engine_parity`` differential backing the ``engine="auto"``
     transparent dispatch; ``repro-check --differential`` fuzzes it over
     adversarial traces.
     """

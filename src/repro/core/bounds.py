@@ -118,14 +118,21 @@ def subset_feasible(
     a backlog of ``q`` requests drains in ``q / C`` seconds regardless of
     request boundaries — the model of the paper's lemmas.  The two differ
     only when ``C * delta`` is non-integral.
+
+    The discrete check is the RTT kernels' room test
+    (:mod:`repro.perf.scalar`): a request fits while
+    ``floor((t + delta - base) * C + EPS) >= 1``, so a finish late by
+    less than ``EPS / C`` seconds counts as met, as the kernels and the
+    exact oracle count it.
     """
     service = 1.0 / capacity
     if discrete:
         finish = 0.0
         for t in arrivals:
-            finish = max(finish, t) + service
-            if finish > t + delta + EPS:
+            base = max(finish, t)
+            if (t + delta - base) * capacity + EPS < 1.0:
                 return False
+            finish = base + service
         return True
     backlog = 0.0
     prev = 0.0

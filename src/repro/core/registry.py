@@ -1,31 +1,16 @@
-"""Generic named-strategy registry with override and environment chains.
+"""Generic named-strategy registry: registration and lookup.
 
-Three switchboards grew up independently in this codebase: the RTT kernel
-backends (``REPRO_KERNEL``, :mod:`repro.perf.kernels`), the execution
-engines (``REPRO_ENGINE``, :mod:`repro.perf.engines`), and the scheduling
-policy factory (:mod:`repro.sched.registry`).  Each re-implemented the
-same idioms — a name→value dict, an environment variable, a programmatic
-override with a restoring context manager, and an "unknown name" error
-listing the alternatives.  :class:`Registry` is that idiom, once.
-
-Resolution order for :meth:`Registry.resolve`, highest priority first:
-
-1. an explicit ``name`` argument,
-2. the programmatic override (:meth:`set_override` / :meth:`use`),
-3. the environment variable (when the registry has one),
-4. the registry's default.
-
-Registries may declare *virtual* names — selectors like ``"auto"`` that
-are legal to request but are resolution rules rather than registered
-entries; :meth:`resolve` passes them through for the caller to
-interpret, while :meth:`get` only ever returns registered values.
+The RTT kernel backends (:mod:`repro.perf.kernels`), the in-flight
+window policies (:mod:`repro.server.aqm`) and the scheduling policy
+factory (:mod:`repro.sched.registry`) each map names to values and
+refuse an unknown name with a message listing the alternatives.
+:class:`Registry` is that idiom, once.  Which entry a run uses is an
+argument of the run, never a process-wide setting.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Tuple, TypeVar
 
 from ..exceptions import ConfigurationError
 
@@ -33,41 +18,18 @@ T = TypeVar("T")
 
 
 class Registry(Generic[T]):
-    """Named values plus the override/environment selection chain.
+    """Named values with one "unknown name" message.
 
     Parameters
     ----------
     kind:
         Human-readable noun used in error messages ("kernel backend",
-        "execution engine", "policy").
-    env_var:
-        Optional environment variable consulted by :meth:`resolve` when
-        no explicit name or programmatic override is active.
-    default:
-        Name resolved when nothing else selects one.  ``None`` means an
-        explicit name is required.
-    virtual:
-        Names that :meth:`resolve` accepts without a registered entry
-        (e.g. ``"auto"``).
+        "aqm window policy", "policy").
     """
 
-    def __init__(
-        self,
-        kind: str,
-        env_var: Optional[str] = None,
-        default: Optional[str] = None,
-        virtual: Tuple[str, ...] = (),
-    ):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.env_var = env_var
-        self.default = default
-        self.virtual = tuple(virtual)
         self._entries: Dict[str, T] = {}
-        self._override: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Registration and lookup
-    # ------------------------------------------------------------------
 
     def register(self, name: str, value: T | None = None):
         """Register ``value`` under ``name``.
@@ -97,61 +59,11 @@ class Registry(Generic[T]):
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
-    def _unknown(self, requested: str) -> ConfigurationError:
-        choices = f"choose from {sorted(self._entries)}"
-        if self.virtual:
-            choices += " or " + "/".join(repr(v) for v in self.virtual)
-        return ConfigurationError(
-            f"unknown {self.kind} {requested!r}; {choices}"
-        )
-
     def get(self, name: str) -> T:
-        """The registered value for ``name`` (never a virtual selector)."""
+        """The registered value for ``name``."""
         try:
             return self._entries[name]
         except KeyError:
-            raise self._unknown(name) from None
-
-    # ------------------------------------------------------------------
-    # Selection chain
-    # ------------------------------------------------------------------
-
-    def resolve(self, name: Optional[str] = None) -> str:
-        """Resolve a request to a validated name.
-
-        Applies the explicit > override > environment > default chain
-        and validates the result against registered + virtual names.
-        Virtual names are returned as-is for the caller to interpret.
-        """
-        requested = name or self._override
-        if requested is None and self.env_var is not None:
-            requested = os.environ.get(self.env_var)
-        if requested is None:
-            requested = self.default
-        if requested is None:
-            raise ConfigurationError(f"no {self.kind} selected and no default")
-        requested = requested.strip().lower()
-        if requested not in self._entries and requested not in self.virtual:
-            raise self._unknown(requested)
-        return requested
-
-    @property
-    def override(self) -> Optional[str]:
-        """The active programmatic override, if any."""
-        return self._override
-
-    def set_override(self, name: Optional[str]) -> None:
-        """Select a name for the whole process (``None`` restores auto)."""
-        if name is not None:
-            self.resolve(name)  # validate eagerly
-        self._override = name
-
-    @contextmanager
-    def use(self, name: str):
-        """Temporarily select a name (primarily for tests/benchmarks)."""
-        previous = self._override
-        self.set_override(name)
-        try:
-            yield
-        finally:
-            self._override = previous
+            raise ConfigurationError(
+                f"unknown {self.kind} {name!r}; choose from {sorted(self._entries)}"
+            ) from None

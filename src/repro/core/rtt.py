@@ -148,9 +148,9 @@ def count_admitted(
     delta:
         Primary-class response-time bound (seconds).
 
-    The actual recurrence runs in the active kernel backend (see
-    :mod:`repro.perf`): the compiled or vectorized kernels when
-    available, else the pure-Python reference loop.
+    The actual recurrence runs in the ``auto`` kernel backend (see
+    :mod:`repro.perf`): the compiled kernel when it builds, else the
+    pure-Python reference loop.
     """
     _validate(capacity, delta)
     return _kernels.count_admitted(instants, counts, capacity, delta)

@@ -165,14 +165,6 @@ def main(argv: list[str] | None = None) -> int:
              "output is identical to a serial run",
     )
     parser.add_argument(
-        "--engine",
-        choices=("scalar", "batch", "auto"),
-        default=None,
-        help="execution engine for policy simulations (default: the "
-             "REPRO_ENGINE environment variable, else auto — batch fast "
-             "path for eligible FCFS/Split runs, event loop otherwise)",
-    )
-    parser.add_argument(
         "--output",
         type=str,
         default=None,
@@ -232,12 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.engine is not None:
-        # Via the environment rather than set_engine() so --jobs worker
-        # processes inherit the selection too.
-        import os
-
-        os.environ["REPRO_ENGINE"] = args.engine
 
     if args.summarize:
         from ..obs import summarize_file

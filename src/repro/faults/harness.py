@@ -32,7 +32,6 @@ from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry
 from ..obs.sampler import Sampler, attach_standard_probes
-from ..server.aqm import resolve_aqm
 from ..shaping import RunConfig, RunResult, Stack, build_stack, run_result
 from ..sim.engine import Simulator
 from ..sim.source import WorkloadSource
@@ -196,7 +195,6 @@ def run_resilient(
     )
     refuse_adaptive(policy, adaptive)
     schedule = schedule if schedule is not None else FaultSchedule()
-    aqm = resolve_aqm(aqm)
     sim = Simulator()
     stack, injector = fault_stack(
         policy, config, sim, schedule, retry=retry, inflight=inflight, seed=seed
@@ -223,7 +221,6 @@ def run_resilient(
         workload.name,
         len(source.requests),
         workload.duration,
-        aqm=aqm,
         sampler=sampler,
         schedule=schedule,
         **fault_fields(stack, source.requests, controller),

@@ -2,62 +2,40 @@
 
 The capacity planner evaluates the RTT admission recurrence once per
 bisection candidate, which makes :func:`count_admitted` the hottest loop
-in the library.  This package provides three implementations behind a
-registry — ``scalar`` (reference), ``numpy`` (vectorized safe-run
-compression) and ``native`` (compiled C, bit-identical to scalar) — plus
+in the library.  This package provides two implementations — ``scalar``
+(reference) and ``native`` (compiled C, bit-identical to scalar) — plus
 a multi-capacity sweep kernel used to prefill the planner's bisection
-cache.  Select with the ``REPRO_KERNEL`` environment variable or
-:func:`set_backend`; the default ``auto`` picks the fastest available.
+cache.  Every kernel takes ``backend=``; the default ``auto`` runs
+``native`` when it compiles and ``scalar`` otherwise.
 
-See :mod:`repro.perf.kernels` for the dispatch rules and
+See :mod:`repro.perf.kernels` for the dispatch rule and
 ``benchmarks/bench_kernels.py`` (or ``make bench-json``) for measured
 speedups on the bundled traces.
 
-The package also hosts the *execution engine* registry
-(:mod:`repro.perf.engines`): ``REPRO_ENGINE=scalar|batch|auto`` selects
-between the discrete-event loop and the columnar fast path of
-:mod:`repro.sim.batch` for whole :func:`repro.shaping.run_policy`
-simulations; see ``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
+The package also names the *execution engines*
+(:mod:`repro.perf.engines`): ``RunConfig(engine="scalar"|"batch"|"auto")``
+selects between the discrete-event loop and the columnar fast path of
+:mod:`repro.sim.batch` for one :func:`repro.shaping.run_policy`
+simulation; see ``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
 """
 
-from .engines import (
-    ENGINE_ENV_VAR,
-    active_engine,
-    available_engines,
-    resolve_engine,
-    set_engine,
-    use_engine,
-)
+from .engines import ENGINES, active_engine
 from .kernels import (
-    ENV_VAR,
-    NUMPY_MIN_BATCHES,
     KernelBackend,
     active_backend,
     admitted_per_batch,
     available_backends,
     count_admitted,
     count_admitted_sweep,
-    dispatch_backend,
-    set_backend,
-    use_backend,
 )
 
 __all__ = [
-    "ENV_VAR",
-    "ENGINE_ENV_VAR",
-    "NUMPY_MIN_BATCHES",
+    "ENGINES",
     "KernelBackend",
     "active_backend",
     "active_engine",
     "admitted_per_batch",
     "available_backends",
-    "available_engines",
     "count_admitted",
     "count_admitted_sweep",
-    "dispatch_backend",
-    "resolve_engine",
-    "set_backend",
-    "set_engine",
-    "use_backend",
-    "use_engine",
 ]

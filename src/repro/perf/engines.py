@@ -1,8 +1,8 @@
-"""Execution-engine registry: scalar event loop vs columnar batch.
+"""Execution engines: scalar event loop vs columnar batch.
 
-The kernel registry (:mod:`repro.perf.kernels`) swaps implementations of
-the RTT admission recurrence; this registry swaps the *execution engine*
-that :func:`repro.shaping.run_policy` uses to serve a workload:
+The kernel backends (:mod:`repro.perf.kernels`) are implementations of
+the RTT admission recurrence; the *execution engine* is the path
+:func:`repro.shaping.run_policy` serves a workload on:
 
 ``scalar``
     The discrete-event simulation loop (:mod:`repro.sim.engine`) — one
@@ -30,16 +30,9 @@ that :func:`repro.shaping.run_policy` uses to serve a workload:
     taken in ``RunResult.engine`` (``"scalar"``, ``"batch"`` or
     ``"direct"``; a closed loop's is never ``"batch"``).
 
-Selection, highest priority first (mirroring ``REPRO_KERNEL``):
-
-1. the ``engine=`` argument of :func:`repro.shaping.run_policy`,
-2. :func:`set_engine` / :func:`use_engine` (programmatic),
-3. the ``REPRO_ENGINE`` environment variable,
-4. ``auto``.
-
-The selection chain itself is one :class:`repro.core.registry.Registry`
-instance — the same helper behind the kernel backends and the scheduling
-policy factory — with ``auto`` declared as a virtual selector.
+A run names its engine in ``RunConfig.engine`` (``None`` means
+``auto``), which :class:`~repro.shaping.RunConfig` validates; nothing
+else selects one.
 
 Parity of both fast paths with the event loop is certified by
 :func:`repro.check.differential.engine_parity` (identical admitted sets,
@@ -49,56 +42,10 @@ fuzzed continuously by ``repro-check --differential``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from ..core.registry import Registry
-
-#: Environment variable naming the engine ("scalar", "batch", or "auto").
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: The selection registry (``auto`` is a selection rule, not an engine).
-REGISTRY: Registry[str] = Registry(
-    "execution engine",
-    env_var=ENGINE_ENV_VAR,
-    default="auto",
-    virtual=("auto",),
-)
-REGISTRY.register("scalar", "repro.sim.engine")
-REGISTRY.register("batch", "repro.sim.batch")
-
-#: Engines that exist (``auto`` is a selection rule, not an engine).
-ENGINES = REGISTRY.names()
-
-
-def available_engines() -> tuple[str, ...]:
-    """Names of the execution engines usable in this environment."""
-    return REGISTRY.names()
-
-
-def resolve_engine(name: str | None = None) -> str:
-    """Resolve a request to ``"scalar"``, ``"batch"``, or ``"auto"``.
-
-    ``auto`` is returned as-is — whether it lands on the batch path, the
-    heap-free loop or the event loop is a per-configuration
-    decision made by :func:`repro.shaping.run_policy` (or
-    :func:`repro.workload.closedloop.run_closed_loop`), not a
-    process-wide one.
-    """
-    return REGISTRY.resolve(name)
+#: Engines a run may name (``auto`` is a selection rule, not an engine).
+ENGINES = ("scalar", "batch")
 
 
 def active_engine() -> str:
-    """Resolved engine request the next :func:`run_policy` call will see."""
-    return resolve_engine()
-
-
-def set_engine(name: str | None) -> None:
-    """Select an engine for the whole process (None restores auto)."""
-    REGISTRY.set_override(name)
-
-
-@contextmanager
-def use_engine(name: str):
-    """Temporarily select an engine (primarily for tests/benchmarks)."""
-    with REGISTRY.use(name):
-        yield
+    """The engine a run with ``RunConfig.engine=None`` asks for: ``auto``."""
+    return "auto"

@@ -1,27 +1,19 @@
-"""Kernel backend registry and dispatch.
+"""Kernel backends and dispatch.
 
-Three interchangeable implementations of the RTT hot-path kernels live
-behind this registry:
+Two interchangeable implementations of the RTT hot-path kernels:
 
 ``scalar``
     The original pure-Python per-batch loop (reference semantics).
-``numpy``
-    Vectorized safe-run compression (:mod:`repro.perf.vectorized`).
 ``native``
     A C rendition compiled on demand with the system compiler,
     bit-identical to ``scalar`` (:mod:`repro.perf.native`).  Only
     offered when a compiler is present and the build succeeds.
 
-Selection, highest priority first:
-
-1. :func:`set_backend` / :func:`use_backend` (programmatic),
-2. the ``REPRO_KERNEL`` environment variable,
-3. ``auto``: ``native`` when available; otherwise ``numpy``, except
-   that inputs shorter than :data:`NUMPY_MIN_BATCHES` batches take the
-   ``scalar`` loop — below that size numpy's fixed array-pass overhead
-   loses to plain Python (measured crossover ~1e3 batches; cf. the
-   0.85x rows in ``BENCH_kernels.json``).  An explicitly requested
-   backend is always honored regardless of size.
+Every kernel takes a ``backend`` argument.  ``None`` (the default) and
+``"auto"`` mean ``native`` when it compiles and ``scalar`` otherwise;
+``"scalar"`` or ``"native"`` names one, as the kernel parity check
+(:func:`repro.check.differential.kernel_parity`), the kernel tests and
+``benchmarks/bench_kernels.py`` do.  Nothing else selects a backend.
 
 Every kernel takes the batched ``(instants, counts)`` workload
 representation (:meth:`repro.core.workload.Workload.arrival_counts`),
@@ -30,7 +22,6 @@ as plain sequences or numpy arrays.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,11 +29,7 @@ import numpy as np
 
 from ..core.registry import Registry
 from ..exceptions import ConfigurationError
-from . import native, scalar, vectorized
-
-#: Environment variable naming the backend ("scalar", "numpy", "native",
-#: or "auto").
-ENV_VAR = "REPRO_KERNEL"
+from . import native, scalar
 
 
 @dataclass(frozen=True)
@@ -55,12 +42,8 @@ class KernelBackend:
     sweep: Callable
 
 
-#: Backend registry: the shared override/environment selection chain
-#: (:class:`repro.core.registry.Registry`) with ``auto`` as a virtual
-#: selector interpreted by :func:`_resolve` below.
-REGISTRY: Registry[KernelBackend] = Registry(
-    "kernel backend", env_var=ENV_VAR, default="auto", virtual=("auto",)
-)
+#: The backends by name.
+REGISTRY: Registry[KernelBackend] = Registry("kernel backend")
 REGISTRY.register(
     "scalar",
     KernelBackend(
@@ -68,15 +51,6 @@ REGISTRY.register(
         scalar.count_admitted,
         scalar.admitted_per_batch,
         scalar.count_admitted_sweep,
-    ),
-)
-REGISTRY.register(
-    "numpy",
-    KernelBackend(
-        "numpy",
-        vectorized.count_admitted,
-        vectorized.admitted_per_batch,
-        vectorized.count_admitted_sweep,
     ),
 )
 REGISTRY.register(
@@ -89,69 +63,26 @@ REGISTRY.register(
     ),
 )
 
-#: ``auto`` dispatch crossover: below this many batches the scalar loop
-#: beats the numpy kernel (array allocation and safe-run compression
-#: cost more than they save), so size-aware auto dispatch picks scalar.
-NUMPY_MIN_BATCHES = 1024
-
 
 def available_backends() -> tuple[str, ...]:
     """Names of the backends usable in this environment."""
-    names = ["scalar", "numpy"]
-    if native.available():
-        names.append("native")
-    return tuple(names)
+    return ("scalar", "native") if native.available() else ("scalar",)
 
 
-def _resolve(name: str | None = None, size: int | None = None) -> KernelBackend:
-    requested = REGISTRY.resolve(name)
-    if requested == "auto":
-        if native.available():
-            requested = "native"
-        elif size is not None and size < NUMPY_MIN_BATCHES:
-            requested = "scalar"
-        else:
-            requested = "numpy"
-    backend = REGISTRY.get(requested)
-    if backend.name == "native" and not native.available():
+def _resolve(name: str | None = None) -> KernelBackend:
+    if name is None or name == "auto":
+        name = "native" if native.available() else "scalar"
+    elif name == "native" and not native.available():
         raise ConfigurationError(
             "native kernel backend requested but no working C compiler "
-            "was found (set REPRO_KERNEL=numpy or install cc/gcc/clang)"
+            "was found (use backend='scalar' or install cc/gcc/clang)"
         )
-    return backend
+    return REGISTRY.get(name)
 
 
 def active_backend() -> str:
-    """Resolved name of the backend the next kernel call will use.
-
-    Size-agnostic: under ``auto`` without a native build this reports
-    ``numpy`` even though a short input would dispatch to ``scalar`` —
-    use :func:`dispatch_backend` to resolve for a concrete size.
-    """
+    """Name of the backend ``auto`` runs: ``native`` or ``scalar``."""
     return _resolve().name
-
-
-def dispatch_backend(size: int) -> str:
-    """Backend an auto-dispatched kernel call would use for ``size`` batches."""
-    return _resolve(size=size).name
-
-
-def set_backend(name: str | None) -> None:
-    """Select a backend for the whole process (None restores auto)."""
-    if name is not None:
-        _resolve(name)  # validate eagerly, incl. native availability
-    REGISTRY.set_override(name)
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily select a backend (primarily for tests/benchmarks)."""
-    previous = REGISTRY.override
-    set_backend(name)
-    try:
-        yield
-    finally:
-        REGISTRY.set_override(previous)
 
 
 def _validate(capacity: float, delta: float) -> None:
@@ -166,9 +97,7 @@ def count_admitted(
 ) -> int:
     """Requests RTT admits to Q1 over the batched stream."""
     _validate(capacity, delta)
-    return _resolve(backend, size=len(instants)).count(
-        instants, counts, capacity, delta
-    )
+    return _resolve(backend).count(instants, counts, capacity, delta)
 
 
 def admitted_per_batch(
@@ -176,9 +105,7 @@ def admitted_per_batch(
 ) -> np.ndarray:
     """Admitted count ``k_i`` for every batch (mask-building primitive)."""
     _validate(capacity, delta)
-    return _resolve(backend, size=len(instants)).per_batch(
-        instants, counts, capacity, delta
-    )
+    return _resolve(backend).per_batch(instants, counts, capacity, delta)
 
 
 def count_admitted_sweep(
@@ -186,12 +113,12 @@ def count_admitted_sweep(
 ) -> np.ndarray:
     """Admitted counts at many candidate capacities in one call.
 
-    The native backend runs the whole sweep inside one C call; others
-    fall back to one kernel pass per capacity.  Capacities need not be
-    sorted; the result aligns with the input order.
+    The native backend runs the whole sweep inside one C call; the
+    scalar one makes one kernel pass per capacity.  Capacities need not
+    be sorted; the result aligns with the input order.
     """
     _validate(1.0, delta)  # delta only; capacities checked below
     caps = np.asarray(capacities, dtype=np.float64)
     if caps.size and caps.min() <= 0:
         raise ConfigurationError("capacities must be positive")
-    return _resolve(backend, size=len(instants)).sweep(instants, counts, caps, delta)
+    return _resolve(backend).sweep(instants, counts, caps, delta)

@@ -11,7 +11,7 @@ are **bit-identical** to the pure-Python reference on every input.
 
 Everything degrades gracefully: no compiler, a failed compile, or an
 unwritable cache directory simply mean :func:`available` returns False
-and the registry falls back to the numpy backend.  Set
+and ``auto`` falls back to the scalar backend.  Set
 ``REPRO_NATIVE_CACHE`` to relocate the build cache (default
 ``~/.cache/repro-kernels``).
 """

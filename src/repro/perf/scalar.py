@@ -3,10 +3,9 @@
 These are the semantics the faster backends must reproduce: the
 deadline-form RTT admission rule from :mod:`repro.core.rtt`, processed
 batch-by-batch with double-precision arithmetic and the
-:data:`repro.units.EPS` floor tolerance.  The native backend replays the exact same sequence of
-floating-point operations (and is therefore bit-identical); the numpy
-backend is allowed to reassociate sums inside provably-safe stretches,
-which can only matter for knife-edge ties far finer than ``EPS``.
+:data:`repro.units.EPS` floor tolerance.  The native backend replays the
+exact same sequence of floating-point operations, and is therefore
+bit-identical.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Central place mapping the paper's policy names ("fcfs", "split",
 "fairqueue", "miser") to the objects that implement them, so experiment
 and benchmark code can be written against policy names.  The name→factory
 mapping is a :class:`repro.core.registry.Registry` — the same helper
-behind the ``REPRO_KERNEL`` and ``REPRO_ENGINE`` switchboards — so tests
+behind the kernel backends and the in-flight window policies — so tests
 can install policy doubles with ``REGISTRY.register``.
 """
 

@@ -48,7 +48,6 @@ from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..obs.sampler import Sampler
-from ..server.aqm import resolve_aqm
 from ..shaping import RunConfig, RunResult, build_stack, run_result
 from ..sim.engine import Simulator
 from ..sim.source import WorkloadSource
@@ -242,7 +241,6 @@ class ServiceHarness:
         self.adaptive = bool(adaptive)
         self.controller_config = controller_config
         self.sample_interval = sample_interval
-        self.aqm = resolve_aqm(aqm)
         self._user_on_request = on_request
         self.sim = Simulator()
         # The stack enforces the deadline left after any placement charge.
@@ -470,7 +468,6 @@ class ServiceHarness:
             getattr(self, "_workload_name", "staged"),
             len(self.delivered),
             self.source.horizon,
-            aqm=self.aqm,
             sampler=self.sampler,
             result=ServeRunResult,
             schedule=self.schedule,

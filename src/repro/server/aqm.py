@@ -26,11 +26,11 @@ service) at once:
   decrease when sojourn exceeds target, additive increase only while
   the window is actually saturated (so an idle window never inflates).
 
-Windows register behind the unified :class:`repro.core.registry.
-Registry` (``REPRO_AQM`` environment override), mirroring the kernel /
-engine / policy switchboards; :func:`make_window` is the factory the
-run layer calls with the ``aqm=`` name from a
-:class:`~repro.shaping.RunConfig`.
+Windows register in a :class:`repro.core.registry.Registry`, as the
+kernel backends and the policies do; :func:`make_window` is the factory
+the run layer calls with the ``aqm=`` name from a
+:class:`~repro.shaping.RunConfig`.  A run arms exactly the window it
+names: nothing in the environment or the process adds one.
 
 Floor semantics
 ---------------
@@ -54,7 +54,6 @@ which is why :class:`~repro.core.capacity.CapacityPlanner` accepts a
 from __future__ import annotations
 
 import math
-import os
 
 from ..core.registry import Registry
 from ..core.request import Request
@@ -492,12 +491,10 @@ class AdaptiveWindow(InflightWindow):
 
 #: AQM window registry.  Entries are factories ``(delta) -> window`` —
 #: the response-time bound parameterizes the adaptive targets, exactly
-#: as it parameterizes the admission bound.  No default: ``aqm=None``
-#: means *no window at all* (today's driver, bit-identical), which is a
+#: as it parameterizes the admission bound.  ``aqm=None`` means *no
+#: window at all* (today's driver, bit-identical), which is a
 #: structural absence rather than a registry entry.
-REGISTRY: Registry = Registry(
-    "aqm window policy", env_var="REPRO_AQM", virtual=("none",)
-)
+REGISTRY: Registry = Registry("aqm window policy")
 
 
 @REGISTRY.register("unbounded")
@@ -528,22 +525,13 @@ AQM_POLICIES = tuple(REGISTRY.names())
 
 
 def resolve_aqm(name: str | None) -> str | None:
-    """Resolve the *effective* window policy for an ``aqm=`` selection.
+    """The window policy a run given ``aqm=name`` arms: ``name`` itself.
 
-    ``None`` consults the override chain — :meth:`Registry.use`, then
-    the ``REPRO_AQM`` environment variable — mirroring the kernel and
-    engine switchboards; the virtual name ``"none"`` (and an unset
-    chain) resolve to ``None``, the dormant no-window path.  The run
-    layers call this once up front so that batch-engine eligibility,
-    result snapshots, and ledger assertions all agree with the window
-    that actually gets armed.
+    ``None`` means no window; an unknown name raises.
     """
-    if name is None:
-        name = REGISTRY.override or os.environ.get(REGISTRY.env_var or "", None)
-        if name is None:
-            return None
-    resolved = REGISTRY.resolve(name)
-    return None if resolved == "none" else resolved
+    if name is not None:
+        REGISTRY.get(name)
+    return name
 
 
 def make_window(name: str | None, delta: float) -> InflightWindow | None:
@@ -551,14 +539,11 @@ def make_window(name: str | None, delta: float) -> InflightWindow | None:
 
     ``None`` returns ``None`` — the dormant path: the driver keeps its
     historical unbuffered dispatch loop, bit-identical to the
-    pre-AQM stack (certified by the golden corpus).  An unset ``name``
-    may still be overridden by :meth:`Registry.use` or the
-    ``REPRO_AQM`` environment variable (the virtual name ``"none"``
-    explicitly selects no window) — see :func:`resolve_aqm`.
+    pre-AQM stack (certified by the golden corpus).
     """
-    resolved = resolve_aqm(name)
-    if resolved is None:
+    if name is None:
         return None
+    factory = REGISTRY.get(name)
     if delta <= 0:
         raise ConfigurationError(f"delta must be positive, got {delta}")
-    return REGISTRY.get(resolved)(delta)
+    return factory(delta)

@@ -35,9 +35,9 @@ from .exceptions import ConfigurationError, SimulationError
 from .obs.export import export_run
 from .obs.registry import NULL_REGISTRY, MetricsRegistry
 from .obs.sampler import Sampler, attach_standard_probes
-from .perf import engines
+from .perf.engines import ENGINES
 from .sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
-from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
+from .server.aqm import AQM_POLICIES, make_window
 from .server.base import Server, ServiceTimeModel
 from .server.cluster import SplitFrontEnd, SplitSystem, TopologySystem
 from .server.constant_rate import ConstantRateModel
@@ -83,8 +83,8 @@ class RunConfig:
     sample_interval:
         Period of the standard probe sampler; ``None`` disables it.
     engine:
-        Execution engine override ("scalar", "batch", "auto"); ``None``
-        defers to :mod:`repro.perf.engines`.
+        Execution engine (:mod:`repro.perf.engines`): ``"scalar"``,
+        ``"batch"`` or ``"auto"``; ``None`` means ``"auto"``.
     admission:
         Classifier admission mode: ``"count"`` (the paper's
         ``lenQ1 < floor(C·δ)``) or ``"work"`` (cumulative admitted
@@ -118,6 +118,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"bad configuration: cmin={self.cmin}, "
                 f"delta_c={self.delta_c}, delta={self.delta}"
+            )
+        if self.engine is not None and self.engine not in ENGINES + ("auto",):
+            raise ConfigurationError(
+                f"unknown execution engine {self.engine!r}; "
+                f"choose from {sorted(ENGINES)} or 'auto'"
             )
         if self.admission not in ("count", "work"):
             raise ConfigurationError(
@@ -331,10 +336,10 @@ def run_policy(
     periodic :class:`~repro.obs.sampler.Sampler` with the standard probe
     set.  Either one populates ``RunResult.telemetry``.
 
-    ``config.engine`` overrides the execution-engine selection of
-    :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
-    event loop, ``"batch"`` demands the columnar fast path (an error if
-    the configuration is ineligible), and ``"auto"`` (the process
+    ``config.engine`` selects the execution engine
+    (:mod:`repro.perf.engines`): ``"scalar"`` forces the event loop,
+    ``"batch"`` demands the columnar fast path (an error if the
+    configuration is ineligible), and ``"auto"`` (or ``None``, the
     default) picks the first path that qualifies: the batch engine (an
     FCFS or Split run under count admission with no observability or
     window attached), then the heap-free loop (every other policy with
@@ -358,43 +363,35 @@ def run_policy(
     else:
         config = RunConfig(cmin, delta_c, delta)
     check_policy(policy, config)
-    # Resolve the effective window policy (aqm= argument, Registry
-    # override, or REPRO_AQM) once, so engine eligibility, the armed
-    # window, and the result snapshot can never disagree.
-    aqm = resolve_aqm(config.aqm)
-    requested = engines.resolve_engine(config.engine)
-    if requested != "scalar":
+    if config.engine != "scalar":
         eligible, reason = batch.supports(
             policy,
             record_rates=config.record_rates,
             metrics=config.metrics,
             sample_interval=config.sample_interval,
             admission=config.admission,
-            aqm=aqm,
+            aqm=config.aqm,
         )
         if eligible:
             return _run_policy_batch(workload, policy, config)
-        if requested == "batch":
+        if config.engine == "batch":
             raise ConfigurationError(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"
             )
-    return serve_feed(workload, policy, config, aqm, requested)
+    return serve_feed(workload, policy, config)
 
 
 def serve_feed(
     feed: Workload | ClosedLoopPopulation,
     policy: str,
     config: RunConfig,
-    aqm: str | None,
-    requested: str,
 ) -> RunResult:
     """The run body :func:`run_policy` and ``run_closed_loop`` share.
 
     ``feed`` is a workload, replayed open loop, or a closed-loop
-    population; ``aqm`` the resolved window policy and ``requested``
-    the resolved engine, never ``"batch"``.  Unless it is
-    ``"scalar"``, every policy, single-server or topology, takes the
+    population; ``config.engine`` is never ``"batch"`` here.  Unless it
+    is ``"scalar"``, every policy, single-server or topology, takes the
     heap-free loop when nothing hooks the event loop: no rate recording,
     metrics registry, sampler or window.  Every other run takes the
     event loop, which attaches them.
@@ -409,9 +406,9 @@ def serve_feed(
         config.record_rates is not None
         or config.metrics is not None
         or config.sample_interval is not None
-        or aqm is not None
+        or config.aqm is not None
     )
-    if requested != "scalar" and not hooked:
+    if config.engine != "scalar" and not hooked:
         sides, route = build_stack(policy, config)
         report = serve_direct(feed, *sides, route=route)
         engine = "direct"
@@ -443,7 +440,6 @@ def serve_feed(
         name,
         len(submitted) if closed else len(feed),
         duration,
-        aqm=aqm,
         sampler=sampler,
         engine=engine,
         submitted=submitted,
@@ -458,7 +454,6 @@ def run_result(
     workload_name: str,
     requests: int,
     duration: float,
-    aqm: str | None = None,
     sampler: Sampler | None = None,
     result: type = RunResult,
     **fields,
@@ -472,10 +467,9 @@ def run_result(
     in a device window; otherwise the run lost a request and
     :class:`~repro.exceptions.SimulationError` is raised.
 
-    ``aqm`` is the resolved window policy.  A registry in
-    ``config.metrics`` or a ``sampler`` makes the result's telemetry
-    (``duration`` goes into its meta line).  ``fields`` fill the rest of
-    the ``result`` type's fields.
+    A registry in ``config.metrics`` or a ``sampler`` makes the
+    result's telemetry (``duration`` goes into its meta line).
+    ``fields`` fill the rest of the ``result`` type's fields.
     """
     ledger = report.fault_ledger()
     resident = ledger.get("window", 0)
@@ -519,8 +513,8 @@ def run_result(
         primary_misses=report.primary_deadline_misses(),
         ledger=ledger,
         admission=config.admission,
-        aqm=aqm,
-        window=report.window_snapshot() if aqm is not None else None,
+        aqm=config.aqm,
+        window=report.window_snapshot() if config.aqm is not None else None,
         telemetry=telemetry,
         **fields,
     )
@@ -586,12 +580,11 @@ def build_stack(
             scheduler = make_scheduler(policy, cmin, delta_c, delta, admission)
             return (Side(scheduler, ConstantRateModel(cmin + delta_c), policy),), None
         return front.sides, front.route
-    aqm = resolve_aqm(config.aqm)
     shared = dict(
         metrics=config.metrics,
         retry=retry,
         admission=admission,
-        aqm=aqm,
+        aqm=config.aqm,
         aqm_shared=config.aqm_shared,
     )
     if policy == "split":
@@ -632,7 +625,7 @@ def build_stack(
         record_rates=config.record_rates,
         metrics=config.metrics,
         retry=retry,
-        window=make_window(aqm, delta),
+        window=make_window(config.aqm, delta),
     )
     return Stack(driver, [server], driver, driver)
 

@@ -3,8 +3,8 @@
 Two execution modes share this package: the event-driven
 :class:`Simulator` (reference semantics) and the columnar batch engine
 (:mod:`repro.sim.batch`) that replays the same dynamics bit-exactly for
-Lindley-reducible configurations; see ``REPRO_ENGINE`` in
-:mod:`repro.perf.engines`.
+Lindley-reducible configurations; a run names its engine in
+``RunConfig.engine`` (see :mod:`repro.perf.engines`).
 """
 
 from .batch import (

@@ -1,4 +1,4 @@
-"""Columnar batch execution engine: the ``REPRO_ENGINE=batch`` fast path.
+"""Columnar batch execution engine: the ``RunConfig(engine="batch")`` fast path.
 
 The scalar engine (:mod:`repro.sim.engine`) pays one heapq push/pop and
 one Python ``Request`` object per arrival and per completion.  For the

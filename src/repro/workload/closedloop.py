@@ -17,8 +17,6 @@ healthy path (no fault injection) everything completes.
 from __future__ import annotations
 
 from ..exceptions import ConfigurationError
-from ..perf import engines
-from ..server.aqm import resolve_aqm
 from ..shaping import RunConfig, RunResult, check_policy, serve_feed
 from ..sim.source import ClosedLoopPopulation
 
@@ -38,10 +36,9 @@ def run_closed_loop(
     the capacity plan, admission mode, window, ``record_rates``,
     ``metrics`` and ``sample_interval`` (the last three fill the
     result's ``telemetry``, ticking until ``horizon``).  ``engine`` is
-    resolved as ``run_policy`` resolves it, so an unknown name raises,
-    and ``batch`` is rejected rather than ignored: the batch engine
-    needs the arrival column up front, and closed-loop traffic only
-    yields it after the fact.  Under ``auto`` every run with nothing
+    read as ``run_policy`` reads it, and ``batch`` is rejected rather
+    than ignored: the batch engine needs the arrival column up front,
+    and closed-loop traffic only yields it after the fact.  Under ``auto`` every run with nothing
     hooked on the event loop takes the heap-free loop
     (:func:`repro.server.driver.serve_direct`, ``engine="direct"``): a
     single-server policy on its one server, ``split`` and ``splitfarm``
@@ -56,8 +53,7 @@ def run_closed_loop(
     request in submission order.
     """
     check_policy(policy, config)
-    requested = engines.resolve_engine(config.engine)
-    if requested == "batch":
+    if config.engine == "batch":
         raise ConfigurationError(
             "closed-loop runs cannot take engine 'batch': it needs the "
             "arrival column up front, and a closed loop only yields it "
@@ -66,4 +62,4 @@ def run_closed_loop(
     population = ClosedLoopPopulation(
         n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
     )
-    return serve_feed(population, policy, config, resolve_aqm(config.aqm), requested)
+    return serve_feed(population, policy, config)

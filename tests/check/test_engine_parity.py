@@ -28,11 +28,13 @@ from repro.check.differential import (
 from repro.check.fuzz import make_case
 from repro.core.request import QoSClass
 from repro.core.workload import Workload
+from repro.exceptions import SimulationError
 from repro.sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
+from repro.serve.ingest import MAX_SIZE, MIN_SIZE
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
 from repro.sim import batch, source
-from repro.shaping import RunConfig, build_stack
+from repro.shaping import RunConfig, build_stack, run_policy
 from repro.workload.sizes import BimodalDemand
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -255,6 +257,75 @@ def mutated_serve_direct(old: str, new: str, count: int, also=()):
     namespace = dict(vars(driver))
     exec(compile(code, driver.__file__, "exec"), namespace)
     return namespace["serve_direct"]
+
+
+# ---------------------------------------------------------------------------
+# Every finite workload: the default path against the event loop
+# ---------------------------------------------------------------------------
+
+#: Gaps the clock can barely resolve or not at all (``5e-324``, the
+#: smallest subnormal, vanishes against any start above 0), and
+#: ordinary gaps.
+FINITE_GAPS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-12, 1e-9]), st.floats(0.0, 10.0)
+)
+#: Sizes within the range the serving plane's ingest admits.  Outside
+#: it the paths part ways (``TestOutOfRangeSizes``).
+FINITE_SIZES = st.floats(MIN_SIZE, MAX_SIZE)
+
+
+@st.composite
+def finite_workloads(draw) -> Workload:
+    """A start in [0, 1e6], then gaps added one at a time, with or
+    without sizes."""
+    gaps = draw(st.lists(FINITE_GAPS, max_size=40))
+    arrivals = np.cumsum([draw(st.floats(0.0, 1e6)), *gaps])
+    sizes = None
+    if draw(st.booleans()):
+        sizes = draw(st.lists(FINITE_SIZES, min_size=arrivals.size, max_size=arrivals.size))
+    return Workload(arrivals, sizes=sizes, name="finite")
+
+
+def served(workload: Workload, policy: str, config: RunConfig) -> tuple:
+    """A run's samples, bit for bit, and its ledger."""
+    result = run_policy(workload, policy, config=config)
+    samples = tuple(
+        getattr(result, name).samples.tobytes()
+        for name in ("overall", "primary", "overflow")
+    )
+    return samples + (result.ledger, result.primary_misses)
+
+
+def assert_paths_agree(workload: Workload, admission: str, policies=ALL_POLICIES) -> None:
+    config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+    for policy in policies:
+        assert served(workload, policy, config) == served(
+            workload, policy, config.with_engine("scalar")
+        ), policy
+
+
+@given(workload=finite_workloads(), admission=st.sampled_from(["count", "work"]))
+def test_finite_workloads_bit_identical_on_every_path(workload, admission):
+    """The batch engine and the heap-free loop give what the event loop
+    gives, for every policy, on every finite workload."""
+    assert_paths_agree(workload, admission)
+
+
+class TestOutOfRangeSizes:
+    """Sizes ``Workload`` accepts but ingest refuses split the paths."""
+
+    @pytest.mark.xfail(strict=True, raises=SimulationError)
+    def test_subnormal_size(self):
+        """Its service time rounds to 0: the batch engine serves it in
+        no time, the event loop refuses it."""
+        assert_paths_agree(Workload([0.0], sizes=[5e-324]), "count", ("fcfs",))
+
+    @pytest.mark.xfail(strict=True, raises=SimulationError)
+    def test_completion_past_the_largest_float(self):
+        """The fifth request completes at +inf: the event loop serves it,
+        splitfarm's direct loop loses it."""
+        workload = Workload([0.0] * 5, sizes=[1.7e308] * 5)
+        assert_paths_agree(workload, "count", ("splitfarm",))
 
 
 # ---------------------------------------------------------------------------

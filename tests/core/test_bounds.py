@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check.oracle import oracle_max_admitted_discrete
 from repro.core.bounds import (
     lemma1_lower_bound,
     lower_bound_drops,
@@ -115,6 +116,22 @@ class TestSubsetFeasible:
 
     def test_empty_subset_feasible(self):
         assert subset_feasible([], 1.0, 1.0)
+
+    def test_knife_edge_tolerance_is_the_kernels(self):
+        """A finish late by more than ``EPS / C`` seconds misses, as the
+        kernels and the exact oracle count it, however much less than
+        ``EPS`` seconds it is late by."""
+        capacity, delta = 1000.0, 0.001 - 5e-10  # late by 5e-10 s > EPS / C
+        workload = Workload([0.0])
+        assert not subset_feasible([0.0], capacity, delta)
+        assert max_admissible_bruteforce(workload, capacity, delta) == 0
+        assert decompose(workload, capacity, delta).n_admitted == 0
+        assert oracle_max_admitted_discrete([0.0], capacity, delta) == 0
+        # Late by less than EPS / C: met, by all three.
+        delta = 0.001 - 5e-13
+        assert max_admissible_bruteforce(workload, capacity, delta) == 1
+        assert decompose(workload, capacity, delta).n_admitted == 1
+        assert oracle_max_admitted_discrete([0.0], capacity, delta) == 1
 
 
 class TestBruteForce:

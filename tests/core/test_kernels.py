@@ -1,11 +1,11 @@
 """Cross-validation of the RTT kernel backends (repro.perf).
 
-Property-based parity suite: the scalar reference, the numpy safe-run
-compression backend and (when a compiler is present) the native C
-backend must agree on admission counts, per-batch admitted counts and
-per-request masks — including against the Fraction-exact reference
-``decompose_exact`` — across random bursty workloads, fractional
-``C * delta`` products, simultaneous-arrival batches and empty traces.
+Property-based parity suite: the scalar reference and (when a compiler
+is present) the native C backend must agree on admission counts,
+per-batch admitted counts and per-request masks — including against the
+Fraction-exact reference ``decompose_exact`` — across random bursty
+workloads, fractional ``C * delta`` products, simultaneous-arrival
+batches and empty traces.
 
 Inputs follow the repo's property-test conventions (millisecond arrival
 grid, dyadic capacities/deadlines) so that admission decisions sit far
@@ -25,16 +25,12 @@ from repro.core.rtt import decompose, decompose_exact
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
 from repro.perf import (
-    ENV_VAR,
-    NUMPY_MIN_BATCHES,
     active_backend,
     admitted_per_batch,
     available_backends,
     count_admitted,
     count_admitted_sweep,
-    dispatch_backend,
-    set_backend,
-    use_backend,
+    native,
 )
 
 BACKENDS = available_backends()
@@ -146,12 +142,20 @@ def test_mask_matches_decompose_exact(stream, capacity, delta):
     arrivals = np.repeat(instants, counts)
     workload = Workload(arrivals)
     exact = decompose_exact(workload, Fraction(capacity), Fraction(delta))
+    # Within a batch the earliest requests are admitted first, so the
+    # exact mask admits a prefix of each batch.
+    exact_per_batch = np.add.reduceat(exact.admitted, np.cumsum(counts) - counts)
     for name in BACKENDS:
-        with use_backend(name):
-            result = decompose(workload, capacity, delta)
         np.testing.assert_array_equal(
-            result.admitted, exact.admitted, err_msg=f"backend {name} vs exact"
+            admitted_per_batch(instants, counts, capacity, delta, backend=name),
+            exact_per_batch,
+            err_msg=f"backend {name} vs exact",
         )
+    np.testing.assert_array_equal(
+        decompose(workload, capacity, delta).admitted,
+        exact.admitted,
+        err_msg="decompose under auto vs exact",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,41 +164,13 @@ def test_mask_matches_decompose_exact(stream, capacity, delta):
 
 
 class TestRegistry:
-    def test_scalar_and_numpy_always_available(self):
+    def test_scalar_always_available(self):
         assert "scalar" in BACKENDS
-        assert "numpy" in BACKENDS
+        assert set(BACKENDS) <= {"scalar", "native"}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             count_admitted([0.0], [1], 1.0, 1.0, backend="cuda")
-        with pytest.raises(ConfigurationError):
-            set_backend("cuda")
-
-    def test_set_backend_and_restore(self):
-        set_backend("scalar")
-        try:
-            assert active_backend() == "scalar"
-        finally:
-            set_backend(None)
-        assert active_backend() in BACKENDS
-
-    def test_use_backend_restores_on_exit(self):
-        before = active_backend()
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-        assert active_backend() == before
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-        monkeypatch.setenv(ENV_VAR, "nonsense")
-        with pytest.raises(ConfigurationError):
-            active_backend()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        with use_backend("scalar"):
-            assert active_backend() == "scalar"
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -205,59 +181,18 @@ class TestRegistry:
             count_admitted_sweep([0.0], [1], [1.0, -2.0], 1.0)
 
 
-class TestAutoDispatchCrossover:
-    """Regression for the size-aware ``auto`` crossover.
+class TestAuto:
+    """``auto`` runs native when it compiles and scalar otherwise."""
 
-    BENCH_kernels.json showed numpy *losing* to scalar (0.85x) on small
-    per-call batch counts: array allocation and safe-run compression
-    cost more than they save below ~1000 batches.  ``auto`` without a
-    native build must therefore dispatch by input size.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _auto_without_native(self, monkeypatch):
-        """Force the auto rule with no env/override and no native build."""
-        from repro.perf import kernels, native
-
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.setattr(kernels.REGISTRY, "_override", None)
-        monkeypatch.setattr(native, "available", lambda: False)
-
-    def test_small_inputs_dispatch_to_scalar(self):
-        assert dispatch_backend(0) == "scalar"
-        assert dispatch_backend(NUMPY_MIN_BATCHES - 1) == "scalar"
-
-    def test_large_inputs_dispatch_to_numpy(self):
-        assert dispatch_backend(NUMPY_MIN_BATCHES) == "numpy"
-        assert dispatch_backend(40000) == "numpy"
-
-    def test_native_ignores_size_threshold(self, monkeypatch):
-        """Native beats both at every measured size: no crossover."""
-        from repro.perf import native
-
+    def test_auto_is_native_when_it_compiles(self, monkeypatch):
         monkeypatch.setattr(native, "available", lambda: True)
-        assert dispatch_backend(1) == "native"
-        assert dispatch_backend(NUMPY_MIN_BATCHES) == "native"
+        assert active_backend() == "native"
 
-    def test_explicit_backend_beats_size_rule(self):
-        """An explicit request is always honored, whatever the size."""
-        with use_backend("numpy"):
-            assert dispatch_backend(1) == "numpy"
-        with use_backend("scalar"):
-            assert dispatch_backend(10 * NUMPY_MIN_BATCHES) == "scalar"
-
-    def test_env_var_beats_size_rule(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert dispatch_backend(1) == "numpy"
-
-    def test_small_call_still_correct_under_auto(self):
-        """The dispatch switch changes speed, never answers."""
-        instants = [0.0, 0.25, 0.5]
-        counts = [4, 4, 4]
-        auto = count_admitted(instants, counts, 8.0, 0.5)
-        assert auto == count_admitted(
-            instants, counts, 8.0, 0.5, backend="scalar"
+    def test_auto_falls_back_to_scalar(self, monkeypatch):
+        monkeypatch.setattr(native, "available", lambda: False)
+        assert active_backend() == "scalar"
+        assert count_admitted([0.0, 0.25, 0.5], [4, 4, 4], 8.0, 0.5) == count_admitted(
+            [0.0, 0.25, 0.5], [4, 4, 4], 8.0, 0.5, backend="scalar"
         )
-        assert auto == count_admitted(
-            instants, counts, 8.0, 0.5, backend="numpy"
-        )
+        with pytest.raises(ConfigurationError, match="no working C compiler"):
+            count_admitted([0.0], [1], 1.0, 1.0, backend="native")

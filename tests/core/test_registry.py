@@ -43,113 +43,16 @@ class TestRegistration:
             reg.get("z")
 
 
-class TestResolutionChain:
-    def test_explicit_beats_everything(self, monkeypatch):
-        reg = Registry("widget", env_var="TEST_WIDGET", default="a")
-        reg.register("a", 1)
-        reg.register("b", 2)
-        reg.register("c", 3)
-        monkeypatch.setenv("TEST_WIDGET", "b")
-        reg.set_override("c")
-        assert reg.resolve("a") == "a"
-
-    def test_override_beats_env_and_default(self, monkeypatch):
-        reg = Registry("widget", env_var="TEST_WIDGET", default="a")
-        reg.register("a", 1)
-        reg.register("b", 2)
-        reg.register("c", 3)
-        monkeypatch.setenv("TEST_WIDGET", "b")
-        reg.set_override("c")
-        assert reg.resolve() == "c"
-
-    def test_env_beats_default(self, monkeypatch):
-        reg = Registry("widget", env_var="TEST_WIDGET", default="a")
-        reg.register("a", 1)
-        reg.register("b", 2)
-        monkeypatch.setenv("TEST_WIDGET", "b")
-        assert reg.resolve() == "b"
-
-    def test_default_when_nothing_selects(self):
-        reg = Registry("widget", default="a")
-        reg.register("a", 1)
-        assert reg.resolve() == "a"
-
-    def test_no_default_requires_explicit(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        with pytest.raises(ConfigurationError, match="no widget selected"):
-            reg.resolve()
-
-    def test_resolve_rejects_unknown(self):
-        reg = Registry("widget", default="a")
-        reg.register("a", 1)
-        with pytest.raises(ConfigurationError, match="unknown widget"):
-            reg.resolve("zzz")
-
-    def test_resolve_normalizes_case(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        assert reg.resolve(" A ") == "a"
-
-
-class TestVirtualNames:
-    def test_virtual_passes_through_resolve(self):
-        reg = Registry("widget", default="auto", virtual=("auto",))
-        reg.register("a", 1)
-        assert reg.resolve() == "auto"
-        assert reg.resolve("auto") == "auto"
-
-    def test_virtual_never_satisfies_get(self):
-        reg = Registry("widget", virtual=("auto",))
-        reg.register("a", 1)
-        with pytest.raises(ConfigurationError, match="'auto'"):
-            reg.get("auto")
-
-    def test_error_message_mentions_virtual(self):
-        reg = Registry("widget", virtual=("auto",))
-        reg.register("a", 1)
-        with pytest.raises(ConfigurationError, match=r"or 'auto'"):
-            reg.resolve("zzz")
-
-
-class TestOverrideLifecycle:
-    def test_set_override_validates_eagerly(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        with pytest.raises(ConfigurationError):
-            reg.set_override("nope")
-        assert reg.override is None
-
-    def test_none_clears(self):
-        reg = Registry("widget", default="a")
-        reg.register("a", 1)
-        reg.register("b", 2)
-        reg.set_override("b")
-        reg.set_override(None)
-        assert reg.resolve() == "a"
-
-    def test_use_restores_on_exit_and_error(self):
-        reg = Registry("widget", default="a")
-        reg.register("a", 1)
-        reg.register("b", 2)
-        with reg.use("b"):
-            assert reg.resolve() == "b"
-        assert reg.override is None
-        with pytest.raises(RuntimeError):
-            with reg.use("b"):
-                raise RuntimeError("boom")
-        assert reg.override is None
-
-
 class TestUnifiedFrontends:
-    """The three pre-existing switchboards now share one Registry."""
+    """Kernel backends, window policies and schedulers share one Registry."""
 
-    def test_kernels_engines_policies_are_registries(self):
-        from repro.perf import engines, kernels
+    def test_kernels_windows_policies_are_registries(self):
+        from repro.perf import kernels
         from repro.sched import registry as sched
+        from repro.server import aqm
 
         assert isinstance(kernels.REGISTRY, Registry)
-        assert isinstance(engines.REGISTRY, Registry)
+        assert isinstance(aqm.REGISTRY, Registry)
         assert isinstance(sched.REGISTRY, Registry)
 
     def test_policy_names_still_exported(self):
@@ -163,8 +66,7 @@ class TestUnifiedFrontends:
         # Split is a topology, not a registered scheduler factory.
         assert "split" in ALL_POLICIES and "split" not in REGISTRY
 
-    def test_engine_registry_contains_both_engines(self):
-        from repro.perf.engines import REGISTRY
+    def test_engines_are_named_once(self):
+        from repro.perf.engines import ENGINES
 
-        assert set(REGISTRY.names()) == {"scalar", "batch"}
-        assert REGISTRY.virtual == ("auto",)
+        assert ENGINES == ("scalar", "batch")

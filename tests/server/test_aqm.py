@@ -22,7 +22,6 @@ from repro.server.aqm import (
     AQM_POLICIES,
     DEFAULT_INITIAL_DEPTH,
     DEFAULT_STATIC_DEPTH,
-    REGISTRY,
     AdaptiveWindow,
     CoDelWindow,
     InflightWindow,
@@ -239,19 +238,6 @@ class TestRegistryFactory:
         with pytest.raises(ConfigurationError, match="delta"):
             make_window("codel", 0.0)
 
-    def test_override_reaches_default_runs(self):
-        """``REGISTRY.use`` (and ``REPRO_AQM``) arms a window even when
-        the caller passed ``aqm=None`` — the switchboard idiom."""
-        with REGISTRY.use("static"):
-            window = make_window(None, 0.2)
-        assert isinstance(window, InflightWindow) and window._depth == 4
-
-    def test_env_variable_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AQM", "codel")
-        assert isinstance(make_window(None, 0.2), CoDelWindow)
-        monkeypatch.setenv("REPRO_AQM", "none")
-        assert make_window(None, 0.2) is None
-
 
 # ---------------------------------------------------------------------------
 # Driver integration
@@ -369,23 +355,16 @@ class TestRunConfigAQM:
         assert result.window["policy"] == "codel"
         assert result.window["occupancy"] == 0  # drained
 
-    def test_env_armed_window_surfaces_in_result(
-        self, bloat_workload, monkeypatch
-    ):
-        """``REPRO_AQM`` with ``aqm=None`` must behave exactly like an
-        explicit ``aqm=``: the result reports the resolved policy, the
-        snapshot is surfaced, and the batch fast path steps aside (a
-        batch run would silently bypass the window)."""
-        monkeypatch.setenv("REPRO_AQM", "static")
-        config = RunConfig(CMIN, DELTA_C, DELTA)
+    def test_window_surfaces_in_result(self, bloat_workload):
+        """A window on a batch-eligible policy: the batch fast path steps
+        aside (a batch run would bypass the window), the result reports
+        the policy and the snapshot, and the window saw every request."""
+        config = RunConfig(CMIN, DELTA_C, DELTA, aqm="static")
         result = run_policy(bloat_workload, "fcfs", config=config)
         assert result.engine == "scalar"
         assert result.aqm == "static"
         assert result.window["policy"] == "static"
         assert result.window["occupancy"] == 0
-        monkeypatch.setenv("REPRO_AQM", "none")
-        dormant = run_policy(bloat_workload, "fcfs", config=config)
-        assert dormant.aqm is None and dormant.window is None
         assert result.window["dispatches"] >= len(bloat_workload)
 
     def test_no_window_no_snapshot(self, bloat_workload):

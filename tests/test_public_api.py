@@ -61,12 +61,9 @@ PUBLIC_API = {
         "fcfs_stream", "split_stream", "EPOCH",
     ],
     "repro.perf": [
-        "ENV_VAR", "ENGINE_ENV_VAR", "NUMPY_MIN_BATCHES",
-        "KernelBackend", "active_backend", "dispatch_backend",
+        "ENGINES", "KernelBackend", "active_backend",
         "available_backends", "count_admitted", "admitted_per_batch",
-        "count_admitted_sweep", "set_backend", "use_backend",
-        "active_engine", "available_engines", "resolve_engine",
-        "set_engine", "use_engine",
+        "count_admitted_sweep", "active_engine",
     ],
     "repro.traces": [
         "websearch", "fintrans", "openmail", "load", "WORKLOADS",

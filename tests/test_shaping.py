@@ -6,7 +6,6 @@ import pytest
 from repro.core.capacity import CapacityPlanner
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.perf import engines
 from repro.server.aqm import AQM_POLICIES
 from repro.shaping import RunConfig, RunResult, WorkloadShaper, run_policy
 
@@ -102,12 +101,6 @@ class TestRunPolicy:
 class TestEngineRouting:
     """Which path ``auto`` takes, as recorded in ``RunResult.engine``."""
 
-    @pytest.fixture(autouse=True)
-    def _auto(self, monkeypatch):
-        monkeypatch.delenv(engines.ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv("REPRO_AQM", raising=False)
-        monkeypatch.setattr(engines.REGISTRY, "_override", None)
-
     @pytest.fixture
     def config(self, plan):
         return RunConfig(plan.cmin, plan.delta_c, plan.delta)
@@ -168,11 +161,6 @@ class TestEngineRouting:
     def test_event_loop_configs_stay_scalar(self, workload, plan, change):
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, **change)
         assert run_policy(workload, "fairqueue", config=config).engine == "scalar"
-
-    def test_env_armed_window_stays_scalar(self, workload, config, monkeypatch):
-        monkeypatch.setenv("REPRO_AQM", "static")
-        result = run_policy(workload, "miser", config=config)
-        assert result.engine == "scalar" and result.aqm == "static"
 
     def test_forced_batch_still_rejects_fairqueue(self, workload, config):
         with pytest.raises(

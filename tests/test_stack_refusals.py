@@ -96,6 +96,11 @@ CASES = [
         "rate recording is single-server only",
         id="rates-on-splitfarm",
     ),
+    pytest.param(
+        "split", PLAN, {"engine": "quantum"}, CONFIGURED,
+        "unknown execution engine 'quantum'; choose from ['batch', 'scalar'] or 'auto'",
+        id="unknown-engine",
+    ),
 ]
 
 

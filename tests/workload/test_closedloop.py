@@ -245,10 +245,11 @@ class TestRunClosedLoop:
         ("engine", "match"), [("batch", "engine 'batch'"), ("bogus", "unknown")]
     )
     def test_rejects_engines_it_cannot_run(self, engine, match):
-        config = RunConfig(300, 100, 0.05, engine=engine)
         with pytest.raises(ConfigurationError, match=match):
             run_closed_loop(
-                "fcfs", config, n_users=5, think_time=1.0, horizon=5.0, seed=1
+                "fcfs",
+                RunConfig(300, 100, 0.05, engine=engine),
+                n_users=5, think_time=1.0, horizon=5.0, seed=1,
             )
 
     def test_unknown_policy(self):
