@@ -25,15 +25,29 @@ from repro.core.rtt import decompose, decompose_exact
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
 from repro.perf import (
+    KernelBackend,
     active_backend,
     admitted_per_batch,
     available_backends,
     count_admitted,
     count_admitted_sweep,
+    kernels,
     native,
+    scalar,
 )
 
 BACKENDS = available_backends()
+
+#: The kernel trio, each called on a batched stream with ``backend=`` passed through.
+KERNELS = {
+    "count_admitted": lambda stream, **kw: count_admitted(*stream, 8.0, 0.5, **kw),
+    "admitted_per_batch": lambda stream, **kw: admitted_per_batch(
+        *stream, 8.0, 0.5, **kw
+    ),
+    "count_admitted_sweep": lambda stream, **kw: count_admitted_sweep(
+        *stream, [4.0, 8.0], 0.5, **kw
+    ),
+}
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -181,6 +195,44 @@ class TestRegistry:
             count_admitted_sweep([0.0], [1], [1.0, -2.0], 1.0)
 
 
+def stream(batches: int):
+    """``batches`` batches of two simultaneous arrivals, 1 ms apart."""
+    return np.arange(batches) / 1000.0, np.full(batches, 2, dtype=np.int64)
+
+
+@pytest.fixture
+def ran():
+    """Names of the backends the kernels ran, in call order.
+
+    Both registered backends are replaced by doubles that record their
+    name and answer with the scalar trio, so dispatch is observable
+    without a compiler; the real entries are registered again after.
+    """
+    calls = []
+    originals = {name: kernels.REGISTRY.get(name) for name in kernels.REGISTRY}
+
+    def recorded(name, fn):
+        def kernel(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return kernel
+
+    for name in originals:
+        kernels.REGISTRY.register(
+            name,
+            KernelBackend(
+                name,
+                recorded(name, scalar.count_admitted),
+                recorded(name, scalar.admitted_per_batch),
+                recorded(name, scalar.count_admitted_sweep),
+            ),
+        )
+    yield calls
+    for name, backend in originals.items():
+        kernels.REGISTRY.register(name, backend)
+
+
 class TestAuto:
     """``auto`` runs native when it compiles and scalar otherwise."""
 
@@ -196,3 +248,46 @@ class TestAuto:
         )
         with pytest.raises(ConfigurationError, match="no working C compiler"):
             count_admitted([0.0], [1], 1.0, 1.0, backend="native")
+
+    def test_small_inputs_dispatch_to_scalar(self, monkeypatch, ran):
+        monkeypatch.setattr(native, "available", lambda: False)
+        for batches in (0, 1):
+            count_admitted(*stream(batches), 8.0, 0.5)
+        assert ran == ["scalar", "scalar"]
+
+    def test_large_inputs_dispatch_to_scalar(self, monkeypatch, ran):
+        """No size rule: without native, auto is scalar at any size."""
+        monkeypatch.setattr(native, "available", lambda: False)
+        count_admitted(*stream(40_000), 8.0, 0.5)
+        assert ran == ["scalar"]
+
+    def test_native_ignores_size_threshold(self, monkeypatch, ran):
+        monkeypatch.setattr(native, "available", lambda: True)
+        for batches in (0, 1, 40_000):
+            count_admitted(*stream(batches), 8.0, 0.5)
+        assert ran == ["native"] * 3
+
+    def test_explicit_backend_beats_auto(self, monkeypatch, ran):
+        """A named backend is honored whatever the size and the build."""
+        monkeypatch.setattr(native, "available", lambda: True)
+        for batches in (1, 40_000):
+            count_admitted(*stream(batches), 8.0, 0.5, backend="scalar")
+        assert ran == ["scalar", "scalar"]
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_every_kernel_dispatches_alike(self, kernel, monkeypatch, ran):
+        """``None``, ``"auto"`` and a named backend reach the same entry
+        from each kernel of the trio, with and without a native build."""
+        for compiled in (True, False):
+            monkeypatch.setattr(native, "available", lambda compiled=compiled: compiled)
+            for backend in (None, "auto", "scalar"):
+                KERNELS[kernel](stream(3), backend=backend)
+        assert ran == ["native", "native", "scalar"] + ["scalar"] * 3
+
+    def test_small_call_still_correct_under_auto(self):
+        """The auto rule changes speed, never answers."""
+        small = ([0.0, 0.25, 0.5], [4, 4, 4])
+        for kernel in KERNELS.values():
+            auto = kernel(small)
+            for name in BACKENDS:
+                np.testing.assert_array_equal(kernel(small, backend=name), auto)

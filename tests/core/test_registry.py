@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.registry import Registry
 from repro.exceptions import ConfigurationError
+from repro.perf import count_admitted
+from repro.shaping import RunConfig
 
 
 class TestRegistration:
@@ -41,6 +43,36 @@ class TestRegistration:
         reg.register("b", 2)
         with pytest.raises(ConfigurationError, match=r"unknown widget 'z'.*\['a', 'b'\]"):
             reg.get("z")
+
+    def test_iteration_follows_registration(self):
+        reg = Registry("widget")
+        reg.register("b", 2)
+        reg.register("a", 1)
+        assert list(reg) == ["b", "a"]
+        assert reg.names() == ("b", "a")
+
+
+class TestNoSelection:
+    """A registry maps names to values; which one a run uses is its argument."""
+
+    def test_nothing_selects_an_entry(self):
+        for option in ("env_var", "default", "virtual"):
+            with pytest.raises(TypeError):
+                Registry("widget", **{option: None})
+        reg = Registry("widget")
+        for chain in ("resolve", "override", "set_override", "use"):
+            assert not hasattr(reg, chain)
+
+    def test_auto_never_satisfies_get(self):
+        """``auto`` is a rule of the kernel and engine arguments, not an entry."""
+        from repro.perf import kernels
+        from repro.perf.engines import ENGINES
+
+        assert "auto" not in kernels.REGISTRY and "auto" not in ENGINES
+        with pytest.raises(ConfigurationError, match="unknown kernel backend 'auto'"):
+            kernels.REGISTRY.get("auto")
+        assert count_admitted([0.0], [1], 1.0, 1.0, backend="auto") == 1
+        assert RunConfig(1.0, 0.0, 1.0, engine="auto").engine == "auto"
 
 
 class TestUnifiedFrontends:

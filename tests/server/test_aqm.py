@@ -26,6 +26,7 @@ from repro.server.aqm import (
     CoDelWindow,
     InflightWindow,
     make_window,
+    resolve_aqm,
 )
 from repro.server.constant_rate import constant_rate_server
 from repro.server.driver import DeviceDriver
@@ -237,6 +238,25 @@ class TestRegistryFactory:
     def test_delta_validated(self):
         with pytest.raises(ConfigurationError, match="delta"):
             make_window("codel", 0.0)
+
+    def test_none_is_not_a_window_name(self):
+        """No window is ``aqm=None``; the string ``"none"`` names nothing."""
+        with pytest.raises(ConfigurationError, match="unknown aqm window policy 'none'"):
+            make_window("none", 0.2)
+        with pytest.raises(ConfigurationError, match="unknown aqm window policy 'none'"):
+            resolve_aqm("none")
+
+    def test_resolve_aqm_returns_the_name(self):
+        assert resolve_aqm(None) is None
+        for name in AQM_POLICIES:
+            assert resolve_aqm(name) == name
+        with pytest.raises(ConfigurationError, match="unknown aqm window policy"):
+            resolve_aqm("red")
+
+    def test_env_variable_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_AQM", "codel")
+        assert make_window(None, 0.2) is None
+        assert resolve_aqm(None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,19 @@ class TestEngineSelection:
         result = run_policy(ZERO_GAP, "fcfs", **CONFIG)
         assert result.engine == "batch"
 
+    @pytest.mark.parametrize(
+        ("engine", "path"), [("auto", "batch"), ("batch", "batch"), ("scalar", "scalar")]
+    )
+    def test_argument_selects_engine(self, engine, path):
+        config = RunConfig(engine=engine, **CONFIG)
+        assert run_policy(ZERO_GAP, "fcfs", config=config).engine == path
+
+    def test_run_config_validates_eagerly(self):
+        with pytest.raises(ConfigurationError, match="unknown execution engine 'quantum'"):
+            RunConfig(engine="quantum", **CONFIG)
+        with pytest.raises(ConfigurationError, match="unknown execution engine 'quantum'"):
+            RunConfig(**CONFIG).with_engine("quantum")
+
 
 # ---------------------------------------------------------------------------
 # Eligibility and fallback

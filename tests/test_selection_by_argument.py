@@ -10,11 +10,13 @@ clean environment.
 import numpy as np
 import pytest
 
+from repro.check.differential import engine_parity
+from repro.core.rtt import decompose
 from repro.core.workload import Workload
 from repro.faults import run_resilient
-from repro.perf import count_admitted
+from repro.perf import admitted_per_batch, count_admitted, count_admitted_sweep
 from repro.serve import ServiceHarness
-from repro.shaping import RunConfig, run_policy
+from repro.shaping import RunConfig, WorkloadShaper, run_policy
 from repro.workload import run_closed_loop
 
 EXPORTED = {"REPRO_KERNEL": "numpy", "REPRO_ENGINE": "quantum", "REPRO_AQM": "codel"}
@@ -46,6 +48,9 @@ ENTRY_POINTS = {
     "run_policy-miser": lambda: outcome(
         run_policy(WORKLOAD, "miser", config=RunConfig(*PLAN))
     ),
+    "run_policy-scalar": lambda: outcome(
+        run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN, engine="scalar"))
+    ),
     "run_closed_loop": lambda: outcome(
         run_closed_loop(
             "miser", RunConfig(*PLAN), n_users=4, think_time=0.1, horizon=4.0, seed=3
@@ -53,9 +58,18 @@ ENTRY_POINTS = {
     ),
     "run_resilient": lambda: outcome(run_resilient(WORKLOAD, "split", *PLAN)),
     "ServiceHarness": lambda: replayed("split"),
+    "engine_parity": lambda: engine_parity(WORKLOAD, *PLAN),
+    "WorkloadShaper.plan": lambda: WorkloadShaper(PLAN[2], 0.9).plan(WORKLOAD),
+    "decompose": lambda: decompose(WORKLOAD, PLAN[0], PLAN[2]).admitted.tobytes(),
     "count_admitted": lambda: count_admitted(
         *WORKLOAD.arrival_counts(), PLAN[0], PLAN[2]
     ),
+    "admitted_per_batch": lambda: admitted_per_batch(
+        *WORKLOAD.arrival_counts(), PLAN[0], PLAN[2]
+    ).tobytes(),
+    "count_admitted_sweep": lambda: count_admitted_sweep(
+        *WORKLOAD.arrival_counts(), [5.0, PLAN[0], 40.0], PLAN[2]
+    ).tobytes(),
 }
 
 
@@ -67,3 +81,16 @@ def test_exported_selectors_change_nothing(entry, monkeypatch):
     for name, value in EXPORTED.items():
         monkeypatch.setenv(name, value)
     assert ENTRY_POINTS[entry]() == clean
+
+
+def test_a_run_arms_what_it_names(monkeypatch):
+    """Exported to values a switchboard would have obeyed, the variables
+    still select nothing: each run takes the engine and window it names."""
+    monkeypatch.setenv("REPRO_KERNEL", "scalar")
+    monkeypatch.setenv("REPRO_ENGINE", "scalar")
+    monkeypatch.setenv("REPRO_AQM", "static")
+    plain = run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN))
+    assert (plain.engine, plain.aqm, plain.window) == ("batch", None, None)
+    windowed = run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN, aqm="codel"))
+    assert (windowed.engine, windowed.aqm) == ("scalar", "codel")
+    assert windowed.window["policy"] == "codel"

@@ -12,6 +12,15 @@ from repro.shaping import RunConfig, RunResult, WorkloadShaper, run_policy
 POLICIES = ("fcfs", "split", "fairqueue", "wf2q", "miser")
 
 
+def change_id(change: dict) -> str:
+    """``key=value`` for a one-key config change; a registry's repr holds
+    its address, so it is named by type to keep the id stable."""
+    ((key, value),) = change.items()
+    if isinstance(value, MetricsRegistry):
+        value = type(value).__name__
+    return f"{key}={value}"
+
+
 @pytest.fixture(scope="module")
 def workload():
     gen = np.random.default_rng(3)
@@ -156,7 +165,7 @@ class TestEngineRouting:
             {"sample_interval": 1.0},
         ]
         + [{"aqm": aqm} for aqm in sorted(AQM_POLICIES)],
-        ids=lambda change: next(iter(change)) + "=" + str(next(iter(change.values()))),
+        ids=change_id,
     )
     def test_event_loop_configs_stay_scalar(self, workload, plan, change):
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, **change)

@@ -79,6 +79,12 @@ CASES = [
         id="aqm_shared-without-aqm",
     ),
     pytest.param(
+        "split", PLAN, {"aqm": "none"}, EVERY,
+        "unknown aqm window policy 'none'; "
+        "choose from ['adaptive', 'codel', 'static', 'unbounded'] or None",
+        id="window-named-none",
+    ),
+    pytest.param(
         "splitfarm", PLAN, {"adaptive": True}, FAULT_PLANE, SPLITFARM_ADAPTIVE,
         id="adaptive-splitfarm",
     ),
