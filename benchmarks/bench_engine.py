@@ -12,15 +12,13 @@ Two modes, mirroring ``bench_kernels.py``:
   batch engine does not take — the single-server policies, split under
   work admission and splitfarm — at 10^4 and 10^5 requests, times the
   same loop fed a closed-loop population (:func:`run_closed_loop`,
-  ~4x10^4 requests) against the event loop for every policy, times the
-  columnar farm kernel against the event-driven ``ServerFarm`` from 1
-  to 1000 units, certifies bit-parity on every case, and writes the
-  report as JSON.  The two paths of a row run in alternation, the
-  first of them flipped every rep, and each reports its median with
-  its fastest and slowest rep beside it: host speed drifts over
-  seconds, timing one path's reps back to back before the other's
-  lets a row's speedup follow that drift, and the spread says how far
-  a row can be trusted.
+  ~4x10^4 requests) against the event loop for every policy,
+  certifies bit-parity on every case, and writes the report as JSON.
+  The two paths of a row run in alternation, the first of them flipped
+  every rep, and each reports its median with its fastest and slowest
+  rep beside it: host speed drifts over seconds, timing one path's reps
+  back to back before the other's lets a row's speedup follow that
+  drift, and the spread says how far a row can be trusted.
 
 ``--quick`` is the CI smoke gate: it fails (exit 1) if ``engine_parity``
 reports any divergence on the 10^5-request reference trace — for the
@@ -55,7 +53,6 @@ import pytest
 from repro.check.differential import closed_loop_parity
 from repro.sched.registry import ALL_POLICIES
 from repro.shaping import RunConfig, run_policy
-from repro.sim import batch
 from repro.traces.synthetic import poisson_workload
 from repro.workload import BimodalDemand, run_closed_loop
 
@@ -69,9 +66,6 @@ DELTA = 0.05
 #: Trace sizes for the end-to-end matrix (requests, approximate —
 #: Poisson draws the exact count).
 SIZES = (10_000, 100_000, 1_000_000)
-
-#: Farm sizes for the columnar farm kernel vs the event-driven farm.
-FARM_UNITS = (1, 10, 100, 1000)
 
 #: CI gate: minimum batch speedup on the 10^5-request reference trace.
 MIN_QUICK_SPEEDUP = 5.0
@@ -132,17 +126,6 @@ def test_run_policy_engine(benchmark, bench_workload, policy, engine):
     )
     assert result.engine == engine
     assert len(result.overall) == len(bench_workload)
-
-
-@pytest.mark.parametrize("units", (10, 1000))
-def test_farm_kernel(benchmark, bench_workload, units):
-    completions = benchmark.pedantic(
-        batch.farm_fcfs_completions,
-        args=(bench_workload.arrivals, units, CMIN),
-        rounds=3,
-        iterations=1,
-    )
-    assert completions.size == len(bench_workload)
 
 
 # ---------------------------------------------------------------------------
@@ -231,39 +214,6 @@ def _bench_closed_loop(policy: str, reps: int) -> dict:
         "n_requests": len(scalar_run.submitted),
         **_timings("direct", scalar_times, direct_times),
         "bit_parity_ok": direct_run.engine == "direct" and not problems,
-    }
-
-
-def _bench_farm(workload, units: int, reps: int) -> dict:
-    from repro.sched.fcfs import FCFSScheduler
-    from repro.server.driver import DeviceDriver
-    from repro.server.farm import constant_rate_farm
-    from repro.sim.engine import Simulator
-    from repro.sim.source import WorkloadSource
-
-    def event_farm():
-        sim = Simulator()
-        driver = DeviceDriver(
-            sim, constant_rate_farm(sim, CMIN, units), FCFSScheduler()
-        )
-        WorkloadSource(sim, workload, driver).start()
-        sim.run()
-        completions = np.empty(len(workload))
-        for request in driver.completed:
-            completions[request.index] = request.completion
-        return completions
-
-    scalar_times, batch_times, event, columnar = _timed_pair(
-        event_farm,
-        lambda: batch.farm_fcfs_completions(workload.arrivals, units, CMIN),
-        reps,
-    )
-    return {
-        "workload": workload.name,
-        "units": units,
-        "n_requests": len(workload),
-        **_timings("batch", scalar_times, batch_times),
-        "bit_parity_ok": bool(np.array_equal(event, columnar)),
     }
 
 
@@ -362,23 +312,11 @@ def main(argv: list[str] | None = None) -> int:
             f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
 
-    farm_workload = reference_workload(100_000)
-    farms = []
-    for units in FARM_UNITS:
-        row = _bench_farm(farm_workload, units, args.reps)
-        farms.append(row)
-        print(
-            f"farm x{units:>4d} @ n={row['n_requests']}: "
-            f"event {row['scalar_s']:7.3f}s  columnar {row['batch_s']:7.3f}s  "
-            f"speedup {row['speedup']:6.1f}x  "
-            f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
-        )
-
     largest = [r for r in results if r["n_requests"] >= 0.9 * SIZES[-1]]
     direct_largest = [r for r in direct if r["n_requests"] >= 0.9 * DIRECT_SIZES[-1]]
     summary = {
         "all_parity_ok": all(
-            r["bit_parity_ok"] for r in results + direct + closed + farms
+            r["bit_parity_ok"] for r in results + direct + closed
         ),
         "speedup_at_1e6": {r["policy"]: r["speedup"] for r in largest},
         "min_speedup_at_1e6": min(r["speedup"] for r in largest),
@@ -407,7 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         "end_to_end": results,
         "direct": direct,
         "closed_loop": closed,
-        "farm": farms,
         "summary": summary,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -36,7 +36,7 @@ if __name__ == "__main__":  # script mode works from a source checkout
 import numpy as np
 import pytest
 
-from repro.check.differential import DEFAULT_POLICIES, run_checked
+from repro.check.differential import run_checked
 from repro.experiments import tailbakeoff
 from repro.experiments.common import ExperimentConfig
 from repro.sched.registry import ALL_POLICIES
@@ -164,7 +164,7 @@ def _invariant_audit(duration: float) -> list[str]:
     problems: list[str] = []
     # "split" is audited only on unit traces: its zero-miss guarantee
     # assumes unit demand under count-mode admission.
-    for policy in DEFAULT_POLICIES:
+    for policy in ALL_POLICIES:
         if policy == "split":
             continue
         run = run_checked(

@@ -1,9 +1,9 @@
 """Failure injection + SLO monitoring: watching a brownout hit and pass.
 
 Serves a steady shaped workload on a server that browns out to a third
-of its speed for four seconds mid-run, then uses the windowed compliance
-monitor to show the violation is confined to the injected window and
-the system recovers on its own.
+of its speed for four seconds mid-run (a ``RateDroop`` on the fault
+plane), then uses the windowed compliance monitor to show the violation
+is confined to the injected window and the system recovers on its own.
 
 Run:  python examples/brownout_monitoring.py [duration_seconds]
 """
@@ -17,43 +17,29 @@ import numpy as np
 from repro.analysis.monitor import ComplianceMonitor
 from repro.analysis.reporting import ascii_bars
 from repro.core.workload import Workload
-from repro.sched.registry import make_scheduler
-from repro.server.base import Server
-from repro.server.constant_rate import ConstantRateModel
-from repro.server.degraded import Brownout, DegradedModel
-from repro.server.driver import DeviceDriver
-from repro.sim.engine import Simulator
-from repro.sim.source import WorkloadSource
+from repro.faults import FaultSchedule, RateDroop, run_resilient
 from repro.units import ms
 
 
 def main(duration: float = 30.0) -> None:
     delta = ms(200)
-    capacity = 60.0
+    cmin, delta_c = 50.0, 10.0
     window = (duration * 0.3, duration * 0.3 + 4.0)
     gen = np.random.default_rng(4)
     workload = Workload(
         np.sort(gen.uniform(0.0, duration, int(40 * duration))), name="steady"
     )
-    print(f"{len(workload)} requests at 40 IOPS on a {capacity:.0f} IOPS "
+    print(f"{len(workload)} requests at 40 IOPS on a {cmin + delta_c:.0f} IOPS "
           f"server; brownout to 1/3 speed during "
           f"[{window[0]:.0f}, {window[1]:.0f}) s\n")
 
-    sim = Simulator()
-    model = DegradedModel(
-        sim,
-        ConstantRateModel(capacity),
-        [Brownout(start=window[0], end=window[1], factor=3.0)],
+    result = run_resilient(
+        workload, "miser", cmin, delta_c, delta,
+        schedule=FaultSchedule([RateDroop(*window, factor=3.0)]),
     )
-    driver = DeviceDriver(
-        sim, Server(sim, model, name="brownout"),
-        make_scheduler("miser", 50.0, 10.0, delta),
-    )
-    WorkloadSource(sim, workload, driver).start()
-    sim.run()
 
     monitor = ComplianceMonitor(delta=delta, target=0.8, window=1.0)
-    monitor.record_requests(driver.completed)
+    monitor.record_requests(result.completed)
 
     windows = monitor.windows()
     labels = [f"t={w.start:>4.0f}s" for w in windows]

@@ -27,8 +27,8 @@ from .corpus import (
 from .differential import (
     CheckedRun,
     DifferentialReport,
-    EngineParityReport,
     KernelParityReport,
+    ParityReport,
     decomposition_cross_check,
     differential_policies,
     disk_comparability_check,
@@ -65,8 +65,8 @@ __all__ = [
     "replay_golden",
     "CheckedRun",
     "DifferentialReport",
-    "EngineParityReport",
     "KernelParityReport",
+    "ParityReport",
     "decomposition_cross_check",
     "differential_policies",
     "disk_comparability_check",

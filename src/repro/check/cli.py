@@ -36,7 +36,6 @@ from ..sched.registry import ALL_POLICIES
 from ..sim.rng import derive_seed
 from ..workload.sizes import BimodalDemand
 from .differential import (
-    DEFAULT_POLICIES,
     closed_loop_parity,
     differential_policies,
     engine_parity,
@@ -150,7 +149,7 @@ def _run_differential(
             lines.append(report.summary())
         # Serve-vs-simulate parity: one policy per case, rotating through
         # the full set so N >= len(policies) covers every policy.
-        serve_policy = DEFAULT_POLICIES[index % len(DEFAULT_POLICIES)]
+        serve_policy = ALL_POLICIES[index % len(ALL_POLICIES)]
         serving = serve_parity(
             workload, case.capacity, max(1.0, case.capacity / 2), case.delta,
             policies=(serve_policy,),
@@ -199,7 +198,7 @@ def _run_serve_parity(directory: Path) -> tuple[int, list[str]]:
     if status == 0:
         lines.append(
             f"serve parity OK: {len(paths)} golden traces x "
-            f"{len(DEFAULT_POLICIES)} policies, serve == simulate bit-for-bit"
+            f"{len(ALL_POLICIES)} policies, serve == simulate bit-for-bit"
         )
     return status, lines
 
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--policies",
         nargs="+",
-        default=list(DEFAULT_POLICIES),
+        default=list(ALL_POLICIES),
         help="policies for the differential pass",
     )
     return parser

@@ -3,8 +3,8 @@
 Three layers of cross-checking, mirroring where the repo has redundant
 implementations of the same semantics:
 
-1. **Kernels** (:func:`kernel_parity`): the scalar, numpy and native
-   RTT kernels must produce identical per-batch admission counts, and
+1. **Kernels** (:func:`kernel_parity`): the scalar and native RTT
+   kernels must produce identical per-batch admission counts, and
    the batched sweep must match one kernel pass per capacity.  The
    exact-Fraction :func:`repro.core.rtt.decompose_exact`, under the
    kernels' documented EPS tie relation, arbitrates.
@@ -44,27 +44,11 @@ from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from ..sim.stats import ResponseTimeCollector
 from ..server.driver import DeviceDriver, DirectRun, serve_direct
+from ..server.sizesplit import THRESHOLD
 from ..shaping import RunConfig, build_stack, check_policy, run_policy
 from ..units import EPS
 from .invariants import CheckingScheduler, Violation
 from .oracle import DEFAULT_TIE_TOLERANCE
-
-#: Policies the differential harness exercises by default: the four
-#: recombiners of the paper, the EDF and WF²Q+ extensions, and the
-#: size-aware family (SRPT/Nudge/Boost plus the SPLIT-style farm).
-DEFAULT_POLICIES = (
-    "fcfs",
-    "split",
-    "fairqueue",
-    "wf2q",
-    "miser",
-    "edf",
-    "srpt",
-    "nudge",
-    "boost",
-    "splitfarm",
-)
-
 
 @dataclass(frozen=True)
 class KernelParityReport:
@@ -375,35 +359,21 @@ def disk_comparability_check(
 # ---------------------------------------------------------------------------
 
 
-#: The engine-parity surface, every policy: the two with a columnar
-#: kernel (batch) and the rest, which ``auto`` serves on the heap-free
-#: loop (:func:`repro.server.driver.serve_direct`).
-ENGINE_PARITY_POLICIES = (
-    "fcfs",
-    "split",
-    "fairqueue",
-    "wf2q",
-    "drr",
-    "miser",
-    "edf",
-    "srpt",
-    "nudge",
-    "boost",
-    "splitfarm",
-)
-
-
 @dataclass(frozen=True)
-class EngineParityReport:
-    """The event loop vs ``run_policy``'s fast paths on one trace.
+class ParityReport:
+    """The event loop vs another way of serving the same trace.
 
-    ``max_drift`` is the worst per-request completion-time disagreement
-    in seconds across all checked policies; ``bit_identical`` is True
-    when it is exactly zero (the engines' contract — ``atol`` merely
-    bounds how loud a batch violation must get before it is *reported*;
-    the direct path is held to exact equality).
+    ``plane`` names the other way: ``"engine"``, ``run_policy``'s fast
+    paths (:func:`engine_parity`), or ``"serve"``, the online
+    :class:`~repro.serve.harness.ServiceHarness` (:func:`serve_parity`).
+    ``max_drift`` is the worst per-request disagreement in seconds
+    across all checked policies; ``bit_identical`` is True when it is
+    exactly zero (the contract — ``atol`` merely bounds how loud a drift
+    must get before it is *reported*).  Every other disagreement is one
+    of ``divergences``.
     """
 
+    plane: str
     workload_name: str
     cmin: float
     delta_c: float
@@ -423,10 +393,10 @@ class EngineParityReport:
                 f"max drift {self.max_drift:.3e}s"
             )
             return (
-                f"engine parity OK across {list(self.policies)} on "
+                f"{self.plane} parity OK across {list(self.policies)} on "
                 f"{self.workload_name}: {exact}"
             )
-        return "engine parity VIOLATED: " + "; ".join(self.divergences)
+        return f"{self.plane} parity VIOLATED: " + "; ".join(self.divergences)
 
 
 def _event_loop_system(feed, policy: str, config: RunConfig):
@@ -470,9 +440,9 @@ def engine_parity(
     cmin: float,
     delta_c: float,
     delta: float,
-    policies: tuple[str, ...] = ENGINE_PARITY_POLICIES,
+    policies: tuple[str, ...] = ALL_POLICIES,
     atol: float = EPS,
-) -> EngineParityReport:
+) -> ParityReport:
     """Certify ``run_policy``'s fast paths against the event engine.
 
     Each policy is checked, under count admission, on the path
@@ -518,7 +488,8 @@ def engine_parity(
             )
             continue
         max_drift = max(max_drift, drift)
-    return EngineParityReport(
+    return ParityReport(
+        plane="engine",
         workload_name=workload.name,
         cmin=float(cmin),
         delta_c=float(delta_c),
@@ -722,65 +693,26 @@ def closed_loop_parity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ServeParityReport:
-    """Online :class:`~repro.serve.harness.ServiceHarness` vs ``run_policy``.
-
-    The serving plane replays the trace under virtual time — chunked
-    ``sim.run(until=...)`` epochs with a conservation audit at every
-    boundary, the live admission service predicting each classification
-    — and must reproduce the offline event engine **bit for bit**: the
-    per-index admitted set, every response time (``max_drift`` is the
-    worst disagreement in seconds; ``bit_identical`` records whether it
-    was exactly zero), the conservation ledger, and the primary
-    deadline-miss count.  Any predict-then-verify violation inside the
-    harness is a divergence too.
-    """
-
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    policies: tuple[str, ...]
-    max_drift: float
-    bit_identical: bool
-    divergences: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def summary(self) -> str:
-        if self.ok:
-            exact = (
-                "bit-identical"
-                if self.bit_identical
-                else f"max drift {self.max_drift:.3e}s"
-            )
-            return (
-                f"serve parity OK across {list(self.policies)} on "
-                f"{self.workload_name}: {exact}"
-            )
-        return "serve parity VIOLATED: " + "; ".join(self.divergences)
-
-
 def serve_parity(
     workload: Workload,
     cmin: float,
     delta_c: float,
     delta: float,
-    policies: tuple[str, ...] = DEFAULT_POLICIES,
+    policies: tuple[str, ...] = ALL_POLICIES,
     chunks: int = 4,
     atol: float = EPS,
-) -> ServeParityReport:
+) -> ParityReport:
     """Certify serve ≡ simulate on one trace.
 
     For every policy, the trace is replayed twice — once through the
     plain offline stack (:func:`_scalar_columns`, the exact component
     recipe of ``run_policy``'s event path) and once through the online
     :class:`~repro.serve.harness.ServiceHarness` in ``chunks`` audited
-    epochs — and the two runs are compared per arrival index.  The
-    harness's collectors must also equal, sample for sample, those of
+    epochs — and the two runs are compared per arrival index: the
+    admitted set, every response time, the conservation ledger and the
+    primary deadline misses.  A predict-then-verify violation inside the
+    harness is a divergence too.  The harness's collectors must also
+    equal, sample for sample, those of
     :func:`~repro.shaping.run_policy` on the path ``auto`` takes (batch,
     or the heap-free loop), and so must its primary misses.  The
     topologies need a positive overflow capacity, so with
@@ -868,7 +800,8 @@ def serve_parity(
                 f"{policy}: primary misses {served.primary_misses} (serve) vs "
                 f"{fast.primary_misses} (run_policy, engine {fast.engine})"
             )
-    return ServeParityReport(
+    return ParityReport(
+        plane="serve",
         workload_name=workload.name,
         cmin=float(cmin),
         delta_c=float(delta_c),
@@ -969,27 +902,27 @@ def run_checked(
                 )
             )
         for request in system.small_driver.completed:
-            if request.service_demand > system.threshold:
+            if request.service_demand > THRESHOLD:
                 violations.append(
                     Violation(
                         invariant="splitfarm-routing",
                         policy=policy,
                         detail=(
                             f"demand {request.service_demand} completed on the "
-                            f"small partition (threshold {system.threshold})"
+                            f"small partition (threshold {THRESHOLD})"
                         ),
                         time=float(request.completion),
                     )
                 )
         for request in system.large_driver.completed:
-            if request.service_demand <= system.threshold:
+            if request.service_demand <= THRESHOLD:
                 violations.append(
                     Violation(
                         invariant="splitfarm-routing",
                         policy=policy,
                         detail=(
                             f"demand {request.service_demand} completed on the "
-                            f"large partition (threshold {system.threshold})"
+                            f"large partition (threshold {THRESHOLD})"
                         ),
                         time=float(request.completion),
                     )
@@ -1080,7 +1013,7 @@ def differential_policies(
     cmin: float,
     delta_c: float,
     delta: float,
-    policies: tuple[str, ...] = DEFAULT_POLICIES,
+    policies: tuple[str, ...] = ALL_POLICIES,
 ) -> DifferentialReport:
     """Serve one trace under every policy with the auditors on.
 

@@ -5,8 +5,7 @@ FaultSchedule` and installs plain engine events that flip shared
 :class:`FaultState` (droops, storms) or call ``crash()`` / ``recover()``
 on the targeted :class:`~repro.faults.server.FaultableServer`.  Service
 models consult the state through :class:`FaultyModel`, which costs two
-attribute reads per request when no window is active — unlike
-:class:`~repro.server.degraded.DegradedModel`'s per-request window scan.
+attribute reads per request when no window is active.
 
 Spike draws come from a generator derived via
 :func:`repro.sim.rng.derive_seed`, so chaos runs are reproducible from

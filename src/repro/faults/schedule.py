@@ -1,12 +1,10 @@
 """Declarative fault schedules: what goes wrong, when, and how badly.
 
 A :class:`FaultSchedule` is an immutable description of the failures a
-run should suffer — crash/repair cycles, service-rate droops, and
-latency-spike storms.  It is pure data: the
+run should suffer — crash/repair cycles, service-rate droops
+(brownouts), and latency-spike storms.  It is pure data: the
 :class:`~repro.faults.injector.FaultInjector` turns it into first-class
-simulator events, generalizing the per-request clock scans of
-:class:`~repro.server.degraded.DegradedModel` /
-:class:`~repro.server.degraded.FlakyModel` into scheduled state flips.
+simulator events that flip shared state.
 
 :func:`random_schedule` derives a reproducible chaos schedule from a run
 seed via :func:`repro.sim.rng.derive_seed`, so ``--jobs N`` parallel
@@ -55,8 +53,7 @@ class Crash:
 @dataclass(frozen=True)
 class RateDroop:
     """A brownout window: service times inflate by ``factor`` in
-    ``[start, end)`` (the scheduled-event generalization of
-    :class:`~repro.server.degraded.Brownout`)."""
+    ``[start, end)``."""
 
     start: float
     end: float
@@ -78,8 +75,8 @@ class RateDroop:
 @dataclass(frozen=True)
 class SpikeStorm:
     """A flakiness window: inside ``[start, end)`` each service draws a
-    latency spike of ``factor`` with ``probability`` (the scheduled-event
-    generalization of :class:`~repro.server.degraded.FlakyModel`)."""
+    latency spike of ``factor`` with ``probability`` (an internal retry,
+    say)."""
 
     start: float
     end: float

@@ -6,9 +6,8 @@ the offline simulator:
 
 * :class:`~repro.serve.ingest.IngestServer` — asyncio JSON-lines front
   end staging timestamped, size-carrying requests;
-* :class:`~repro.serve.admission.AdmissionService` — live
-  admit/demote/reject from decomposed capacity estimates (request- and
-  client-granular);
+* :class:`~repro.serve.admission.AdmissionService` — live per-request
+  admit/demote/reject from decomposed capacity estimates;
 * :class:`~repro.serve.autoscaler.Autoscaler` — the adaptive shaper
   recast as a provisioning loop re-planning ``Cmin + ΔC`` from a
   sliding trace window, with the batch engine as a digital twin;

@@ -10,7 +10,6 @@ from .aqm import (
 from .base import Server, ServiceTimeModel
 from .cluster import SplitSystem
 from .constant_rate import ConstantRateModel, constant_rate_server
-from .degraded import Brownout, DegradedModel, FlakyModel
 from .disk import DiskModel, DiskParameters
 from .driver import DeviceDriver
 from .farm import ServerFarm, constant_rate_farm
@@ -29,9 +28,6 @@ __all__ = [
     "SplitSystem",
     "ConstantRateModel",
     "constant_rate_server",
-    "Brownout",
-    "DegradedModel",
-    "FlakyModel",
     "DiskModel",
     "DiskParameters",
     "DeviceDriver",

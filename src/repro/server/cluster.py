@@ -66,7 +66,11 @@ class SplitFrontEnd:
         overflow.name = "q2.fcfs"
         #: Primary side, then overflow side.
         self.sides = (
-            Side(_NotifyingFCFS(self.classifier), ConstantRateModel(cmin), "primary"),
+            Side(
+                SlotReleasingFCFS(self.classifier, "q1.fcfs"),
+                ConstantRateModel(cmin),
+                "primary",
+            ),
             Side(overflow, ConstantRateModel(delta_c), "overflow"),
         )
 
@@ -349,13 +353,17 @@ class SplitSystem(TopologySystem):
                 self.overflow_driver.on_arrival(request)
 
 
-class _NotifyingFCFS(FCFSScheduler):
-    """FCFS that releases the classifier's Q1 slot on completion."""
+class SlotReleasingFCFS(FCFSScheduler):
+    """FCFS that releases the classifier's Q1 slot on completion.
 
-    name = "q1.fcfs"
+    The classifier ignores a completion outside ``Q1``, so a side may
+    serve either class.  ``name`` keeps each side's ``sched.<name>.*``
+    counters apart in a shared registry.
+    """
 
-    def __init__(self, classifier: OnlineRTTClassifier):
+    def __init__(self, classifier: OnlineRTTClassifier, name: str):
         super().__init__()
+        self.name = name
         self._classifier = classifier
 
     def on_completion(self, request: Request) -> None:

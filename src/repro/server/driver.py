@@ -577,8 +577,9 @@ class DirectRun:
         return self.primary_misses
 
 
-#: The completion key of an idle side: later than any pending completion.
-_IDLE = (math.inf, 0)
+#: The completion key of an idle side: later than any pending completion,
+#: one at +inf included.
+_IDLE = (math.inf, math.inf)
 
 
 def serve_direct(

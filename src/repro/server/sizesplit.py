@@ -8,9 +8,11 @@ starved.  :class:`SizeSplitSystem` is that dispatcher grafted onto this
 repo's shaping stack:
 
 * a front end routes every arrival by ``service_demand`` against a fixed
-  ``threshold`` — at most one queue is ever polluted by large services;
-* each side is a :class:`~repro.server.farm.ServerFarm` slice of the
-  total capacity ``Cmin + ΔC`` (``small_share`` to the small side);
+  :data:`THRESHOLD` — at most one queue is ever polluted by large
+  services;
+* each side is a one-unit :class:`~repro.server.farm.ServerFarm` slice
+  of the total capacity ``Cmin + ΔC`` (:data:`SMALL_SHARE` to the small
+  side);
 * the RTT classifier still stamps ``Q1`` deadlines and admission slots,
   so the graduated-QoS accounting (deadline misses, per-class response
   times) stays comparable with the paper's policies — but *placement* is
@@ -32,14 +34,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.request import QoSClass, Request
+from ..core.request import Request
 from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry
 from ..sched.classifier import OnlineRTTClassifier
-from ..sched.fcfs import FCFSScheduler
 from ..sim.engine import Simulator
 from .base import Server
-from .cluster import TopologySystem
+from .cluster import SlotReleasingFCFS, TopologySystem
 from .constant_rate import ConstantRateModel
 from .driver import Side
 from .farm import ServerFarm, constant_rate_farm
@@ -47,52 +48,46 @@ from .farm import ServerFarm, constant_rate_farm
 #: The partitions, in the order results merge them.
 SMALL_SIDE, LARGE_SIDE = 0, 1
 
+#: Demand cutoff: requests with ``service_demand <= THRESHOLD`` are small
+#: (:class:`~repro.sched.sized.NudgeScheduler`'s default too).
+THRESHOLD = 2.0
+#: Fraction of the total rate ``cmin + delta_c`` the small side gets.
+SMALL_SHARE = 0.5
+#: Service units in each side's farm.
+UNITS_PER_SIDE = 1
+
 
 class SizeSplitFrontEnd:
     """The size-threshold farm's rules, apart from any engine.
 
     The classifier runs RTT admission on ``cmin``/``delta`` for QoS
     accounting; :meth:`route` places a request by size: the small side
-    takes ``service_demand <= threshold``.  The sides split the total
-    rate ``cmin + delta_c``, ``small_share`` of it to the small side;
-    each is a single FCFS unit of its side's rate.
+    takes ``service_demand <= THRESHOLD``.  The sides split the total
+    rate ``cmin + delta_c``, :data:`SMALL_SHARE` of it to the small
+    side; each is a single FCFS unit of its side's rate.
     """
 
     def __init__(
-        self,
-        cmin: float,
-        delta_c: float,
-        delta: float,
-        threshold: float = 2.0,
-        small_share: float = 0.5,
-        admission: str = "count",
+        self, cmin: float, delta_c: float, delta: float, admission: str = "count"
     ):
         total = cmin + delta_c
         if total <= 0:
             raise ConfigurationError(
                 f"splitfarm needs positive total capacity, got {total}"
             )
-        if threshold <= 0:
-            raise ConfigurationError(f"threshold must be positive, got {threshold}")
-        if not 0.0 < small_share < 1.0:
-            raise ConfigurationError(
-                f"small_share must be in (0, 1), got {small_share}"
-            )
-        self.threshold = threshold
-        self.small_share = small_share
         self.classifier = OnlineRTTClassifier(cmin, delta, mode=admission)
         # Primary requests land on either side (placement is by size), so
         # *both* schedulers must release the classifier's Q1 slot.
         #: Small side, then large side.
         self.sides = (
             Side(
-                _SlotReleasingFCFS(self.classifier, "small.fcfs"),
-                ConstantRateModel(small_share * total),
+                SlotReleasingFCFS(self.classifier, "small.fcfs"),
+                ConstantRateModel(SMALL_SHARE * total),
                 "small",
             ),
             Side(
-                _SlotReleasingFCFS(self.classifier, "large.fcfs"),
-                ConstantRateModel((1.0 - small_share) * total),
+                SlotReleasingFCFS(self.classifier, "large.fcfs"),
+                ConstantRateModel((1.0 - SMALL_SHARE) * total),
                 "large",
             ),
         )
@@ -100,7 +95,7 @@ class SizeSplitFrontEnd:
     def route(self, request: Request) -> int:
         """Classify ``request`` for QoS accounting; its side is by size."""
         self.classifier.classify(request)
-        if request.service_demand <= self.threshold:
+        if request.service_demand <= THRESHOLD:
             return SMALL_SIDE
         return LARGE_SIDE
 
@@ -117,14 +112,6 @@ class SizeSplitSystem(TopologySystem):
         response bound — the classifier still runs RTT admission on
         ``cmin``/``delta`` exactly as the single-server policies do; the
         farm partitions split the *total* rate ``cmin + delta_c``.
-    threshold:
-        Demand cutoff: requests with ``service_demand <= threshold`` are
-        small.  Default 2.0 matches
-        :class:`~repro.sched.sized.NudgeScheduler`.
-    small_share:
-        Fraction of the total capacity given to the small partition.
-    units_per_side:
-        Service units in each partition's farm.
     metrics:
         Optional registry; the drivers emit under ``small.driver`` /
         ``large.driver`` and the front end counts ``splitfarm.routed_*``.
@@ -152,9 +139,6 @@ class SizeSplitSystem(TopologySystem):
         cmin: float,
         delta_c: float,
         delta: float,
-        threshold: float = 2.0,
-        small_share: float = 0.5,
-        units_per_side: int = 1,
         metrics: MetricsRegistry | None = None,
         farm_factory: Callable[[Simulator, float, int, str], ServerFarm] | None = None,
         retry=None,
@@ -162,16 +146,12 @@ class SizeSplitSystem(TopologySystem):
         aqm: str | None = None,
         aqm_shared: bool = False,
     ):
-        front = SizeSplitFrontEnd(
-            cmin, delta_c, delta, threshold, small_share, admission
-        )
-        self.threshold = threshold
-        self.small_share = small_share
+        front = SizeSplitFrontEnd(cmin, delta_c, delta, admission)
         factory = farm_factory if farm_factory is not None else constant_rate_farm
         super().__init__(
             sim,
             front,
-            lambda side: factory(sim, side.model.capacity, units_per_side, side.name),
+            lambda side: factory(sim, side.model.capacity, UNITS_PER_SIDE, side.name),
             ("small.driver", "large.driver"),
             metrics,
             retry,
@@ -204,17 +184,3 @@ class SizeSplitSystem(TopologySystem):
             self.routed_large += 1
             self._m_routed_large.inc()
         self.drivers[side].on_arrival(request)
-
-
-class _SlotReleasingFCFS(FCFSScheduler):
-    """FCFS that releases the classifier's Q1 slot on completion."""
-
-    def __init__(self, classifier: OnlineRTTClassifier, name: str):
-        super().__init__()
-        self.name = name
-        self._classifier = classifier
-
-    def on_completion(self, request: Request) -> None:
-        if request.qos_class is QoSClass.PRIMARY:
-            self._classifier.on_completion(request)
-        self._note_completion(request)

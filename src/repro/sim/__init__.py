@@ -11,13 +11,9 @@ from .batch import (
     EPOCH,
     BatchRun,
     SplitColumns,
-    StreamSummary,
-    farm_fcfs_completions,
     fcfs_completions,
-    fcfs_stream,
     run_batch,
     split_columns,
-    split_stream,
 )
 from .engine import Simulator
 from .events import (
@@ -37,13 +33,9 @@ __all__ = [
     "EPOCH",
     "BatchRun",
     "SplitColumns",
-    "StreamSummary",
-    "farm_fcfs_completions",
     "fcfs_completions",
-    "fcfs_stream",
     "run_batch",
     "split_columns",
-    "split_stream",
     "Event",
     "EventQueue",
     "PRIORITY_ARRIVAL",

@@ -36,25 +36,16 @@ counts, per-class masks, statistics ingestion — is vectorized numpy,
 which is where the 10-60x end-to-end speedup comes from.  Parity is
 certified by :func:`repro.check.differential.engine_parity` and fuzzed
 by ``repro-check --differential``.
-
-The streaming entry points (:func:`fcfs_stream`,
-:func:`split_stream`) consume an iterator of arrival chunks and keep
-only O(:data:`EPOCH`) state, so multi-hour traces aggregate in O(1)
-memory.  :func:`farm_fcfs_completions` extends the same recurrence to
-k-server farms by decomposing FCFS-on-k-equal-servers into k independent
-Lindley recursions over the residue classes ``i mod k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..units import count_within
-from .stats import OnlineStats
 
 #: Arrivals processed per sweep.  Each epoch converts one array slice to
 #: a Python list for the sequential recurrence and hands the results
@@ -368,159 +359,3 @@ def run_batch(
     raise ConfigurationError(
         f"policy {policy!r} has no batch kernel; supported: {SUPPORTED_POLICIES}"
     )
-
-
-# ----------------------------------------------------------------------
-# Streaming (O(1)-memory) aggregation
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class StreamSummary:
-    """One-pass aggregate of a streamed columnar run."""
-
-    stats: OnlineStats
-    #: Completions whose response is within ``bound``
-    #: (:func:`repro.units.met_deadline`); 0 when no bound.
-    within: int = 0
-    bound: float | None = None
-
-    @property
-    def count(self) -> int:
-        return self.stats.count
-
-    @property
-    def fraction_within(self) -> float:
-        """Deadline compliance; NaN when nothing completed."""
-        if self.stats.count == 0:
-            return float("nan")
-        return self.within / self.stats.count
-
-
-def _ingest(summary: StreamSummary, responses: np.ndarray) -> None:
-    summary.stats.add_array(responses)
-    if summary.bound is not None and responses.size:
-        summary.within += count_within(responses, summary.bound)
-
-
-def fcfs_stream(
-    chunks: Iterable[np.ndarray], capacity: float, bound: float | None = None
-) -> StreamSummary:
-    """FCFS-serve an arrival stream chunk by chunk in O(chunk) memory.
-
-    ``chunks`` yields consecutive slices of one non-decreasing arrival
-    sequence; only the running server state and Welford moments are
-    retained, so arbitrarily long traces aggregate without ever holding
-    the full columns.
-    """
-    if capacity <= 0:
-        raise ConfigurationError(f"capacity must be positive, got {capacity}")
-    service = 1.0 / float(capacity)
-    summary = StreamSummary(stats=OnlineStats(), bound=bound)
-    finish = 0.0
-    for chunk in chunks:
-        chunk = _check_arrivals(chunk)
-        served, finish = _serve_chunk(chunk.tolist(), service, finish)
-        _ingest(summary, np.asarray(served, dtype=np.float64) - chunk)
-    return summary
-
-
-def split_stream(
-    chunks: Iterable[np.ndarray],
-    cmin: float,
-    delta_c: float,
-    delta: float,
-    bound: float | None = None,
-) -> tuple[StreamSummary, StreamSummary]:
-    """Streamed Split run; returns ``(q1_summary, q2_summary)``.
-
-    Same recurrences as :func:`split_columns`, but the ``Q1`` finish
-    ring keeps only the last ``limit`` entries and per-chunk columns are
-    released after ingestion — O(limit + chunk) memory.
-    """
-    if delta_c <= 0:
-        raise ConfigurationError(
-            f"Split needs a positive overflow capacity, got {delta_c}"
-        )
-    limit = _admission_limit(cmin, delta)
-    s1 = 1.0 / float(cmin)
-    s2 = 1.0 / float(delta_c)
-    q1 = StreamSummary(stats=OnlineStats(), bound=bound)
-    q2 = StreamSummary(stats=OnlineStats(), bound=bound)
-    ring = [0.0] * limit  # last ``limit`` Q1 finishes, cyclic by count
-    count = 0
-    f1 = 0.0
-    f2 = 0.0
-    for chunk in chunks:
-        chunk = _check_arrivals(chunk)
-        q1_t: list[float] = []
-        q1_f: list[float] = []
-        q2_t: list[float] = []
-        q2_f: list[float] = []
-        for t in chunk.tolist():
-            if limit > 0 and (count < limit or ring[count % limit] <= t):
-                base = f1 if f1 > t else t
-                f1 = base + s1
-                ring[count % limit] = f1
-                count += 1
-                q1_t.append(t)
-                q1_f.append(f1)
-            else:
-                base = f2 if f2 > t else t
-                f2 = base + s2
-                q2_t.append(t)
-                q2_f.append(f2)
-        _ingest(q1, np.asarray(q1_f) - np.asarray(q1_t))
-        _ingest(q2, np.asarray(q2_f) - np.asarray(q2_t))
-    return q1, q2
-
-
-def chunked(arrivals: np.ndarray, size: int = EPOCH) -> Iterator[np.ndarray]:
-    """Slice an arrival column into stream chunks (testing convenience)."""
-    if size <= 0:
-        raise ConfigurationError(f"chunk size must be positive, got {size}")
-    for start in range(0, len(arrivals), size):
-        yield arrivals[start:start + size]
-
-
-# ----------------------------------------------------------------------
-# Server farms
-# ----------------------------------------------------------------------
-
-
-def farm_fcfs_completions(
-    arrivals: np.ndarray, units: int, total_capacity: float
-) -> np.ndarray:
-    """Completion instants of an FCFS farm of ``units`` equal servers.
-
-    With deterministic equal service ``s = units / total_capacity``,
-    departures of an FCFS ``k``-server queue leave in arrival order and
-    request ``i`` starts service exactly when it has arrived *and* the
-    ``i-k``-th departure has freed a unit: ``D_i = max(t_i, D_{i-k}) +
-    s``.  That k-lagged recurrence couples index ``i`` only with ``i -
-    k``, so the farm decomposes into ``units`` independent single-server
-    recurrences over the residue classes ``i mod units`` — each replayed
-    with the same bit-exact arithmetic as :func:`fcfs_completions`.
-    Matches ``constant_rate_farm`` driven by ``DeviceDriver`` on the
-    scalar engine.
-    """
-    if units <= 0:
-        raise ConfigurationError(f"units must be positive, got {units}")
-    if total_capacity <= 0:
-        raise ConfigurationError(
-            f"capacity must be positive, got {total_capacity}"
-        )
-    arrivals = _check_arrivals(arrivals)
-    per_unit = total_capacity / units  # constant_rate_farm's split
-    service = 1.0 / per_unit
-    completions = np.empty(arrivals.size, dtype=np.float64)
-    for unit in range(min(units, arrivals.size)):
-        lane = arrivals[unit::units]
-        served = np.empty(lane.size, dtype=np.float64)
-        finish = 0.0
-        for start in range(0, lane.size, EPOCH):
-            chunk = lane[start:start + EPOCH].tolist()
-            out, finish = _serve_chunk(chunk, service, finish)
-            served[start:start + len(out)] = out
-        completions[unit::units] = served
-    return completions

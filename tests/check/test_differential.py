@@ -1,5 +1,6 @@
 """Differential pillar: kernels, server models, and audited policies."""
 
+import inspect
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,15 +10,17 @@ import pytest
 
 from repro.check import differential as differential_mod
 from repro.check.corpus import load_golden
+from repro.check.cli import build_parser
 from repro.check.differential import (
-    DEFAULT_POLICIES,
     decomposition_cross_check,
     differential_policies,
     disk_comparability_check,
+    engine_parity,
     exact_mask_audit,
     fcfs_lindley_check,
     kernel_parity,
     run_checked,
+    serve_parity,
 )
 from repro.check.fuzz import make_case
 from repro.check.invariants import CheckingScheduler
@@ -27,6 +30,7 @@ from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
 from repro.perf.scalar import EPS
 from repro.sched.fcfs import FCFSScheduler
+from repro.sched.registry import ALL_POLICIES
 from repro.sched.sized import BoostScheduler, NudgeScheduler, SRPTScheduler
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -187,16 +191,18 @@ class TestCheckedPolicies:
             case.delta,
         )
         assert report.ok, report.summary()
-        assert set(report.runs) == set(DEFAULT_POLICIES)
+        assert set(report.runs) == set(ALL_POLICIES)
         for run in report.runs.values():
             assert run.completed == run.expected
             assert run.violations == ()
 
     def test_default_policy_set(self):
-        assert set(DEFAULT_POLICIES) == {
-            "fcfs", "split", "fairqueue", "wf2q", "miser", "edf",
-            "srpt", "nudge", "boost", "splitfarm",
-        }
+        """Every check defaults to the registry's one list of policies."""
+        for check in (differential_policies, engine_parity, serve_parity):
+            default = inspect.signature(check).parameters["policies"].default
+            assert default == ALL_POLICIES, check.__name__
+        assert build_parser().parse_args([]).policies == list(ALL_POLICIES)
+        assert "drr" in ALL_POLICIES
 
     def test_run_checked_rejects_bad_config(self):
         workload = Workload(np.asarray([0.0, 1.0]))

@@ -20,11 +20,7 @@ from hypothesis import strategies as st
 
 from repro.check import differential
 from repro.check.corpus import load_golden
-from repro.check.differential import (
-    ENGINE_PARITY_POLICIES,
-    EngineParityReport,
-    engine_parity,
-)
+from repro.check.differential import ParityReport, engine_parity
 from repro.check.fuzz import make_case
 from repro.core.request import QoSClass
 from repro.core.workload import Workload
@@ -76,16 +72,26 @@ class TestReportShape:
         report = parity_for(Workload([0.0, 0.1]), 10.0, 1.0)
         assert "engine parity OK" in report.summary()
         assert "bit-identical" in report.summary()
-        assert report.policies == ENGINE_PARITY_POLICIES
+        assert report.policies == ALL_POLICIES
 
     def test_ineligible_policy_is_a_divergence(self):
         report = engine_parity(Workload([0.0]), 10.0, 5.0, 1.0, policies=("lifo",))
         assert not report.ok
         assert "not batch-eligible" in report.summary()
 
+    @pytest.mark.parametrize("plane", ["engine", "serve"])
+    def test_violated_summary_names_its_plane(self, plane):
+        report = ParityReport(
+            plane=plane, workload_name="w", cmin=1.0, delta_c=1.0, delta=1.0,
+            policies=("fcfs",), max_drift=0.0, bit_identical=True,
+            divergences=("fcfs: lost a request",),
+        )
+        assert not report.ok
+        assert report.summary() == f"{plane} parity VIOLATED: fcfs: lost a request"
+
     def test_drift_formats_in_summary(self):
-        report = EngineParityReport(
-            workload_name="w", cmin=1.0, delta_c=1.0, delta=1.0,
+        report = ParityReport(
+            plane="engine", workload_name="w", cmin=1.0, delta_c=1.0, delta=1.0,
             policies=("fcfs",), max_drift=2.5e-13, bit_identical=False,
         )
         assert report.ok
@@ -312,7 +318,8 @@ def test_finite_workloads_bit_identical_on_every_path(workload, admission):
 
 
 class TestOutOfRangeSizes:
-    """Sizes ``Workload`` accepts but ingest refuses split the paths."""
+    """Sizes ``Workload`` accepts but ingest refuses: every path must
+    serve or refuse them alike."""
 
     @pytest.mark.xfail(strict=True, raises=SimulationError)
     def test_subnormal_size(self):
@@ -320,12 +327,12 @@ class TestOutOfRangeSizes:
         no time, the event loop refuses it."""
         assert_paths_agree(Workload([0.0], sizes=[5e-324]), "count", ("fcfs",))
 
-    @pytest.mark.xfail(strict=True, raises=SimulationError)
-    def test_completion_past_the_largest_float(self):
-        """The fifth request completes at +inf: the event loop serves it,
-        splitfarm's direct loop loses it."""
+    @pytest.mark.parametrize("policy", TOPOLOGY_POLICIES)
+    def test_completion_past_the_largest_float(self, policy):
+        """A request completes at +inf: every path serves it, a topology's
+        direct loop included."""
         workload = Workload([0.0] * 5, sizes=[1.7e308] * 5)
-        assert_paths_agree(workload, "count", ("splitfarm",))
+        assert_paths_agree(workload, "count", (policy,))
 
 
 # ---------------------------------------------------------------------------

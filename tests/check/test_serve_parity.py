@@ -2,7 +2,7 @@
 
 This is the differential-replay half of the serving plane's test
 contract: every golden trace in the corpus and a 240-case fuzz sweep
-(all four generators x all ten policies) must replay through the online
+(all four generators x all eleven policies) must replay through the online
 :class:`~repro.serve.harness.ServiceHarness` bit-identically to the
 offline event engine.
 """
@@ -17,14 +17,15 @@ import pytest
 from repro.check.cli import _run_serve_parity
 from repro.check.cli import main as check_main
 from repro.check.corpus import load_golden
-from repro.check.differential import DEFAULT_POLICIES, serve_parity
+from repro.check.differential import serve_parity
 from repro.check.fuzz import GENERATORS, make_case
 from repro.core.workload import Workload
+from repro.sched.registry import ALL_POLICIES
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
-#: Deterministic fuzz campaign: lcm(4 generators, 10 policies) = 20, so
-#: 240 cases rotate every (generator, policy) pairing twelve times.
+#: Deterministic fuzz campaign: lcm(4 generators, 11 policies) = 44, so
+#: 240 cases rotate every (generator, policy) pairing five or six times.
 FUZZ_SEED = 424242
 FUZZ_CASES = 240
 
@@ -55,7 +56,7 @@ class TestGoldenCorpus:
         assert status == 0
         assert len(_goldens()) == 10
         assert lines == [
-            "serve parity OK: 10 golden traces x 10 policies, "
+            "serve parity OK: 10 golden traces x 11 policies, "
             "serve == simulate bit-for-bit"
         ]
 
@@ -79,7 +80,7 @@ class TestFuzzedTraces:
                 index,
                 max_requests=80,
             )
-            policy = DEFAULT_POLICIES[index % len(DEFAULT_POLICIES)]
+            policy = ALL_POLICIES[index % len(ALL_POLICIES)]
             report = serve_parity(
                 case.workload(),
                 case.capacity,

@@ -182,9 +182,13 @@ class TestRegistry:
         assert "scalar" in BACKENDS
         assert set(BACKENDS) <= {"scalar", "native"}
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize(
+        "backend", ["cuda", " Scalar "], ids=["cuda", "padded-mixed-case"]
+    )
+    def test_unknown_backend_rejected(self, backend):
+        """Backend names match exactly: no case folding, no trimming."""
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            count_admitted([0.0], [1], 1.0, 1.0, backend="cuda")
+            count_admitted([0.0], [1], 1.0, 1.0, backend=backend)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.request import Request
+from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError, SchedulerError
 from repro.faults import (
     Crash,
@@ -13,6 +14,7 @@ from repro.faults import (
     FaultyModel,
     RateDroop,
     SpikeStorm,
+    run_resilient,
 )
 from repro.server.constant_rate import ConstantRateModel
 from repro.sim.engine import Simulator
@@ -147,6 +149,33 @@ class TestFaultyModel:
         assert draws(1) != draws(2)
         spiked = sum(1 for d in draws(1) if d > 0.5)
         assert 20 <= spiked <= 80
+
+    def test_counts_injected_spikes(self):
+        state = FaultState()
+        state.spike_probability = 0.25
+        state.spike_factor = 10.0
+        model = FaultyModel(ConstantRateModel(10.0), state, seed=0)
+        samples = [model.service_time(Request(arrival=0.0)) for _ in range(2000)]
+        spikes = sum(1 for s in samples if s > 0.5)
+        assert spikes == model.spikes_injected
+        assert 0.18 < spikes / 2000 < 0.32
+
+
+class TestWindowsOnTheServedPath:
+    @pytest.mark.parametrize(
+        "event",
+        [RateDroop(1.0, 2.0, 4.0), SpikeStorm(1.0, 2.0, 1.0, 4.0)],
+        ids=["droop", "storm"],
+    )
+    def test_service_inflates_only_inside_the_window(self, event):
+        """On an idle 10-IOPS server, a request arriving before, inside
+        and after the window takes 0.1, 0.4 and 0.1 s."""
+        result = run_resilient(
+            Workload([0.5, 1.5, 2.5]), "fcfs", 8.0, 2.0, 1.0,
+            schedule=FaultSchedule([event]),
+        )
+        responses = sorted((r.arrival, r.response_time) for r in result.completed)
+        assert [r for _, r in responses] == pytest.approx([0.1, 0.4, 0.1])
 
 
 class TestFaultInjector:

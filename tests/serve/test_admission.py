@@ -1,12 +1,9 @@
-"""AdmissionService: live decisions must match the offline authorities.
+"""AdmissionService: live decisions must match the offline authority.
 
-Two differentials, matching the service's two granularities:
-
-* per request — the predict-then-verify replay must agree with the
-  stack's own classifier in both count and work admission modes;
-* per client — onboarding decisions must match the offline
-  :class:`repro.core.admission.AdmissionController` decision-for-
-  decision on any candidate prefix.
+The predict-then-verify replay must agree with the stack's own
+classifier in both count and work admission modes.  Client-level
+admission is :class:`repro.core.admission.AdmissionController`'s
+(``tests/core/test_admission.py``).
 """
 
 from __future__ import annotations
@@ -14,27 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.admission import AdmissionController
-from repro.core.capacity import CapacityPlanner
-from repro.core.sla import GraduatedSLA
 from repro.core.workload import Workload
-from repro.exceptions import AdmissionError, ConfigurationError
 from repro.serve import AdmissionService, ServiceHarness, Verdict
 from repro.traces.synthetic import poisson_workload
 
 CMIN, DELTA_C, DELTA = 4.0, 2.0, 0.5
-
-SLA = GraduatedSLA([(0.95, 0.05), (0.99, 0.5)])
-
-
-def _candidates(count: int = 8) -> list[Workload]:
-    """Deterministic candidate clients at varied intensities."""
-    return [
-        poisson_workload(rate, duration=8.0, seed=40 + i)
-        for i, rate in enumerate(
-            np.linspace(2.0, 30.0, count)
-        )
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -172,80 +153,3 @@ class TestPerRequestDifferential:
             "classifier moved (primary, overflow) by (1, 0)"
         )
         assert registry.value("serve.violations") == len(served.violations)
-
-
-class TestClientDifferential:
-    @pytest.mark.parametrize("worst_case", [False, True])
-    @pytest.mark.parametrize("headroom", [0.0, 0.2])
-    def test_matches_offline_controller_decision_for_decision(
-        self, worst_case, headroom
-    ):
-        capacity = 60.0
-        offline = AdmissionController(
-            server_capacity=capacity, worst_case=worst_case, headroom=headroom
-        )
-        live = AdmissionService(
-            server_capacity=capacity, worst_case=worst_case, headroom=headroom
-        )
-        verdicts = []
-        for workload in _candidates():
-            offline_client = offline.try_admit(workload, SLA)
-            live_client = live.admit_client(workload, SLA)
-            assert (offline_client is None) == (live_client is None)
-            if live_client is not None:
-                assert live_client.planned_capacity == pytest.approx(
-                    offline_client.planned_capacity, abs=0.0
-                )
-            assert live.committed == offline.committed
-            assert live.available == offline.available
-            verdicts.append(live_client is not None)
-        # The prefix must be non-trivial: some admitted, some refused.
-        assert any(verdicts) and not all(verdicts)
-
-    def test_required_capacity_matches_offline(self):
-        offline = AdmissionController(server_capacity=100.0)
-        live = AdmissionService(server_capacity=100.0)
-        for workload in _candidates(4):
-            assert live.required_capacity(workload, SLA) == pytest.approx(
-                offline.required_capacity(workload, SLA), abs=0.0
-            )
-
-    def test_device_depth_plans_against_delta_eff(self):
-        workload = _candidates(1)[0]
-        shallow = AdmissionService(server_capacity=100.0)
-        deep = AdmissionService(server_capacity=100.0, device_depth=8)
-        base = shallow.required_capacity(workload, SLA)
-        corrected = deep.required_capacity(workload, SLA)
-        # The queue's share of the deadline must be budgeted: a depth-k
-        # device can only demand more capacity, never less.
-        assert corrected >= base
-        expected = max(
-            CapacityPlanner(workload, tier.delta, device_depth=8).min_capacity(
-                tier.fraction
-            )
-            for tier in SLA
-        )
-        assert corrected == pytest.approx(expected, abs=0.0)
-
-    def test_release_frees_the_committed_capacity(self):
-        live = AdmissionService(server_capacity=30.0)
-        workload = _candidates(1)[0]
-        client = live.admit_client(workload, SLA)
-        assert client is not None
-        committed = live.committed
-        assert committed > 0
-        live.release_client(workload.name)
-        assert live.committed == 0.0
-        with pytest.raises(AdmissionError, match="no onboarded client"):
-            live.release_client(workload.name)
-
-    def test_unarmed_client_half_raises(self):
-        service = AdmissionService()
-        with pytest.raises(ConfigurationError, match="unarmed"):
-            _ = service.available
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="capacity"):
-            AdmissionService(server_capacity=0.0)
-        with pytest.raises(ConfigurationError, match="headroom"):
-            AdmissionService(server_capacity=10.0, headroom=1.0)

@@ -112,3 +112,43 @@ class TestSplitSystem:
         by_class = system.by_class
         total = len(by_class[QoSClass.PRIMARY]) + len(by_class[QoSClass.OVERFLOW])
         assert total == len(bursty_workload)
+
+
+class TestSlotReleasingFCFS:
+    def test_releases_only_a_q1_slot(self):
+        """One class serves every topology side: a completion outside Q1
+        (a demoted request on the primary side, an overflow request on a
+        splitfarm side) leaves the classifier's occupancy alone."""
+        from repro.core.request import Request
+        from repro.sched.classifier import OnlineRTTClassifier
+        from repro.server.cluster import SlotReleasingFCFS
+
+        classifier = OnlineRTTClassifier(4.0, 0.5)  # bound 2
+        fcfs = SlotReleasingFCFS(classifier, "q1.fcfs")
+        admitted = Request(arrival=0.0, index=0)
+        assert classifier.classify(admitted) is QoSClass.PRIMARY
+        demoted = Request(arrival=0.0, index=1)
+        demoted.qos_class = QoSClass.OVERFLOW
+        fcfs.on_completion(demoted)
+        assert classifier.len_q1 == 1
+        fcfs.on_completion(admitted)
+        assert classifier.len_q1 == 0
+
+    @pytest.mark.parametrize(
+        "policy,names",
+        [("split", ("q1.fcfs", "q2.fcfs")), ("splitfarm", ("small.fcfs", "large.fcfs"))],
+    )
+    def test_each_side_counts_under_its_own_name(self, policy, names):
+        from repro.obs.registry import MetricsRegistry
+        from repro.shaping import RunConfig, run_policy
+
+        rng = np.random.default_rng(3)
+        workload = Workload(
+            np.sort(rng.uniform(0.0, 5.0, 200)),
+            sizes=rng.choice([0.5, 1.0, 8.0], size=200),
+        )
+        registry = MetricsRegistry()
+        run_policy(workload, policy, config=RunConfig(40.0, 10.0, 0.1, metrics=registry))
+        arrivals = [registry.value(f"sched.{name}.arrivals") for name in names]
+        assert all(count > 0 for count in arrivals)
+        assert sum(arrivals) == len(workload)

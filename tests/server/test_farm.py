@@ -10,6 +10,7 @@ from repro.server.driver import DeviceDriver
 from repro.server.farm import ServerFarm, constant_rate_farm
 from repro.sim.engine import Simulator
 from repro.sim.source import WorkloadSource
+from repro.traces.synthetic import poisson_workload
 
 
 def run_farm(workload, total_capacity, units):
@@ -92,3 +93,21 @@ class TestShapingOnFarm:
         assert len(primary) > 0
         per_unit_quantum = 4.0 / (cmin + 10.0)
         assert primary.stats.max <= delta + 2 * per_unit_quantum
+
+
+class TestFCFSRecurrence:
+    @pytest.mark.parametrize("units", (1, 3, 4))
+    def test_completions_follow_the_k_lagged_recurrence(self, units):
+        """FCFS on k equal units: request i starts once it has arrived and
+        request i-k has left, ``D_i = max(t_i, D_{i-k}) + s``, to the bit."""
+        workload = poisson_workload(rate=120.0, duration=2.0, seed=5)
+        driver, _ = run_farm(workload, 100.0, units)
+        service = 1.0 / (100.0 / units)
+        expected: list[float] = []
+        for i, t in enumerate(workload.arrivals.tolist()):
+            free = expected[i - units] if i >= units else 0.0
+            expected.append((free if free > t else t) + service)
+        served = [None] * len(workload)
+        for request in driver.completed:
+            served[request.index] = request.completion
+        assert served == expected

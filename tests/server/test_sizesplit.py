@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.request import QoSClass
 from repro.core.workload import Workload
-from repro.exceptions import ConfigurationError
-from repro.server.sizesplit import SizeSplitSystem
+from repro.server.sizesplit import THRESHOLD, SizeSplitSystem
 from repro.shaping import RunConfig, run_policy
 from repro.sim.engine import Simulator
 from repro.sim.source import WorkloadSource
@@ -19,22 +18,12 @@ def sized_workload(seed=0, n=50, horizon=10.0):
     return Workload(arrivals, name="sized", sizes=sizes)
 
 
-def run_farm(workload, cmin=4.0, delta_c=4.0, delta=0.5, **kwargs):
+def run_farm(workload, cmin=4.0, delta_c=4.0, delta=0.5):
     sim = Simulator()
-    system = SizeSplitSystem(sim, cmin, delta_c, delta, **kwargs)
+    system = SizeSplitSystem(sim, cmin, delta_c, delta)
     WorkloadSource(sim, workload, system).start()
     sim.run()
     return system
-
-
-class TestValidation:
-    def test_bad_threshold(self):
-        with pytest.raises(ConfigurationError, match="threshold"):
-            SizeSplitSystem(Simulator(), 4.0, 4.0, 0.5, threshold=0.0)
-
-    def test_bad_share(self):
-        with pytest.raises(ConfigurationError, match="small_share"):
-            SizeSplitSystem(Simulator(), 4.0, 4.0, 0.5, small_share=1.0)
 
 
 class TestRouting:
@@ -42,9 +31,9 @@ class TestRouting:
         workload = sized_workload()
         system = run_farm(workload)
         for request in system.small_driver.completed:
-            assert request.service_demand <= system.threshold
+            assert request.service_demand <= THRESHOLD
         for request in system.large_driver.completed:
-            assert request.service_demand > system.threshold
+            assert request.service_demand > THRESHOLD
         assert system.routed_small + system.routed_large == len(workload)
 
     def test_unit_workload_all_small(self):

@@ -215,91 +215,6 @@ class TestColumnarKernels:
             batch.run_batch(np.array([0.0]), "edf", 10.0, 5.0, 1.0)
 
 
-class TestFarm:
-    @pytest.mark.parametrize("units", (1, 3, 4))
-    def test_matches_event_driven_farm(self, units):
-        from repro.sched.fcfs import FCFSScheduler
-        from repro.server.driver import DeviceDriver
-        from repro.server.farm import constant_rate_farm
-        from repro.sim.engine import Simulator
-        from repro.sim.source import WorkloadSource
-
-        workload = poisson_workload(rate=120.0, duration=2.0, seed=5)
-        sim = Simulator()
-        farm = constant_rate_farm(sim, 100.0, units)
-        driver = DeviceDriver(sim, farm, FCFSScheduler())
-        WorkloadSource(sim, workload, driver).start()
-        sim.run()
-        event = np.full(len(workload), np.nan)
-        for request in driver.completed:
-            event[request.index] = request.completion
-        columnar = batch.farm_fcfs_completions(workload.arrivals, units, 100.0)
-        np.testing.assert_array_equal(columnar, event)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="units"):
-            batch.farm_fcfs_completions(np.array([0.0]), 0, 10.0)
-        with pytest.raises(ConfigurationError, match="capacity"):
-            batch.farm_fcfs_completions(np.array([0.0]), 2, -1.0)
-
-    def test_one_unit_degenerates_to_fcfs(self):
-        arrivals = ZERO_GAP.arrivals
-        np.testing.assert_array_equal(
-            batch.farm_fcfs_completions(arrivals, 1, 50.0),
-            batch.fcfs_completions(arrivals, 50.0),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Streaming aggregation
-# ---------------------------------------------------------------------------
-
-
-class TestStreaming:
-    def test_fcfs_stream_matches_run_batch(self):
-        workload = poisson_workload(rate=400.0, duration=2.0, seed=9)
-        run = batch.run_batch(workload.arrivals, "fcfs", **CONFIG)
-        summary = batch.fcfs_stream(
-            batch.chunked(workload.arrivals, 13),
-            CONFIG["cmin"] + CONFIG["delta_c"],
-            bound=CONFIG["delta"],
-        )
-        assert summary.count == len(workload)
-        assert summary.stats.min == run.overall.min()
-        assert summary.stats.max == run.overall.max()
-        assert summary.stats.mean == pytest.approx(run.overall.mean(), rel=1e-12)
-        within = int(np.count_nonzero(run.overall <= CONFIG["delta"] + 1e-12))
-        assert summary.within == within
-        assert summary.fraction_within == within / len(workload)
-
-    def test_split_stream_matches_split_columns(self):
-        workload = poisson_workload(rate=400.0, duration=2.0, seed=13)
-        cols = batch.split_columns(
-            workload.arrivals, CONFIG["cmin"], CONFIG["delta_c"], CONFIG["delta"]
-        )
-        q1, q2 = batch.split_stream(
-            batch.chunked(workload.arrivals, 17),
-            CONFIG["cmin"],
-            CONFIG["delta_c"],
-            CONFIG["delta"],
-        )
-        assert q1.count == int(cols.admitted.sum())
-        assert q2.count == int((~cols.admitted).sum())
-        q1_resp = cols.q1_completions - workload.arrivals[cols.admitted]
-        q2_resp = cols.q2_completions - workload.arrivals[~cols.admitted]
-        assert q1.stats.max == q1_resp.max()
-        assert q2.stats.max == q2_resp.max()
-
-    def test_empty_stream(self):
-        summary = batch.fcfs_stream(iter(()), 10.0, bound=1.0)
-        assert summary.count == 0
-        assert np.isnan(summary.fraction_within)
-
-    def test_chunked_validation(self):
-        with pytest.raises(ConfigurationError, match="chunk size"):
-            list(batch.chunked(np.array([0.0]), 0))
-
-
 # ---------------------------------------------------------------------------
 # Collector array ingestion
 # ---------------------------------------------------------------------------

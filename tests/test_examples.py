@@ -47,3 +47,12 @@ def test_capacity_planning_example(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "Cmin" in out
     assert "knee" in out
+
+
+def test_brownout_example_figures(capsys):
+    """The fault-plane brownout reproduces the example's published figures."""
+    run_example("brownout_monitoring.py", ["20"])
+    out = capsys.readouterr().out
+    assert "overall <= 200 ms: 81.1%" in out
+    assert "violated windows: ['6s', '7s', '8s', '9s']" in out
+    assert "availability (1 s windows >= 80%): 80.0%" in out

@@ -49,16 +49,14 @@ PUBLIC_API = {
         "constant_rate_server", "DiskModel", "DiskParameters",
         "DeviceDriver", "SplitSystem", "ServerFarm", "constant_rate_farm",
         "SizeSplitSystem",
-        "Brownout", "DegradedModel", "FlakyModel",
     ],
     "repro.sim": [
         "Simulator", "Event", "EventQueue", "WorkloadSource",
         "ClosedLoopSource",
         "OnlineStats", "RateRecorder", "ResponseTimeCollector",
         "LifecycleTracer", "Phase", "make_rng", "spawn",
-        "BatchRun", "SplitColumns", "StreamSummary", "run_batch",
-        "fcfs_completions", "split_columns", "farm_fcfs_completions",
-        "fcfs_stream", "split_stream", "EPOCH",
+        "BatchRun", "SplitColumns", "run_batch",
+        "fcfs_completions", "split_columns", "EPOCH",
     ],
     "repro.perf": [
         "ENGINES", "KernelBackend", "active_backend",

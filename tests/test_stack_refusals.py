@@ -107,6 +107,11 @@ CASES = [
         "unknown execution engine 'quantum'; choose from ['batch', 'scalar'] or 'auto'",
         id="unknown-engine",
     ),
+    pytest.param(
+        "split", PLAN, {"engine": "Batch"}, CONFIGURED,
+        "unknown execution engine 'Batch'; choose from ['batch', 'scalar'] or 'auto'",
+        id="engine-name-case",
+    ),
 ]
 
 
