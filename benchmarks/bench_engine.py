@@ -1,4 +1,4 @@
-"""Execution-engine benchmarks: scalar event loop vs columnar batch.
+"""Execution-engine benchmarks: every fast path against the path it replaces.
 
 Two modes, mirroring ``bench_kernels.py``:
 
@@ -6,14 +6,27 @@ Two modes, mirroring ``bench_kernels.py``:
   per engine, on a mid-sized Poisson trace.
 * As a script (``make bench-json`` /
   ``python benchmarks/bench_engine.py --output BENCH_engine.json``) it
-  times both engines end-to-end over a (trace size x policy) matrix
-  from 10^4 to 10^6 requests, times the heap-free loop (engine
-  ``"direct"``) against the event loop for every configuration the
-  batch engine does not take — the single-server policies, split under
-  work admission and splitfarm — at 10^4 and 10^5 requests, times the
-  same loop fed a closed-loop population (:func:`run_closed_loop`,
-  ~4x10^4 requests) against the event loop for every policy,
-  certifies bit-parity on every case, and writes the report as JSON.
+  times, certifying bit-parity on every case, and writes the report as
+  JSON:
+
+  - the batch engine against the event loop over a (trace size x
+    policy) matrix from 10^4 to 10^6 requests (``end_to_end``);
+  - the heap-free loop (:func:`repro.server.driver.serve_direct`
+    through :func:`repro.shaping.build_stack`) against the event loop
+    for every configuration the batch engine does not take — the
+    single-server policies, split under work admission and splitfarm
+    — at 10^4 and 10^5 requests (``direct``);
+  - the same loop fed a closed-loop population
+    (:func:`run_closed_loop`, ~4x10^4 requests) against the event loop
+    for every policy (``closed_loop``);
+  - each fast path against the path ``auto`` would take without it:
+    the native loop (engine ``"native"``) against the direct loop for
+    fairqueue, wf2q and miser at 10^4, 10^5 and 10^6 requests
+    (``native``), and the batch engine against the direct loop for
+    fcfs and split at 10^5 and 10^6 (``batch_vs_direct``).  A policy
+    keeps its second implementation only while this speedup holds at
+    least :data:`MIN_QUICK_SPEEDUP` at 10^5.
+
   The two paths of a row run in alternation, the first of them flipped
   every rep, and each reports its median with its fastest and slowest
   rep beside it: host speed drifts over seconds, timing one path's reps
@@ -21,16 +34,18 @@ Two modes, mirroring ``bench_kernels.py``:
   drift, and the spread says how far a row can be trusted.
 
 ``--quick`` is the CI smoke gate: it fails (exit 1) if ``engine_parity``
-reports any divergence on the 10^5-request reference trace — for the
-batch policies and for every policy on the direct path — if the direct
-loop and the event loop disagree on split under work admission there,
-if ``closed_loop_parity`` reports any divergence on the closed-loop
-population for any policy, or if the batch engine regresses below
-:data:`MIN_QUICK_SPEEDUP` on either batch policy.  The direct path has
-no speed floor there, open or closed.
+reports any divergence on the 10^5-request reference trace — for every
+policy on the path ``auto`` takes it to — if the direct loop and the
+event loop disagree on split under work admission there, if
+``closed_loop_parity`` reports any divergence on the closed-loop
+population for any policy, or if the batch engine (over the event
+loop, on either batch policy) or the native loop (over the direct
+loop, on any of its policies) loses bit parity or falls below
+:data:`MIN_QUICK_SPEEDUP`.  The direct path has no speed floor there,
+open or closed.
 
 The committed ``BENCH_engine.json`` was produced by the script mode;
-regenerate it with ``make bench-json`` after touching either engine.
+regenerate it with ``make bench-json`` after touching any engine.
 """
 
 from __future__ import annotations
@@ -51,8 +66,10 @@ import numpy as np
 import pytest
 
 from repro.check.differential import closed_loop_parity
+from repro.perf.native import SERVE_POLICIES
 from repro.sched.registry import ALL_POLICIES
-from repro.shaping import RunConfig, run_policy
+from repro.server.driver import DirectRun, serve_direct
+from repro.shaping import RunConfig, build_stack, class_results, run_policy
 from repro.traces.synthetic import poisson_workload
 from repro.workload import BimodalDemand, run_closed_loop
 
@@ -67,7 +84,10 @@ DELTA = 0.05
 #: Poisson draws the exact count).
 SIZES = (10_000, 100_000, 1_000_000)
 
-#: CI gate: minimum batch speedup on the 10^5-request reference trace.
+#: CI gate: minimum speedup on the 10^5-request reference trace of the
+#: batch engine over the event loop, and of the native loop over the
+#: direct loop.  A policy moves to a second implementation only where
+#: it beats the path it replaces by this much.
 MIN_QUICK_SPEEDUP = 5.0
 
 POLICIES = ("fcfs", "split")
@@ -83,6 +103,9 @@ DIRECT_CASES = tuple(
 #: Trace sizes for the direct rows (the event loop needs ~10 s per
 #: policy at 10^6).
 DIRECT_SIZES = SIZES[:2]
+
+#: Trace sizes for the batch engine against the direct loop.
+BATCH_VS_DIRECT_SIZES = SIZES[1:]
 
 #: The closed-loop rows' population: 36 users thinking 0.2 s on average
 #: between requests from the tail bake-off's 1/8 demand mix keep the
@@ -150,15 +173,15 @@ def _timed_pair(first, second, reps: int = 1) -> tuple[list, list, object, objec
     return times[0], times[1], results[0], results[1]
 
 
-def _timings(name: str, first: list, second: list) -> dict:
+def _timings(names: tuple[str, str], first: list, second: list) -> dict:
     """A row's timing columns: each path's median with its min and max.
 
-    ``name`` names the second path (the first is the event loop).  The
-    speedup is the ratio of the medians; the spread says how far a slow
-    or fast spell of the host could have moved it.
+    ``names`` name the two paths, the one replaced first.  The speedup
+    is the ratio of the medians; the spread says how far a slow or fast
+    spell of the host could have moved it.
     """
     columns = {}
-    for path, times in (("scalar", first), (name, second)):
+    for path, times in zip(names, (first, second)):
         columns[f"{path}_s"] = round(float(np.median(times)), 4)
         columns[f"{path}_min_s"] = round(min(times), 4)
         columns[f"{path}_max_s"] = round(max(times), 4)
@@ -171,30 +194,57 @@ def _label(policy: str, admission: str) -> str:
     return policy if admission == "count" else f"{policy}/{admission}"
 
 
-def _bench_end_to_end(
-    workload, policy: str, reps: int, path: str = "batch", admission: str = "count"
+def _runner(path: str, workload, policy: str, config: RunConfig):
+    """One run of ``policy`` on ``path``, as a zero-argument callable.
+
+    ``"scalar"`` and ``"batch"`` are forced through ``run_policy``,
+    ``"native"`` is what ``auto`` takes, and ``"direct"`` is
+    :func:`~repro.server.driver.serve_direct` through ``build_stack``
+    (``auto`` takes it only where no faster path qualifies).
+    """
+    if path == "direct":
+
+        def direct():
+            sides, route = build_stack(policy, config)
+            return serve_direct(workload, *sides, route=route)
+
+        return direct
+    engine = "auto" if path == "native" else path
+    return lambda: run_policy(workload, policy, config=config.with_engine(engine))
+
+
+def _served(run, policy: str) -> tuple:
+    """The path a run took and what it served: samples per collector
+    and primary misses, comparable across paths."""
+    if isinstance(run, DirectRun):
+        path, (primary, overflow) = "direct", class_results(policy, run.by_class)
+    else:
+        path, primary, overflow = run.engine, run.primary, run.overflow
+    samples = [c.samples.tolist() for c in (run.overall, primary, overflow)]
+    return path, samples, run.primary_misses
+
+
+def _bench_paths(
+    workload, policy: str, reps: int, slow: str, fast: str, admission: str = "count"
 ) -> dict:
-    """The event loop vs ``path``: "batch", or "direct", which ``auto`` picks."""
+    """Path ``slow`` vs path ``fast``, bit-parity checked."""
     config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
-    scalar = config.with_engine("scalar")
-    fast = config.with_engine("batch" if path == "batch" else "auto")
-    scalar_times, fast_times, scalar_run, fast_run = _timed_pair(
-        lambda: run_policy(workload, policy, config=scalar),
-        lambda: run_policy(workload, policy, config=fast),
+    slow_times, fast_times, slow_run, fast_run = _timed_pair(
+        _runner(slow, workload, policy, config),
+        _runner(fast, workload, policy, config),
         reps,
     )
-    parity_ok = fast_run.engine == path and all(
-        getattr(fast_run, name).samples.tolist()
-        == getattr(scalar_run, name).samples.tolist()
-        for name in ("overall", "primary", "overflow")
-    )
+    slow_path, slow_samples, slow_misses = _served(slow_run, policy)
+    fast_path, fast_samples, fast_misses = _served(fast_run, policy)
     return {
         "workload": workload.name,
         "policy": policy,
         "admission": admission,
         "n_requests": len(workload),
-        **_timings(path, scalar_times, fast_times),
-        "bit_parity_ok": parity_ok and fast_run.primary_misses == scalar_run.primary_misses,
+        **_timings((slow, fast), slow_times, fast_times),
+        "bit_parity_ok": (slow_path, fast_path) == (slow, fast)
+        and slow_samples == fast_samples
+        and slow_misses == fast_misses,
     }
 
 
@@ -212,7 +262,7 @@ def _bench_closed_loop(policy: str, reps: int) -> dict:
     return {
         "policy": policy,
         "n_requests": len(scalar_run.submitted),
-        **_timings("direct", scalar_times, direct_times),
+        **_timings(("scalar", "direct"), scalar_times, direct_times),
         "bit_parity_ok": direct_run.engine == "direct" and not problems,
     }
 
@@ -229,7 +279,7 @@ def _quick_gate() -> int:
     failed = not parity.ok
     # Split under work admission is the one direct case engine_parity
     # leaves to the batch engine's count-mode twin.
-    row = _bench_end_to_end(workload, "split", reps=1, path="direct", admission="work")
+    row = _bench_paths(workload, "split", 1, "scalar", "direct", admission="work")
     print(
         f"split/work @ n={row['n_requests']}: direct loop "
         + ("bit-identical" if row["bit_parity_ok"] else "FAIL: lost bit parity")
@@ -239,20 +289,22 @@ def _quick_gate() -> int:
         problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
         print(f"closed-loop {policy}: " + ("; ".join(problems) or "bit-identical"))
         failed = failed or bool(problems)
-    for policy in POLICIES:
-        row = _bench_end_to_end(workload, policy, reps=1)
+    gated = [("scalar", "batch", policy) for policy in POLICIES]
+    gated += [("direct", "native", policy) for policy in SERVE_POLICIES]
+    for slow, fast, policy in gated:
+        row = _bench_paths(workload, policy, 1, slow, fast)
         print(
-            f"{policy:>6s} @ n={row['n_requests']}: scalar {row['scalar_s']:.2f}s"
-            f"  batch {row['batch_s']:.2f}s  speedup {row['speedup']:.1f}x"
+            f"{policy:>9s} @ n={row['n_requests']}: {slow} {row[f'{slow}_s']:.2f}s"
+            f"  {fast} {row[f'{fast}_s']:.3f}s  speedup {row['speedup']:.1f}x"
             f"  parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
         if not row["bit_parity_ok"]:
-            print(f"FAIL: {policy} lost bit parity")
+            print(f"FAIL: {policy} lost bit parity on the {fast} path")
             failed = True
         if row["speedup"] < MIN_QUICK_SPEEDUP:
             print(
-                f"FAIL: {policy} speedup {row['speedup']:.1f}x is below the "
-                f"{MIN_QUICK_SPEEDUP:.0f}x floor"
+                f"FAIL: {policy} {fast} speedup {row['speedup']:.1f}x is below "
+                f"the {MIN_QUICK_SPEEDUP:.0f}x floor"
             )
             failed = True
     print("engine smoke: " + ("FAIL" if failed else "PASS"))
@@ -277,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in SIZES:
         workload = reference_workload(n)
         for policy in POLICIES:
-            row = _bench_end_to_end(workload, policy, args.reps)
+            row = _bench_paths(workload, policy, args.reps, "scalar", "batch")
             results.append(row)
             print(
                 f"{policy:>6s} @ n={row['n_requests']:>7d}: "
@@ -290,8 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     for n in DIRECT_SIZES:
         workload = reference_workload(n)
         for policy, admission in DIRECT_CASES:
-            row = _bench_end_to_end(
-                workload, policy, args.reps, path="direct", admission=admission
+            row = _bench_paths(
+                workload, policy, args.reps, "scalar", "direct", admission=admission
             )
             direct.append(row)
             print(
@@ -312,11 +364,33 @@ def main(argv: list[str] | None = None) -> int:
             f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
 
-    largest = [r for r in results if r["n_requests"] >= 0.9 * SIZES[-1]]
-    direct_largest = [r for r in direct if r["n_requests"] >= 0.9 * DIRECT_SIZES[-1]]
+    replaced = {"native": [], "batch_vs_direct": []}
+    for n in SIZES:
+        workload = reference_workload(n)
+        cases = [("native", policy) for policy in SERVE_POLICIES]
+        if n in BATCH_VS_DIRECT_SIZES:
+            cases += [("batch_vs_direct", policy) for policy in POLICIES]
+        for table, policy in cases:
+            fast = "native" if table == "native" else "batch"
+            row = _bench_paths(workload, policy, args.reps, "direct", fast)
+            replaced[table].append(row)
+            print(
+                f"{policy:>9s} @ n={row['n_requests']:>7d}: "
+                f"direct {row['direct_s']:8.3f}s  {fast} {row[f'{fast}_s']:7.3f}s  "
+                f"speedup {row['speedup']:6.1f}x  "
+                f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
+            )
+
+    def at(rows, n):
+        return [r for r in rows if 0.9 * n <= r["n_requests"] <= 1.1 * n]
+
+    largest = at(results, SIZES[-1])
+    direct_largest = at(direct, DIRECT_SIZES[-1])
+    native_1e5 = at(replaced["native"], SIZES[1])
     summary = {
         "all_parity_ok": all(
-            r["bit_parity_ok"] for r in results + direct + closed
+            r["bit_parity_ok"]
+            for r in results + direct + closed + sum(replaced.values(), [])
         ),
         "speedup_at_1e6": {r["policy"]: r["speedup"] for r in largest},
         "min_speedup_at_1e6": min(r["speedup"] for r in largest),
@@ -326,6 +400,13 @@ def main(argv: list[str] | None = None) -> int:
         "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
         "closed_loop_speedup": {r["policy"]: r["speedup"] for r in closed},
         "min_closed_loop_speedup": min(r["speedup"] for r in closed),
+        "native_over_direct_at_1e5": {r["policy"]: r["speedup"] for r in native_1e5},
+        "min_native_over_direct_at_1e5": min(r["speedup"] for r in native_1e5),
+        "batch_over_direct": {
+            f"{r['policy']}@{n:.0e}": r["speedup"]
+            for n in BATCH_VS_DIRECT_SIZES
+            for r in at(replaced["batch_vs_direct"], n)
+        },
     }
     report = {
         "meta": {
@@ -345,6 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         "end_to_end": results,
         "direct": direct,
         "closed_loop": closed,
+        **replaced,
         "summary": summary,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

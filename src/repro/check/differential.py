@@ -45,7 +45,14 @@ from ..sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from ..sim.stats import ResponseTimeCollector
 from ..server.driver import DeviceDriver, DirectRun, serve_direct
 from ..server.sizesplit import THRESHOLD
-from ..shaping import RunConfig, build_stack, check_policy, run_policy
+from ..shaping import (
+    RunConfig,
+    build_stack,
+    check_policy,
+    run_policy,
+    select_engine,
+    serve_native,
+)
 from ..units import EPS
 from .invariants import CheckingScheduler, Violation
 from .oracle import DEFAULT_TIE_TOLERANCE
@@ -446,7 +453,7 @@ def engine_parity(
     """Certify ``run_policy``'s fast paths against the event engine.
 
     Each policy is checked, under count admission, on the path
-    ``engine="auto"`` takes it to:
+    ``engine="auto"`` takes it to (:func:`repro.shaping.select_engine`):
 
     * **batch** (fcfs and split): both engines serve the trace and must
       agree on the **admitted set** (per-index ``Q1`` membership, bit for
@@ -454,39 +461,41 @@ def engine_parity(
       report records whether they were in fact bit-identical) and on the
       **conservation ledger** (every arrival completed, nothing dropped
       or shed, equal primary deadline-miss counts);
-    * **direct** (every other policy, single-server or topology): the
-      heap-free loop (:func:`repro.server.driver.serve_direct`) and the
-      event-loop stack (a :class:`~repro.server.driver.DeviceDriver`,
-      or the topology's system) must agree exactly on every per-class
-      response sequence — completion order, merged in side order for a
-      topology — (so on the admitted count), the primary deadline
-      misses, the preemptions and the completion count.
+    * **native** (fairqueue, wf2q and miser where the C loop builds and
+      takes the sizes) and **direct** (every other policy, single-server
+      or topology): the native loop
+      (:func:`repro.shaping.serve_native`) or the heap-free loop
+      (:func:`repro.server.driver.serve_direct`) and the event-loop
+      stack (a :class:`~repro.server.driver.DeviceDriver`, or the
+      topology's system) must agree exactly on every per-class response
+      sequence — completion order, merged in side order for a topology
+      — (so on the admitted count), the primary deadline misses, the
+      preemptions and the completion count.
 
-    A policy that neither path takes is a divergence.  This is the
+    A policy that no path takes is a divergence.  This is the
     ``engine_parity`` differential backing the ``engine="auto"``
     transparent dispatch; ``repro-check --differential`` fuzzes it over
     adversarial traces.
     """
-    from ..sim import batch
-
     divergences: list[str] = []
     max_drift = 0.0
+    config = RunConfig(cmin, delta_c, delta)
     for policy in policies:
-        eligible, reason = batch.supports(policy)
-        if eligible:
+        if policy not in ALL_POLICIES:
+            divergences.append(
+                f"{policy}: not batch-eligible, and not a policy the native "
+                "or the direct loop serves"
+            )
+            continue
+        path = select_engine(workload, policy, config)
+        if path == "batch":
             drift = _batch_parity(
                 workload, policy, cmin, delta_c, delta, atol, divergences
             )
-        elif policy in ALL_POLICIES:
-            drift = _direct_parity(
-                workload, policy, cmin, delta_c, delta, "count", divergences
-            )
         else:
-            divergences.append(
-                f"{policy}: not batch-eligible ({reason}) and not a policy "
-                "the direct loop serves"
+            drift = _direct_parity(
+                workload, policy, cmin, delta_c, delta, "count", divergences, path
             )
-            continue
         max_drift = max(max_drift, drift)
     return ParityReport(
         plane="engine",
@@ -566,35 +575,45 @@ def _direct_parity(
     delta: float,
     admission: str,
     divergences: list[str],
+    path: str = "direct",
 ) -> float:
     """Heap-free open loop vs event loop, bit for bit; returns the drift.
 
     ``admission`` is the classifier mode of both runs, so work admission
     (under which ``auto`` takes fcfs and split to the direct loop too)
-    is certified the same way.
+    is certified the same way.  ``path`` ``"native"`` puts the native
+    loop (:func:`repro.shaping.serve_native`) in the direct loop's place.
     """
     config = RunConfig(cmin, delta_c, delta, admission=admission)
     reference = _event_loop_system(workload, policy, config)
-    sides, route = build_stack(policy, config)
-    run = serve_direct(workload, *sides, route=route)
+    if path == "native":
+        run = serve_native(workload, policy, config)
+    else:
+        sides, route = build_stack(policy, config)
+        run = serve_direct(workload, *sides, route=route)
     expected = len(workload)
     if run.completed != expected or len(reference.completed) != expected:
         divergences.append(
-            f"{policy}: completed {run.completed} (direct) and "
+            f"{policy}: completed {run.completed} ({path}) and "
             f"{len(reference.completed)} (event loop) of {expected}"
         )
-    return _compare_direct(policy, reference, run, divergences)
+    return _compare_direct(policy, reference, run, divergences, path)
 
 
 def _compare_direct(
-    label: str, reference, run: DirectRun, divergences: list[str]
+    label: str,
+    reference,
+    run: DirectRun,
+    divergences: list[str],
+    path: str = "direct",
 ) -> float:
-    """A direct run vs its event-loop ``reference``; returns the drift.
+    """A ``path`` run vs its event-loop ``reference``; returns the drift.
 
-    ``reference`` is a :class:`~repro.server.driver.DeviceDriver` or a
-    topology's system.  Every per-class response sequence in its
-    reported order (so the admitted count), the primary deadline misses
-    and the preemptions must be equal.
+    ``run`` is the direct or the native loop's.  ``reference`` is a
+    :class:`~repro.server.driver.DeviceDriver` or a topology's system.
+    Every per-class response sequence in its reported order (so the
+    admitted count), the primary deadline misses and the preemptions
+    must be equal.
     """
     drift = 0.0
     pairs = [(reference.overall, run.overall)] + [
@@ -604,7 +623,7 @@ def _compare_direct(
         want, got = collector.samples, direct.samples
         if want.size != got.size:
             divergences.append(
-                f"{label}: {collector.name} completions {got.size} (direct) "
+                f"{label}: {collector.name} completions {got.size} ({path}) "
                 f"vs {want.size} (event loop)"
             )
         elif not np.array_equal(want, got):
@@ -617,12 +636,12 @@ def _compare_direct(
     misses = reference.primary_deadline_misses()
     if run.primary_misses != misses:
         divergences.append(
-            f"{label}: primary misses {run.primary_misses} (direct) vs "
+            f"{label}: primary misses {run.primary_misses} ({path}) vs "
             f"{misses} (event loop)"
         )
     if run.preemptions != reference.preemptions:
         divergences.append(
-            f"{label}: preemptions {run.preemptions} (direct) vs "
+            f"{label}: preemptions {run.preemptions} ({path}) vs "
             f"{reference.preemptions} (event loop)"
         )
     return drift

@@ -14,9 +14,11 @@ speedups on the bundled traces.
 
 The package also names the *execution engines*
 (:mod:`repro.perf.engines`): ``RunConfig(engine="scalar"|"batch"|"auto")``
-selects between the discrete-event loop and the columnar fast path of
-:mod:`repro.sim.batch` for one :func:`repro.shaping.run_policy`
-simulation; see ``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
+selects between the discrete-event loop and the fast paths — the
+columnar engine of :mod:`repro.sim.batch`, the native serve loop of
+:mod:`repro.perf.native` and the heap-free loop — for one
+:func:`repro.shaping.run_policy` simulation; see
+``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
 """
 
 from .engines import ENGINES, active_engine

@@ -16,28 +16,47 @@ the RTT admission recurrence; the *execution engine* is the path
     reduce to the Lindley form (see :func:`repro.sim.batch.supports`);
     requesting it for an ineligible configuration is an error.
 ``auto``
-    The first path that qualifies, per configuration: batch; then the
-    heap-free loop (:func:`repro.server.driver.serve_direct`) for every
-    other run with no rate recording, metrics, sampler or in-flight
-    window — a single-server policy on one server, ``split`` and
-    ``splitfarm`` on their front end's two single-unit sides; then the
-    event loop.  The default.  Closed-loop populations
+    The first path that qualifies, per configuration
+    (:func:`repro.shaping.select_engine`), for a run with no rate
+    recording, metrics, sampler or in-flight window: batch; then the
+    native loop (:func:`repro.perf.native.serve_recombined`, a C
+    rendition of the heap-free loop) for an open loop under
+    ``fairqueue``, ``wf2q`` or ``miser`` whose sizes are unit or within
+    [:data:`~repro.units.MIN_SIZE`, :data:`~repro.units.MAX_SIZE`], where
+    the C code builds; then the heap-free loop
+    (:func:`repro.server.driver.serve_direct`) for every other such run
+    — a single-server policy on one server, ``split`` and
+    ``splitfarm`` on their front end's two single-unit sides.  Any run
+    with one of those attached takes the event loop.  The default.
+    Closed-loop populations
     (:func:`repro.workload.closedloop.run_closed_loop`) share the same
-    run body (:func:`repro.shaping.serve_feed`), so they take the same
-    loop under the same condition; only ``batch`` is refused for them.
-    The direct loop is not an engine name: nothing needs to force it,
-    and ``scalar`` against ``auto`` is its A/B.  Results record the path
-    taken in ``RunResult.engine`` (``"scalar"``, ``"batch"`` or
-    ``"direct"``; a closed loop's is never ``"batch"``).
+    run body (:func:`repro.shaping.serve_feed`); they take the direct
+    loop under the same condition, and never batch or native, which
+    need the arrival column up front.  Neither the native nor the
+    direct loop is an engine name: nothing needs to force them, and
+    ``scalar`` against ``auto`` is their A/B.  Results record the path
+    taken in ``RunResult.engine`` (``"scalar"``, ``"batch"``,
+    ``"native"`` or ``"direct"``).
+
+The native loop mirrors, in the direct loop's event order and with FMA
+contraction off, :class:`~repro.sched.classifier.OnlineRTTClassifier`
+in both admission modes, :class:`~repro.sched.fair.FairQueue`'s SFQ and
+WF²Q+ tags, :class:`~repro.sched.miser.MiserScheduler`'s slack gate,
+:class:`~repro.server.constant_rate.ConstantRateModel`'s service time
+and :func:`repro.units.met_deadline`.  A policy keeps it only while it
+beats the direct loop at least 5x at 10^5 requests
+(``BENCH_engine.json``'s ``native`` rows; the CI floor
+``MIN_QUICK_SPEEDUP``).
 
 A run names its engine in ``RunConfig.engine`` (``None`` means
 ``auto``), which :class:`~repro.shaping.RunConfig` validates; nothing
 else selects one.
 
-Parity of both fast paths with the event loop is certified by
+Parity of every fast path with the event loop is certified by
 :func:`repro.check.differential.engine_parity` (identical admitted sets,
-bit-identical response samples, conservation ledger agreement) and
-fuzzed continuously by ``repro-check --differential``.
+bit-identical response samples, conservation ledger agreement) on the
+path ``auto`` takes each policy to, and fuzzed continuously by
+``repro-check --differential``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Native (C, via the system compiler) RTT kernels.
+"""Native (C, via the system compiler) RTT kernels and serve loop.
 
 The RTT recurrence is a data-dependent scalar loop — the regime where
 CPython interpreter overhead dominates by two orders of magnitude and
@@ -9,10 +9,23 @@ object, and binds it through :mod:`ctypes`.  Because the operation order
 is identical (and contraction into FMAs is disabled), the native kernels
 are **bit-identical** to the pure-Python reference on every input.
 
+The same build carries the native serve loop
+(:func:`serve_recombined`): the heap-free loop of
+:func:`repro.server.driver.serve_direct` for an open loop on one server
+under the paper's classified recombiners, ``fairqueue`` (SFQ),
+``wf2q`` (WF²Q+) and ``miser``.  It keeps the direct loop's event order
+(a completion fires before an arrival at its instant; an idle server
+selects once per event) and the float operations of the classifier in
+both admission modes, the fair queue's tags and virtual time, Miser's
+slack gate, the constant-rate service time ``d * (1/C)`` and the
+deadline rule.  Its tolerances and sentinels are arguments, read from
+the Python modules that own them.  ``auto`` takes it where
+:func:`serves` says so (:func:`repro.shaping.select_engine`).
+
 Everything degrades gracefully: no compiler, a failed compile, or an
-unwritable cache directory simply mean :func:`available` returns False
-and ``auto`` falls back to the scalar backend.  Set
-``REPRO_NATIVE_CACHE`` to relocate the build cache (default
+unwritable cache directory simply mean :func:`available` returns False,
+kernel ``auto`` falls back to the scalar backend and runs to the direct
+loop.  Set ``REPRO_NATIVE_CACHE`` to relocate the build cache (default
 ``~/.cache/repro-kernels``).
 """
 
@@ -27,10 +40,12 @@ import tempfile
 
 import numpy as np
 
-from ..units import EPS
+from ..exceptions import SimulationError
+from ..units import DEADLINE_SLACK, EPS, MAX_SIZE, MIN_SIZE
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <stdlib.h>
 
 typedef long long i64;
 
@@ -85,6 +100,178 @@ void repro_count_admitted_sweep(const double *t, const i64 *n, i64 nb,
 {
     for (i64 c = 0; c < nc; ++c)
         out[c] = repro_count_admitted(t, n, nb, caps[c], delta, eps);
+}
+
+/* The heap-free loop (repro/server/driver.py serve_direct) for an open
+ * loop on one server under fairqueue (SFQ), wf2q (WF2Q+) or miser.  Must
+ * mirror, in the same event order and operation for operation:
+ * OnlineRTTClassifier.classify and on_completion, FairQueue.add and
+ * select, MiserScheduler.select with initial_slack and
+ * SlackTracker.min_slack, ConstantRateModel.service_time and
+ * Request.met_deadline.  Every tolerance and sentinel is an argument:
+ * Python owns them. */
+
+enum { SERVE_SFQ = 0, SERVE_WF2Q = 1, SERVE_MISER = 2 };
+
+/* A queued request: its index, and its start and finish tags (a fair
+ * queue) or its stored slack in `start` (Miser's Q1). */
+typedef struct { i64 req; double start, finish; } queued;
+
+/* Returns the completions (n), -1 when the scratch cannot be allocated,
+ * or -2 with *bad set when a service time is not positive. */
+i64 repro_serve_recombined(
+    const double *arrival, const double *size, i64 n, i64 policy,
+    double capacity, double delta, i64 limit, i64 by_work,
+    double work_limit, double max_queue,
+    double w1, double w2, double total_weight,
+    double eps, double deadline_slack, double eligibility_slack,
+    double no_constraint,
+    double *response, unsigned char *klass, i64 *misses, double *bad)
+{
+    /* Each queue is a FIFO on a ring of `slots`; the heads and tails only
+     * grow.  Slots past the largest backlog are never written.  `low`
+     * holds Q1 positions whose stored slacks rise from head to tail:
+     * Miser's Q1 leaves in FIFO order, so its head is the minimum the
+     * SlackTracker's heap would give. */
+    i64 slots = 1;
+    while (slots < n)
+        slots <<= 1;
+    i64 mask = slots - 1;
+    queued *q1 = malloc(slots * sizeof *q1);
+    queued *q2 = malloc(slots * sizeof *q2);
+    i64 *low = malloc(slots * sizeof *low);
+    if (!q1 || !q2 || !low) {
+        free(q1); free(q2); free(low);
+        return -1;
+    }
+    i64 h1 = 0, t1 = 0, h2 = 0, t2 = 0, lh = 0, lt = 0;
+    double service = 1.0 / capacity;
+    double step1 = 1.0 / w1, step2 = 1.0 / w2;
+    i64 len_q1 = 0;
+    double work_q1 = 0.0;
+    double v = 0.0, max_finish = 0.0, last1 = 0.0, last2 = 0.0;
+    double offset = 0.0;
+    i64 next = 0, done = 0, missed = 0, cur = -1, status = 0;
+    int cur_q1 = 0;
+    double t = n > 0 ? arrival[0] : INFINITY, end = 0.0, now;
+    for (;;) {
+        if (cur >= 0 && end <= t) {
+            /* Server._complete; the scheduler's on_completion. */
+            now = end;
+            if (cur_q1) {
+                double left = work_q1 - (size ? size[cur] : 1.0);
+                len_q1 -= 1;
+                work_q1 = left > 0.0 ? left : 0.0;
+                if (!(now <= arrival[cur] + delta + deadline_slack))
+                    missed += 1;
+            }
+            response[done] = now - arrival[cur];
+            klass[done] = cur_q1 ? 1 : 2;
+            done += 1;
+            cur = -1;
+        } else if (next < n) {
+            /* WorkloadSource._fire; the scheduler's on_arrival. */
+            i64 r = next++;
+            double d = size ? size[r] : 1.0;
+            now = t;
+            t = next < n ? arrival[next] : INFINITY;
+            int admit = by_work ? work_q1 + d <= work_limit + eps : len_q1 < limit;
+            if (admit) {
+                len_q1 += 1;
+                work_q1 += d;
+            }
+            if (policy == SERVE_MISER) {
+                if (admit) {
+                    double s = floor(max_queue - work_q1 + eps);
+                    double stored = (s > 0.0 ? s : 0.0) + offset;
+                    while (lt > lh && q1[low[(lt - 1) & mask] & mask].start > stored)
+                        lt -= 1;
+                    low[lt++ & mask] = t1;
+                    q1[t1++ & mask] = (queued){r, stored, 0.0};
+                } else {
+                    q2[t2++ & mask] = (queued){r, 0.0, 0.0};
+                }
+            } else {
+                double *last = admit ? &last1 : &last2;
+                double start = *last > v ? *last : v;
+                double finish = start + (admit ? step1 : step2);
+                *last = finish;
+                if (finish > max_finish)
+                    max_finish = finish;
+                if (admit)
+                    q1[t1++ & mask] = (queued){r, start, finish};
+                else
+                    q2[t2++ & mask] = (queued){r, start, finish};
+            }
+        } else {
+            break;
+        }
+        if (cur >= 0)
+            continue;
+        /* An idle server selects once per event: pick 1 (Q1), 2 or none. */
+        int pick = 0, b1 = h1 < t1, b2 = h2 < t2;
+        queued *e1 = &q1[h1 & mask], *e2 = &q2[h2 & mask];
+        if (policy == SERVE_MISER) {
+            if (b2) {
+                double d2 = size ? size[e2->req] : 1.0;
+                double slack = lh < lt ? q1[low[lh & mask] & mask].start - offset
+                                       : no_constraint;
+                if (slack + eps >= d2) {
+                    offset += d2;
+                    pick = 2;
+                }
+            }
+            if (!pick && b1) {
+                pick = 1;
+                if (lh < lt && low[lh & mask] == h1)
+                    lh += 1;
+            } else if (!pick && b2) {
+                pick = 2;
+            }
+        } else if (!b1 && !b2) {
+            /* End of a busy period: v rises to the largest finish tag. */
+            if (max_finish > v)
+                v = max_finish;
+        } else if (policy == SERVE_SFQ) {
+            /* Minimum (start, finish); flow 1 wins ties. */
+            pick = !b1 ? 2 : !b2 ? 1
+                 : (e2->start == e1->start ? e2->finish < e1->finish
+                                           : e2->start < e1->start) ? 2 : 1;
+            double s = pick == 1 ? e1->start : e2->start;
+            if (s > v)
+                v = s;
+        } else {
+            /* The minimum finish tag among eligible heads. */
+            double lo = b1 ? e1->start : e2->start;
+            if (b1 && b2 && e2->start < lo)
+                lo = e2->start;
+            if (lo > v)
+                v = lo;
+            int ok1 = b1 && e1->start <= v + eligibility_slack;
+            int ok2 = b2 && e2->start <= v + eligibility_slack;
+            pick = ok2 && (!ok1 || e2->finish < e1->finish) ? 2 : 1;
+        }
+        if (!pick)
+            continue;
+        queued e = pick == 1 ? q1[h1++ & mask] : q2[h2++ & mask];
+        if (policy == SERVE_WF2Q)
+            v += (e.finish - e.start) * (pick == 1 ? w1 : w2) / total_weight;
+        /* Server.dispatch. */
+        double duration = (size ? size[e.req] : 1.0) * service;
+        if (duration <= 0.0) {
+            *bad = duration;
+            status = -2;
+            break;
+        }
+        cur = e.req;
+        cur_q1 = pick == 1;
+        end = now + duration;
+    }
+    free(q1);
+    free(q2);
+    free(low);
+    *misses = missed;
+    return status < 0 ? status : done;
 }
 """
 
@@ -161,6 +348,11 @@ def _build() -> ctypes.CDLL | None:
     lib.repro_admitted_per_batch.restype = None
     lib.repro_count_admitted_sweep.argtypes = [pd, pi, i64, pd, i64, dbl, dbl, pi]
     lib.repro_count_admitted_sweep.restype = None
+    lib.repro_serve_recombined.argtypes = [
+        pd, pd, i64, i64, dbl, dbl, i64, i64, dbl, dbl, dbl, dbl, dbl,
+        dbl, dbl, dbl, dbl, pd, ctypes.POINTER(ctypes.c_ubyte), pi, pd,
+    ]
+    lib.repro_serve_recombined.restype = i64
     return lib
 
 
@@ -218,3 +410,84 @@ def count_admitted_sweep(instants, counts, capacities, delta: float) -> np.ndarr
             out.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong)),
         )
     return out
+
+
+#: The policies the serve loop runs, in its C numbering.
+SERVE_POLICIES = ("fairqueue", "wf2q", "miser")
+
+
+def serves(policy: str, sizes: np.ndarray | None) -> bool:
+    """Whether :func:`serve_recombined` runs ``policy`` on an open loop.
+
+    The build must have succeeded, and the workload's ``sizes`` must be
+    unit (``None``) or within [:data:`~repro.units.MIN_SIZE`,
+    :data:`~repro.units.MAX_SIZE`], where the direct loop raises nothing
+    the C loop would have to copy.
+    """
+    if policy not in SERVE_POLICIES or not available():
+        return False
+    return sizes is None or not sizes.size or bool(
+        MIN_SIZE <= sizes.min() and sizes.max() <= MAX_SIZE
+    )
+
+
+def serve_recombined(
+    arrivals: np.ndarray,
+    sizes: np.ndarray | None,
+    policy: str,
+    capacity: float,
+    weights: tuple[float, float],
+    classifier,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Serve an open loop on one rate-``capacity`` server, in C.
+
+    ``policy`` is one of :data:`SERVE_POLICIES`; ``weights`` are its fair
+    queue's ``(Q1, Q2)`` flow weights (unused by miser), and
+    ``classifier`` is a fresh
+    :class:`~repro.sched.classifier.OnlineRTTClassifier` whose bound,
+    work budget, ``maxQ1`` and ``delta`` the loop admits by.  Returns
+    the responses in completion order, each one's class (1 for ``Q1``,
+    2 for ``Q2``) and the primary deadline misses: what
+    :func:`repro.server.driver.serve_direct` collects from the same
+    stack, bit for bit.
+    """
+    from ..core.slack import no_constraint
+    from ..sched.fair import ELIGIBILITY_SLACK
+
+    lib = _get_lib()
+    pd = ctypes.POINTER(ctypes.c_double)
+    t = np.ascontiguousarray(arrivals, dtype=np.float64)
+    d = None if sizes is None else np.ascontiguousarray(sizes, dtype=np.float64)
+    n = t.size
+    responses = np.empty(n, dtype=np.float64)
+    classes = np.empty(n, dtype=np.uint8)
+    misses = ctypes.c_longlong(0)
+    bad = ctypes.c_double(0.0)
+    done = lib.repro_serve_recombined(
+        t.ctypes.data_as(pd),
+        None if d is None else d.ctypes.data_as(pd),
+        n,
+        SERVE_POLICIES.index(policy),
+        capacity,
+        classifier.delta,
+        # Occupancy stays below n, so a larger bound admits alike.
+        min(classifier.limit, n),
+        classifier.mode == "work",
+        classifier.work_limit,
+        classifier.max_queue,
+        *weights,
+        sum(weights),
+        EPS,
+        DEADLINE_SLACK,
+        ELIGIBILITY_SLACK,
+        no_constraint(),
+        responses.ctypes.data_as(pd),
+        classes.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        ctypes.byref(misses),
+        ctypes.byref(bad),
+    )
+    if done == -1:
+        raise MemoryError(f"{policy}: no memory for the native loop's queues")
+    if done == -2:
+        raise SimulationError(f"{policy}: non-positive service time {bad.value}")
+    return responses, classes, misses.value

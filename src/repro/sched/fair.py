@@ -30,6 +30,10 @@ from ..exceptions import ConfigurationError, SchedulerError
 from .base import Scheduler
 from .classifier import OnlineRTTClassifier
 
+#: WF²Q+ eligibility tolerance in virtual time: a head whose start tag
+#: ties the system virtual time up to float noise is eligible.
+ELIGIBILITY_SLACK = 1e-12
+
 
 @dataclass
 class _Flow:
@@ -115,7 +119,7 @@ class FairQueue:
             eligible = [
                 (fid, flow)
                 for fid, flow in backlogged
-                if flow.head_start <= self._virtual + 1e-12
+                if flow.head_start <= self._virtual + ELIGIBILITY_SLACK
             ]
             fid, flow = min(eligible, key=lambda item: item[1].head_finish)
         start, finish, request = flow.queue.popleft()

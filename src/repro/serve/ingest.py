@@ -31,12 +31,13 @@ staged one nor before the harness clock.  A field that is not a finite
 number (``NaN``, ``Infinity``, a boolean, a string, ...) is refused with
 an ``ok: false`` reply before the clamp, and so are an ``arrival`` more
 than :data:`MAX_LEAD` past the clamp point (the later of the clock and
-the last staged arrival) and a ``size`` outside [:data:`MIN_SIZE`,
-:data:`MAX_SIZE`].  An accepted line therefore lands at most an hour of
-virtual time past the clamp point: a far-future
-timestamp cannot drag every later line onto a clock too coarse to resolve
-its service time, nor stretch the periodic sampling of an adaptive or
-autoscaled harness, which runs to the staged horizon.
+the last staged arrival) and a ``size`` outside
+[:data:`~repro.units.MIN_SIZE`, :data:`~repro.units.MAX_SIZE`].  An
+accepted line therefore lands at most an hour of virtual time past the
+clamp point: a far-future timestamp cannot drag every later line onto
+a clock too coarse to resolve its service time, nor stretch the
+periodic sampling of an adaptive or autoscaled harness, which runs to
+the staged horizon.
 """
 
 from __future__ import annotations
@@ -46,16 +47,12 @@ import json
 import math
 
 from ..exceptions import ConfigurationError
+from ..units import MAX_SIZE, MIN_SIZE
 from .harness import ServiceHarness
 
 #: Furthest an ``arrival`` may lie past the later of the clock and the
 #: last staged arrival, in virtual seconds (one hour).
 MAX_LEAD = 3600.0
-
-#: Accepted ``size`` range, in units of the unit-cost request: within a
-#: factor 2**20 (about a million) of it either way.
-MIN_SIZE = 2.0**-20
-MAX_SIZE = 2.0**20
 
 #: The scanner ``json.loads`` runs (the default decoder's), without the
 #: per-call checks around it. A stripped line it reads to the end holds

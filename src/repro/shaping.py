@@ -25,6 +25,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core.capacity import CapacityPlan, CapacityPlanner
@@ -35,13 +36,14 @@ from .exceptions import ConfigurationError, SimulationError
 from .obs.export import export_run
 from .obs.registry import NULL_REGISTRY, MetricsRegistry
 from .obs.sampler import Sampler, attach_standard_probes
+from .perf import native
 from .perf.engines import ENGINES
 from .sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
 from .server.aqm import AQM_POLICIES, make_window
 from .server.base import Server, ServiceTimeModel
 from .server.cluster import SplitFrontEnd, SplitSystem, TopologySystem
 from .server.constant_rate import ConstantRateModel
-from .server.driver import DeviceDriver, DirectRun, Side, serve_direct
+from .server.driver import CLASS_LABELS, DeviceDriver, DirectRun, Side, serve_direct
 from .server.farm import ServerFarm
 from .server.sizesplit import SizeSplitFrontEnd, SizeSplitSystem
 from .sim import batch
@@ -195,9 +197,10 @@ class RunResult:
         a ``"window"`` residency bucket (checked zero) when a window was
         armed.  Only the fault plane drops and sheds.
     engine:
-        Path that served the run, all bit-identical: the ``"scalar"``
-        event loop, the ``"batch"`` columnar fast path (open loop only),
-        or the ``"direct"`` heap-free loop
+        Path that served the run (:func:`select_engine`), all
+        bit-identical: the ``"scalar"`` event loop, the ``"batch"``
+        columnar fast path or the ``"native"`` C loop (both open loop
+        only), or the ``"direct"`` heap-free loop
         (:func:`repro.server.driver.serve_direct`, one server or a
         topology's sides).
     admission, aqm:
@@ -340,14 +343,17 @@ def run_policy(
     (:mod:`repro.perf.engines`): ``"scalar"`` forces the event loop,
     ``"batch"`` demands the columnar fast path (an error if the
     configuration is ineligible), and ``"auto"`` (or ``None``, the
-    default) picks the first path that qualifies: the batch engine (an
-    FCFS or Split run under count admission with no observability or
-    window attached), then the heap-free loop (every other policy with
-    none of those attached — a single-server policy on its one server,
-    Split under work admission and splitfarm on their front end's two
-    sides; the result records ``engine="direct"``), then the event
-    loop.  The samples are bit-identical whichever path runs (certified
-    by :func:`repro.check.differential.engine_parity`).
+    default) picks the first path that qualifies
+    (:func:`select_engine`): the batch engine (an FCFS or Split run
+    under count admission with no observability or window attached),
+    then the native C loop (fairqueue, wf2q or miser with none of those
+    attached, sizes unit or in ingest's range; ``engine="native"``),
+    then the heap-free loop (every other policy with none of those
+    attached — a single-server policy on its one server, Split under
+    work admission and splitfarm on their front end's two sides;
+    ``engine="direct"``), then the event loop.  The samples are
+    bit-identical whichever path runs (certified by
+    :func:`repro.check.differential.engine_parity`).
     """
     if config is not None:
         if any(value is not None for value in (cmin, delta_c, delta)):
@@ -363,7 +369,7 @@ def run_policy(
     else:
         config = RunConfig(cmin, delta_c, delta)
     check_policy(policy, config)
-    if config.engine != "scalar":
+    if config.engine == "batch":
         eligible, reason = batch.supports(
             policy,
             record_rates=config.record_rates,
@@ -372,14 +378,44 @@ def run_policy(
             admission=config.admission,
             aqm=config.aqm,
         )
-        if eligible:
-            return _run_policy_batch(workload, policy, config)
-        if config.engine == "batch":
+        if not eligible:
             raise ConfigurationError(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"
             )
     return serve_feed(workload, policy, config)
+
+
+def select_engine(
+    feed: Workload | ClosedLoopPopulation, policy: str, config: RunConfig
+) -> str:
+    """The path that serves ``policy`` on ``feed`` under ``config``.
+
+    The one selection rule, which :func:`serve_feed` follows and
+    :func:`repro.check.differential.engine_parity` certifies.
+    ``engine="scalar"``, rate recording, a metrics registry, a sampler
+    or a window take the event loop (``"scalar"``), which attaches them.
+    Otherwise an open loop takes the first of ``"batch"``
+    (:func:`repro.sim.batch.supports`) and ``"native"``
+    (:func:`repro.perf.native.serves`) that qualifies, and every other
+    run ``"direct"``.  A forced ``engine="batch"`` selects as ``auto``
+    does; :func:`run_policy` refuses it where the batch engine cannot
+    run.
+    """
+    if (
+        config.engine == "scalar"
+        or config.record_rates is not None
+        or config.metrics is not None
+        or config.sample_interval is not None
+        or config.aqm is not None
+    ):
+        return "scalar"
+    if isinstance(feed, Workload):
+        if batch.supports(policy, admission=config.admission)[0]:
+            return "batch"
+        if native.serves(policy, feed.sizes):
+            return "native"
+    return "direct"
 
 
 def serve_feed(
@@ -390,28 +426,26 @@ def serve_feed(
     """The run body :func:`run_policy` and ``run_closed_loop`` share.
 
     ``feed`` is a workload, replayed open loop, or a closed-loop
-    population; ``config.engine`` is never ``"batch"`` here.  Unless it
-    is ``"scalar"``, every policy, single-server or topology, takes the
-    heap-free loop when nothing hooks the event loop: no rate recording,
-    metrics registry, sampler or window.  Every other run takes the
-    event loop, which attaches them.
+    population.  It is served on the path :func:`select_engine` names:
+    the batch engine, the native loop (:func:`serve_native`), the
+    heap-free loop (:func:`~repro.server.driver.serve_direct`) or the
+    event loop, which alone attaches rate recording, a metrics registry,
+    a sampler or a window.
     """
+    engine = select_engine(feed, policy, config)
+    if engine == "batch":
+        return _run_policy_batch(feed, policy, config)
     closed = isinstance(feed, ClosedLoopPopulation)
     if closed:
         name, duration = f"closed-loop-{policy}-{feed.n_users}u", feed.horizon
     else:
         name, duration = feed.name, feed.duration
     sampler = series = None
-    hooked = (
-        config.record_rates is not None
-        or config.metrics is not None
-        or config.sample_interval is not None
-        or config.aqm is not None
-    )
-    if config.engine != "scalar" and not hooked:
+    if engine == "native":
+        report = serve_native(feed, policy, config)
+    elif engine == "direct":
         sides, route = build_stack(policy, config)
         report = serve_direct(feed, *sides, route=route)
-        engine = "direct"
     else:
         sim = Simulator()
         report = build_stack(policy, config, sim).system
@@ -431,7 +465,6 @@ def serve_feed(
             sampler.sample_now()
         if config.record_rates is not None:
             series = report.completion_rates.series()
-        engine = "scalar"
     submitted = feed.requests if closed else []
     return run_result(
         report,
@@ -682,6 +715,44 @@ def _run_policy_batch(workload: Workload, policy: str, config: RunConfig) -> Run
         len(workload),
         workload.duration,
         engine="batch",
+    )
+
+
+def serve_native(workload: Workload, policy: str, config: RunConfig) -> DirectRun:
+    """The native loop's run (:func:`repro.perf.native.serve_recombined`).
+
+    Serves ``workload`` under ``policy``, one of
+    :data:`~repro.perf.native.SERVE_POLICIES`, on the stack
+    :func:`build_stack` assembles for the direct loop: its scheduler is
+    built, so a configuration the policy refuses is refused alike, and
+    its classifier gives the admission bound.  The collectors hold what
+    the direct loop's hold, one float object per sample shared by
+    ``overall`` and its class, and fold their moments lazily, so their
+    ``stats`` match too.
+    """
+    ((scheduler, model, _),), _ = build_stack(policy, config)
+    responses, classes, misses = native.serve_recombined(
+        workload.arrivals,
+        workload.sizes,
+        policy,
+        model.capacity,
+        (config.cmin, config.delta_c),
+        scheduler.classifier,
+    )
+    samples = responses.tolist()
+    del responses  # free the column: the floats now hold its values
+    by_class = {
+        qos: ResponseTimeCollector.adopting(
+            label, list(compress(samples, (classes == qos).tobytes()))
+        )
+        for qos, label in CLASS_LABELS
+    }
+    return DirectRun(
+        by_class=by_class,
+        overall=ResponseTimeCollector.adopting("overall", samples),
+        completed=len(samples),
+        primary_misses=misses,
+        preemptions=0,
     )
 
 

@@ -57,8 +57,10 @@ EPOCH = 65536
 #: (fairqueue, wf2q, drr, miser) interleave the classes through one
 #: shared server with dynamic, state-dependent pick order, and ``edf``
 #: re-sorts by live slack — none reduce to a statically-determined
-#: Lindley recurrence, so ``auto`` serves them on the heap-free loop
-#: (:func:`repro.server.driver.serve_direct`) instead.
+#: Lindley recurrence.  ``auto`` tries batch, then the native loop
+#: (:mod:`repro.perf.native`: fairqueue, wf2q and miser), then the
+#: heap-free loop (:func:`repro.server.driver.serve_direct`), then the
+#: event loop (:func:`repro.shaping.select_engine`).
 SUPPORTED_POLICIES = ("fcfs", "split")
 
 

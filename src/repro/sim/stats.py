@@ -122,6 +122,22 @@ class ResponseTimeCollector:
         #: Samples already folded into ``_stats``.
         self._folded = 0
 
+    @classmethod
+    def adopting(cls, name: str, samples: list[float]) -> "ResponseTimeCollector":
+        """A collector whose samples are the list ``samples`` itself.
+
+        ``samples`` holds Python floats in the order :meth:`add` would
+        have stored them.  Neither the list nor its floats are copied, so
+        collectors made from one run's floats share them, as a driver's
+        ``overall`` and class collectors share each sample.  A negative
+        value raises.
+        """
+        if samples and min(samples) < 0:
+            raise SimulationError(f"negative response time {min(samples)} in {name}")
+        collector = cls(name)
+        collector._samples = samples
+        return collector
+
     def add(self, response_time: float) -> None:
         if response_time < 0:
             raise SimulationError(

@@ -50,6 +50,12 @@ DEADLINE_SLACK: float = 1e-12
 #: the rounding error of realistic trace lengths.
 EPS: float = 1e-9
 
+#: Request sizes the serving plane's ingest accepts, in units of the
+#: unit-cost request: within a factor 2**20 (about a million) of it
+#: either way.  Inside this range every path serves a workload alike.
+MIN_SIZE: float = 2.0**-20
+MAX_SIZE: float = 2.0**20
+
 
 def met_deadline(value: float, limit: float) -> bool:
     """Whether ``value`` is within ``limit``: ``value <= limit + DEADLINE_SLACK``.

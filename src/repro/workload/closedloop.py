@@ -38,8 +38,10 @@ def run_closed_loop(
     result's ``telemetry``, ticking until ``horizon``).  ``engine`` is
     read as ``run_policy`` reads it, and ``batch`` is rejected rather
     than ignored: the batch engine needs the arrival column up front,
-    and closed-loop traffic only yields it after the fact.  Under ``auto`` every run with nothing
-    hooked on the event loop takes the heap-free loop
+    and closed-loop traffic only yields it after the fact (so does the
+    native loop, which ``auto`` never takes here).  Under ``auto``
+    every run with nothing hooked on the event loop takes the heap-free
+    loop
     (:func:`repro.server.driver.serve_direct`, ``engine="direct"``): a
     single-server policy on its one server, ``split`` and ``splitfarm``
     on their front end's two single-unit sides.  ``scalar``, a window

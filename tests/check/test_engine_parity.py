@@ -1,13 +1,14 @@
 """Engine-parity differential: the event loop vs the fast paths.
 
 Mirrors the kernel-parity suite one layer up: the differential harness
-must certify bit-identical behavior of the columnar batch engine and of
-the heap-free loop — one server or a topology's two sides, fed
-open-loop columns or a closed-loop population — on the golden corpus,
-fuzzed traces, adversarial arrival columns and tie-heavy populations,
-and — crucially — must *detect* a path that drifts (checked by
-injecting bugs into the batch engine's admission bound and into the
-direct loop's tie orders and side merge).
+must certify bit-identical behavior of the columnar batch engine, of
+the native loop and of the heap-free loop — one server or a topology's
+two sides, fed open-loop columns or a closed-loop population — on the
+golden corpus, fuzzed traces, adversarial arrival columns and
+tie-heavy populations, and — crucially — must *detect* a path that
+drifts (checked by injecting bugs into the batch engine's admission
+bound, into the native loop's C source and into the direct loop's tie
+orders and side merge).
 """
 
 import inspect
@@ -25,12 +26,13 @@ from repro.check.fuzz import make_case
 from repro.core.request import QoSClass
 from repro.core.workload import Workload
 from repro.exceptions import SimulationError
+from repro.perf import native
 from repro.sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
-from repro.serve.ingest import MAX_SIZE, MIN_SIZE
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
 from repro.sim import batch, source
-from repro.shaping import RunConfig, build_stack, run_policy
+from repro.shaping import RunConfig, build_stack, run_policy, serve_native
+from repro.units import MAX_SIZE, MIN_SIZE
 from repro.workload.sizes import BimodalDemand
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -217,13 +219,14 @@ class TestDirectPath:
     def test_arrival_before_tied_completion_detected(self, monkeypatch):
         """Serving an arrival ahead of a completion at the same instant
         keeps the finished request's Q1 slot taken, so the arrival is
-        demoted: the differential must report it."""
+        demoted: the differential must report it.  drr stays on the
+        direct loop wherever the native loop builds."""
         mutant = mutated_serve_direct("end <= t", "end < t", count=1)
         monkeypatch.setattr(differential, "serve_direct", mutant)
         # Q1 admits floor(2 · 0.5) = 1; the rate-4 server finishes
         # request 0 exactly when request 1 arrives.
         tie = Workload([0.0, 0.25], name="tie")
-        report = engine_parity(tie, 2.0, 2.0, 0.5, policies=("fairqueue",))
+        report = engine_parity(tie, 2.0, 2.0, 0.5, policies=("drr",))
         assert not report.ok
         assert any("Q1 completions 1 (direct) vs 2" in d for d in report.divergences)
 
@@ -263,6 +266,139 @@ def mutated_serve_direct(old: str, new: str, count: int, also=()):
     namespace = dict(vars(driver))
     exec(compile(code, driver.__file__, "exec"), namespace)
     return namespace["serve_direct"]
+
+
+# ---------------------------------------------------------------------------
+# The native loop (engine "native"): fairqueue, wf2q and miser in C
+# ---------------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    not native.available(), reason="the native loop did not build on this host"
+)
+
+
+def assert_same_run(got: driver.DirectRun, want: driver.DirectRun) -> None:
+    """Two runs agree bit for bit: every collector's samples in order and
+    its folded moments, the misses and the completions."""
+    pairs = [(got.overall, want.overall)] + [
+        (got.by_class[qos], collector) for qos, collector in want.by_class.items()
+    ]
+    for mine, theirs in pairs:
+        assert mine.samples.tobytes() == theirs.samples.tobytes(), theirs.name
+        assert vars(mine.stats) == vars(theirs.stats), theirs.name
+    assert got.primary_misses == want.primary_misses
+    assert got.completed == want.completed
+    assert got.preemptions == want.preemptions == 0
+
+
+def direct_run(workload: Workload, policy: str, config: RunConfig) -> driver.DirectRun:
+    sides, route = build_stack(policy, config)
+    return driver.serve_direct(workload, *sides, route=route)
+
+
+@needs_native
+class TestNativeLoop:
+    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
+    @pytest.mark.parametrize("admission", ("count", "work"))
+    @settings(max_examples=40)
+    @given(columns=COLUMNS, sized=st.booleans())
+    @example(columns=[(0.0, 1.0)] * 6 + [(0.125, 1.0)] * 4, sized=False)
+    @example(columns=[(0.0, 4.0), (0.0, 0.25), (0.125, 0.5), (0.0, 2.0)], sized=True)
+    def test_adversarial_columns_bit_identical(self, policy, admission, columns, sized):
+        """Same-instant ties everywhere: the native loop against the
+        event loop, as ``engine_parity`` certifies it."""
+        workload = column_workload(columns, sized)
+        divergences = []
+        differential._direct_parity(
+            workload, policy, CMIN, DELTA_C, DELTA, admission, divergences, "native"
+        )
+        assert divergences == []
+
+    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
+    @pytest.mark.parametrize("admission", ("count", "work"))
+    def test_moments_equal_the_direct_loops(self, policy, admission, monkeypatch):
+        """``run_policy``'s native result against its direct one: samples,
+        moments and misses on a bursty sized trace."""
+        rng = np.random.default_rng(7)
+        workload = Workload(
+            np.sort(rng.uniform(0.0, 30.0, 3000)),
+            sizes=rng.choice([0.25, 0.5, 1.0, 3.0], 3000),
+            name="bursty",
+        )
+        config = RunConfig(60.0, 40.0, 0.05, admission=admission)
+        fast = run_policy(workload, policy, config=config)
+        monkeypatch.setattr(native, "available", lambda: False)
+        slow = run_policy(workload, policy, config=config)
+        assert (fast.engine, slow.engine) == ("native", "direct")
+        for name in ("overall", "primary", "overflow"):
+            mine, theirs = getattr(fast, name), getattr(slow, name)
+            assert mine.samples.tobytes() == theirs.samples.tobytes(), name
+            assert vars(mine.stats) == vars(theirs.stats), name
+        assert fast.primary_misses == slow.primary_misses
+        assert fast.ledger == slow.ledger
+
+    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
+    def test_a_zero_service_time_raises_as_on_the_direct_loop(self, policy, monkeypatch):
+        """An infinite surplus makes every service time ``d * (1/inf)``
+        zero: the native loop refuses it with the direct loop's error."""
+        config = RunConfig(4.0, float("inf"), 0.5)
+        workload = Workload([0.0, 0.5])
+        assert native.serves(policy, workload.sizes)
+        message = f"{policy}: non-positive service time 0.0"
+        with pytest.raises(SimulationError, match=message):
+            run_policy(workload, policy, config=config)
+        monkeypatch.setattr(native, "available", lambda: False)
+        with pytest.raises(SimulationError, match=message):
+            run_policy(workload, policy, config=config)
+
+    def test_engine_parity_takes_the_native_loop(self, monkeypatch):
+        """``engine_parity`` certifies the path ``auto`` takes: with the
+        direct loop broken, the native policies still pass."""
+        broken = mutated_serve_direct("end <= t", "end < t", count=1)
+        monkeypatch.setattr(differential, "serve_direct", broken)
+        tie = Workload([0.0, 0.25], name="tie")
+        report = engine_parity(tie, 2.0, 2.0, 0.5, policies=native.SERVE_POLICIES)
+        assert report.ok and report.bit_identical, report.summary()
+
+    @pytest.mark.parametrize(
+        ("old", "new", "policy", "problem"),
+        [
+            # An arrival ahead of a tied completion finds the Q1 slot
+            # still taken and is demoted (the tie workload).
+            ("end <= t", "end < t", "fairqueue", "Q1 completions 1 (native) vs 2"),
+            # WF2Q+ with its virtual time running backwards.
+            ("v += (e.finish", "v -= (e.finish", "wf2q", "responses differ"),
+            # Miser giving Q2 a slot without charging the queued slacks.
+            ("offset += d2;", "offset += 0.0;", "miser", "responses differ"),
+            # Miser's gate reading the largest slack, not the smallest.
+            ("mask].start > stored", "mask].start < stored", "miser", "responses differ"),
+        ],
+        ids=["tie-order", "wf2q-virtual-time", "miser-decrement", "miser-minimum"],
+    )
+    def test_a_drifting_native_loop_is_detected(
+        self, old, new, policy, problem, tmp_path, monkeypatch
+    ):
+        """The differential reports a native loop built from a mutated
+        source."""
+        assert native._C_SOURCE.count(old) == 1
+        monkeypatch.setattr(native, "_C_SOURCE", native._C_SOURCE.replace(old, new))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_load_attempted", False)
+        if policy == "fairqueue":
+            # Q1 admits floor(2 · 0.5) = 1; the rate-4 server finishes
+            # request 0 exactly when request 1 arrives.
+            report = engine_parity(
+                Workload([0.0, 0.25], name="tie"), 2.0, 2.0, 0.5, policies=(policy,)
+            )
+        else:
+            rng = np.random.default_rng(1)
+            arrivals = np.sort(rng.uniform(0.0, 4.0, 40)).round(2)
+            report = engine_parity(
+                Workload(arrivals, name="bursty"), 6.0, 2.0, 0.5, policies=(policy,)
+            )
+        assert not report.ok
+        assert any(problem in d for d in report.divergences), report.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +453,41 @@ def test_finite_workloads_bit_identical_on_every_path(workload, admission):
     assert_paths_agree(workload, admission)
 
 
+@needs_native
+@given(workload=finite_workloads(), admission=st.sampled_from(["count", "work"]))
+def test_finite_workloads_native_loop_equals_the_direct_loop(workload, admission):
+    """The native loop gives what the direct loop gives, moments
+    included, for its three policies on every finite workload."""
+    config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+    for policy in native.SERVE_POLICIES:
+        assert_same_run(
+            serve_native(workload, policy, config),
+            direct_run(workload, policy, config),
+        )
+
+
 class TestOutOfRangeSizes:
     """Sizes ``Workload`` accepts but ingest refuses: every path must
     serve or refuse them alike."""
+
+    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
+    @pytest.mark.parametrize("size", [MIN_SIZE / 2, 2 * MAX_SIZE], ids=["small", "large"])
+    def test_the_native_loop_leaves_them_to_the_direct_loop(self, policy, size):
+        workload = Workload([0.0, 0.0, 0.5], sizes=[1.0, size, 1.0])
+        config = RunConfig(CMIN, DELTA_C, DELTA)
+        assert run_policy(workload, policy, config=config).engine == "direct"
+        assert_paths_agree(workload, "count", (policy,))
+
+    def test_miser_overflow_raises_on_every_path(self):
+        """Two admitted demands of 1.7e308 sum past the largest float, and
+        Miser's slack cannot floor it: both paths raise."""
+        workload = Workload([0.0] * 5, sizes=[1.7e308] * 5)
+        for engine in ("auto", "scalar"):
+            with pytest.raises(OverflowError):
+                run_policy(
+                    workload, "miser",
+                    config=RunConfig(CMIN, DELTA_C, DELTA, engine=engine),
+                )
 
     @pytest.mark.xfail(strict=True, raises=SimulationError)
     def test_subnormal_size(self):

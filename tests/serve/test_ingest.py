@@ -16,7 +16,8 @@ from repro.exceptions import ConfigurationError
 from repro.faults.retry import RetryPolicy
 from repro.serve import IngestServer, ServiceHarness
 from repro.serve.autoscaler import AutoscalerConfig
-from repro.serve.ingest import MAX_LEAD, MAX_SIZE, MIN_SIZE
+from repro.serve.ingest import MAX_LEAD
+from repro.units import MAX_SIZE, MIN_SIZE
 
 CMIN, DELTA_C, DELTA = 4.0, 2.0, 0.5
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.perf import engines
+from repro.perf import engines, native
 from repro.shaping import RunConfig, run_policy
 from repro.sim import batch
 from repro.sim.stats import ResponseTimeCollector
@@ -105,15 +105,22 @@ class TestEngineSelection:
 
 class TestEligibility:
     @pytest.mark.parametrize("policy", ("fairqueue", "wf2q", "drr", "miser", "edf"))
-    def test_auto_falls_back_for_other_policies(self, policy):
-        # The other single-server policies fall back to the heap-free
-        # open loop, which is bit-identical to the event loop.
-        result = run_policy(ZERO_GAP, policy, **CONFIG)
-        assert result.engine == "direct"
+    def test_auto_falls_back_for_other_policies(self, policy, monkeypatch):
+        # fairqueue, wf2q and miser take the native loop where it
+        # builds; the other single-server policies, and those three
+        # without a build, fall back to the heap-free open loop.  Both
+        # are bit-identical to the event loop.
         reference = run_policy(
             ZERO_GAP, policy, config=RunConfig(engine="scalar", **CONFIG)
         )
-        assert np.array_equal(result.overall.samples, reference.overall.samples)
+        result = run_policy(ZERO_GAP, policy, **CONFIG)
+        built = policy in native.SERVE_POLICIES and native.available()
+        assert result.engine == ("native" if built else "direct")
+        monkeypatch.setattr(native, "available", lambda: False)
+        fallback = run_policy(ZERO_GAP, policy, **CONFIG)
+        assert fallback.engine == "direct"
+        for run in (result, fallback):
+            assert np.array_equal(run.overall.samples, reference.overall.samples)
 
     def test_auto_falls_back_when_observed(self):
         from repro.obs import MetricsRegistry

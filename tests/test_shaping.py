@@ -6,6 +6,7 @@ import pytest
 from repro.core.capacity import CapacityPlanner
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
+from repro.perf import native
 from repro.server.aqm import AQM_POLICIES
 from repro.shaping import RunConfig, RunResult, WorkloadShaper, run_policy
 
@@ -123,14 +124,22 @@ class TestEngineRouting:
         assert a.primary_misses == b.primary_misses
 
     @pytest.mark.parametrize("policy", ("fairqueue", "miser", "srpt", "edf"))
-    def test_default_single_server_runs_take_direct_path(
-        self, workload, config, policy
+    def test_default_single_server_runs_leave_the_event_loop(
+        self, workload, config, policy, monkeypatch
     ):
-        result = run_policy(workload, policy, config=config)
-        assert result.engine == "direct"
+        """fairqueue and miser take the native loop where it builds, and
+        the direct loop without it; srpt and edf always take the direct
+        loop.  Every path gives the event loop's samples."""
         reference = run_policy(workload, policy, config=config.with_engine("scalar"))
         assert reference.engine == "scalar"
+        result = run_policy(workload, policy, config=config)
+        built = policy in native.SERVE_POLICIES and native.available()
+        assert result.engine == ("native" if built else "direct")
         self.assert_same_samples(result, reference)
+        monkeypatch.setattr(native, "available", lambda: False)
+        fallback = run_policy(workload, policy, config=config)
+        assert fallback.engine == "direct"
+        self.assert_same_samples(fallback, reference)
 
     def test_fcfs_under_work_admission_takes_direct_path(self, workload, plan):
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission="work")
@@ -167,9 +176,12 @@ class TestEngineRouting:
         + [{"aqm": aqm} for aqm in sorted(AQM_POLICIES)],
         ids=change_id,
     )
-    def test_event_loop_configs_stay_scalar(self, workload, plan, change):
+    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
+    def test_event_loop_configs_stay_scalar(self, workload, plan, change, policy):
+        """A hook or a window keeps even the native loop's policies on
+        the event loop."""
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, **change)
-        assert run_policy(workload, "fairqueue", config=config).engine == "scalar"
+        assert run_policy(workload, policy, config=config).engine == "scalar"
 
     def test_forced_batch_still_rejects_fairqueue(self, workload, config):
         with pytest.raises(

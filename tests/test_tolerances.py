@@ -9,6 +9,7 @@ a rule the units module owns (use ``met_deadline``, ``count_within``,
 
 from __future__ import annotations
 
+import re
 import tokenize
 from pathlib import Path
 
@@ -16,9 +17,9 @@ import pytest
 
 import repro
 from repro import units
-from repro.core import bounds, rtt
-from repro.perf import scalar
-from repro.sched import sized
+from repro.core import bounds, rtt, slack
+from repro.perf import native, scalar
+from repro.sched import fair, sized
 
 PACKAGE = Path(repro.__file__).parent
 
@@ -50,7 +51,7 @@ ALLOWED = {
         "check/invariants.py",
         "if boost_min is not None and key_value > boost_min + 1e-12:",
     ): "ordering guard: Boost dispatches its smallest key",
-    ("sched/fair.py", "if flow.head_start <= self._virtual + 1e-12"): (
+    ("sched/fair.py", "ELIGIBILITY_SLACK = 1e-12"): (
         "WF2Q eligibility: a virtual start time tied with virtual time"
     ),
     ("core/sla.py", "return self.achieved_fraction >= self.tier.fraction - 1e-12"): (
@@ -145,6 +146,24 @@ def test_units_defines_each_tolerance_once():
 
 def test_the_kernels_epsilon_is_the_units_constant():
     assert scalar.EPS is units.EPS
+
+
+def test_the_native_source_restates_no_python_rule():
+    """The C source takes every tolerance, sentinel and size bound as an
+    argument: none of their values is written in it."""
+    numbers = {
+        float(text)
+        for text in re.findall(r"(?<![\w.])\d+\.?\d*(?:[eE][-+]?\d+)?", native._C_SOURCE)
+    }
+    owned = {
+        units.EPS,
+        units.DEADLINE_SLACK,
+        units.MIN_SIZE,
+        units.MAX_SIZE,
+        fair.ELIGIBILITY_SLACK,
+        float(slack.no_constraint()),
+    }
+    assert numbers and not numbers & owned
 
 
 @pytest.mark.parametrize(

@@ -275,11 +275,15 @@ class TestEngineRouting:
             ("srpt", "count"),
             ("edf", "count"),
             ("miser", "count"),
+            ("fairqueue", "count"),
+            ("wf2q", "work"),
             ("fcfs", "count"),
             ("fcfs", "work"),
         ],
     )
     def test_auto_serves_single_server_runs_directly(self, policy, admission):
+        """Every policy, the native loop's three included: a closed loop
+        never takes the native loop, which needs the arrival column."""
         config = RunConfig(4.0, 2.0, 0.5, admission=admission, engine="auto")
         result = self.run(policy, config)
         assert result.engine == "direct"
