@@ -20,12 +20,14 @@ Two modes, mirroring ``bench_kernels.py``:
     (:func:`run_closed_loop`, ~4x10^4 requests) against the event loop
     for every policy (``closed_loop``);
   - each fast path against the path ``auto`` would take without it:
-    the native loop (engine ``"native"``) against the direct loop for
-    fairqueue, wf2q and miser at 10^4, 10^5 and 10^6 requests
-    (``native``), and the batch engine against the direct loop for
-    fcfs and split at 10^5 and 10^6 (``batch_vs_direct``).  A policy
-    keeps its second implementation only while this speedup holds at
-    least :data:`MIN_QUICK_SPEEDUP` at 10^5.
+    the native loops (engine ``"native"``) at 10^4, 10^5 and 10^6
+    requests (``native``, :data:`NATIVE_CASES`) against the batch
+    engine for fcfs and split and against the direct loop for split
+    under work admission, fairqueue, wf2q and miser; and the batch
+    engine against the direct loop for fcfs and split at 10^5 and 10^6
+    (``batch_vs_direct``).  A policy keeps its second implementation
+    only while this speedup holds at least :data:`MIN_QUICK_SPEEDUP` at
+    10^5.
 
   The two paths of a row run in alternation, the first of them flipped
   every rep, and each reports its median with its fastest and slowest
@@ -39,8 +41,8 @@ policy on the path ``auto`` takes it to — if the direct loop and the
 event loop disagree on split under work admission there, if
 ``closed_loop_parity`` reports any divergence on the closed-loop
 population for any policy, or if the batch engine (over the event
-loop, on either batch policy) or the native loop (over the direct
-loop, on any of its policies) loses bit parity or falls below
+loop, on either batch policy) or the native loops (over the path each
+of :data:`NATIVE_CASES` replaces) lose bit parity or fall below
 :data:`MIN_QUICK_SPEEDUP`.  The direct path has no speed floor there,
 open or closed.
 
@@ -66,7 +68,6 @@ import numpy as np
 import pytest
 
 from repro.check.differential import closed_loop_parity
-from repro.perf.native import SERVE_POLICIES
 from repro.sched.registry import ALL_POLICIES
 from repro.server.driver import DirectRun, serve_direct
 from repro.shaping import RunConfig, build_stack, class_results, run_policy
@@ -85,12 +86,24 @@ DELTA = 0.05
 SIZES = (10_000, 100_000, 1_000_000)
 
 #: CI gate: minimum speedup on the 10^5-request reference trace of the
-#: batch engine over the event loop, and of the native loop over the
-#: direct loop.  A policy moves to a second implementation only where
-#: it beats the path it replaces by this much.
+#: batch engine over the event loop, and of the native loops over the
+#: path each native case replaces.  A policy moves to a second
+#: implementation only where it beats the path it replaces by this much.
 MIN_QUICK_SPEEDUP = 5.0
 
 POLICIES = ("fcfs", "split")
+
+#: ``(path replaced, policy, admission)``: each configuration ``auto``
+#: serves on the native loops, against the path it would take without
+#: them.
+NATIVE_CASES = (
+    ("batch", "fcfs", "count"),
+    ("batch", "split", "count"),
+    ("direct", "split", "work"),
+    ("direct", "fairqueue", "count"),
+    ("direct", "wf2q", "count"),
+    ("direct", "miser", "count"),
+)
 
 #: (policy, admission) cases the batch engine does not take: ``auto``
 #: serves them on the heap-free loop (engine "direct"), the topologies
@@ -272,13 +285,15 @@ def _quick_gate() -> int:
     from repro.check.differential import engine_parity
 
     workload = reference_workload(100_000)
-    # The default policy set covers the batch pair and every policy on
-    # the direct path, the topologies included, under count admission.
+    # The default policy set covers every policy on the path auto takes
+    # it to (native or direct), the topologies included, under count
+    # admission.
     parity = engine_parity(workload, CMIN, DELTA_C, DELTA)
     print(parity.summary())
     failed = not parity.ok
-    # Split under work admission is the one direct case engine_parity
-    # leaves to the batch engine's count-mode twin.
+    # engine_parity runs under count admission: split under work
+    # admission is checked here on the direct loop, and on the native
+    # loop by its NATIVE_CASES row below.
     row = _bench_paths(workload, "split", 1, "scalar", "direct", admission="work")
     print(
         f"split/work @ n={row['n_requests']}: direct loop "
@@ -289,22 +304,23 @@ def _quick_gate() -> int:
         problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
         print(f"closed-loop {policy}: " + ("; ".join(problems) or "bit-identical"))
         failed = failed or bool(problems)
-    gated = [("scalar", "batch", policy) for policy in POLICIES]
-    gated += [("direct", "native", policy) for policy in SERVE_POLICIES]
-    for slow, fast, policy in gated:
-        row = _bench_paths(workload, policy, 1, slow, fast)
+    gated = [("scalar", "batch", policy, "count") for policy in POLICIES]
+    gated += [(slow, "native", policy, admission) for slow, policy, admission in NATIVE_CASES]
+    for slow, fast, policy, admission in gated:
+        row = _bench_paths(workload, policy, 1, slow, fast, admission=admission)
+        label = _label(policy, admission)
         print(
-            f"{policy:>9s} @ n={row['n_requests']}: {slow} {row[f'{slow}_s']:.2f}s"
-            f"  {fast} {row[f'{fast}_s']:.3f}s  speedup {row['speedup']:.1f}x"
+            f"{label:>10s} @ n={row['n_requests']}: {slow} {row[f'{slow}_s']:.3f}s"
+            f"  {fast} {row[f'{fast}_s']:.4f}s  speedup {row['speedup']:.1f}x"
             f"  parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
         if not row["bit_parity_ok"]:
-            print(f"FAIL: {policy} lost bit parity on the {fast} path")
+            print(f"FAIL: {label} lost bit parity on the {fast} path")
             failed = True
         if row["speedup"] < MIN_QUICK_SPEEDUP:
             print(
-                f"FAIL: {policy} {fast} speedup {row['speedup']:.1f}x is below "
-                f"the {MIN_QUICK_SPEEDUP:.0f}x floor"
+                f"FAIL: {label} {fast} speedup {row['speedup']:.1f}x over {slow} "
+                f"is below the {MIN_QUICK_SPEEDUP:.0f}x floor"
             )
             failed = True
     print("engine smoke: " + ("FAIL" if failed else "PASS"))
@@ -367,16 +383,21 @@ def main(argv: list[str] | None = None) -> int:
     replaced = {"native": [], "batch_vs_direct": []}
     for n in SIZES:
         workload = reference_workload(n)
-        cases = [("native", policy) for policy in SERVE_POLICIES]
+        cases = [
+            ("native", slow, "native", policy, admission)
+            for slow, policy, admission in NATIVE_CASES
+        ]
         if n in BATCH_VS_DIRECT_SIZES:
-            cases += [("batch_vs_direct", policy) for policy in POLICIES]
-        for table, policy in cases:
-            fast = "native" if table == "native" else "batch"
-            row = _bench_paths(workload, policy, args.reps, "direct", fast)
+            cases += [
+                ("batch_vs_direct", "direct", "batch", policy, "count")
+                for policy in POLICIES
+            ]
+        for table, slow, fast, policy, admission in cases:
+            row = _bench_paths(workload, policy, args.reps, slow, fast, admission=admission)
             replaced[table].append(row)
             print(
-                f"{policy:>9s} @ n={row['n_requests']:>7d}: "
-                f"direct {row['direct_s']:8.3f}s  {fast} {row[f'{fast}_s']:7.3f}s  "
+                f"{_label(policy, admission):>10s} @ n={row['n_requests']:>7d}: "
+                f"{slow} {row[f'{slow}_s']:8.3f}s  {fast} {row[f'{fast}_s']:7.4f}s  "
                 f"speedup {row['speedup']:6.1f}x  "
                 f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
             )
@@ -400,8 +421,11 @@ def main(argv: list[str] | None = None) -> int:
         "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
         "closed_loop_speedup": {r["policy"]: r["speedup"] for r in closed},
         "min_closed_loop_speedup": min(r["speedup"] for r in closed),
-        "native_over_direct_at_1e5": {r["policy"]: r["speedup"] for r in native_1e5},
-        "min_native_over_direct_at_1e5": min(r["speedup"] for r in native_1e5),
+        # Each native case over the path it replaces (batch or direct).
+        "native_speedup_at_1e5": {
+            _label(r["policy"], r["admission"]): r["speedup"] for r in native_1e5
+        },
+        "min_native_speedup_at_1e5": min(r["speedup"] for r in native_1e5),
         "batch_over_direct": {
             f"{r['policy']}@{n:.0e}": r["speedup"]
             for n in BATCH_VS_DIRECT_SIZES

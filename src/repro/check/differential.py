@@ -455,15 +455,16 @@ def engine_parity(
     Each policy is checked, under count admission, on the path
     ``engine="auto"`` takes it to (:func:`repro.shaping.select_engine`):
 
-    * **batch** (fcfs and split): both engines serve the trace and must
+    * **batch** (fcfs and split where the native loops do not build or
+      do not take the sizes): both engines serve the trace and must
       agree on the **admitted set** (per-index ``Q1`` membership, bit for
       bit), on **completion times** (within ``atol``, the kernel EPS; the
       report records whether they were in fact bit-identical) and on the
       **conservation ledger** (every arrival completed, nothing dropped
       or shed, equal primary deadline-miss counts);
-    * **native** (fairqueue, wf2q and miser where the C loop builds and
-      takes the sizes) and **direct** (every other policy, single-server
-      or topology): the native loop
+    * **native** (fcfs, split, fairqueue, wf2q and miser where the C
+      loops build and take the sizes) and **direct** (every other
+      policy, single-server or topology): the native loops
       (:func:`repro.shaping.serve_native`) or the heap-free loop
       (:func:`repro.server.driver.serve_direct`) and the event-loop
       stack (a :class:`~repro.server.driver.DeviceDriver`, or the
@@ -732,8 +733,8 @@ def serve_parity(
     primary deadline misses.  A predict-then-verify violation inside the
     harness is a divergence too.  The harness's collectors must also
     equal, sample for sample, those of
-    :func:`~repro.shaping.run_policy` on the path ``auto`` takes (batch,
-    or the heap-free loop), and so must its primary misses.  The
+    :func:`~repro.shaping.run_policy` on the path ``auto`` takes (native,
+    batch, or the heap-free loop), and so must its primary misses.  The
     topologies need a positive overflow capacity, so with
     ``delta_c == 0`` they are skipped (recorded, not silently dropped).
     """
@@ -803,7 +804,7 @@ def serve_parity(
                 f"{policy}: serve conservation violated: "
                 f"{served.conservation.summary()}"
             )
-        # run_policy's own path (batch, or the heap-free loop) against the
+        # run_policy's own path (native, batch or the heap-free loop) against the
         # same harness: every collector in its reported order.
         fast = run_policy(workload, policy, config=RunConfig(cmin, delta_c, delta))
         for name in ("overall", "primary", "overflow"):

@@ -15,8 +15,8 @@ speedups on the bundled traces.
 The package also names the *execution engines*
 (:mod:`repro.perf.engines`): ``RunConfig(engine="scalar"|"batch"|"auto")``
 selects between the discrete-event loop and the fast paths — the
-columnar engine of :mod:`repro.sim.batch`, the native serve loop of
-:mod:`repro.perf.native` and the heap-free loop — for one
+native serve loops of :mod:`repro.perf.native`, the columnar engine of
+:mod:`repro.sim.batch` and the heap-free loop — for one
 :func:`repro.shaping.run_policy` simulation; see
 ``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
 """

@@ -14,16 +14,19 @@ the RTT admission recurrence; the *execution engine* is the path
     engine's float arithmetic bit-for-bit, with numpy for everything
     around them.  Only applicable to configurations whose dynamics
     reduce to the Lindley form (see :func:`repro.sim.batch.supports`);
-    requesting it for an ineligible configuration is an error.
+    requesting it for an ineligible configuration is an error, and a
+    forced ``batch`` runs it even where ``auto`` would take the native
+    loops.
 ``auto``
     The first path that qualifies, per configuration
     (:func:`repro.shaping.select_engine`), for a run with no rate
-    recording, metrics, sampler or in-flight window: batch; then the
-    native loop (:func:`repro.perf.native.serve_recombined`, a C
-    rendition of the heap-free loop) for an open loop under
-    ``fairqueue``, ``wf2q`` or ``miser`` whose sizes are unit or within
+    recording, metrics, sampler or in-flight window: the native loops
+    (:mod:`repro.perf.native`, C renditions of the heap-free loop) for
+    an open loop under ``fcfs``, ``split``, ``fairqueue``, ``wf2q`` or
+    ``miser`` in either admission mode, whose sizes are unit or within
     [:data:`~repro.units.MIN_SIZE`, :data:`~repro.units.MAX_SIZE`], where
-    the C code builds; then the heap-free loop
+    the C code builds; then batch (``fcfs`` and ``split`` under count
+    admission); then the heap-free loop
     (:func:`repro.server.driver.serve_direct`) for every other such run
     — a single-server policy on one server, ``split`` and
     ``splitfarm`` on their front end's two single-unit sides.  Any run
@@ -38,13 +41,18 @@ the RTT admission recurrence; the *execution engine* is the path
     taken in ``RunResult.engine`` (``"scalar"``, ``"batch"``,
     ``"native"`` or ``"direct"``).
 
-The native loop mirrors, in the direct loop's event order and with FMA
+The native loops mirror, in the direct loop's event order and with FMA
 contraction off, :class:`~repro.sched.classifier.OnlineRTTClassifier`
-in both admission modes, :class:`~repro.sched.fair.FairQueue`'s SFQ and
-WF²Q+ tags, :class:`~repro.sched.miser.MiserScheduler`'s slack gate,
+in both admission modes, FIFO service on one server or on Split's two
+sides, :class:`~repro.sched.fair.FairQueue`'s SFQ and WF²Q+ tags,
+:class:`~repro.sched.miser.MiserScheduler`'s slack gate,
 :class:`~repro.server.constant_rate.ConstantRateModel`'s service time
-and :func:`repro.units.met_deadline`.  A policy keeps it only while it
-beats the direct loop at least 5x at 10^5 requests
+and :func:`repro.units.met_deadline`.  Their response column becomes
+the collectors' sample store as it is
+(:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`), as the batch
+engine's columns do.  A policy keeps them only while they beat the path
+they replace (the batch engine for ``fcfs`` and ``split`` under count
+admission, the direct loop otherwise) at least 5x at 10^5 requests
 (``BENCH_engine.json``'s ``native`` rows; the CI floor
 ``MIN_QUICK_SPEEDUP``).
 

@@ -1,4 +1,4 @@
-"""Native (C, via the system compiler) RTT kernels and serve loop.
+"""Native (C, via the system compiler) RTT kernels and serve loops.
 
 The RTT recurrence is a data-dependent scalar loop — the regime where
 CPython interpreter overhead dominates by two orders of magnitude and
@@ -9,24 +9,29 @@ object, and binds it through :mod:`ctypes`.  Because the operation order
 is identical (and contraction into FMAs is disabled), the native kernels
 are **bit-identical** to the pure-Python reference on every input.
 
-The same build carries the native serve loop
-(:func:`serve_recombined`): the heap-free loop of
-:func:`repro.server.driver.serve_direct` for an open loop on one server
-under the paper's classified recombiners, ``fairqueue`` (SFQ),
-``wf2q`` (WF²Q+) and ``miser``.  It keeps the direct loop's event order
-(a completion fires before an arrival at its instant; an idle server
+The same build carries the native serve loops, the heap-free loop of
+:func:`repro.server.driver.serve_direct` for an open loop under all four
+of the paper's recombiners: :func:`serve_fifo` for ``fcfs`` on one
+server and ``split`` (the classifier, then a FIFO server per class),
+and :func:`serve_recombined` for one server under ``fairqueue`` (SFQ),
+``wf2q`` (WF²Q+) and ``miser``.  They keep the direct loop's event
+order (a completion fires before an arrival at its instant, so a Q1
+completion due by an arrival releases its slot first; an idle server
 selects once per event) and the float operations of the classifier in
 both admission modes, the fair queue's tags and virtual time, Miser's
 slack gate, the constant-rate service time ``d * (1/C)`` and the
-deadline rule.  Its tolerances and sentinels are arguments, read from
-the Python modules that own them.  ``auto`` takes it where
-:func:`serves` says so (:func:`repro.shaping.select_engine`).
+deadline rule, and refuse a non-positive service time where the direct
+loop does.  Their tolerances and sentinels are arguments, read from the
+Python modules that own them.  Each returns its responses as one
+float64 column, which the run's collectors adopt as their sample store.
+``auto`` takes them first where :func:`serves` says so
+(:func:`repro.shaping.select_engine`).
 
 Everything degrades gracefully: no compiler, a failed compile, or an
 unwritable cache directory simply mean :func:`available` returns False,
-kernel ``auto`` falls back to the scalar backend and runs to the direct
-loop.  Set ``REPRO_NATIVE_CACHE`` to relocate the build cache (default
-``~/.cache/repro-kernels``).
+kernel ``auto`` falls back to the scalar backend and runs to the batch
+engine or the direct loop.  Set ``REPRO_NATIVE_CACHE`` to relocate the
+build cache (default ``~/.cache/repro-kernels``).
 """
 
 from __future__ import annotations
@@ -273,6 +278,89 @@ i64 repro_serve_recombined(
     *misses = missed;
     return status < 0 ? status : done;
 }
+
+/* The heap-free loop for an open loop under fcfs (one FIFO server of rate
+ * `rate1`) or split (OnlineRTTClassifier.classify sends Q1 to a FIFO
+ * server of rate `rate1` and Q2 to one of rate `rate2`).  Must mirror,
+ * operation for operation: the classifier's rule and on_completion,
+ * ConstantRateModel.service_time and Request.met_deadline.  A FIFO server
+ * starts a request at the later of its arrival and the finish before it
+ * (a completion fires before an arrival at its instant), and the Q1
+ * completions due by an arrival release their slots before it is
+ * classified, in completion order.  Responses are written in completion
+ * order: all of them under fcfs; split's Q1 side, then its Q2 side, as
+ * the sides merge.  Returns the Q1 completions (the first server's under
+ * fcfs), -1 when the scratch cannot be allocated, or -2 (first server)
+ * or -3 (second) with *bad set when a service time is not positive: the
+ * one the direct loop dispatches first, at one instant the earlier
+ * arrival's. */
+i64 repro_serve_fifo(
+    const double *arrival, const double *size, i64 n, i64 split,
+    double rate1, double rate2, double delta, i64 limit, i64 by_work,
+    double work_limit, double eps, double deadline_slack,
+    double *response, i64 *misses, double *bad)
+{
+    /* Split's unreleased Q1 finishes and demands, a FIFO on a ring of
+     * `slots`: at most `limit` wait under count admission, at most n
+     * under work admission. */
+    typedef struct { double finish, d; } held;
+    i64 slots = 1, cap = by_work ? n : limit + 1;
+    while (slots < cap)
+        slots <<= 1;
+    i64 mask = slots - 1;
+    held *q1 = NULL;
+    if (split && !(q1 = malloc(slots * sizeof *q1)))
+        return -1;
+    double s1 = 1.0 / rate1, s2 = 1.0 / rate2;
+    double f1 = 0.0, f2 = 0.0, work_q1 = 0.0, refused = 0.0;
+    i64 n1 = 0, n2 = 0, head = 0, len_q1 = 0, missed = 0, status = 0;
+    for (i64 i = 0; i < n; ++i) {
+        double t = arrival[i], d = size ? size[i] : 1.0;
+        /* No later arrival dispatches before the refused request. */
+        if (status < 0 && t > refused)
+            break;
+        int first = 1;
+        if (split) {
+            while (head < n1 && q1[head & mask].finish <= t) {
+                double left = work_q1 - q1[head++ & mask].d;
+                len_q1 -= 1;
+                work_q1 = left > 0.0 ? left : 0.0;
+            }
+            first = by_work ? work_q1 + d <= work_limit + eps : len_q1 < limit;
+        }
+        double duration = d * (first ? s1 : s2);
+        double start = first ? (f1 > t ? f1 : t) : (f2 > t ? f2 : t);
+        if (duration <= 0.0 && (status == 0 || start < refused)) {
+            *bad = duration;
+            refused = start;
+            status = first ? -2 : -3;
+        }
+        if (first) {
+            f1 = start + duration;
+            response[n1] = f1 - t;
+            if (split) {
+                len_q1 += 1;
+                work_q1 += d;
+                q1[n1 & mask] = (held){f1, d};
+                if (!(f1 <= t + delta + deadline_slack))
+                    missed += 1;
+            }
+            n1 += 1;
+        } else {
+            /* Q2's responses fill the column from its end, reversed. */
+            f2 = start + duration;
+            response[n - 1 - n2++] = f2 - t;
+        }
+    }
+    for (i64 lo = n1, hi = n - 1; status == 0 && lo < hi; ++lo, --hi) {
+        double swap = response[lo];
+        response[lo] = response[hi];
+        response[hi] = swap;
+    }
+    free(q1);
+    *misses = missed;
+    return status < 0 ? status : n1;
+}
 """
 
 #: Compiler candidates, first hit wins.
@@ -353,6 +441,10 @@ def _build() -> ctypes.CDLL | None:
         dbl, dbl, dbl, dbl, pd, ctypes.POINTER(ctypes.c_ubyte), pi, pd,
     ]
     lib.repro_serve_recombined.restype = i64
+    lib.repro_serve_fifo.argtypes = [
+        pd, pd, i64, i64, dbl, dbl, dbl, i64, i64, dbl, dbl, dbl, pd, pi, pd,
+    ]
+    lib.repro_serve_fifo.restype = i64
     return lib
 
 
@@ -412,23 +504,91 @@ def count_admitted_sweep(instants, counts, capacities, delta: float) -> np.ndarr
     return out
 
 
-#: The policies the serve loop runs, in its C numbering.
-SERVE_POLICIES = ("fairqueue", "wf2q", "miser")
+#: The policies the FIFO loop (:func:`serve_fifo`) runs.
+FIFO_POLICIES = ("fcfs", "split")
+#: The policies the recombined loop (:func:`serve_recombined`) runs, in
+#: its C numbering.
+RECOMBINED_POLICIES = ("fairqueue", "wf2q", "miser")
+#: Every policy a native loop serves.
+SERVE_POLICIES = FIFO_POLICIES + RECOMBINED_POLICIES
 
 
 def serves(policy: str, sizes: np.ndarray | None) -> bool:
-    """Whether :func:`serve_recombined` runs ``policy`` on an open loop.
+    """Whether a native loop runs ``policy`` on an open loop.
 
-    The build must have succeeded, and the workload's ``sizes`` must be
-    unit (``None``) or within [:data:`~repro.units.MIN_SIZE`,
-    :data:`~repro.units.MAX_SIZE`], where the direct loop raises nothing
-    the C loop would have to copy.
+    ``policy`` must be one of :data:`SERVE_POLICIES`, the build must have
+    succeeded, and the workload's ``sizes`` must be unit (``None``) or
+    within [:data:`~repro.units.MIN_SIZE`, :data:`~repro.units.MAX_SIZE`],
+    where the direct loop raises nothing the C loops would have to copy.
     """
     if policy not in SERVE_POLICIES or not available():
         return False
     return sizes is None or not sizes.size or bool(
         MIN_SIZE <= sizes.min() and sizes.max() <= MAX_SIZE
     )
+
+
+def _columns(arrivals, sizes):
+    """The arrival and size columns as C sees them (``None``: unit sizes)."""
+    t = np.ascontiguousarray(arrivals, dtype=np.float64)
+    d = None if sizes is None else np.ascontiguousarray(sizes, dtype=np.float64)
+    if t.ndim != 1 or (d is not None and d.shape != t.shape):
+        raise ValueError("arrivals and sizes must be one column of equal length")
+    pd = ctypes.POINTER(ctypes.c_double)
+    return t, d, t.ctypes.data_as(pd), None if d is None else d.ctypes.data_as(pd)
+
+
+def serve_fifo(
+    arrivals: np.ndarray,
+    sizes: np.ndarray | None,
+    servers: list[tuple[float, str]],
+    classifier=None,
+) -> tuple[np.ndarray, int, int]:
+    """Serve an open loop on FIFO servers, in C.
+
+    ``servers`` are ``(capacity, name)`` pairs: fcfs's one server, or
+    split's primary and overflow sides, whose fresh
+    :class:`~repro.sched.classifier.OnlineRTTClassifier` ``classifier``
+    gives the bound, work budget and ``delta`` the loop admits by.
+    Returns the responses in the order the direct loop's ``overall``
+    holds them (split's Q1 side, then its Q2 side), how many lead from
+    the first server, and the primary deadline misses: what
+    :func:`repro.server.driver.serve_direct` collects from the same
+    stack, bit for bit.  A non-positive service time raises the direct
+    loop's :class:`~repro.exceptions.SimulationError`, naming the server.
+    """
+    lib = _get_lib()
+    t, d, tp, dp = _columns(arrivals, sizes)
+    split = classifier is not None
+    (rate1, name1), *rest = servers
+    rate2, name2 = rest[0] if rest else (rate1, name1)
+    responses = np.empty(t.size, dtype=np.float64)
+    misses = ctypes.c_longlong(0)
+    bad = ctypes.c_double(0.0)
+    first = lib.repro_serve_fifo(
+        tp,
+        dp,
+        t.size,
+        split,
+        rate1,
+        rate2,
+        classifier.delta if split else 0.0,
+        # Occupancy stays below n, so a larger bound admits alike.
+        min(classifier.limit, t.size) if split else 0,
+        split and classifier.mode == "work",
+        classifier.work_limit if split else 0.0,
+        EPS,
+        DEADLINE_SLACK,
+        responses.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        ctypes.byref(misses),
+        ctypes.byref(bad),
+    )
+    if first == -1:
+        raise MemoryError(f"{name1}: no memory for the native loop's queues")
+    if first < -1:
+        name = name1 if first == -2 else name2
+        raise SimulationError(f"{name}: non-positive service time {bad.value}")
+    return responses, first, misses.value
 
 
 def serve_recombined(
@@ -441,8 +601,8 @@ def serve_recombined(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Serve an open loop on one rate-``capacity`` server, in C.
 
-    ``policy`` is one of :data:`SERVE_POLICIES`; ``weights`` are its fair
-    queue's ``(Q1, Q2)`` flow weights (unused by miser), and
+    ``policy`` is one of :data:`RECOMBINED_POLICIES`; ``weights`` are its
+    fair queue's ``(Q1, Q2)`` flow weights (unused by miser), and
     ``classifier`` is a fresh
     :class:`~repro.sched.classifier.OnlineRTTClassifier` whose bound,
     work budget, ``maxQ1`` and ``delta`` the loop admits by.  Returns
@@ -455,19 +615,17 @@ def serve_recombined(
     from ..sched.fair import ELIGIBILITY_SLACK
 
     lib = _get_lib()
-    pd = ctypes.POINTER(ctypes.c_double)
-    t = np.ascontiguousarray(arrivals, dtype=np.float64)
-    d = None if sizes is None else np.ascontiguousarray(sizes, dtype=np.float64)
+    t, d, tp, dp = _columns(arrivals, sizes)
     n = t.size
     responses = np.empty(n, dtype=np.float64)
     classes = np.empty(n, dtype=np.uint8)
     misses = ctypes.c_longlong(0)
     bad = ctypes.c_double(0.0)
     done = lib.repro_serve_recombined(
-        t.ctypes.data_as(pd),
-        None if d is None else d.ctypes.data_as(pd),
+        tp,
+        dp,
         n,
-        SERVE_POLICIES.index(policy),
+        RECOMBINED_POLICIES.index(policy),
         capacity,
         classifier.delta,
         # Occupancy stays below n, so a larger bound admits alike.
@@ -481,7 +639,7 @@ def serve_recombined(
         DEADLINE_SLACK,
         ELIGIBILITY_SLACK,
         no_constraint(),
-        responses.ctypes.data_as(pd),
+        responses.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         classes.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
         ctypes.byref(misses),
         ctypes.byref(bad),

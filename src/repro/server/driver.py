@@ -633,9 +633,11 @@ def serve_direct(
     time, and no request is kept after it completes: the collectors
     hold the samples.  A population keeps its own ``requests``.
 
-    For an open loop on one server under fairqueue, wf2q or miser,
-    :func:`repro.perf.native.serve_recombined` is this loop in C; a
-    change to the event order here must be made there too.
+    For an open loop under fcfs or split,
+    :func:`repro.perf.native.serve_fifo` is this loop in C, and on one
+    server under fairqueue, wf2q or miser,
+    :func:`repro.perf.native.serve_recombined`; ``auto`` takes them
+    first.  A change to the event order here must be made there too.
     """
     routed = route is not None
     if not sides or (len(sides) > 1 and not routed):

@@ -22,11 +22,13 @@ True
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from typing import TYPE_CHECKING, Callable, NamedTuple
+
+import numpy as np
 
 from .core.capacity import CapacityPlan, CapacityPlanner
 from .core.request import QoSClass
@@ -75,7 +77,7 @@ class RunConfig:
     ----------
     cmin, delta_c, delta:
         The capacity plan: decomposition capacity, overflow surplus, and
-        the primary-class response-time bound.
+        the primary-class response-time bound.  Each must be finite.
     record_rates:
         Completion-rate bin width in seconds (single-server only);
         ``None`` disables rate recording.
@@ -116,6 +118,10 @@ class RunConfig:
     aqm_shared: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("cmin", "delta_c", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.cmin <= 0 or self.delta_c < 0 or self.delta <= 0:
             raise ConfigurationError(
                 f"bad configuration: cmin={self.cmin}, "
@@ -189,7 +195,11 @@ class RunResult:
     overall, primary, overflow:
         Response-time collectors for the whole stream and per class.
         Under FCFS nothing is classified, so ``primary``/``overflow`` are
-        empty and ``overall`` carries everything.
+        empty and ``overall`` carries everything.  The native loops and
+        the batch engine hand their float64 response columns to the
+        collectors as their sample store
+        (:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`); every
+        view reads as it does on the event loop.
     primary_misses:
         Guaranteed-class requests that finished after ``arrival + delta``.
     ledger:
@@ -198,11 +208,11 @@ class RunResult:
         armed.  Only the fault plane drops and sheds.
     engine:
         Path that served the run (:func:`select_engine`), all
-        bit-identical: the ``"scalar"`` event loop, the ``"batch"``
-        columnar fast path or the ``"native"`` C loop (both open loop
-        only), or the ``"direct"`` heap-free loop
+        bit-identical: the ``"native"`` C loops (fcfs, split, fairqueue,
+        wf2q and miser) or the ``"batch"`` columnar fast path (fcfs and
+        split; both open loop only), the ``"direct"`` heap-free loop
         (:func:`repro.server.driver.serve_direct`, one server or a
-        topology's sides).
+        topology's sides) or the ``"scalar"`` event loop.
     admission, aqm:
         The classifier's admission mode and the in-flight window policy
         the stack ran with (``None`` = no window).
@@ -344,13 +354,13 @@ def run_policy(
     ``"batch"`` demands the columnar fast path (an error if the
     configuration is ineligible), and ``"auto"`` (or ``None``, the
     default) picks the first path that qualifies
-    (:func:`select_engine`): the batch engine (an FCFS or Split run
-    under count admission with no observability or window attached),
-    then the native C loop (fairqueue, wf2q or miser with none of those
-    attached, sizes unit or in ingest's range; ``engine="native"``),
-    then the heap-free loop (every other policy with none of those
-    attached — a single-server policy on its one server, Split under
-    work admission and splitfarm on their front end's two sides;
+    (:func:`select_engine`) for a run with no observability or window
+    attached: the native C loops (fcfs, split, fairqueue, wf2q or miser
+    with sizes unit or in ingest's range, either admission mode;
+    ``engine="native"``), then the batch engine (an FCFS or Split run
+    under count admission), then the heap-free loop (every other policy
+    — a single-server policy on its one server, Split under work
+    admission and splitfarm on their front end's two sides;
     ``engine="direct"``), then the event loop.  The samples are
     bit-identical whichever path runs (certified by
     :func:`repro.check.differential.engine_parity`).
@@ -395,11 +405,11 @@ def select_engine(
     :func:`repro.check.differential.engine_parity` certifies.
     ``engine="scalar"``, rate recording, a metrics registry, a sampler
     or a window take the event loop (``"scalar"``), which attaches them.
-    Otherwise an open loop takes the first of ``"batch"``
-    (:func:`repro.sim.batch.supports`) and ``"native"``
-    (:func:`repro.perf.native.serves`) that qualifies, and every other
-    run ``"direct"``.  A forced ``engine="batch"`` selects as ``auto``
-    does; :func:`run_policy` refuses it where the batch engine cannot
+    Otherwise an open loop takes the first of ``"native"``
+    (:func:`repro.perf.native.serves`) and ``"batch"``
+    (:func:`repro.sim.batch.supports`) that qualifies, and every other
+    run ``"direct"``.  A forced ``engine="batch"`` takes the batch
+    engine; :func:`run_policy` refuses it where the batch engine cannot
     run.
     """
     if (
@@ -411,10 +421,10 @@ def select_engine(
     ):
         return "scalar"
     if isinstance(feed, Workload):
+        if config.engine != "batch" and native.serves(policy, feed.sizes):
+            return "native"
         if batch.supports(policy, admission=config.admission)[0]:
             return "batch"
-        if native.serves(policy, feed.sizes):
-            return "native"
     return "direct"
 
 
@@ -427,7 +437,7 @@ def serve_feed(
 
     ``feed`` is a workload, replayed open loop, or a closed-loop
     population.  It is served on the path :func:`select_engine` names:
-    the batch engine, the native loop (:func:`serve_native`), the
+    the native loops (:func:`serve_native`), the batch engine, the
     heap-free loop (:func:`~repro.server.driver.serve_direct`) or the
     event loop, which alone attaches rate recording, a metrics registry,
     a sampler or a window.
@@ -679,10 +689,11 @@ def class_results(
 def _run_policy_batch(workload: Workload, policy: str, config: RunConfig) -> RunResult:
     """Columnar fast path of :func:`run_policy` (eligible configs only).
 
-    Delegates the dynamics to :func:`repro.sim.batch.run_batch` and
-    repackages the response columns into the same collectors the scalar
-    engine fills — in the same sample order, so downstream consumers
-    cannot tell the engines apart — handed over as a
+    Delegates the dynamics to :func:`repro.sim.batch.run_batch`, whose
+    response columns the collectors adopt
+    (:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`) in the
+    scalar engine's sample order, so their samples and lazily folded
+    moments cannot tell the engines apart; handed over as a
     :class:`~repro.server.driver.DirectRun`.  Sized workloads pass their
     demand column straight through.
     """
@@ -694,14 +705,12 @@ def _run_policy_batch(workload: Workload, policy: str, config: RunConfig) -> Run
         config.delta,
         demands=workload.sizes,
     )
-    overall = ResponseTimeCollector("overall")
-    overall.extend_array(run.overall)
-    primary = ResponseTimeCollector("Q1")
-    primary.extend_array(run.primary)
-    overflow = ResponseTimeCollector("Q2")
-    overflow.extend_array(run.overflow)
+    overall = ResponseTimeCollector.adopting("overall", run.overall)
     collected = DirectRun(
-        by_class={QoSClass.PRIMARY: primary, QoSClass.OVERFLOW: overflow},
+        by_class={
+            QoSClass.PRIMARY: ResponseTimeCollector.adopting("Q1", run.primary),
+            QoSClass.OVERFLOW: ResponseTimeCollector.adopting("Q2", run.overflow),
+        },
         overall=overall,
         completed=len(overall),
         primary_misses=run.primary_misses,
@@ -719,38 +728,57 @@ def _run_policy_batch(workload: Workload, policy: str, config: RunConfig) -> Run
 
 
 def serve_native(workload: Workload, policy: str, config: RunConfig) -> DirectRun:
-    """The native loop's run (:func:`repro.perf.native.serve_recombined`).
+    """The native loops' run (:mod:`repro.perf.native`).
 
     Serves ``workload`` under ``policy``, one of
     :data:`~repro.perf.native.SERVE_POLICIES`, on the stack
-    :func:`build_stack` assembles for the direct loop: its scheduler is
-    built, so a configuration the policy refuses is refused alike, and
-    its classifier gives the admission bound.  The collectors hold what
-    the direct loop's hold, one float object per sample shared by
-    ``overall`` and its class, and fold their moments lazily, so their
-    ``stats`` match too.
+    :func:`build_stack` assembles for the direct loop: it is built, so a
+    configuration the policy refuses is refused alike, and its servers'
+    rates and its classifier (a topology's front end's, or the one
+    scheduler's) give the loop its rates and admission bound.  The
+    collectors adopt the loop's response column, and slices of it, as
+    their sample store: they hold the direct loop's samples, in its
+    order, and fold their moments lazily, so their ``stats`` match too.
     """
-    ((scheduler, model, _),), _ = build_stack(policy, config)
-    responses, classes, misses = native.serve_recombined(
-        workload.arrivals,
-        workload.sizes,
-        policy,
-        model.capacity,
-        (config.cmin, config.delta_c),
-        scheduler.classifier,
-    )
-    samples = responses.tolist()
-    del responses  # free the column: the floats now hold its values
-    by_class = {
-        qos: ResponseTimeCollector.adopting(
-            label, list(compress(samples, (classes == qos).tobytes()))
+    sides, route = build_stack(policy, config)
+    if policy in native.FIFO_POLICIES:
+        # Split's classifier is its front end's; ``route`` is bound to it.
+        classifier = route.__self__.classifier if route is not None else None
+        responses, first, misses = native.serve_fifo(
+            workload.arrivals,
+            workload.sizes,
+            [(model.capacity, name) for _, model, name in sides],
+            classifier,
         )
-        for qos, label in CLASS_LABELS
-    }
+        if classifier is None:
+            columns = {QoSClass.UNCLASSIFIED: responses}
+        else:
+            columns = {
+                QoSClass.PRIMARY: responses[:first],
+                QoSClass.OVERFLOW: responses[first:],
+            }
+    else:
+        ((scheduler, model, _),) = sides
+        responses, classes, misses = native.serve_recombined(
+            workload.arrivals,
+            workload.sizes,
+            policy,
+            model.capacity,
+            (config.cmin, config.delta_c),
+            scheduler.classifier,
+        )
+        columns = {
+            qos: responses[classes == qos]
+            for qos in (QoSClass.PRIMARY, QoSClass.OVERFLOW)
+        }
+    empty = np.empty(0)
     return DirectRun(
-        by_class=by_class,
-        overall=ResponseTimeCollector.adopting("overall", samples),
-        completed=len(samples),
+        by_class={
+            qos: ResponseTimeCollector.adopting(label, columns.get(qos, empty))
+            for qos, label in CLASS_LABELS
+        },
+        overall=ResponseTimeCollector.adopting("overall", responses),
+        completed=responses.size,
         primary_misses=misses,
         preemptions=0,
     )

@@ -32,10 +32,18 @@ replay the event engine's float operations in the same order:
   no event queue).
 
 Everything *around* the recurrences — response times, deadline-miss
-counts, per-class masks, statistics ingestion — is vectorized numpy,
-which is where the 10-60x end-to-end speedup comes from.  Parity is
-certified by :func:`repro.check.differential.engine_parity` and fuzzed
-by ``repro-check --differential``.
+counts, per-class masks, the check that refuses a non-positive service
+time as the direct loop does — is vectorized numpy, and the run's
+collectors adopt the response columns as they are, so their moments
+fold as the event loop's do.  That is where the 10-60x end-to-end
+speedup over the event loop comes from.  Parity is certified by
+:func:`repro.check.differential.engine_parity` and fuzzed by
+``repro-check --differential``.
+
+``auto`` takes fcfs and split to the native loops of
+:mod:`repro.perf.native` first; this engine serves them where those do
+not build or the sizes leave their range, and wherever
+``engine="batch"`` is forced.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, SimulationError
 from ..units import count_within
 
 #: Arrivals processed per sweep.  Each epoch converts one array slice to
@@ -57,10 +65,11 @@ EPOCH = 65536
 #: (fairqueue, wf2q, drr, miser) interleave the classes through one
 #: shared server with dynamic, state-dependent pick order, and ``edf``
 #: re-sorts by live slack — none reduce to a statically-determined
-#: Lindley recurrence.  ``auto`` tries batch, then the native loop
-#: (:mod:`repro.perf.native`: fairqueue, wf2q and miser), then the
-#: heap-free loop (:func:`repro.server.driver.serve_direct`), then the
-#: event loop (:func:`repro.shaping.select_engine`).
+#: Lindley recurrence.  ``auto`` tries the native loops
+#: (:mod:`repro.perf.native`: fcfs, split, fairqueue, wf2q and miser),
+#: then batch, then the heap-free loop
+#: (:func:`repro.server.driver.serve_direct`), then the event loop
+#: (:func:`repro.shaping.select_engine`).
 SUPPORTED_POLICIES = ("fcfs", "split")
 
 
@@ -140,6 +149,40 @@ def _check_demands(demands, n: int) -> np.ndarray | None:
     if demands.size and float(demands.min()) <= 0.0:
         raise ConfigurationError("demands must be positive")
     return demands
+
+
+def _service_times(demands: np.ndarray | None, n: int, capacity: float) -> np.ndarray:
+    """Every request's ``d * (1/C)`` on a rate-``capacity`` server."""
+    service = 1.0 / float(capacity)
+    return np.full(n, service) if demands is None else demands * service
+
+
+def _first_nonpositive(
+    name: str,
+    positions: np.ndarray,
+    arrivals: np.ndarray,
+    completions: np.ndarray,
+    durations: np.ndarray,
+) -> tuple | None:
+    """Where one FIFO server first dispatches a non-positive service time.
+
+    The columns are the server's, in its order; ``positions`` are its
+    requests' places in the trace.  Request ``k`` is dispatched at the
+    later of its arrival and the completion before it.  Returns
+    ``((dispatch instant, trace position), name, service time)``, or
+    ``None`` when every service time is positive.
+    """
+    bad = np.flatnonzero(durations <= 0)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    start = max(arrivals[k], completions[k - 1]) if k else arrivals[k]
+    return (float(start), int(positions[k])), name, float(durations[k])
+
+
+def _refuse_nonpositive(name: str, duration: float) -> None:
+    """The direct loop's error for a non-positive service time."""
+    raise SimulationError(f"{name}: non-positive service time {duration}")
 
 
 def _serve_chunk(chunk: list, service: float, finish: float) -> tuple[list, float]:
@@ -326,7 +369,14 @@ def run_batch(
         )
     arrivals = _check_arrivals(arrivals)
     demands = _check_demands(demands, arrivals.size)
+    n = arrivals.size
     if policy == "fcfs":
+        # One FIFO server dispatches in arrival order: the direct loop
+        # refuses the first non-positive service time.
+        durations = _service_times(demands, n, cmin + delta_c)
+        bad = np.flatnonzero(durations <= 0)
+        if bad.size:
+            _refuse_nonpositive("fcfs", float(durations[bad[0]]))
         completions = fcfs_completions(arrivals, cmin + delta_c, demands)
         overall = completions - arrivals
         empty = np.empty(0, dtype=np.float64)
@@ -341,6 +391,28 @@ def run_batch(
     if policy == "split":
         cols = split_columns(arrivals, cmin, delta_c, delta, demands)
         q1_arrivals = arrivals[cols.admitted]
+        q1_times = _service_times(demands, n, cmin)
+        q2_times = _service_times(demands, n, delta_c)
+        if (q1_times <= 0).any() or (q2_times <= 0).any():
+            # The direct loop refuses the earliest such dispatch, at one
+            # instant the earlier arrival's, on whichever side it falls.
+            q1, q2 = cols.admitted, ~cols.admitted
+            found = [
+                f
+                for f in (
+                    _first_nonpositive(
+                        "primary", np.flatnonzero(q1), q1_arrivals,
+                        cols.q1_completions, q1_times[q1],
+                    ),
+                    _first_nonpositive(
+                        "overflow", np.flatnonzero(q2), arrivals[q2],
+                        cols.q2_completions, q2_times[q2],
+                    ),
+                )
+                if f is not None
+            ]
+            if found:
+                _refuse_nonpositive(*min(found)[1:])
         primary = cols.q1_completions - q1_arrivals
         overflow = cols.q2_completions - arrivals[~cols.admitted]
         # Request.met_deadline, on the completion form.

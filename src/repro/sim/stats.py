@@ -113,29 +113,36 @@ class ResponseTimeCollector:
     in :attr:`stats` catch up on the samples added since the last read
     when they are next read, in arrival order, so they are bit-identical
     to folding each sample in as it arrives.
+
+    The sample store is a list of Python floats, or a float64 column a
+    columnar run hands over whole (:meth:`adopting`).  Every view reads
+    either alike, bit for bit.
     """
 
     def __init__(self, name: str = "all"):
         self.name = name
-        self._samples: list[float] = []
+        self._samples: list[float] | np.ndarray = []
         self._stats = OnlineStats()
         #: Samples already folded into ``_stats``.
         self._folded = 0
 
     @classmethod
-    def adopting(cls, name: str, samples: list[float]) -> "ResponseTimeCollector":
-        """A collector whose samples are the list ``samples`` itself.
+    def adopting(cls, name: str, column: np.ndarray) -> "ResponseTimeCollector":
+        """A collector whose samples are the float64 ``column`` itself.
 
-        ``samples`` holds Python floats in the order :meth:`add` would
-        have stored them.  Neither the list nor its floats are copied, so
-        collectors made from one run's floats share them, as a driver's
-        ``overall`` and class collectors share each sample.  A negative
-        value raises.
+        ``column`` holds the samples in the order :meth:`add` would have
+        stored them.  It is not copied, so collectors made from one run's
+        column may share it, as a driver's ``overall`` and class
+        collectors share each sample; :attr:`samples` gives a read-only
+        view of it.  :meth:`add` and :meth:`extend` continue the samples
+        as a list.  A negative value raises.
         """
-        if samples and min(samples) < 0:
-            raise SimulationError(f"negative response time {min(samples)} in {name}")
+        store = np.asarray(column, dtype=np.float64)
+        low = float(store.min()) if store.size else 0.0
+        if low < 0:
+            raise SimulationError(f"negative response time {low} in {name}")
         collector = cls(name)
-        collector._samples = samples
+        collector._samples = store
         return collector
 
     def add(self, response_time: float) -> None:
@@ -143,7 +150,16 @@ class ResponseTimeCollector:
             raise SimulationError(
                 f"negative response time {response_time} in {self.name}"
             )
-        self._samples.append(response_time)
+        try:
+            self._samples.append(response_time)
+        except AttributeError:  # an adopted column
+            self._thaw().append(response_time)
+
+    def _thaw(self) -> list[float]:
+        """The sample store as a list, an adopted column converted once."""
+        if not isinstance(self._samples, list):
+            self._samples = self._samples.tolist()
+        return self._samples
 
     @property
     def stats(self) -> OnlineStats:
@@ -154,7 +170,9 @@ class ResponseTimeCollector:
     def _fold(self) -> None:
         samples = self._samples
         if self._folded < len(samples):
-            self._stats.extend(samples[self._folded:])
+            tail = samples[self._folded:]
+            # A column's tail folds as Python floats, as a list's does.
+            self._stats.extend(tail if isinstance(tail, list) else tail.tolist())
             self._folded = len(samples)
 
     def extend(self, response_times: Sequence[float]) -> None:
@@ -171,10 +189,10 @@ class ResponseTimeCollector:
                 f"negative response time {float(values[negative.argmax()])} "
                 f"in {self.name}"
             )
-        self._samples.extend(values.tolist())
+        self._thaw().extend(values.tolist())
 
     def extend_array(self, response_times) -> None:
-        """Bulk ingestion for columnar runs (:mod:`repro.sim.batch`).
+        """Bulk ingestion that folds the moments vectorized.
 
         The stored samples are bit-identical to feeding :meth:`add` in a
         loop; the Welford moments take the vectorized
@@ -188,7 +206,7 @@ class ResponseTimeCollector:
                 f"negative response time {float(values.min())} in {self.name}"
             )
         self._fold()
-        self._samples.extend(values.tolist())
+        self._thaw().extend(values.tolist())
         self._stats.add_array(values)
         self._folded = len(self._samples)
 
@@ -197,7 +215,14 @@ class ResponseTimeCollector:
 
     @property
     def samples(self) -> np.ndarray:
-        return np.asarray(self._samples)
+        """The samples in order: a new array, or a read-only view of an
+        adopted column, which cannot be written through."""
+        samples = self._samples
+        if isinstance(samples, list):
+            return np.asarray(samples)
+        view = samples.view()
+        view.flags.writeable = False
+        return view
 
     def fraction_within(self, bound: float) -> float:
         """Fraction of samples ``<= bound`` (deadline compliance).
@@ -208,13 +233,13 @@ class ResponseTimeCollector:
         Callers that aggregate must weight by :func:`len` (zero-sample
         collectors then drop out; see ``SplitSystem.fraction_within``).
         """
-        if not self._samples:
+        if not len(self):
             return float("nan")
         return float(count_within(self.samples, bound)) / len(self)
 
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile (``p`` in [0, 100])."""
-        if not self._samples:
+        if not len(self):
             return 0.0
         return float(np.percentile(self.samples, p))
 
@@ -232,7 +257,7 @@ class ResponseTimeCollector:
         """
         if not 0.0 <= p <= 100.0:
             raise SimulationError(f"percentile must be in [0, 100], got {p}")
-        if not self._samples:
+        if not len(self):
             return 0.0
         ordered = np.sort(self.samples)
         rank = max(0, math.ceil(p / 100.0 * ordered.size) - 1)
@@ -240,7 +265,7 @@ class ResponseTimeCollector:
 
     def cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Empirical CDF: sorted samples and cumulative fractions."""
-        if not self._samples:
+        if not len(self):
             return np.array([]), np.array([])
         xs = np.sort(self.samples)
         ys = np.arange(1, xs.size + 1) / xs.size

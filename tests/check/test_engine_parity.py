@@ -7,11 +7,12 @@ two sides, fed open-loop columns or a closed-loop population — on the
 golden corpus, fuzzed traces, adversarial arrival columns and
 tie-heavy populations, and — crucially — must *detect* a path that
 drifts (checked by injecting bugs into the batch engine's admission
-bound, into the native loop's C source and into the direct loop's tie
+bound, into the native loops' C source and into the direct loop's tie
 orders and side merge).
 """
 
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
 from repro.sim import batch, source
-from repro.shaping import RunConfig, build_stack, run_policy, serve_native
+from repro.shaping import RunConfig, build_stack, class_results, run_policy, serve_native
 from repro.units import MAX_SIZE, MIN_SIZE
 from repro.workload.sizes import BimodalDemand
 
@@ -101,7 +102,12 @@ class TestReportShape:
 
 
 class TestInjectedBugDetection:
-    """The harness must *fail* when the batch engine is wrong."""
+    """The harness must *fail* when the batch engine is wrong.  With no
+    native build, ``auto`` takes fcfs and split to the batch engine."""
+
+    @pytest.fixture(autouse=True)
+    def without_native(self, monkeypatch):
+        monkeypatch.setattr(native, "available", lambda: False)
 
     @pytest.fixture
     def bursty(self):
@@ -269,12 +275,22 @@ def mutated_serve_direct(old: str, new: str, count: int, also=()):
 
 
 # ---------------------------------------------------------------------------
-# The native loop (engine "native"): fairqueue, wf2q and miser in C
+# The native loops (engine "native"): fcfs, split, fairqueue, wf2q and
+# miser in C
 # ---------------------------------------------------------------------------
 
 needs_native = pytest.mark.skipif(
     not native.available(), reason="the native loop did not build on this host"
 )
+
+
+def infinite_side(policy: str, side: int) -> tuple:
+    """``build_stack``'s sides and route for ``policy``, with side ``side``
+    serving at an infinite rate."""
+    sides, route = build_stack(policy, RunConfig(CMIN, DELTA_C, DELTA))
+    sides = list(sides)
+    sides[side] = sides[side]._replace(model=ConstantRateModel(math.inf))
+    return sides, route
 
 
 def assert_same_run(got: driver.DirectRun, want: driver.DirectRun) -> None:
@@ -316,9 +332,10 @@ class TestNativeLoop:
 
     @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
     @pytest.mark.parametrize("admission", ("count", "work"))
-    def test_moments_equal_the_direct_loops(self, policy, admission, monkeypatch):
-        """``run_policy``'s native result against its direct one: samples,
-        moments and misses on a bursty sized trace."""
+    def test_moments_equal_the_direct_loops(self, policy, admission):
+        """``run_policy``'s native result against the direct loop's run of
+        the same stack: samples, moments and misses on a bursty sized
+        trace."""
         rng = np.random.default_rng(7)
         workload = Workload(
             np.sort(rng.uniform(0.0, 30.0, 3000)),
@@ -327,29 +344,57 @@ class TestNativeLoop:
         )
         config = RunConfig(60.0, 40.0, 0.05, admission=admission)
         fast = run_policy(workload, policy, config=config)
-        monkeypatch.setattr(native, "available", lambda: False)
-        slow = run_policy(workload, policy, config=config)
-        assert (fast.engine, slow.engine) == ("native", "direct")
-        for name in ("overall", "primary", "overflow"):
-            mine, theirs = getattr(fast, name), getattr(slow, name)
-            assert mine.samples.tobytes() == theirs.samples.tobytes(), name
-            assert vars(mine.stats) == vars(theirs.stats), name
+        slow = direct_run(workload, policy, config)
+        assert fast.engine == "native"
+        primary, overflow = class_results(policy, slow.by_class)
+        for mine, theirs in (
+            (fast.overall, slow.overall),
+            (fast.primary, primary),
+            (fast.overflow, overflow),
+        ):
+            assert mine.samples.tobytes() == theirs.samples.tobytes(), theirs.name
+            assert vars(mine.stats) == vars(theirs.stats), theirs.name
         assert fast.primary_misses == slow.primary_misses
-        assert fast.ledger == slow.ledger
+        assert fast.ledger == slow.fault_ledger()
 
-    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
-    def test_a_zero_service_time_raises_as_on_the_direct_loop(self, policy, monkeypatch):
-        """An infinite surplus makes every service time ``d * (1/inf)``
-        zero: the native loop refuses it with the direct loop's error."""
-        config = RunConfig(4.0, float("inf"), 0.5)
-        workload = Workload([0.0, 0.5])
-        assert native.serves(policy, workload.sizes)
-        message = f"{policy}: non-positive service time 0.0"
+    @pytest.mark.parametrize(
+        ("policy", "side"),
+        [
+            ("fcfs", 0),
+            ("split", 0),
+            ("split", 1),
+            ("fairqueue", 0),
+            ("wf2q", 0),
+            ("miser", 0),
+        ],
+        ids=["fcfs", "split-primary", "split-overflow", "fairqueue", "wf2q", "miser"],
+    )
+    def test_a_zero_service_time_raises_as_on_the_direct_loop(self, policy, side):
+        """An infinite rate makes every service time ``d * (1/inf)`` zero:
+        the native loop refuses it with the direct loop's error, which
+        names the server.  Split admits two of the three simultaneous
+        arrivals to Q1 and sends the third to the overflow side."""
+        workload = Workload([0.0, 0.0, 0.0, 0.5])
+        name = build_stack(policy, RunConfig(CMIN, DELTA_C, DELTA))[0][side].name
+        message = f"{name}: non-positive service time 0.0"
+        sides, route = infinite_side(policy, side)
         with pytest.raises(SimulationError, match=message):
-            run_policy(workload, policy, config=config)
-        monkeypatch.setattr(native, "available", lambda: False)
+            driver.serve_direct(workload, *sides, route=route)
+        sides, route = infinite_side(policy, side)
         with pytest.raises(SimulationError, match=message):
-            run_policy(workload, policy, config=config)
+            if policy in native.FIFO_POLICIES:
+                native.serve_fifo(
+                    workload.arrivals,
+                    workload.sizes,
+                    [(model.capacity, label) for _, model, label in sides],
+                    route.__self__.classifier if route is not None else None,
+                )
+            else:
+                ((scheduler, model, _),) = sides
+                native.serve_recombined(
+                    workload.arrivals, workload.sizes, policy, model.capacity,
+                    (CMIN, DELTA_C), scheduler.classifier,
+                )
 
     def test_engine_parity_takes_the_native_loop(self, monkeypatch):
         """``engine_parity`` certifies the path ``auto`` takes: with the
@@ -372,8 +417,21 @@ class TestNativeLoop:
             ("offset += d2;", "offset += 0.0;", "miser", "responses differ"),
             # Miser's gate reading the largest slack, not the smallest.
             ("mask].start > stored", "mask].start < stored", "miser", "responses differ"),
+            # Split keeping a Q1 slot taken by a completion at the
+            # arrival's own instant (the tie workload).
+            (
+                "q1[head & mask].finish <= t",
+                "q1[head & mask].finish < t",
+                "split",
+                "Q1 completions 1 (native) vs 2",
+            ),
+            # Split serving its overflow side at the primary side's rate.
+            ("first ? s1 : s2", "first ? s1 : s1", "split", "Q2 responses differ"),
         ],
-        ids=["tie-order", "wf2q-virtual-time", "miser-decrement", "miser-minimum"],
+        ids=[
+            "tie-order", "wf2q-virtual-time", "miser-decrement", "miser-minimum",
+            "split-tie-order", "split-overflow-rate",
+        ],
     )
     def test_a_drifting_native_loop_is_detected(
         self, old, new, policy, problem, tmp_path, monkeypatch
@@ -385,11 +443,13 @@ class TestNativeLoop:
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         monkeypatch.setattr(native, "_lib", None)
         monkeypatch.setattr(native, "_load_attempted", False)
-        if policy == "fairqueue":
-            # Q1 admits floor(2 · 0.5) = 1; the rate-4 server finishes
-            # request 0 exactly when request 1 arrives.
+        if problem.startswith("Q1 completions"):
+            # Q1 admits floor(2 · 0.5) = 1, and fairqueue's rate-4 server
+            # and split's rate-2 primary side both finish request 0
+            # exactly when request 1 arrives.
+            tie = (0.0, 0.25) if policy == "fairqueue" else (0.0, 0.5)
             report = engine_parity(
-                Workload([0.0, 0.25], name="tie"), 2.0, 2.0, 0.5, policies=(policy,)
+                Workload(tie, name="tie"), 2.0, 2.0, 0.5, policies=(policy,)
             )
         else:
             rng = np.random.default_rng(1)
@@ -439,25 +499,31 @@ def served(workload: Workload, policy: str, config: RunConfig) -> tuple:
 
 
 def assert_paths_agree(workload: Workload, admission: str, policies=ALL_POLICIES) -> None:
+    """``auto``, and a forced ``batch`` where it is eligible, against the
+    event loop: ``auto`` takes fcfs and split to the native loops where
+    they build, so the batch engine is forced here to stay covered."""
     config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
     for policy in policies:
-        assert served(workload, policy, config) == served(
-            workload, policy, config.with_engine("scalar")
-        ), policy
+        reference = served(workload, policy, config.with_engine("scalar"))
+        assert served(workload, policy, config) == reference, policy
+        if batch.supports(policy, admission=admission)[0]:
+            batched = served(workload, policy, config.with_engine("batch"))
+            assert batched == reference, f"{policy} (batch)"
 
 
 @given(workload=finite_workloads(), admission=st.sampled_from(["count", "work"]))
 def test_finite_workloads_bit_identical_on_every_path(workload, admission):
-    """The batch engine and the heap-free loop give what the event loop
-    gives, for every policy, on every finite workload."""
+    """The path ``auto`` takes — the native loops, the batch engine or
+    the heap-free loop — and a forced batch engine give what the event
+    loop gives, for every policy, on every finite workload."""
     assert_paths_agree(workload, admission)
 
 
 @needs_native
 @given(workload=finite_workloads(), admission=st.sampled_from(["count", "work"]))
 def test_finite_workloads_native_loop_equals_the_direct_loop(workload, admission):
-    """The native loop gives what the direct loop gives, moments
-    included, for its three policies on every finite workload."""
+    """The native loops give what the direct loop gives, moments
+    included, for their five policies on every finite workload."""
     config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
     for policy in native.SERVE_POLICIES:
         assert_same_run(
@@ -466,17 +532,46 @@ def test_finite_workloads_native_loop_equals_the_direct_loop(workload, admission
         )
 
 
+def assert_every_path_refuses(
+    workload: Workload, policy: str, config: RunConfig, message: str
+) -> None:
+    """``run_policy`` on every engine, the direct loop and the native loop
+    all raise ``message``."""
+    for engine in ("auto", "batch", "scalar"):
+        with pytest.raises(SimulationError, match=message):
+            run_policy(workload, policy, config=config.with_engine(engine))
+    with pytest.raises(SimulationError, match=message):
+        direct_run(workload, policy, config)
+    if native.available():
+        with pytest.raises(SimulationError, match=message):
+            serve_native(workload, policy, config)
+
+
 class TestOutOfRangeSizes:
     """Sizes ``Workload`` accepts but ingest refuses: every path must
     serve or refuse them alike."""
 
-    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
+    @pytest.mark.parametrize("policy", native.RECOMBINED_POLICIES)
     @pytest.mark.parametrize("size", [MIN_SIZE / 2, 2 * MAX_SIZE], ids=["small", "large"])
     def test_the_native_loop_leaves_them_to_the_direct_loop(self, policy, size):
         workload = Workload([0.0, 0.0, 0.5], sizes=[1.0, size, 1.0])
         config = RunConfig(CMIN, DELTA_C, DELTA)
         assert run_policy(workload, policy, config=config).engine == "direct"
         assert_paths_agree(workload, "count", (policy,))
+
+    @pytest.mark.parametrize("policy", native.FIFO_POLICIES)
+    @pytest.mark.parametrize("admission", ["count", "work"])
+    @pytest.mark.parametrize("size", [MIN_SIZE / 2, 2 * MAX_SIZE], ids=["small", "large"])
+    def test_the_native_loop_leaves_fifo_runs_to_the_next_path(
+        self, policy, admission, size
+    ):
+        """The batch engine under count admission, the direct loop under
+        work admission."""
+        workload = Workload([0.0, 0.0, 0.5], sizes=[1.0, size, 1.0])
+        config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+        engine = "batch" if admission == "count" else "direct"
+        assert run_policy(workload, policy, config=config).engine == engine
+        assert_paths_agree(workload, admission, (policy,))
 
     def test_miser_overflow_raises_on_every_path(self):
         """Two admitted demands of 1.7e308 sum past the largest float, and
@@ -489,11 +584,22 @@ class TestOutOfRangeSizes:
                     config=RunConfig(CMIN, DELTA_C, DELTA, engine=engine),
                 )
 
-    @pytest.mark.xfail(strict=True, raises=SimulationError)
-    def test_subnormal_size(self):
-        """Its service time rounds to 0: the batch engine serves it in
-        no time, the event loop refuses it."""
-        assert_paths_agree(Workload([0.0], sizes=[5e-324]), "count", ("fcfs",))
+    @pytest.mark.parametrize("policy", native.FIFO_POLICIES)
+    def test_subnormal_size(self, policy):
+        """Its service time rounds to 0: every path refuses it with the
+        direct loop's error, which names the server."""
+        workload = Workload([0.0], sizes=[5e-324])
+        config = RunConfig(CMIN, DELTA_C, DELTA)
+        side = "fcfs" if policy == "fcfs" else "primary"
+        assert_every_path_refuses(workload, policy, config, f"{side}: non-positive")
+
+    def test_the_first_refusal_in_event_order_names_its_side(self):
+        """Split admits requests 0 and 1; request 1 waits behind request 0
+        on the primary side, while request 2 starts on the overflow side
+        at once: the overflow side refuses first."""
+        workload = Workload([0.0, 0.0, 0.0], sizes=[1.0, 5e-324, 5e-324])
+        config = RunConfig(CMIN, DELTA_C, DELTA)
+        assert_every_path_refuses(workload, "split", config, "overflow: non-positive")
 
     @pytest.mark.parametrize("policy", TOPOLOGY_POLICIES)
     def test_completion_past_the_largest_float(self, policy):

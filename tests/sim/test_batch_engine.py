@@ -54,6 +54,17 @@ class TestRunPolicyParity:
         assert columnar.primary_misses == scalar.primary_misses
 
     @pytest.mark.parametrize("policy", batch.SUPPORTED_POLICIES)
+    def test_moments_equal_the_event_loops(self, policy):
+        """The collectors adopt the batch columns and fold their moments
+        lazily, in sample order: ``stats`` is the event loop's, bit for
+        bit."""
+        workload = poisson_workload(rate=400.0, duration=3.0, seed=7)
+        scalar, columnar = run_both(workload, policy, **CONFIG)
+        for name in ("overall", "primary", "overflow"):
+            mine, theirs = getattr(columnar, name), getattr(scalar, name)
+            assert vars(mine.stats) == vars(theirs.stats), name
+
+    @pytest.mark.parametrize("policy", batch.SUPPORTED_POLICIES)
     def test_poisson_trace_bit_identical(self, policy):
         workload = poisson_workload(rate=400.0, duration=3.0, seed=7)
         scalar, columnar = run_both(workload, policy, **CONFIG)
@@ -80,14 +91,20 @@ class TestEngineSelection:
     def test_defaults_to_auto(self):
         assert engines.active_engine() == "auto"
 
-    def test_auto_takes_batch_path_when_eligible(self):
+    def test_auto_takes_batch_path_when_eligible(self, monkeypatch):
+        """With no native build, ``auto`` takes fcfs to the batch engine."""
+        monkeypatch.setattr(native, "available", lambda: False)
         result = run_policy(ZERO_GAP, "fcfs", **CONFIG)
         assert result.engine == "batch"
 
     @pytest.mark.parametrize(
-        ("engine", "path"), [("auto", "batch"), ("batch", "batch"), ("scalar", "scalar")]
+        ("engine", "path"), [("auto", "native"), ("batch", "batch"), ("scalar", "scalar")]
     )
     def test_argument_selects_engine(self, engine, path):
+        """``auto`` takes the native loop where it builds, else the batch
+        engine; a forced ``batch`` runs the batch engine either way."""
+        if path == "native" and not native.available():
+            path = "batch"
         config = RunConfig(engine=engine, **CONFIG)
         assert run_policy(ZERO_GAP, "fcfs", config=config).engine == path
 

@@ -1,6 +1,7 @@
 """Tests for statistics collection."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -194,6 +195,74 @@ class TestLazyMoments:
             collector.add(-1e-9)
         assert_same()
         assert len(collector) == reference.count
+
+
+class TestColumnStore:
+    """A collector that adopts a float64 column reads exactly as one that
+    added the same samples one by one."""
+
+    @staticmethod
+    def pair(values):
+        listed = ResponseTimeCollector("c")
+        for x in values:
+            listed.add(x)
+        column = ResponseTimeCollector.adopting("c", np.array(values, dtype=np.float64))
+        return listed, column
+
+    @given(
+        st.lists(SAMPLES, max_size=60),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 100.0),
+    )
+    def test_every_view_equals_the_lists(self, values, bound, p):
+        listed, column = self.pair(values)
+        assert column.samples.tobytes() == listed.samples.tobytes()
+        assert len(column) == len(listed)
+        # repr: an empty collector's NaN compliance equals itself.
+        assert repr(column.fraction_within(bound)) == repr(listed.fraction_within(bound))
+        assert column.percentile(p) == listed.percentile(p)
+        assert column.percentile_exact(p) == listed.percentile_exact(p)
+        for mine, theirs in zip(column.cdf(), listed.cdf()):
+            assert mine.tobytes() == theirs.tobytes()
+        assert column.summary() == listed.summary()
+        assert vars(column.stats) == vars(listed.stats)
+        # The moments fold the column as Python floats.
+        assert all(
+            type(value) in (int, float) for value in vars(column.stats).values()
+        )
+
+    def test_an_empty_column(self):
+        column = ResponseTimeCollector.adopting("c", np.empty(0))
+        assert len(column) == 0
+        assert math.isnan(column.fraction_within(1.0))
+        assert column.percentile(50) == column.percentile_exact(50) == 0.0
+        assert [a.size for a in column.cdf()] == [0, 0]
+        assert column.summary() == ResponseTimeCollector("c").summary()
+
+    def test_the_column_cannot_be_written_through_samples(self):
+        values = np.array([0.1, 0.2, 0.3])
+        column = ResponseTimeCollector.adopting("c", values)
+        # A pickled copy (a result sent back by a worker process) too.
+        for collector in (column, pickle.loads(pickle.dumps(column))):
+            with pytest.raises(ValueError, match="read-only"):
+                collector.samples[0] = 5.0
+            assert collector.samples.tolist() == [0.1, 0.2, 0.3]
+
+    @given(st.lists(SAMPLES, max_size=20), COLLECTOR_OPS)
+    def test_add_and_extend_continue_as_a_list(self, values, operations):
+        listed, column = self.pair(values)
+        for op in operations:
+            for collector in (listed, column):
+                if op[0] == "read":
+                    collector.stats
+                else:
+                    getattr(collector, op[0])(op[1])
+            assert column.samples.tobytes() == listed.samples.tobytes()
+            assert vars(column.stats) == vars(listed.stats)
+
+    def test_a_negative_sample_is_refused(self):
+        with pytest.raises(SimulationError, match="negative response time -0.5 in c"):
+            ResponseTimeCollector.adopting("c", np.array([0.1, -0.5, 0.2]))
 
 
 class TestRateRecorder:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
+from repro.perf import native
 from repro.shaping import RunConfig, run_policy
 from repro.workload import BimodalDemand, attach_demands
 
@@ -105,18 +106,24 @@ class TestWorkAdmissionRuns:
         with pytest.raises(ConfigurationError, match="work"):
             run_policy(sized, "split", config=config)
 
-    def test_auto_engine_serves_work_split_directly(self, sized):
+    def test_auto_engine_serves_work_split_off_the_event_loop(self, sized, monkeypatch):
         """The batch engine cannot run work admission; auto takes the
-        direct loop, which must match the event loop."""
+        native loop where it builds and the direct loop without it, and
+        both must match the event loop."""
         config = RunConfig(4.0, 2.0, 0.5, admission="work", engine="auto")
-        result = run_policy(sized, "split", config=config)
-        assert result.engine == "direct"
         scalar = run_policy(sized, "split", config=config.with_engine("scalar"))
         assert scalar.engine == "scalar"
-        for collector in ("overall", "primary", "overflow"):
-            assert np.array_equal(
-                getattr(result, collector).samples, getattr(scalar, collector).samples
-            ), collector
+        runs = [run_policy(sized, "split", config=config)]
+        assert runs[0].engine == ("native" if native.available() else "direct")
+        monkeypatch.setattr(native, "available", lambda: False)
+        runs.append(run_policy(sized, "split", config=config))
+        assert runs[1].engine == "direct"
+        for result in runs:
+            for collector in ("overall", "primary", "overflow"):
+                assert np.array_equal(
+                    getattr(result, collector).samples,
+                    getattr(scalar, collector).samples,
+                ), collector
 
     def test_sized_split_bit_identical_across_engines(self, workload):
         # Count-bound sized runs are batch-eligible; demands <= 1 keep

@@ -14,7 +14,7 @@ from repro.check.differential import engine_parity
 from repro.core.rtt import decompose
 from repro.core.workload import Workload
 from repro.faults import run_resilient
-from repro.perf import admitted_per_batch, count_admitted, count_admitted_sweep
+from repro.perf import admitted_per_batch, count_admitted, count_admitted_sweep, native
 from repro.serve import ServiceHarness
 from repro.shaping import RunConfig, WorkloadShaper, run_policy
 from repro.workload import run_closed_loop
@@ -90,7 +90,8 @@ def test_a_run_arms_what_it_names(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "scalar")
     monkeypatch.setenv("REPRO_AQM", "static")
     plain = run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN))
-    assert (plain.engine, plain.aqm, plain.window) == ("batch", None, None)
+    engine = "native" if native.available() else "batch"
+    assert (plain.engine, plain.aqm, plain.window) == (engine, None, None)
     windowed = run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN, aqm="codel"))
     assert (windowed.engine, windowed.aqm) == ("scalar", "codel")
     assert windowed.window["policy"] == "codel"

@@ -141,21 +141,32 @@ class TestEngineRouting:
         assert fallback.engine == "direct"
         self.assert_same_samples(fallback, reference)
 
-    def test_fcfs_under_work_admission_takes_direct_path(self, workload, plan):
-        config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission="work")
-        result = run_policy(workload, "fcfs", config=config)
-        assert result.engine == "direct" and result.admission == "work"
-        assert len(result.primary) == len(result.overflow) == 0
-        reference = run_policy(workload, "fcfs", config=config.with_engine("scalar"))
-        self.assert_same_samples(result, reference)
-
+    @pytest.mark.parametrize(
+        ("admission", "fallback"), [("count", "batch"), ("work", "direct")]
+    )
     @pytest.mark.parametrize("policy", ("fcfs", "split"))
-    def test_count_fcfs_and_split_stay_batch(self, workload, config, policy):
-        assert run_policy(workload, policy, config=config).engine == "batch"
+    def test_fcfs_and_split_take_the_native_loop(
+        self, workload, plan, policy, admission, fallback, monkeypatch
+    ):
+        """fcfs and split take the native loop where it builds, in either
+        admission mode; without it, the batch engine under count admission
+        and the direct loop under work admission.  Every path gives the
+        event loop's samples."""
+        config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission=admission)
+        reference = run_policy(workload, policy, config=config.with_engine("scalar"))
+        result = run_policy(workload, policy, config=config)
+        assert result.engine == ("native" if native.available() else fallback)
+        assert result.admission == admission
+        if policy == "fcfs":
+            assert len(result.primary) == len(result.overflow) == 0
+        self.assert_same_samples(result, reference)
+        monkeypatch.setattr(native, "available", lambda: False)
+        slower = run_policy(workload, policy, config=config)
+        assert slower.engine == fallback
+        self.assert_same_samples(slower, reference)
 
     @pytest.mark.parametrize(
-        ("policy", "admission"),
-        [("split", "work"), ("splitfarm", "count"), ("splitfarm", "work")],
+        ("policy", "admission"), [("splitfarm", "count"), ("splitfarm", "work")]
     )
     def test_topologies_take_direct_path(self, workload, plan, policy, admission):
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission=admission)
@@ -166,17 +177,22 @@ class TestEngineRouting:
         self.assert_same_samples(result, reference)
 
     @pytest.mark.parametrize(
-        "change",
+        ("policy", "change"),
         [
-            {"engine": "scalar"},
-            {"record_rates": 1.0},
-            {"metrics": MetricsRegistry()},
-            {"sample_interval": 1.0},
-        ]
-        + [{"aqm": aqm} for aqm in sorted(AQM_POLICIES)],
-        ids=change_id,
+            pytest.param(policy, change, id=f"{policy}-{change_id(change)}")
+            for policy in native.SERVE_POLICIES
+            for change in [
+                {"engine": "scalar"},
+                {"record_rates": 1.0},
+                {"metrics": MetricsRegistry()},
+                {"sample_interval": 1.0},
+            ]
+            + [{"aqm": aqm} for aqm in sorted(AQM_POLICIES)]
+            # A topology refuses rate recording
+            # (test_rate_recording_rejected_for_split).
+            if not (policy == "split" and "record_rates" in change)
+        ],
     )
-    @pytest.mark.parametrize("policy", native.SERVE_POLICIES)
     def test_event_loop_configs_stay_scalar(self, workload, plan, change, policy):
         """A hook or a window keeps even the native loop's policies on
         the event loop."""

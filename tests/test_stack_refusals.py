@@ -7,6 +7,8 @@ refused by one check with one message: ``run_policy``,
 ``ServiceHarness`` must all say the same thing.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,35 @@ CASES = [
         "split", (4.0, 2.0, 0.0), {}, EVERY,
         "bad configuration: cmin=4.0, delta_c=2.0, delta=0.0",
         id="zero-delta",
+    ),
+    pytest.param(
+        "fcfs", (math.nan, 2.0, 0.5), {}, EVERY, "cmin must be finite, got nan",
+        id="nan-cmin",
+    ),
+    pytest.param(
+        "split", (math.inf, 2.0, 0.5), {}, EVERY, "cmin must be finite, got inf",
+        id="infinite-cmin",
+    ),
+    pytest.param(
+        "fairqueue", (4.0, math.nan, 0.5), {}, EVERY,
+        "delta_c must be finite, got nan",
+        id="nan-delta_c",
+    ),
+    pytest.param(
+        "miser", (4.0, math.inf, 0.5), {}, EVERY, "delta_c must be finite, got inf",
+        id="infinite-delta_c",
+    ),
+    pytest.param(
+        "split", (4.0, 2.0, math.nan), {}, EVERY, "delta must be finite, got nan",
+        id="nan-delta",
+    ),
+    pytest.param(
+        "wf2q", (4.0, 2.0, math.inf), {}, EVERY, "delta must be finite, got inf",
+        id="infinite-delta",
+    ),
+    pytest.param(
+        "fcfs", (4.0, 2.0, -math.inf), {}, EVERY, "delta must be finite, got -inf",
+        id="negative-infinite-delta",
     ),
     pytest.param(
         "lifo", PLAN, {}, EVERY, "unknown policy 'lifo'", id="unknown-policy"
