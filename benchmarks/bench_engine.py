@@ -9,25 +9,19 @@ Two modes, mirroring ``bench_kernels.py``:
   times, certifying bit-parity on every case, and writes the report as
   JSON:
 
-  - the batch engine against the event loop over a (trace size x
-    policy) matrix from 10^4 to 10^6 requests (``end_to_end``);
   - the heap-free loop (:func:`repro.server.driver.serve_direct`
     through :func:`repro.shaping.build_stack`) against the event loop
-    for every configuration the batch engine does not take — the
-    single-server policies, split under work admission and splitfarm
-    — at 10^4 and 10^5 requests (``direct``);
+    for the single-server policies, split in either admission mode and
+    splitfarm at 10^4 and 10^5 requests (``direct``, :data:`DIRECT_CASES`);
   - the same loop fed a closed-loop population
     (:func:`run_closed_loop`, ~4x10^4 requests) against the event loop
     for every policy (``closed_loop``);
-  - each fast path against the path ``auto`` would take without it:
-    the native loops (engine ``"native"``) at 10^4, 10^5 and 10^6
-    requests (``native``, :data:`NATIVE_CASES`) against the batch
-    engine for fcfs and split and against the direct loop for split
-    under work admission, fairqueue, wf2q and miser; and the batch
-    engine against the direct loop for fcfs and split at 10^5 and 10^6
-    (``batch_vs_direct``).  A policy keeps its second implementation
-    only while this speedup holds at least :data:`MIN_QUICK_SPEEDUP` at
-    10^5.
+  - the native loops (engine ``"native"``) against the direct loop,
+    the path ``auto`` takes without them, at 10^4, 10^5 and 10^6
+    requests (``native``, :data:`NATIVE_CASES`): fcfs, split in either
+    admission mode, fairqueue, wf2q and miser.  A policy keeps its
+    second implementation only while this speedup holds at least
+    :data:`MIN_QUICK_SPEEDUP` at 10^5.
 
   The two paths of a row run in alternation, the first of them flipped
   every rep, and each reports its median with its fastest and slowest
@@ -40,10 +34,9 @@ reports any divergence on the 10^5-request reference trace — for every
 policy on the path ``auto`` takes it to — if the direct loop and the
 event loop disagree on split under work admission there, if
 ``closed_loop_parity`` reports any divergence on the closed-loop
-population for any policy, or if the batch engine (over the event
-loop, on either batch policy) or the native loops (over the path each
-of :data:`NATIVE_CASES` replaces) lose bit parity or fall below
-:data:`MIN_QUICK_SPEEDUP`.  The direct path has no speed floor there,
+population for any policy, or if the native loops lose bit parity with
+the direct loop or fall below :data:`MIN_QUICK_SPEEDUP` over it on any
+of :data:`NATIVE_CASES`.  The direct path has no speed floor there,
 open or closed.
 
 The committed ``BENCH_engine.json`` was produced by the script mode;
@@ -81,44 +74,42 @@ CMIN = 300.0
 DELTA_C = 60.0
 DELTA = 0.05
 
-#: Trace sizes for the end-to-end matrix (requests, approximate —
-#: Poisson draws the exact count).
+#: Trace sizes for the native rows (requests, approximate — Poisson
+#: draws the exact count).
 SIZES = (10_000, 100_000, 1_000_000)
 
-#: CI gate: minimum speedup on the 10^5-request reference trace of the
-#: batch engine over the event loop, and of the native loops over the
-#: path each native case replaces.  A policy moves to a second
+#: CI gate: minimum speedup of the native loops over the direct loop on
+#: the 10^5-request reference trace.  A policy moves to a second
 #: implementation only where it beats the path it replaces by this much.
 MIN_QUICK_SPEEDUP = 5.0
 
+#: The policies of the pytest-benchmark cases.
 POLICIES = ("fcfs", "split")
 
-#: ``(path replaced, policy, admission)``: each configuration ``auto``
-#: serves on the native loops, against the path it would take without
-#: them.
+#: ``(policy, admission)``: each configuration ``auto`` serves on the
+#: native loops, measured against the direct loop, which serves it
+#: without them.
 NATIVE_CASES = (
-    ("batch", "fcfs", "count"),
-    ("batch", "split", "count"),
-    ("direct", "split", "work"),
-    ("direct", "fairqueue", "count"),
-    ("direct", "wf2q", "count"),
-    ("direct", "miser", "count"),
+    ("fcfs", "count"),
+    ("split", "count"),
+    ("split", "work"),
+    ("fairqueue", "count"),
+    ("wf2q", "count"),
+    ("miser", "count"),
 )
 
-#: (policy, admission) cases the batch engine does not take: ``auto``
-#: serves them on the heap-free loop (engine "direct"), the topologies
-#: on their two sides.
+#: (policy, admission) cases measured on the heap-free loop (engine
+#: "direct") against the event loop, the topologies on their two sides.
 DIRECT_CASES = tuple(
     (policy, "count")
-    for policy in ("fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost")
-) + (("split", "work"), ("splitfarm", "count"))
+    for policy in (
+        "fcfs", "fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost"
+    )
+) + (("split", "count"), ("split", "work"), ("splitfarm", "count"))
 
 #: Trace sizes for the direct rows (the event loop needs ~10 s per
 #: policy at 10^6).
 DIRECT_SIZES = SIZES[:2]
-
-#: Trace sizes for the batch engine against the direct loop.
-BATCH_VS_DIRECT_SIZES = SIZES[1:]
 
 #: The closed-loop rows' population: 36 users thinking 0.2 s on average
 #: between requests from the tail bake-off's 1/8 demand mix keep the
@@ -150,7 +141,7 @@ def bench_workload():
     return reference_workload(30_000)
 
 
-@pytest.mark.parametrize("engine", ("scalar", "batch"))
+@pytest.mark.parametrize("engine", ("scalar", "auto"))
 @pytest.mark.parametrize("policy", POLICIES)
 def test_run_policy_engine(benchmark, bench_workload, policy, engine):
     result = benchmark.pedantic(
@@ -160,7 +151,8 @@ def test_run_policy_engine(benchmark, bench_workload, policy, engine):
         rounds=3,
         iterations=1,
     )
-    assert result.engine == engine
+    # auto takes the native loop where it builds, the direct loop else.
+    assert (result.engine == "scalar") == (engine == "scalar")
     assert len(result.overall) == len(bench_workload)
 
 
@@ -210,10 +202,10 @@ def _label(policy: str, admission: str) -> str:
 def _runner(path: str, workload, policy: str, config: RunConfig):
     """One run of ``policy`` on ``path``, as a zero-argument callable.
 
-    ``"scalar"`` and ``"batch"`` are forced through ``run_policy``,
-    ``"native"`` is what ``auto`` takes, and ``"direct"`` is
+    ``"scalar"`` is forced through ``run_policy``, ``"native"`` is what
+    ``auto`` takes, and ``"direct"`` is
     :func:`~repro.server.driver.serve_direct` through ``build_stack``
-    (``auto`` takes it only where no faster path qualifies).
+    (``auto`` takes it only where the native loops do not qualify).
     """
     if path == "direct":
 
@@ -304,22 +296,20 @@ def _quick_gate() -> int:
         problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
         print(f"closed-loop {policy}: " + ("; ".join(problems) or "bit-identical"))
         failed = failed or bool(problems)
-    gated = [("scalar", "batch", policy, "count") for policy in POLICIES]
-    gated += [(slow, "native", policy, admission) for slow, policy, admission in NATIVE_CASES]
-    for slow, fast, policy, admission in gated:
-        row = _bench_paths(workload, policy, 1, slow, fast, admission=admission)
+    for policy, admission in NATIVE_CASES:
+        row = _bench_paths(workload, policy, 1, "direct", "native", admission=admission)
         label = _label(policy, admission)
         print(
-            f"{label:>10s} @ n={row['n_requests']}: {slow} {row[f'{slow}_s']:.3f}s"
-            f"  {fast} {row[f'{fast}_s']:.4f}s  speedup {row['speedup']:.1f}x"
+            f"{label:>10s} @ n={row['n_requests']}: direct {row['direct_s']:.3f}s"
+            f"  native {row['native_s']:.4f}s  speedup {row['speedup']:.1f}x"
             f"  parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
         if not row["bit_parity_ok"]:
-            print(f"FAIL: {label} lost bit parity on the {fast} path")
+            print(f"FAIL: {label} lost bit parity on the native path")
             failed = True
         if row["speedup"] < MIN_QUICK_SPEEDUP:
             print(
-                f"FAIL: {label} {fast} speedup {row['speedup']:.1f}x over {slow} "
+                f"FAIL: {label} native speedup {row['speedup']:.1f}x over direct "
                 f"is below the {MIN_QUICK_SPEEDUP:.0f}x floor"
             )
             failed = True
@@ -340,19 +330,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.quick:
         return _quick_gate()
-
-    results = []
-    for n in SIZES:
-        workload = reference_workload(n)
-        for policy in POLICIES:
-            row = _bench_paths(workload, policy, args.reps, "scalar", "batch")
-            results.append(row)
-            print(
-                f"{policy:>6s} @ n={row['n_requests']:>7d}: "
-                f"scalar {row['scalar_s']:8.3f}s  batch {row['batch_s']:7.3f}s  "
-                f"speedup {row['speedup']:6.1f}x  "
-                f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
-            )
 
     direct = []
     for n in DIRECT_SIZES:
@@ -380,24 +357,17 @@ def main(argv: list[str] | None = None) -> int:
             f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
 
-    replaced = {"native": [], "batch_vs_direct": []}
+    native = []
     for n in SIZES:
         workload = reference_workload(n)
-        cases = [
-            ("native", slow, "native", policy, admission)
-            for slow, policy, admission in NATIVE_CASES
-        ]
-        if n in BATCH_VS_DIRECT_SIZES:
-            cases += [
-                ("batch_vs_direct", "direct", "batch", policy, "count")
-                for policy in POLICIES
-            ]
-        for table, slow, fast, policy, admission in cases:
-            row = _bench_paths(workload, policy, args.reps, slow, fast, admission=admission)
-            replaced[table].append(row)
+        for policy, admission in NATIVE_CASES:
+            row = _bench_paths(
+                workload, policy, args.reps, "direct", "native", admission=admission
+            )
+            native.append(row)
             print(
                 f"{_label(policy, admission):>10s} @ n={row['n_requests']:>7d}: "
-                f"{slow} {row[f'{slow}_s']:8.3f}s  {fast} {row[f'{fast}_s']:7.4f}s  "
+                f"direct {row['direct_s']:8.3f}s  native {row['native_s']:7.4f}s  "
                 f"speedup {row['speedup']:6.1f}x  "
                 f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
             )
@@ -405,32 +375,21 @@ def main(argv: list[str] | None = None) -> int:
     def at(rows, n):
         return [r for r in rows if 0.9 * n <= r["n_requests"] <= 1.1 * n]
 
-    largest = at(results, SIZES[-1])
     direct_largest = at(direct, DIRECT_SIZES[-1])
-    native_1e5 = at(replaced["native"], SIZES[1])
+    native_1e5 = at(native, SIZES[1])
     summary = {
-        "all_parity_ok": all(
-            r["bit_parity_ok"]
-            for r in results + direct + closed + sum(replaced.values(), [])
-        ),
-        "speedup_at_1e6": {r["policy"]: r["speedup"] for r in largest},
-        "min_speedup_at_1e6": min(r["speedup"] for r in largest),
+        "all_parity_ok": all(r["bit_parity_ok"] for r in direct + closed + native),
         "direct_speedup_at_1e5": {
             _label(r["policy"], r["admission"]): r["speedup"] for r in direct_largest
         },
         "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
         "closed_loop_speedup": {r["policy"]: r["speedup"] for r in closed},
         "min_closed_loop_speedup": min(r["speedup"] for r in closed),
-        # Each native case over the path it replaces (batch or direct).
+        # Each native case over the direct loop, the path it replaces.
         "native_speedup_at_1e5": {
             _label(r["policy"], r["admission"]): r["speedup"] for r in native_1e5
         },
         "min_native_speedup_at_1e5": min(r["speedup"] for r in native_1e5),
-        "batch_over_direct": {
-            f"{r['policy']}@{n:.0e}": r["speedup"]
-            for n in BATCH_VS_DIRECT_SIZES
-            for r in at(replaced["batch_vs_direct"], n)
-        },
     }
     report = {
         "meta": {
@@ -447,10 +406,9 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "end_to_end": results,
         "direct": direct,
         "closed_loop": closed,
-        **replaced,
+        "native": native,
         "summary": summary,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

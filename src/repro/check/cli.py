@@ -10,8 +10,9 @@ Three verification passes, composable in one invocation:
   against the exact DP oracle, shrinking any counterexample;
 * ``--differential N`` — run ``N`` fuzzed traces through every
   recombination policy with the invariant auditors on, plus the kernel
-  parity, execution-engine parity (scalar event loop vs columnar batch
-  engine and heap-free loop), serve-vs-simulate parity (one rotating
+  parity, execution-engine parity (the event loop vs the path
+  ``auto`` takes: the native loops where the C code builds, the
+  heap-free loop otherwise), serve-vs-simulate parity (one rotating
   policy per case), closed-loop parity (one population per case,
   rotating through every policy), and server-model cross-checks;
 * ``--serve-parity DIR`` — replay every golden trace under ``DIR``

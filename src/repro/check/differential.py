@@ -275,7 +275,7 @@ def fcfs_lindley_check(
     if arrivals.size == 0:
         return problems
     # Pin the event engine: under engine="auto" run_policy would take
-    # the columnar path, which is itself Lindley-based — the check would
+    # a fast path, which is itself a FIFO recurrence — the check would
     # compare the recurrence with itself instead of with the simulator.
     result = run_policy(
         workload, "fcfs", config=RunConfig(capacity, 0.0, delta=1.0, engine="scalar")
@@ -375,9 +375,10 @@ class ParityReport:
     :class:`~repro.serve.harness.ServiceHarness` (:func:`serve_parity`).
     ``max_drift`` is the worst per-request disagreement in seconds
     across all checked policies; ``bit_identical`` is True when it is
-    exactly zero (the contract — ``atol`` merely bounds how loud a drift
-    must get before it is *reported*).  Every other disagreement is one
-    of ``divergences``.
+    exactly zero (the contract — :func:`serve_parity`'s ``atol`` merely
+    bounds how loud a drift must get before it is *reported*; the
+    engine plane reports any drift).  Every other disagreement is one of
+    ``divergences``.
     """
 
     plane: str
@@ -431,8 +432,8 @@ def _scalar_columns(
     """Event-engine run returning per-index columns + conservation ledger."""
     system = _event_loop_system(workload, policy, RunConfig(cmin, delta_c, delta))
     # Per-index *response* columns: ``completion - arrival`` is the same
-    # float operation the batch engine applies to its completion columns,
-    # so the comparison stays bit-faithful (re-adding the arrival would
+    # float operation the serving plane applies to its completions, so
+    # the comparison stays bit-faithful (re-adding the arrival would
     # reassociate the floats and manufacture sub-ulp drift).
     responses = np.full(len(workload), np.nan)
     admitted = np.zeros(len(workload), dtype=bool)
@@ -448,30 +449,22 @@ def engine_parity(
     delta_c: float,
     delta: float,
     policies: tuple[str, ...] = ALL_POLICIES,
-    atol: float = EPS,
 ) -> ParityReport:
     """Certify ``run_policy``'s fast paths against the event engine.
 
     Each policy is checked, under count admission, on the path
     ``engine="auto"`` takes it to (:func:`repro.shaping.select_engine`):
-
-    * **batch** (fcfs and split where the native loops do not build or
-      do not take the sizes): both engines serve the trace and must
-      agree on the **admitted set** (per-index ``Q1`` membership, bit for
-      bit), on **completion times** (within ``atol``, the kernel EPS; the
-      report records whether they were in fact bit-identical) and on the
-      **conservation ledger** (every arrival completed, nothing dropped
-      or shed, equal primary deadline-miss counts);
-    * **native** (fcfs, split, fairqueue, wf2q and miser where the C
-      loops build and take the sizes) and **direct** (every other
-      policy, single-server or topology): the native loops
-      (:func:`repro.shaping.serve_native`) or the heap-free loop
-      (:func:`repro.server.driver.serve_direct`) and the event-loop
-      stack (a :class:`~repro.server.driver.DeviceDriver`, or the
-      topology's system) must agree exactly on every per-class response
-      sequence — completion order, merged in side order for a topology
-      — (so on the admitted count), the primary deadline misses, the
-      preemptions and the completion count.
+    the native loops (:func:`repro.shaping.serve_native`: fcfs, split,
+    fairqueue, wf2q and miser where the C code builds and takes the
+    sizes) or the heap-free loop
+    (:func:`repro.server.driver.serve_direct`: every other policy,
+    single-server or topology, and all of them where the C code does
+    not build).  That run and the event-loop stack (a
+    :class:`~repro.server.driver.DeviceDriver`, or the topology's
+    system) must agree exactly on every per-class response sequence —
+    completion order, merged in side order for a topology — (so on the
+    admitted count), the primary deadline misses, the preemptions and
+    the completion count.
 
     A policy that no path takes is a divergence.  This is the
     ``engine_parity`` differential backing the ``engine="auto"``
@@ -484,19 +477,13 @@ def engine_parity(
     for policy in policies:
         if policy not in ALL_POLICIES:
             divergences.append(
-                f"{policy}: not batch-eligible, and not a policy the native "
-                "or the direct loop serves"
+                f"{policy}: not a policy the native or the direct loop serves"
             )
             continue
         path = select_engine(workload, policy, config)
-        if path == "batch":
-            drift = _batch_parity(
-                workload, policy, cmin, delta_c, delta, atol, divergences
-            )
-        else:
-            drift = _direct_parity(
-                workload, policy, cmin, delta_c, delta, "count", divergences, path
-            )
+        drift = _direct_parity(
+            workload, policy, cmin, delta_c, delta, "count", divergences, path
+        )
         max_drift = max(max_drift, drift)
     return ParityReport(
         plane="engine",
@@ -509,63 +496,6 @@ def engine_parity(
         bit_identical=max_drift == 0.0,
         divergences=tuple(divergences),
     )
-
-
-def _batch_parity(
-    workload: Workload,
-    policy: str,
-    cmin: float,
-    delta_c: float,
-    delta: float,
-    atol: float,
-    divergences: list[str],
-) -> float:
-    """Batch engine vs event loop; appends divergences, returns the drift."""
-    from ..sim import batch
-
-    scalar_resp, scalar_adm, ledger, scalar_misses = _scalar_columns(
-        workload, policy, cmin, delta_c, delta
-    )
-    # The scalar side picks a sized workload's demand column up from
-    # WorkloadSource automatically; hand the same column to the batch
-    # kernels.
-    run = batch.run_batch(
-        workload.arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
-    )
-    if ledger["completed"] != len(workload) or ledger["dropped"] or ledger["shed"]:
-        divergences.append(f"{policy}: scalar ledger not conserving: {ledger}")
-    if run.overall.size != len(workload) or run.admitted.size != len(workload):
-        divergences.append(
-            f"{policy}: batch completed {run.overall.size} of {len(workload)}"
-        )
-        return 0.0
-    batch_resp = np.empty(len(workload))
-    batch_resp[run.admitted] = run.primary
-    batch_resp[~run.admitted] = run.overall if policy == "fcfs" else run.overflow
-    if not np.array_equal(scalar_adm, run.admitted):
-        where = np.nonzero(scalar_adm != run.admitted)[0]
-        divergences.append(
-            f"{policy}: admitted sets differ at indices "
-            f"{where[:5].tolist()} (scalar {int(scalar_adm.sum())} vs "
-            f"batch {int(run.admitted.sum())} admitted)"
-        )
-        return 0.0
-    if np.isnan(scalar_resp).any():
-        divergences.append(f"{policy}: scalar engine left requests incomplete")
-        return 0.0
-    drift = float(np.max(np.abs(scalar_resp - batch_resp))) if len(workload) else 0.0
-    if drift > atol:
-        worst = int(np.argmax(np.abs(scalar_resp - batch_resp)))
-        divergences.append(
-            f"{policy}: completion times drift {drift:.3e}s at request "
-            f"{worst} (atol {atol:.0e})"
-        )
-    if scalar_misses != run.primary_misses:
-        divergences.append(
-            f"{policy}: primary misses {scalar_misses} (scalar) vs "
-            f"{run.primary_misses} (batch)"
-        )
-    return drift
 
 
 def _direct_parity(
@@ -733,8 +663,8 @@ def serve_parity(
     primary deadline misses.  A predict-then-verify violation inside the
     harness is a divergence too.  The harness's collectors must also
     equal, sample for sample, those of
-    :func:`~repro.shaping.run_policy` on the path ``auto`` takes (native,
-    batch, or the heap-free loop), and so must its primary misses.  The
+    :func:`~repro.shaping.run_policy` on the path ``auto`` takes (native
+    or the heap-free loop), and so must its primary misses.  The
     topologies need a positive overflow capacity, so with
     ``delta_c == 0`` they are skipped (recorded, not silently dropped).
     """
@@ -804,7 +734,7 @@ def serve_parity(
                 f"{policy}: serve conservation violated: "
                 f"{served.conservation.summary()}"
             )
-        # run_policy's own path (native, batch or the heap-free loop) against the
+        # run_policy's own path (native or the heap-free loop) against the
         # same harness: every collector in its reported order.
         fast = run_policy(workload, policy, config=RunConfig(cmin, delta_c, delta))
         for name in ("overall", "primary", "overflow"):

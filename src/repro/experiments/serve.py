@@ -15,8 +15,8 @@ Three questions, one per section of the rendered table:
    ``split`` both must report 100% post-fault ``Q1`` compliance.
 3. **Autoscaling** — with the provisioning loop in shadow mode over the
    live run, what capacity does the sliding-window re-plan recommend,
-   and what does the batch-engine digital twin predict at the planned
-   versus recommended provision?
+   and what does the digital twin (``run_policy`` replaying the window
+   under ``split``) predict at the planned versus recommended provision?
 """
 
 from __future__ import annotations

@@ -13,11 +13,10 @@ See :mod:`repro.perf.kernels` for the dispatch rule and
 speedups on the bundled traces.
 
 The package also names the *execution engines*
-(:mod:`repro.perf.engines`): ``RunConfig(engine="scalar"|"batch"|"auto")``
+(:mod:`repro.perf.engines`): ``RunConfig(engine="scalar"|"auto")``
 selects between the discrete-event loop and the fast paths — the
-native serve loops of :mod:`repro.perf.native`, the columnar engine of
-:mod:`repro.sim.batch` and the heap-free loop — for one
-:func:`repro.shaping.run_policy` simulation; see
+native serve loops of :mod:`repro.perf.native` and the heap-free loop —
+for one :func:`repro.shaping.run_policy` simulation; see
 ``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
 """
 

@@ -1,4 +1,4 @@
-"""Execution engines: scalar event loop vs columnar batch.
+"""Execution engines: the event loop, and ``auto``'s choice of fast path.
 
 The kernel backends (:mod:`repro.perf.kernels`) are implementations of
 the RTT admission recurrence; the *execution engine* is the path
@@ -8,15 +8,6 @@ the RTT admission recurrence; the *execution engine* is the path
     The discrete-event simulation loop (:mod:`repro.sim.engine`) — one
     heapq event per arrival/completion, one ``Request`` object per
     arrival.  Reference semantics; always applicable.
-``batch``
-    The columnar fast path (:mod:`repro.sim.batch`) — struct-of-arrays
-    storage and sequential Lindley recurrences that replay the event
-    engine's float arithmetic bit-for-bit, with numpy for everything
-    around them.  Only applicable to configurations whose dynamics
-    reduce to the Lindley form (see :func:`repro.sim.batch.supports`);
-    requesting it for an ineligible configuration is an error, and a
-    forced ``batch`` runs it even where ``auto`` would take the native
-    loops.
 ``auto``
     The first path that qualifies, per configuration
     (:func:`repro.shaping.select_engine`), for a run with no rate
@@ -25,8 +16,7 @@ the RTT admission recurrence; the *execution engine* is the path
     an open loop under ``fcfs``, ``split``, ``fairqueue``, ``wf2q`` or
     ``miser`` in either admission mode, whose sizes are unit or within
     [:data:`~repro.units.MIN_SIZE`, :data:`~repro.units.MAX_SIZE`], where
-    the C code builds; then batch (``fcfs`` and ``split`` under count
-    admission); then the heap-free loop
+    the C code builds; then the heap-free loop
     (:func:`repro.server.driver.serve_direct`) for every other such run
     — a single-server policy on one server, ``split`` and
     ``splitfarm`` on their front end's two single-unit sides.  Any run
@@ -34,12 +24,12 @@ the RTT admission recurrence; the *execution engine* is the path
     Closed-loop populations
     (:func:`repro.workload.closedloop.run_closed_loop`) share the same
     run body (:func:`repro.shaping.serve_feed`); they take the direct
-    loop under the same condition, and never batch or native, which
+    loop under the same condition, and never the native loops, which
     need the arrival column up front.  Neither the native nor the
     direct loop is an engine name: nothing needs to force them, and
     ``scalar`` against ``auto`` is their A/B.  Results record the path
-    taken in ``RunResult.engine`` (``"scalar"``, ``"batch"``,
-    ``"native"`` or ``"direct"``).
+    taken in ``RunResult.engine`` (``"scalar"``, ``"native"`` or
+    ``"direct"``).
 
 The native loops mirror, in the direct loop's event order and with FMA
 contraction off, :class:`~repro.sched.classifier.OnlineRTTClassifier`
@@ -49,28 +39,27 @@ sides, :class:`~repro.sched.fair.FairQueue`'s SFQ and WF²Q+ tags,
 :class:`~repro.server.constant_rate.ConstantRateModel`'s service time
 and :func:`repro.units.met_deadline`.  Their response column becomes
 the collectors' sample store as it is
-(:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`), as the batch
-engine's columns do.  A policy keeps them only while they beat the path
-they replace (the batch engine for ``fcfs`` and ``split`` under count
-admission, the direct loop otherwise) at least 5x at 10^5 requests
-(``BENCH_engine.json``'s ``native`` rows; the CI floor
-``MIN_QUICK_SPEEDUP``).
+(:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`).  A policy
+keeps them only while they beat the direct loop, the path they replace,
+at least 5x at 10^5 requests (``BENCH_engine.json``'s ``native`` rows;
+the CI floor ``MIN_QUICK_SPEEDUP``).
 
 A run names its engine in ``RunConfig.engine`` (``None`` means
 ``auto``), which :class:`~repro.shaping.RunConfig` validates; nothing
 else selects one.
 
 Parity of every fast path with the event loop is certified by
-:func:`repro.check.differential.engine_parity` (identical admitted sets,
-bit-identical response samples, conservation ledger agreement) on the
-path ``auto`` takes each policy to, and fuzzed continuously by
-``repro-check --differential``.
+:func:`repro.check.differential.engine_parity` (bit-identical response
+samples per class, primary misses and completion counts) on the path
+``auto`` takes each policy to, and fuzzed continuously by
+``repro-check --differential``; run without a C compiler on ``PATH``,
+the same command certifies the direct loop for every policy.
 """
 
 from __future__ import annotations
 
 #: Engines a run may name (``auto`` is a selection rule, not an engine).
-ENGINES = ("scalar", "batch")
+ENGINES = ("scalar",)
 
 
 def active_engine() -> str:

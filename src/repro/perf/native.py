@@ -29,8 +29,8 @@ float64 column, which the run's collectors adopt as their sample store.
 
 Everything degrades gracefully: no compiler, a failed compile, or an
 unwritable cache directory simply mean :func:`available` returns False,
-kernel ``auto`` falls back to the scalar backend and runs to the batch
-engine or the direct loop.  Set ``REPRO_NATIVE_CACHE`` to relocate the
+kernel ``auto`` falls back to the scalar backend and runs to the direct
+loop.  Set ``REPRO_NATIVE_CACHE`` to relocate the
 build cache (default ``~/.cache/repro-kernels``).
 """
 

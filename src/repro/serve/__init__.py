@@ -10,7 +10,7 @@ the offline simulator:
   admit/demote/reject from decomposed capacity estimates;
 * :class:`~repro.serve.autoscaler.Autoscaler` — the adaptive shaper
   recast as a provisioning loop re-planning ``Cmin + ΔC`` from a
-  sliding trace window, with the batch engine as a digital twin;
+  sliding trace window, with ``run_policy`` as a digital twin;
 * :class:`~repro.serve.placement.PlacementPlanner` — Q1/Q2 assignment
   across a farm where inter-node latency is charged against ``δ``;
 * :class:`~repro.serve.harness.ServiceHarness` — the whole plane under

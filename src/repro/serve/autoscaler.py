@@ -20,11 +20,12 @@ software-defined storage QoS controllers:
   reprovision`, moving the ``⌊C·δ⌋`` bound; ``shadow`` mode records the
   decisions without touching anything (the mode parity replays use).
 
-The vectorized batch engine doubles as a **digital twin**: given any
+The offline simulator doubles as a **digital twin**: given any
 candidate capacity, :meth:`Autoscaler.what_if` replays the current
-window through :func:`repro.sim.batch.run_batch` and reports admitted
-counts and deadline misses — a what-if replan cheap enough to run inside
-the loop.
+window under ``split`` through :func:`repro.shaping.run_policy` and
+reports admitted counts and deadline misses.  ``auto`` serves it on the
+native loop where the C code builds (the heap-free loop otherwise), so
+the what-if replan is cheap enough to run inside the loop.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..sched.classifier import OnlineRTTClassifier
-from ..sim import batch
+from ..shaping import RunConfig, run_policy
 
 
 #: Operating modes: disabled, decide-but-don't-touch, and closed-loop.
@@ -281,13 +282,14 @@ class Autoscaler:
     # ------------------------------------------------------------------
 
     def what_if(self, capacity: float, now: float) -> dict:
-        """Replay the current window at ``capacity`` on the batch engine.
+        """Replay the current window under ``split`` at ``capacity``.
 
         Returns a summary dict (``requests``, ``admitted``,
         ``primary_misses``, ``q1_compliance``, ``mean_response``) from a
-        columnar ``split`` replay — the certified-bit-parity engine, so
-        the twin's answer is exactly what the scalar simulator would
-        say, at a fraction of the cost.
+        :func:`~repro.shaping.run_policy` run of :meth:`window_workload`
+        on the path ``auto`` takes, which is certified bit-identical to
+        the event loop: the twin's answer is exactly what the scalar
+        simulator would say, at a fraction of the cost.
         """
         if capacity <= 0:
             raise ConfigurationError(
@@ -302,24 +304,18 @@ class Autoscaler:
                 "q1_compliance": 1.0,
                 "mean_response": 0.0,
             }
-        run = batch.run_batch(
-            workload.arrivals,
-            "split",
-            capacity,
-            self.delta_c,
-            self.delta,
-            demands=workload.sizes,
+        run = run_policy(
+            workload, "split", config=RunConfig(capacity, self.delta_c, self.delta)
         )
-        admitted = int(np.count_nonzero(run.admitted))
+        admitted = len(run.primary)
         compliance = (
             1.0 - run.primary_misses / admitted if admitted else 1.0
         )
+        responses = run.overall.samples
         return {
             "requests": int(workload.arrivals.size),
             "admitted": admitted,
             "primary_misses": int(run.primary_misses),
             "q1_compliance": compliance,
-            "mean_response": float(run.overall.mean())
-            if run.overall.size
-            else 0.0,
+            "mean_response": float(responses.mean()) if responses.size else 0.0,
         }

@@ -456,7 +456,7 @@ class ServiceHarness:
         responses = np.full(n, np.nan, dtype=np.float64)
         admitted = np.zeros(n, dtype=bool)
         for request in fields["completed"]:
-            # The same single float op the batch engine uses; adding
+            # The same single float op every serve loop uses; adding
             # arrival back would reassociate and cost bit-parity.
             responses[request.index] = request.completion - request.arrival
         for request in self.delivered:

@@ -551,7 +551,7 @@ def merge_sides(collectors: list[ResponseTimeCollector]) -> ResponseTimeCollecto
 
 @dataclass(frozen=True)
 class DirectRun:
-    """What :func:`serve_direct` (or the batch engine) measured.
+    """What :func:`serve_direct` (or a native loop) measured.
 
     ``by_class`` and ``overall`` are filled exactly as
     :class:`DeviceDriver`'s collectors of the same names, and for a

@@ -9,6 +9,8 @@ the paper's system does:
 3. **Recombine and serve** under a policy — ``fcfs``, ``split``,
    ``fairqueue``, ``wf2q`` or ``miser`` — on a simulated server of
    capacity ``Cmin + delta_C``, measuring the response-time distribution.
+   Each run takes the event loop or, bit-identically, the native or the
+   heap-free loop (:func:`select_engine`).
 
 Example
 -------
@@ -48,7 +50,6 @@ from .server.constant_rate import ConstantRateModel
 from .server.driver import CLASS_LABELS, DeviceDriver, DirectRun, Side, serve_direct
 from .server.farm import ServerFarm
 from .server.sizesplit import SizeSplitFrontEnd, SizeSplitSystem
-from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import ClosedLoopPopulation, ClosedLoopSource, WorkloadSource
 from .sim.stats import ResponseTimeCollector
@@ -87,8 +88,8 @@ class RunConfig:
     sample_interval:
         Period of the standard probe sampler; ``None`` disables it.
     engine:
-        Execution engine (:mod:`repro.perf.engines`): ``"scalar"``,
-        ``"batch"`` or ``"auto"``; ``None`` means ``"auto"``.
+        Execution engine (:mod:`repro.perf.engines`): ``"scalar"`` or
+        ``"auto"``; ``None`` means ``"auto"``.
     admission:
         Classifier admission mode: ``"count"`` (the paper's
         ``lenQ1 < floor(C·δ)``) or ``"work"`` (cumulative admitted
@@ -195,11 +196,10 @@ class RunResult:
     overall, primary, overflow:
         Response-time collectors for the whole stream and per class.
         Under FCFS nothing is classified, so ``primary``/``overflow`` are
-        empty and ``overall`` carries everything.  The native loops and
-        the batch engine hand their float64 response columns to the
-        collectors as their sample store
-        (:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`); every
-        view reads as it does on the event loop.
+        empty and ``overall`` carries everything.  The native loops hand
+        their float64 response column to the collectors as their sample
+        store (:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`);
+        every view reads as it does on the event loop.
     primary_misses:
         Guaranteed-class requests that finished after ``arrival + delta``.
     ledger:
@@ -209,8 +209,7 @@ class RunResult:
     engine:
         Path that served the run (:func:`select_engine`), all
         bit-identical: the ``"native"`` C loops (fcfs, split, fairqueue,
-        wf2q and miser) or the ``"batch"`` columnar fast path (fcfs and
-        split; both open loop only), the ``"direct"`` heap-free loop
+        wf2q and miser; open loop only), the ``"direct"`` heap-free loop
         (:func:`repro.server.driver.serve_direct`, one server or a
         topology's sides) or the ``"scalar"`` event loop.
     admission, aqm:
@@ -351,19 +350,15 @@ def run_policy(
 
     ``config.engine`` selects the execution engine
     (:mod:`repro.perf.engines`): ``"scalar"`` forces the event loop,
-    ``"batch"`` demands the columnar fast path (an error if the
-    configuration is ineligible), and ``"auto"`` (or ``None``, the
-    default) picks the first path that qualifies
-    (:func:`select_engine`) for a run with no observability or window
-    attached: the native C loops (fcfs, split, fairqueue, wf2q or miser
-    with sizes unit or in ingest's range, either admission mode;
-    ``engine="native"``), then the batch engine (an FCFS or Split run
-    under count admission), then the heap-free loop (every other policy
-    — a single-server policy on its one server, Split under work
-    admission and splitfarm on their front end's two sides;
-    ``engine="direct"``), then the event loop.  The samples are
-    bit-identical whichever path runs (certified by
-    :func:`repro.check.differential.engine_parity`).
+    and ``"auto"`` (or ``None``, the default) picks the first path that
+    qualifies (:func:`select_engine`) for a run with no observability
+    or window attached: the native C loops (fcfs, split, fairqueue,
+    wf2q or miser with sizes unit or in ingest's range, either
+    admission mode; ``engine="native"``), then the heap-free loop
+    (every other run — a single-server policy on its one server, split
+    and splitfarm on their front end's two sides; ``engine="direct"``),
+    then the event loop.  The samples are bit-identical whichever path
+    runs (certified by :func:`repro.check.differential.engine_parity`).
     """
     if config is not None:
         if any(value is not None for value in (cmin, delta_c, delta)):
@@ -379,20 +374,6 @@ def run_policy(
     else:
         config = RunConfig(cmin, delta_c, delta)
     check_policy(policy, config)
-    if config.engine == "batch":
-        eligible, reason = batch.supports(
-            policy,
-            record_rates=config.record_rates,
-            metrics=config.metrics,
-            sample_interval=config.sample_interval,
-            admission=config.admission,
-            aqm=config.aqm,
-        )
-        if not eligible:
-            raise ConfigurationError(
-                f"engine 'batch' cannot run this configuration: {reason} "
-                "(use engine='auto' to fall back to the event engine)"
-            )
     return serve_feed(workload, policy, config)
 
 
@@ -405,12 +386,9 @@ def select_engine(
     :func:`repro.check.differential.engine_parity` certifies.
     ``engine="scalar"``, rate recording, a metrics registry, a sampler
     or a window take the event loop (``"scalar"``), which attaches them.
-    Otherwise an open loop takes the first of ``"native"``
-    (:func:`repro.perf.native.serves`) and ``"batch"``
-    (:func:`repro.sim.batch.supports`) that qualifies, and every other
-    run ``"direct"``.  A forced ``engine="batch"`` takes the batch
-    engine; :func:`run_policy` refuses it where the batch engine cannot
-    run.
+    Otherwise an open loop takes ``"native"`` where
+    :func:`repro.perf.native.serves` says so, and every other run
+    ``"direct"``.
     """
     if (
         config.engine == "scalar"
@@ -420,11 +398,8 @@ def select_engine(
         or config.aqm is not None
     ):
         return "scalar"
-    if isinstance(feed, Workload):
-        if config.engine != "batch" and native.serves(policy, feed.sizes):
-            return "native"
-        if batch.supports(policy, admission=config.admission)[0]:
-            return "batch"
+    if isinstance(feed, Workload) and native.serves(policy, feed.sizes):
+        return "native"
     return "direct"
 
 
@@ -437,14 +412,12 @@ def serve_feed(
 
     ``feed`` is a workload, replayed open loop, or a closed-loop
     population.  It is served on the path :func:`select_engine` names:
-    the native loops (:func:`serve_native`), the batch engine, the
-    heap-free loop (:func:`~repro.server.driver.serve_direct`) or the
-    event loop, which alone attaches rate recording, a metrics registry,
-    a sampler or a window.
+    the native loops (:func:`serve_native`), the heap-free loop
+    (:func:`~repro.server.driver.serve_direct`) or the event loop, which
+    alone attaches rate recording, a metrics registry, a sampler or a
+    window.
     """
     engine = select_engine(feed, policy, config)
-    if engine == "batch":
-        return _run_policy_batch(feed, policy, config)
     closed = isinstance(feed, ClosedLoopPopulation)
     if closed:
         name, duration = f"closed-loop-{policy}-{feed.n_users}u", feed.horizon
@@ -504,8 +477,8 @@ def run_result(
     """Package a finished run as a ``result``: the one end-of-run check.
 
     ``report`` served the run: a driver, a topology's system, or a
-    :class:`~repro.server.driver.DirectRun` (the heap-free loop's, or the
-    batch engine's collectors).  ``requests`` entered it.  Each of them
+    :class:`~repro.server.driver.DirectRun` (the heap-free loop's or the
+    native loops' collectors).  ``requests`` entered it.  Each of them
     must have ended completed, dropped or shed, and none may still be
     in a device window; otherwise the run lost a request and
     :class:`~repro.exceptions.SimulationError` is raised.
@@ -684,47 +657,6 @@ def class_results(
     if policy == "fcfs":
         return ResponseTimeCollector("Q1"), ResponseTimeCollector("Q2")
     return by_class[QoSClass.PRIMARY], by_class[QoSClass.OVERFLOW]
-
-
-def _run_policy_batch(workload: Workload, policy: str, config: RunConfig) -> RunResult:
-    """Columnar fast path of :func:`run_policy` (eligible configs only).
-
-    Delegates the dynamics to :func:`repro.sim.batch.run_batch`, whose
-    response columns the collectors adopt
-    (:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`) in the
-    scalar engine's sample order, so their samples and lazily folded
-    moments cannot tell the engines apart; handed over as a
-    :class:`~repro.server.driver.DirectRun`.  Sized workloads pass their
-    demand column straight through.
-    """
-    run = batch.run_batch(
-        workload.arrivals,
-        policy,
-        config.cmin,
-        config.delta_c,
-        config.delta,
-        demands=workload.sizes,
-    )
-    overall = ResponseTimeCollector.adopting("overall", run.overall)
-    collected = DirectRun(
-        by_class={
-            QoSClass.PRIMARY: ResponseTimeCollector.adopting("Q1", run.primary),
-            QoSClass.OVERFLOW: ResponseTimeCollector.adopting("Q2", run.overflow),
-        },
-        overall=overall,
-        completed=len(overall),
-        primary_misses=run.primary_misses,
-        preemptions=0,
-    )
-    return run_result(
-        collected,
-        policy,
-        config,
-        workload.name,
-        len(workload),
-        workload.duration,
-        engine="batch",
-    )
 
 
 def serve_native(workload: Workload, policy: str, config: RunConfig) -> DirectRun:

@@ -1,20 +1,12 @@
 """Discrete-event simulation engine (the DiskSim stand-in substrate).
 
-Two execution modes share this package: the event-driven
-:class:`Simulator` (reference semantics) and the columnar batch engine
-(:mod:`repro.sim.batch`) that replays the same dynamics bit-exactly for
-Lindley-reducible configurations; a run names its engine in
-``RunConfig.engine`` (see :mod:`repro.perf.engines`).
+The event-driven :class:`Simulator` is the reference semantics.  The
+fast paths that replay the same dynamics without it, the heap-free loop
+(:func:`repro.server.driver.serve_direct`) and the native C loops
+(:mod:`repro.perf.native`), live with the server and the kernels; a run
+names its engine in ``RunConfig.engine`` (see :mod:`repro.perf.engines`).
 """
 
-from .batch import (
-    EPOCH,
-    BatchRun,
-    SplitColumns,
-    fcfs_completions,
-    run_batch,
-    split_columns,
-)
 from .engine import Simulator
 from .events import (
     PRIORITY_ARRIVAL,
@@ -30,12 +22,6 @@ from .trace_log import LifecycleEvent, LifecycleTracer, Phase
 
 __all__ = [
     "Simulator",
-    "EPOCH",
-    "BatchRun",
-    "SplitColumns",
-    "fcfs_completions",
-    "run_batch",
-    "split_columns",
     "Event",
     "EventQueue",
     "PRIORITY_ARRIVAL",

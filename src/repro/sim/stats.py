@@ -115,7 +115,7 @@ class ResponseTimeCollector:
     to folding each sample in as it arrives.
 
     The sample store is a list of Python floats, or a float64 column a
-    columnar run hands over whole (:meth:`adopting`).  Every view reads
+    native loop hands over whole (:meth:`adopting`).  Every view reads
     either alike, bit for bit.
     """
 

@@ -16,7 +16,6 @@ healthy path (no fault injection) everything completes.
 
 from __future__ import annotations
 
-from ..exceptions import ConfigurationError
 from ..shaping import RunConfig, RunResult, check_policy, serve_feed
 from ..sim.source import ClosedLoopPopulation
 
@@ -36,12 +35,10 @@ def run_closed_loop(
     the capacity plan, admission mode, window, ``record_rates``,
     ``metrics`` and ``sample_interval`` (the last three fill the
     result's ``telemetry``, ticking until ``horizon``).  ``engine`` is
-    read as ``run_policy`` reads it, and ``batch`` is rejected rather
-    than ignored: the batch engine needs the arrival column up front,
-    and closed-loop traffic only yields it after the fact (so does the
-    native loop, which ``auto`` never takes here).  Under ``auto``
-    every run with nothing hooked on the event loop takes the heap-free
-    loop
+    read as ``run_policy`` reads it.  The native loops need the arrival
+    column up front, and closed-loop traffic only yields it after the
+    fact, so ``auto`` never takes them here: every run with nothing
+    hooked on the event loop takes the heap-free loop
     (:func:`repro.server.driver.serve_direct`, ``engine="direct"``): a
     single-server policy on its one server, ``split`` and ``splitfarm``
     on their front end's two single-unit sides.  ``scalar``, a window
@@ -55,12 +52,6 @@ def run_closed_loop(
     request in submission order.
     """
     check_policy(policy, config)
-    if config.engine == "batch":
-        raise ConfigurationError(
-            "closed-loop runs cannot take engine 'batch': it needs the "
-            "arrival column up front, and a closed loop only yields it "
-            "after the fact"
-        )
     population = ClosedLoopPopulation(
         n_users, think_time, horizon, seed=seed, demand_sampler=demand_sampler
     )

@@ -1,14 +1,13 @@
 """Engine-parity differential: the event loop vs the fast paths.
 
 Mirrors the kernel-parity suite one layer up: the differential harness
-must certify bit-identical behavior of the columnar batch engine, of
-the native loop and of the heap-free loop — one server or a topology's
-two sides, fed open-loop columns or a closed-loop population — on the
-golden corpus, fuzzed traces, adversarial arrival columns and
-tie-heavy populations, and — crucially — must *detect* a path that
-drifts (checked by injecting bugs into the batch engine's admission
-bound, into the native loops' C source and into the direct loop's tie
-orders and side merge).
+must certify bit-identical behavior of the native loop and of the
+heap-free loop — one server or a topology's two sides, fed open-loop
+columns or a closed-loop population — on the golden corpus, fuzzed
+traces, adversarial arrival columns and tie-heavy populations, and —
+crucially — must *detect* a path that drifts or loses a request
+(checked by injecting bugs into the native loops' C source and into the
+direct loop's tie orders, side merge and feed).
 """
 
 import inspect
@@ -31,8 +30,15 @@ from repro.perf import native
 from repro.sched.registry import ALL_POLICIES, TOPOLOGY_POLICIES, make_scheduler
 from repro.server import driver
 from repro.server.constant_rate import ConstantRateModel
-from repro.sim import batch, source
-from repro.shaping import RunConfig, build_stack, class_results, run_policy, serve_native
+from repro.sim import source
+from repro.shaping import (
+    RunConfig,
+    build_stack,
+    class_results,
+    run_policy,
+    select_engine,
+    serve_native,
+)
 from repro.units import MAX_SIZE, MIN_SIZE
 from repro.workload.sizes import BimodalDemand
 
@@ -70,6 +76,38 @@ class TestFuzzedTraces:
         assert report.ok and report.bit_identical
 
 
+class TestWithoutANativeBuild:
+    """Where the C code does not build, ``auto`` serves every policy on
+    the direct loop, and ``engine_parity`` certifies that loop: the
+    corpus and the fuzzed traces stay bit-identical there too."""
+
+    @pytest.fixture(autouse=True)
+    def without_native(self, monkeypatch):
+        monkeypatch.setattr(native, "available", lambda: False)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_every_policy_takes_the_direct_loop(self, policy):
+        workload = Workload([0.0, 0.0, 0.5], sizes=[1.0, 2.0, 1.0])
+        for admission in ("count", "work"):
+            config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+            assert select_engine(workload, policy, config) == "direct"
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_corpus_traces_bit_identical(self, path):
+        golden = load_golden(path)
+        report = parity_for(golden.workload(), golden.capacity, golden.delta)
+        assert report.ok and report.bit_identical, report.summary()
+
+    @pytest.mark.parametrize(
+        "generator,index",
+        [("poisson", 0), ("onoff", 1), ("bmodel", 2), ("adversarial", 3)],
+    )
+    def test_fuzzed_traces_bit_identical(self, generator, index):
+        case = make_case(generator, 29, index, max_requests=150)
+        report = parity_for(case.workload(), case.capacity, case.delta)
+        assert report.ok and report.bit_identical, report.summary()
+
+
 class TestReportShape:
     def test_summary_strings(self):
         report = parity_for(Workload([0.0, 0.1]), 10.0, 1.0)
@@ -80,7 +118,7 @@ class TestReportShape:
     def test_ineligible_policy_is_a_divergence(self):
         report = engine_parity(Workload([0.0]), 10.0, 5.0, 1.0, policies=("lifo",))
         assert not report.ok
-        assert "not batch-eligible" in report.summary()
+        assert "not a policy the native or the direct loop serves" in report.summary()
 
     @pytest.mark.parametrize("plane", ["engine", "serve"])
     def test_violated_summary_names_its_plane(self, plane):
@@ -102,8 +140,9 @@ class TestReportShape:
 
 
 class TestInjectedBugDetection:
-    """The harness must *fail* when the batch engine is wrong.  With no
-    native build, ``auto`` takes fcfs and split to the batch engine."""
+    """The harness must *fail* when the direct loop loses a request.
+    With no native build, ``auto`` takes every policy to the direct
+    loop."""
 
     @pytest.fixture(autouse=True)
     def without_native(self, monkeypatch):
@@ -115,61 +154,36 @@ class TestInjectedBugDetection:
         arrivals = np.sort(rng.uniform(0.0, 2.0, 400))
         return Workload(arrivals, name="bursty")
 
-    def test_off_by_one_limit_detected(self, bursty, monkeypatch):
-        """An admission bound off by one shows up as an admitted-set
-        divergence, not a silent near-miss."""
-        true_limit = batch._admission_limit
-        monkeypatch.setattr(
-            batch, "_admission_limit", lambda c, d: true_limit(c, d) + 1
-        )
-        report = parity_for(bursty, 50.0, 0.1)
-        assert not report.ok
-        assert any("admitted sets differ" in d for d in report.divergences)
-
-    def test_service_time_drift_detected(self, bursty, monkeypatch):
-        """A batch server running a hair fast trips the drift check."""
-        true_fcfs = batch.fcfs_completions
-
-        def fast_fcfs(arrivals, capacity, demands=None):
-            return true_fcfs(arrivals, capacity * (1.0 + 1e-6), demands)
-
-        monkeypatch.setattr(batch, "fcfs_completions", fast_fcfs)
-        report = engine_parity(bursty, 50.0, 25.0, 0.1, policies=("fcfs",))
-        assert not report.ok
-        assert any("drift" in d for d in report.divergences)
-        assert not report.bit_identical
-
     def test_dropped_request_detected(self, bursty, monkeypatch):
-        """A batch run that loses a request fails the completion count."""
-        true_run = batch.run_batch
+        """A direct loop that never sees the last arrival fails the
+        completion count."""
 
-        def lossy_run(arrivals, policy, cmin, delta_c, delta, demands=None):
-            if demands is not None:
-                demands = demands[:-1]
-            return true_run(arrivals[:-1], policy, cmin, delta_c, delta, demands)
+        def lossy_serve_direct(feed, *sides, route=None):
+            sizes = None if feed.sizes is None else feed.sizes[:-1]
+            shorter = Workload(feed.arrivals[:-1], sizes=sizes, name=feed.name)
+            return driver.serve_direct(shorter, *sides, route=route)
 
-        monkeypatch.setattr(batch, "run_batch", lossy_run)
+        monkeypatch.setattr(differential, "serve_direct", lossy_serve_direct)
         report = engine_parity(bursty, 50.0, 25.0, 0.1, policies=("fcfs",))
         assert not report.ok
-        assert any("completed" in d for d in report.divergences)
+        assert any(
+            "fcfs: completed 399 (direct) and 400 (event loop) of 400" in d
+            for d in report.divergences
+        ), report.summary()
 
 
 # ---------------------------------------------------------------------------
 # The heap-free loop (engine "direct"), open loop
 # ---------------------------------------------------------------------------
 
-#: Policies the batch engine does not take.
-DIRECT_POLICIES = (
-    "fairqueue", "wf2q", "drr", "miser", "edf", "srpt", "nudge", "boost", "splitfarm"
-)
 #: (policy, admission) pairs the direct loop serves on the open loop:
-#: fcfs and split too under work admission, which the batch engine
-#: cannot express, and split under count, which ``auto`` sends to batch.
+#: every policy in either admission mode, the native loops' five
+#: wherever the C code does not build or take the sizes.
 DIRECT_CASES = [
     (policy, admission)
-    for policy in DIRECT_POLICIES
+    for policy in ALL_POLICIES
     for admission in ("count", "work")
-] + [("fcfs", "work"), ("split", "count"), ("split", "work")]
+]
 
 #: A rate-8 server (Cmin 4 + ΔC 4) serves a unit of demand in 1/8 s and
 #: every gap and demand below is dyadic, so sums are exact: arrivals land
@@ -498,24 +512,33 @@ def served(workload: Workload, policy: str, config: RunConfig) -> tuple:
     return samples + (result.ledger, result.primary_misses)
 
 
+def served_directly(workload: Workload, policy: str, config: RunConfig) -> tuple:
+    """:func:`served` for the direct loop's run of ``build_stack``'s stack."""
+    run = direct_run(workload, policy, config)
+    primary, overflow = class_results(policy, run.by_class)
+    samples = tuple(c.samples.tobytes() for c in (run.overall, primary, overflow))
+    return samples + (run.fault_ledger(), run.primary_misses)
+
+
 def assert_paths_agree(workload: Workload, admission: str, policies=ALL_POLICIES) -> None:
-    """``auto``, and a forced ``batch`` where it is eligible, against the
-    event loop: ``auto`` takes fcfs and split to the native loops where
-    they build, so the batch engine is forced here to stay covered."""
+    """``auto`` and the direct loop against the event loop: ``auto``
+    takes the native loops' five policies to them where they build, so
+    the direct loop is run here too, as it serves them where the C code
+    does not build."""
     config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
     for policy in policies:
         reference = served(workload, policy, config.with_engine("scalar"))
         assert served(workload, policy, config) == reference, policy
-        if batch.supports(policy, admission=admission)[0]:
-            batched = served(workload, policy, config.with_engine("batch"))
-            assert batched == reference, f"{policy} (batch)"
+        assert served_directly(workload, policy, config) == reference, (
+            f"{policy} (direct)"
+        )
 
 
 @given(workload=finite_workloads(), admission=st.sampled_from(["count", "work"]))
 def test_finite_workloads_bit_identical_on_every_path(workload, admission):
-    """The path ``auto`` takes — the native loops, the batch engine or
-    the heap-free loop — and a forced batch engine give what the event
-    loop gives, for every policy, on every finite workload."""
+    """The path ``auto`` takes — the native loops or the heap-free loop
+    — and the heap-free loop itself give what the event loop gives, for
+    every policy, on every finite workload."""
     assert_paths_agree(workload, admission)
 
 
@@ -537,7 +560,7 @@ def assert_every_path_refuses(
 ) -> None:
     """``run_policy`` on every engine, the direct loop and the native loop
     all raise ``message``."""
-    for engine in ("auto", "batch", "scalar"):
+    for engine in ("auto", "scalar"):
         with pytest.raises(SimulationError, match=message):
             run_policy(workload, policy, config=config.with_engine(engine))
     with pytest.raises(SimulationError, match=message):
@@ -565,12 +588,10 @@ class TestOutOfRangeSizes:
     def test_the_native_loop_leaves_fifo_runs_to_the_next_path(
         self, policy, admission, size
     ):
-        """The batch engine under count admission, the direct loop under
-        work admission."""
+        """The direct loop, under either admission mode."""
         workload = Workload([0.0, 0.0, 0.5], sizes=[1.0, size, 1.0])
         config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
-        engine = "batch" if admission == "count" else "direct"
-        assert run_policy(workload, policy, config=config).engine == engine
+        assert run_policy(workload, policy, config=config).engine == "direct"
         assert_paths_agree(workload, admission, (policy,))
 
     def test_miser_overflow_raises_on_every_path(self):

@@ -101,4 +101,4 @@ class TestUnifiedFrontends:
     def test_engines_are_named_once(self):
         from repro.perf.engines import ENGINES
 
-        assert ENGINES == ("scalar", "batch")
+        assert ENGINES == ("scalar",)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.request import Request
 from repro.exceptions import ConfigurationError
 from repro.serve import Autoscaler, AutoscalerConfig, ServiceHarness
+from repro.shaping import RunConfig, run_policy
 from repro.traces.synthetic import poisson_workload
 
 DELTA = 0.5
@@ -229,6 +230,32 @@ class TestDigitalTwin:
         assert provisioned["mean_response"] < starved["mean_response"]
         with pytest.raises(ConfigurationError, match="capacity"):
             scaler.what_if(0.0, now=10.0)
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["unsized", "sized"])
+    @pytest.mark.parametrize("capacity", [4.0, 12.0, 40.0])
+    def test_verdict_is_the_event_loops(self, sized, capacity):
+        """The twin says what an ``engine="scalar"`` split run of the same
+        window says: admitted count, primary misses and mean response."""
+        scaler = _scaler()
+        arrivals = np.sort(poisson_workload(8.0, duration=20.0, seed=5).arrivals)
+        demands = np.random.default_rng(5).choice([0.5, 1.0, 3.0], arrivals.size)
+        for i, arrival in enumerate(arrivals):
+            demand = float(demands[i]) if sized else 1.0
+            scaler.observe(
+                Request(arrival=float(arrival), index=i, service_demand=demand)
+            )
+        window = scaler.window_workload(20.0)
+        assert (window.sizes is not None) == sized
+        reference = run_policy(
+            window,
+            "split",
+            config=RunConfig(capacity, scaler.delta_c, DELTA, engine="scalar"),
+        )
+        verdict = scaler.what_if(capacity, now=20.0)
+        assert verdict["requests"] == len(window)
+        assert verdict["admitted"] == len(reference.primary)
+        assert verdict["primary_misses"] == reference.primary_misses
+        assert verdict["mean_response"] == float(reference.overall.samples.mean())
 
 
 class TestConfigValidation:

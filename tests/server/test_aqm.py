@@ -7,7 +7,8 @@ Three layers under test:
 * the :class:`~repro.server.driver.DeviceDriver` integration — slot
   accounting across every exit path, gating, conservation;
 * the run-layer knobs — ``RunConfig(aqm=...)`` validation, snapshots on
-  results, the batch-engine gate, and the headline bufferbloat claim
+  results, a window keeping its run on the event loop, and the
+  headline bufferbloat claim
   (an unbounded device queue destroys ``Q1``; CoDel recovers it).
 """
 
@@ -357,14 +358,6 @@ class TestRunConfigAQM:
         with pytest.raises(ConfigurationError, match="aqm_shared"):
             RunConfig(CMIN, DELTA_C, DELTA, aqm_shared=True)
 
-    def test_batch_engine_rejects_aqm(self, bloat_workload):
-        with pytest.raises(ConfigurationError, match="AQM"):
-            run_policy(
-                bloat_workload,
-                "fcfs",
-                config=RunConfig(CMIN, DELTA_C, DELTA, engine="batch", aqm="static"),
-            )
-
     def test_result_carries_snapshot(self, bloat_workload):
         result = run_policy(
             bloat_workload,
@@ -376,9 +369,9 @@ class TestRunConfigAQM:
         assert result.window["occupancy"] == 0  # drained
 
     def test_window_surfaces_in_result(self, bloat_workload):
-        """A window on a batch-eligible policy: the batch fast path steps
-        aside (a batch run would bypass the window), the result reports
-        the policy and the snapshot, and the window saw every request."""
+        """A window on a policy the native loop serves: the fast path
+        steps aside (it would bypass the window), the result reports the
+        policy and the snapshot, and the window saw every request."""
         config = RunConfig(CMIN, DELTA_C, DELTA, aqm="static")
         result = run_policy(bloat_workload, "fcfs", config=config)
         assert result.engine == "scalar"

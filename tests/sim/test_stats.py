@@ -265,6 +265,30 @@ class TestColumnStore:
             ResponseTimeCollector.adopting("c", np.array([0.1, -0.5, 0.2]))
 
 
+class TestExtendArray:
+    def test_samples_bit_identical_to_scalar_adds(self):
+        values = np.abs(np.random.default_rng(2).normal(0.05, 0.02, 257))
+        loop = ResponseTimeCollector("loop")
+        for v in values.tolist():
+            loop.add(v)
+        bulk = ResponseTimeCollector("bulk")
+        bulk.extend_array(values)
+        assert bulk.samples.tolist() == loop.samples.tolist()
+        assert bulk.stats.count == loop.stats.count
+        assert bulk.stats.min == loop.stats.min
+        assert bulk.stats.max == loop.stats.max
+
+    def test_negative_response_rejected(self):
+        collector = ResponseTimeCollector("guard")
+        with pytest.raises(SimulationError, match="negative"):
+            collector.extend_array(np.array([0.1, -0.2]))
+
+    def test_empty_array_is_noop(self):
+        collector = ResponseTimeCollector("empty")
+        collector.extend_array(np.empty(0))
+        assert collector.samples.tolist() == []
+
+
 class TestRateRecorder:
     def test_series(self):
         r = RateRecorder(bin_width=1.0)

@@ -55,8 +55,6 @@ PUBLIC_API = {
         "ClosedLoopSource",
         "OnlineStats", "RateRecorder", "ResponseTimeCollector",
         "LifecycleTracer", "Phase", "make_rng", "spawn",
-        "BatchRun", "SplitColumns", "run_batch",
-        "fcfs_completions", "split_columns", "EPOCH",
     ],
     "repro.perf": [
         "ENGINES", "KernelBackend", "active_backend",

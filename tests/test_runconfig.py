@@ -35,9 +35,9 @@ class TestRunConfig:
 
     def test_with_engine_copies(self):
         config = RunConfig(3.0, 2.0, 0.5)
-        batch = config.with_engine("batch")
-        assert batch.engine == "batch" and config.engine is None
-        assert batch.cmin == config.cmin
+        scalar = config.with_engine("scalar")
+        assert scalar.engine == "scalar" and config.engine is None
+        assert scalar.cmin == config.cmin
 
     def test_is_hashable(self):
         assert hash(RunConfig(3.0, 2.0, 0.5)) == hash(RunConfig(3.0, 2.0, 0.5))
@@ -101,15 +101,10 @@ class TestWorkAdmissionRuns:
         # The admitted class genuinely differs under a long/short mix.
         assert len(count.primary) != len(work.primary)
 
-    def test_work_mode_needs_scalar_engine(self, sized):
-        config = RunConfig(4.0, 2.0, 0.5, admission="work", engine="batch")
-        with pytest.raises(ConfigurationError, match="work"):
-            run_policy(sized, "split", config=config)
-
     def test_auto_engine_serves_work_split_off_the_event_loop(self, sized, monkeypatch):
-        """The batch engine cannot run work admission; auto takes the
-        native loop where it builds and the direct loop without it, and
-        both must match the event loop."""
+        """Under work admission auto takes the native loop where it
+        builds and the direct loop without it, and both must match the
+        event loop."""
         config = RunConfig(4.0, 2.0, 0.5, admission="work", engine="auto")
         scalar = run_policy(sized, "split", config=config.with_engine("scalar"))
         assert scalar.engine == "scalar"
@@ -125,18 +120,20 @@ class TestWorkAdmissionRuns:
                     getattr(scalar, collector).samples,
                 ), collector
 
-    def test_sized_split_bit_identical_across_engines(self, workload):
-        # Count-bound sized runs are batch-eligible; demands <= 1 keep
-        # the split Q1 guarantee intact.
+    def test_sized_split_bit_identical_across_engines(self, workload, monkeypatch):
+        # Count-bound sized runs take the native loop where it builds and
+        # the direct loop without it; demands <= 1 keep the split Q1
+        # guarantee intact.
         sized = workload.with_sizes(
             np.where(np.arange(len(workload)) % 3 == 0, 0.5, 1.0)
         )
-        scalar = run_policy(
-            sized, "split", config=RunConfig(3.0, 2.0, 0.5, engine="scalar")
-        )
-        batch = run_policy(
-            sized, "split", config=RunConfig(3.0, 2.0, 0.5, engine="batch")
-        )
-        assert batch.engine == "batch"
-        assert np.array_equal(scalar.overall.samples, batch.overall.samples)
-        assert scalar.primary_misses == batch.primary_misses
+        config = RunConfig(3.0, 2.0, 0.5)
+        scalar = run_policy(sized, "split", config=config.with_engine("scalar"))
+        runs = [run_policy(sized, "split", config=config)]
+        assert runs[0].engine == ("native" if native.available() else "direct")
+        monkeypatch.setattr(native, "available", lambda: False)
+        runs.append(run_policy(sized, "split", config=config))
+        assert runs[1].engine == "direct"
+        for result in runs:
+            assert np.array_equal(scalar.overall.samples, result.overall.samples)
+            assert scalar.primary_misses == result.primary_misses

@@ -90,7 +90,7 @@ def test_a_run_arms_what_it_names(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "scalar")
     monkeypatch.setenv("REPRO_AQM", "static")
     plain = run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN))
-    engine = "native" if native.available() else "batch"
+    engine = "native" if native.available() else "direct"
     assert (plain.engine, plain.aqm, plain.window) == (engine, None, None)
     windowed = run_policy(WORKLOAD, "fcfs", config=RunConfig(*PLAN, aqm="codel"))
     assert (windowed.engine, windowed.aqm) == ("scalar", "codel")

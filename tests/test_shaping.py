@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.capacity import CapacityPlanner
+from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.perf import native
+from repro.perf import engines, native
 from repro.server.aqm import AQM_POLICIES
 from repro.shaping import RunConfig, RunResult, WorkloadShaper, run_policy
 
@@ -27,8 +28,6 @@ def workload():
     gen = np.random.default_rng(3)
     floor = gen.uniform(0.0, 20.0, 500)
     burst = 9.0 + gen.uniform(0.0, 0.4, 250)
-    from repro.core.workload import Workload
-
     return Workload(np.sort(np.concatenate([floor, burst])), name="itest")
 
 
@@ -141,29 +140,31 @@ class TestEngineRouting:
         assert fallback.engine == "direct"
         self.assert_same_samples(fallback, reference)
 
-    @pytest.mark.parametrize(
-        ("admission", "fallback"), [("count", "batch"), ("work", "direct")]
-    )
+    @pytest.mark.parametrize("admission", ("count", "work"))
     @pytest.mark.parametrize("policy", ("fcfs", "split"))
     def test_fcfs_and_split_take_the_native_loop(
-        self, workload, plan, policy, admission, fallback, monkeypatch
+        self, workload, plan, policy, admission, monkeypatch
     ):
         """fcfs and split take the native loop where it builds, in either
-        admission mode; without it, the batch engine under count admission
-        and the direct loop under work admission.  Every path gives the
-        event loop's samples."""
+        admission mode, and the direct loop without it.  Every path gives
+        the event loop's samples, and its collectors the event loop's
+        moments."""
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, admission=admission)
         reference = run_policy(workload, policy, config=config.with_engine("scalar"))
         result = run_policy(workload, policy, config=config)
-        assert result.engine == ("native" if native.available() else fallback)
+        assert result.engine == ("native" if native.available() else "direct")
         assert result.admission == admission
         if policy == "fcfs":
             assert len(result.primary) == len(result.overflow) == 0
         self.assert_same_samples(result, reference)
         monkeypatch.setattr(native, "available", lambda: False)
         slower = run_policy(workload, policy, config=config)
-        assert slower.engine == fallback
+        assert slower.engine == "direct"
         self.assert_same_samples(slower, reference)
+        for run in (result, slower):
+            for name in ("overall", "primary", "overflow"):
+                mine, theirs = getattr(run, name), getattr(reference, name)
+                assert vars(mine.stats) == vars(theirs.stats), name
 
     @pytest.mark.parametrize(
         ("policy", "admission"), [("splitfarm", "count"), ("splitfarm", "work")]
@@ -199,13 +200,95 @@ class TestEngineRouting:
         config = RunConfig(plan.cmin, plan.delta_c, plan.delta, **change)
         assert run_policy(workload, policy, config=config).engine == "scalar"
 
-    def test_forced_batch_still_rejects_fairqueue(self, workload, config):
-        with pytest.raises(
-            ConfigurationError,
-            match="engine 'batch' cannot run this configuration: policy "
-            "'fairqueue' does not reduce to a Lindley recurrence",
-        ):
-            run_policy(workload, "fairqueue", config=config.with_engine("batch"))
+
+
+#: One bursty trace with zero-gap bursts and exact timestamp ties.
+ZERO_GAP = Workload(
+    [0.0, 0.0, 0.0, 0.01, 0.01, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0],
+    name="zero-gap",
+)
+
+#: Overloaded config: cmin=200 admits floor(200*0.05)=10 outstanding.
+CONFIG = dict(cmin=200.0, delta_c=40.0, delta=0.05)
+
+
+class TestEngineFallback:
+    """``auto`` leaves a fast path for the next one, and every fast path
+    for the event loop when something is attached to the run."""
+
+    def test_defaults_to_auto(self):
+        assert engines.active_engine() == "auto"
+
+    @pytest.mark.parametrize(
+        ("engine", "path"), [("auto", "native"), ("scalar", "scalar")]
+    )
+    def test_argument_selects_engine(self, engine, path):
+        """``auto`` takes the native loop where it builds, else the
+        direct loop; ``scalar`` forces the event loop."""
+        if path == "native" and not native.available():
+            path = "direct"
+        config = RunConfig(engine=engine, **CONFIG)
+        assert run_policy(ZERO_GAP, "fcfs", config=config).engine == path
+
+    def test_run_config_validates_eagerly(self):
+        with pytest.raises(ConfigurationError, match="unknown execution engine 'quantum'"):
+            RunConfig(engine="quantum", **CONFIG)
+        with pytest.raises(ConfigurationError, match="unknown execution engine 'quantum'"):
+            RunConfig(**CONFIG).with_engine("quantum")
+
+    @pytest.mark.parametrize("policy", ("fcfs", "split"))
+    def test_auto_falls_back_for_fifo_policies(self, policy, monkeypatch):
+        """With no native build, ``auto`` takes fcfs and split to the
+        direct loop, which gives the event loop's samples."""
+        reference = run_policy(
+            ZERO_GAP, policy, config=RunConfig(engine="scalar", **CONFIG)
+        )
+        monkeypatch.setattr(native, "available", lambda: False)
+        result = run_policy(ZERO_GAP, policy, **CONFIG)
+        assert result.engine == "direct"
+        for name in ("overall", "primary", "overflow"):
+            assert np.array_equal(
+                getattr(result, name).samples, getattr(reference, name).samples
+            ), name
+        assert result.primary_misses == reference.primary_misses
+
+    @pytest.mark.parametrize("policy", ("fairqueue", "wf2q", "drr", "miser", "edf"))
+    def test_auto_falls_back_for_other_policies(self, policy, monkeypatch):
+        # fairqueue, wf2q and miser take the native loop where it
+        # builds; the other single-server policies, and those three
+        # without a build, fall back to the heap-free open loop.  Both
+        # are bit-identical to the event loop.
+        reference = run_policy(
+            ZERO_GAP, policy, config=RunConfig(engine="scalar", **CONFIG)
+        )
+        result = run_policy(ZERO_GAP, policy, **CONFIG)
+        built = policy in native.SERVE_POLICIES and native.available()
+        assert result.engine == ("native" if built else "direct")
+        monkeypatch.setattr(native, "available", lambda: False)
+        fallback = run_policy(ZERO_GAP, policy, **CONFIG)
+        assert fallback.engine == "direct"
+        for run in (result, fallback):
+            assert np.array_equal(run.overall.samples, reference.overall.samples)
+
+    def test_auto_falls_back_when_observed(self):
+        result = run_policy(
+            ZERO_GAP, "fcfs", config=RunConfig(metrics=MetricsRegistry(), **CONFIG)
+        )
+        assert result.engine == "scalar"
+        assert result.telemetry is not None
+
+    def test_auto_falls_back_for_sampler(self):
+        result = run_policy(
+            ZERO_GAP, "split", config=RunConfig(sample_interval=0.5, **CONFIG)
+        )
+        assert result.engine == "scalar"
+
+    def test_auto_falls_back_for_rate_recording(self):
+        result = run_policy(
+            ZERO_GAP, "fcfs", config=RunConfig(record_rates=0.1, **CONFIG)
+        )
+        assert result.engine == "scalar"
+        assert result.completion_series is not None
 
 
 class TestWorkloadShaper:

@@ -135,13 +135,18 @@ CASES = [
     ),
     pytest.param(
         "split", PLAN, {"engine": "quantum"}, CONFIGURED,
-        "unknown execution engine 'quantum'; choose from ['batch', 'scalar'] or 'auto'",
+        "unknown execution engine 'quantum'; choose from ['scalar'] or 'auto'",
         id="unknown-engine",
     ),
     pytest.param(
-        "split", PLAN, {"engine": "Batch"}, CONFIGURED,
-        "unknown execution engine 'Batch'; choose from ['batch', 'scalar'] or 'auto'",
+        "split", PLAN, {"engine": "Scalar"}, CONFIGURED,
+        "unknown execution engine 'Scalar'; choose from ['scalar'] or 'auto'",
         id="engine-name-case",
+    ),
+    pytest.param(
+        "fcfs", PLAN, {"engine": "batch"}, CONFIGURED,
+        "unknown execution engine 'batch'; choose from ['scalar'] or 'auto'",
+        id="retired-batch-engine",
     ),
 ]
 
