@@ -13,9 +13,15 @@ Two modes, mirroring ``bench_kernels.py``:
     through :func:`repro.shaping.build_stack`) against the event loop
     for the single-server policies, split in either admission mode and
     splitfarm at 10^4 and 10^5 requests (``direct``, :data:`DIRECT_CASES`);
-  - the same loop fed a closed-loop population
-    (:func:`run_closed_loop`, ~4x10^4 requests) against the event loop
-    for every policy (``closed_loop``);
+  - the same loop fed a closed-loop population (the
+    :data:`CLOSED_LOOP` population, ~4x10^4 requests) against the event
+    loop for every policy (``closed_loop``);
+  - the native closed loop (engine ``"native"``, what
+    :func:`run_closed_loop` takes under ``auto``) against the direct
+    loop on that population for srpt, nudge, boost, edf and splitfarm
+    (``closed_native``).  Both paths build the same ``Request`` objects,
+    about 0.65 µs each, so this speedup is held to
+    :data:`MIN_QUICK_CLOSED_SPEEDUP`, not the open loops' 5x;
   - the native loops (engine ``"native"``) against the direct loop,
     the path ``auto`` takes without them, at 10^4, 10^5 and 10^6
     requests (``native``, :data:`NATIVE_CASES`): fcfs, split in either
@@ -34,10 +40,12 @@ reports any divergence on the 10^5-request reference trace — for every
 policy on the path ``auto`` takes it to — if the direct loop and the
 event loop disagree on split under work admission there, if
 ``closed_loop_parity`` reports any divergence on the closed-loop
-population for any policy, or if the native loops lose bit parity with
-the direct loop or fall below :data:`MIN_QUICK_SPEEDUP` over it on any
-of :data:`NATIVE_CASES`.  The direct path has no speed floor there,
-open or closed.
+population for any policy (on the path ``auto`` takes it to), if the
+native loops lose bit parity with the direct loop or fall below
+:data:`MIN_QUICK_SPEEDUP` over it on any of :data:`NATIVE_CASES`, or if
+the native closed loop loses bit parity with the direct loop or falls
+below :data:`MIN_QUICK_CLOSED_SPEEDUP` over it for any of its five
+policies.  The direct path has no speed floor there, open or closed.
 
 The committed ``BENCH_engine.json`` was produced by the script mode;
 regenerate it with ``make bench-json`` after touching any engine.
@@ -46,6 +54,7 @@ regenerate it with ``make bench-json`` after touching any engine.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -61,9 +70,11 @@ import numpy as np
 import pytest
 
 from repro.check.differential import closed_loop_parity
+from repro.perf.native import CLOSED_POLICIES
 from repro.sched.registry import ALL_POLICIES
 from repro.server.driver import DirectRun, serve_direct
 from repro.shaping import RunConfig, build_stack, class_results, run_policy
+from repro.sim.source import ClosedLoopPopulation
 from repro.traces.synthetic import poisson_workload
 from repro.workload import BimodalDemand, run_closed_loop
 
@@ -82,6 +93,12 @@ SIZES = (10_000, 100_000, 1_000_000)
 #: the 10^5-request reference trace.  A policy moves to a second
 #: implementation only where it beats the path it replaces by this much.
 MIN_QUICK_SPEEDUP = 5.0
+
+#: CI gate: minimum speedup of the native closed loop over the direct
+#: loop on the :data:`CLOSED_LOOP` population.  Both paths build the
+#: same ``Request`` objects, about 0.65 µs each, which bounds this
+#: speedup well below :data:`MIN_QUICK_SPEEDUP`.
+MIN_QUICK_CLOSED_SPEEDUP = 2.5
 
 #: The policies of the pytest-benchmark cases.
 POLICIES = ("fcfs", "split")
@@ -165,13 +182,19 @@ def _timed_pair(first, second, reps: int = 1) -> tuple[list, list, object, objec
     """Wall times of every rep of ``first()`` and ``second()``, plus results.
 
     The two run in alternation, and which one goes first flips every
-    rep, so a slow or fast spell of the host lands on both.
+    rep, so a slow or fast spell of the host lands on both.  Each call
+    starts from a collected heap with the path's earlier result
+    released: the collector's passes over earlier results (4x10^4
+    ``Request`` objects per closed-loop run) would otherwise land on
+    whichever rep crosses a threshold, up to doubling it.
     """
     times: tuple[list, list] = ([], [])
     results = [None, None]
     for rep in range(reps):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
         for which in order:
+            results[which] = None
+            gc.collect()
             start = time.perf_counter()
             results[which] = (first, second)[which]()
             times[which].append(time.perf_counter() - start)
@@ -253,22 +276,54 @@ def _bench_paths(
     }
 
 
-def _bench_closed_loop(policy: str, reps: int) -> dict:
-    """The event loop vs the direct loop on the :data:`CLOSED_LOOP` population."""
+def _closed_runner(path: str, policy: str, config: RunConfig):
+    """One run of ``policy`` on the :data:`CLOSED_LOOP` population on
+    ``path``, as a zero-argument callable returning the run and its
+    submitted requests.
+
+    ``"scalar"`` is forced through ``run_closed_loop``, ``"native"`` is
+    what ``auto`` takes, and ``"direct"`` is
+    :func:`~repro.server.driver.serve_direct` through ``build_stack``,
+    each with its population built inside the call.
+    """
+    if path == "direct":
+
+        def direct():
+            population = ClosedLoopPopulation(**CLOSED_LOOP)
+            sides, route = build_stack(policy, config)
+            return serve_direct(population, *sides, route=route), population.requests
+
+        return direct
+
+    def run():
+        engine = "auto" if path == "native" else path
+        result = run_closed_loop(policy, config.with_engine(engine), **CLOSED_LOOP)
+        return result, result.submitted
+
+    return run
+
+
+def _bench_closed_paths(policy: str, reps: int, slow: str, fast: str) -> dict:
+    """Path ``slow`` vs path ``fast`` on the :data:`CLOSED_LOOP`
+    population: samples, misses and every submitted request must agree."""
     config = RunConfig(CMIN, DELTA_C, DELTA)
-    scalar_times, direct_times, scalar_run, direct_run = _timed_pair(
-        lambda: run_closed_loop(policy, config.with_engine("scalar"), **CLOSED_LOOP),
-        lambda: run_closed_loop(policy, config.with_engine("auto"), **CLOSED_LOOP),
-        reps,
+    slow_times, fast_times, (slow_run, slow_requests), (fast_run, fast_requests) = (
+        _timed_pair(
+            _closed_runner(slow, policy, config),
+            _closed_runner(fast, policy, config),
+            reps,
+        )
     )
-    problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
-    for problem in problems:
-        print(f"FAIL: {problem}")
+    slow_path, slow_samples, slow_misses = _served(slow_run, policy)
+    fast_path, fast_samples, fast_misses = _served(fast_run, policy)
     return {
         "policy": policy,
-        "n_requests": len(scalar_run.submitted),
-        **_timings(("scalar", "direct"), scalar_times, direct_times),
-        "bit_parity_ok": direct_run.engine == "direct" and not problems,
+        "n_requests": len(slow_requests),
+        **_timings((slow, fast), slow_times, fast_times),
+        "bit_parity_ok": (slow_path, fast_path) == (slow, fast)
+        and slow_samples == fast_samples
+        and slow_misses == fast_misses
+        and slow_requests == fast_requests,
     }
 
 
@@ -296,6 +351,23 @@ def _quick_gate() -> int:
         problems = closed_loop_parity(policy, CMIN, DELTA_C, DELTA, **CLOSED_LOOP)
         print(f"closed-loop {policy}: " + ("; ".join(problems) or "bit-identical"))
         failed = failed or bool(problems)
+    for policy in CLOSED_POLICIES:
+        # Three alternations: a ~0.1 s row is at the mercy of one slow spell.
+        row = _bench_closed_paths(policy, 3, "direct", "native")
+        print(
+            f"closed-loop {policy:>9s} @ n={row['n_requests']}: direct "
+            f"{row['direct_s']:.3f}s  native {row['native_s']:.4f}s  speedup "
+            f"{row['speedup']:.1f}x  parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
+        )
+        if not row["bit_parity_ok"]:
+            print(f"FAIL: closed-loop {policy} lost bit parity on the native path")
+            failed = True
+        if row["speedup"] < MIN_QUICK_CLOSED_SPEEDUP:
+            print(
+                f"FAIL: closed-loop {policy} native speedup {row['speedup']:.1f}x "
+                f"over direct is below the {MIN_QUICK_CLOSED_SPEEDUP}x floor"
+            )
+            failed = True
     for policy, admission in NATIVE_CASES:
         row = _bench_paths(workload, policy, 1, "direct", "native", admission=admission)
         label = _label(policy, admission)
@@ -348,11 +420,22 @@ def main(argv: list[str] | None = None) -> int:
 
     closed = []
     for policy in ALL_POLICIES:
-        row = _bench_closed_loop(policy, args.reps)
+        row = _bench_closed_paths(policy, args.reps, "scalar", "direct")
         closed.append(row)
         print(
             f"closed-loop {policy:>9s} @ n={row['n_requests']:>6d}: "
             f"scalar {row['scalar_s']:7.3f}s  direct {row['direct_s']:7.3f}s  "
+            f"speedup {row['speedup']:5.2f}x  "
+            f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
+        )
+
+    closed_native = []
+    for policy in CLOSED_POLICIES:
+        row = _bench_closed_paths(policy, args.reps, "direct", "native")
+        closed_native.append(row)
+        print(
+            f"closed-loop {policy:>9s} @ n={row['n_requests']:>6d}: "
+            f"direct {row['direct_s']:7.3f}s  native {row['native_s']:7.4f}s  "
             f"speedup {row['speedup']:5.2f}x  "
             f"parity={'OK' if row['bit_parity_ok'] else 'FAIL'}"
         )
@@ -378,13 +461,18 @@ def main(argv: list[str] | None = None) -> int:
     direct_largest = at(direct, DIRECT_SIZES[-1])
     native_1e5 = at(native, SIZES[1])
     summary = {
-        "all_parity_ok": all(r["bit_parity_ok"] for r in direct + closed + native),
+        "all_parity_ok": all(
+            r["bit_parity_ok"] for r in direct + closed + closed_native + native
+        ),
         "direct_speedup_at_1e5": {
             _label(r["policy"], r["admission"]): r["speedup"] for r in direct_largest
         },
         "min_direct_speedup_at_1e5": min(r["speedup"] for r in direct_largest),
         "closed_loop_speedup": {r["policy"]: r["speedup"] for r in closed},
         "min_closed_loop_speedup": min(r["speedup"] for r in closed),
+        # The native closed loop over the direct loop, the path it replaces.
+        "closed_native_speedup": {r["policy"]: r["speedup"] for r in closed_native},
+        "min_closed_native_speedup": min(r["speedup"] for r in closed_native),
         # Each native case over the direct loop, the path it replaces.
         "native_speedup_at_1e5": {
             _label(r["policy"], r["admission"]): r["speedup"] for r in native_1e5
@@ -408,6 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "direct": direct,
         "closed_loop": closed,
+        "closed_native": closed_native,
         "native": native,
         "summary": summary,
     }

@@ -160,7 +160,7 @@ def _run_differential(
             problems += 1
             lines.append(serving.summary())
         # Closed-loop parity: one population per case, rotating through
-        # every policy the direct loop serves.
+        # every policy on the path auto takes it to.
         for problem in closed_loop_parity(
             ALL_POLICIES[index % len(ALL_POLICIES)],
             case.capacity,

@@ -26,6 +26,7 @@ CLI and the test suite fail on any non-clean report.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,6 +53,7 @@ from ..shaping import (
     run_policy,
     select_engine,
     serve_native,
+    serve_native_closed,
 )
 from ..units import EPS
 from .invariants import CheckingScheduler, Violation
@@ -590,19 +592,25 @@ def closed_loop_parity(
     demand_sampler=None,
     admission: str = "count",
 ) -> list[str]:
-    """Certify the direct loop against the event loop on one population.
+    """Certify ``run_closed_loop``'s fast path against the event loop.
 
     ``policy`` (any, single-server or topology) serves the same
-    closed-loop population twice: on
-    :func:`repro.server.driver.serve_direct`, as
-    :func:`~repro.workload.closedloop.run_closed_loop` serves it under
-    ``auto``, and on the ``ClosedLoopSource`` -> ``DeviceDriver`` (or
-    topology system) event loop it runs under ``engine="scalar"``.  Bit
-    for bit, the two must agree on
+    closed-loop population twice: on the path
+    :func:`~repro.workload.closedloop.run_closed_loop` takes under
+    ``auto`` (:func:`repro.shaping.select_engine`) — the native closed
+    loop (:func:`repro.shaping.serve_native_closed`) for srpt, nudge,
+    boost, edf and splitfarm where it builds and draws the population's
+    streams and demands, the heap-free loop
+    (:func:`repro.server.driver.serve_direct`) otherwise — and on the
+    ``ClosedLoopSource`` -> ``DeviceDriver`` (or topology system) event
+    loop it runs under ``engine="scalar"``.  Bit for bit, the two must
+    agree on
 
-    * the submitted requests in submission order — arrival,
-      ``client_id``, ``service_demand``, ``qos_class`` and completion —
-      so on every think and demand draw;
+    * the submitted requests in submission order, every
+      :class:`~repro.core.request.Request` field and its type (a plain
+      ``int`` equals a :class:`~repro.core.request.QoSClass` member, but
+      is not one), so on every think and demand draw;
+    * where each user's numpy generator ends;
     * every per-class response sequence in completion order;
     * the conservation ledger, the primary deadline misses and the
       preemptions.
@@ -611,15 +619,18 @@ def closed_loop_parity(
     """
     config = RunConfig(cmin, delta_c, delta, admission=admission)
     users = (n_users, think_time, horizon, seed, demand_sampler)
-    served, direct = ClosedLoopPopulation(*users), ClosedLoopPopulation(*users)
+    served, fast = ClosedLoopPopulation(*users), ClosedLoopPopulation(*users)
     reference = _event_loop_system(served, policy, config)
-    sides, route = build_stack(policy, config)
-    run = serve_direct(direct, *sides, route=route)
+    path = select_engine(fast, policy, config)
+    if path == "native":
+        run = serve_native_closed(fast, policy, config)
+    else:
+        sides, route = build_stack(policy, config)
+        run = serve_direct(fast, *sides, route=route)
     label = f"closed-loop {policy}"
     problems: list[str] = []
-    fields = ("arrival", "client_id", "service_demand", "qos_class", "completion")
-    want = [[getattr(r, f) for f in fields] for r in served.requests]
-    got = [[getattr(r, f) for f in fields] for r in direct.requests]
+    want = [_request_record(r) for r in served.requests]
+    got = [_request_record(r) for r in fast.requests]
     if want != got:
         first = next(
             (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
@@ -627,15 +638,35 @@ def closed_loop_parity(
         )
         problems.append(
             f"{label}: submissions differ from submission {first} on "
-            f"({len(got)} direct vs {len(want)} event loop)"
+            f"({len(got)} {path} vs {len(want)} event loop)"
         )
+    if _stream_states(fast) != _stream_states(served):
+        problems.append(f"{label}: user streams end elsewhere ({path} vs event loop)")
     ledger = reference.fault_ledger()
     if run.fault_ledger() != ledger:
         problems.append(
-            f"{label}: ledger {run.fault_ledger()} (direct) vs {ledger} (event loop)"
+            f"{label}: ledger {run.fault_ledger()} ({path}) vs {ledger} (event loop)"
         )
-    _compare_direct(label, reference, run, problems)
+    _compare_direct(label, reference, run, problems, path)
     return problems
+
+
+#: Every field a :class:`~repro.core.request.Request` carries.
+_REQUEST_FIELDS = tuple(f.name for f in dataclasses.fields(Request))
+
+
+def _request_record(request: Request) -> list[tuple]:
+    """Each field of ``request`` with its type, in declared order."""
+    values = (getattr(request, name) for name in _REQUEST_FIELDS)
+    return [(type(value), value) for value in values]
+
+
+def _stream_states(population: ClosedLoopPopulation) -> list:
+    """Each user's generator state (``None`` for a stream of another kind)."""
+    return [
+        stream.bit_generator.state if isinstance(stream, np.random.Generator) else None
+        for stream in population.streams
+    ]
 
 
 # ---------------------------------------------------------------------------

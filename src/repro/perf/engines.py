@@ -23,9 +23,13 @@ the RTT admission recurrence; the *execution engine* is the path
     with one of those attached takes the event loop.  The default.
     Closed-loop populations
     (:func:`repro.workload.closedloop.run_closed_loop`) share the same
-    run body (:func:`repro.shaping.serve_feed`); they take the direct
-    loop under the same condition, and never the native loops, which
-    need the arrival column up front.  Neither the native nor the
+    run body (:func:`repro.shaping.serve_feed`): under the same
+    condition, a population under ``srpt``, ``nudge``, ``boost``,
+    ``edf`` or ``splitfarm`` with unit demands or an in-range
+    :class:`~repro.workload.sizes.BimodalDemand` takes the native
+    closed loop (:func:`repro.perf.native.serve_closed`) where the build
+    linked numpy's ``libnpyrandom``, and every other one the direct
+    loop.  Neither the native nor the
     direct loop is an engine name: nothing needs to force them, and
     ``scalar`` against ``auto`` is their A/B.  Results record the path
     taken in ``RunResult.engine`` (``"scalar"``, ``"native"`` or
@@ -42,7 +46,13 @@ the collectors' sample store as it is
 (:meth:`~repro.sim.stats.ResponseTimeCollector.adopting`).  A policy
 keeps them only while they beat the direct loop, the path they replace,
 at least 5x at 10^5 requests (``BENCH_engine.json``'s ``native`` rows;
-the CI floor ``MIN_QUICK_SPEEDUP``).
+the CI floor ``MIN_QUICK_SPEEDUP``).  The native closed loop also
+mirrors :class:`~repro.sched.sized.SRPTScheduler`'s preemption,
+Nudge's swap, Boost's key, :class:`~repro.sched.edf.EDFScheduler`'s
+deferral and the SPLIT farm's routing, and draws through each user's
+own generator; both it and the direct loop build every ``Request``, so
+it is held to 2.5x over the direct loop (``closed_native`` rows,
+``MIN_QUICK_CLOSED_SPEEDUP``).
 
 A run names its engine in ``RunConfig.engine`` (``None`` means
 ``auto``), which :class:`~repro.shaping.RunConfig` validates; nothing

@@ -27,6 +27,19 @@ float64 column, which the run's collectors adopt as their sample store.
 ``auto`` takes them first where :func:`serves` says so
 (:func:`repro.shaping.select_engine`).
 
+The build also carries :func:`serve_closed`, the direct loop for a
+closed-loop population under ``srpt``, ``nudge``, ``boost``, ``edf`` and
+``splitfarm``, where :func:`serves_closed` says so.  Its arrivals
+depend on its completions, so it keeps each thinking user in a heap and
+draws every think pause and demand through that user's own numpy
+generator, calling numpy's own C distributions: the source is compiled
+against ``numpy/random/bitgen.h`` and linked with numpy's static
+``libnpyrandom``.  Where that link fails the source is built without
+the closed loop (:func:`closed_available` is False); the kernels and
+the open loops never depend on it.  The cache tag covers numpy's
+version and the library's hash, since NEP 19 lets the streams change
+between numpy versions.
+
 Everything degrades gracefully: no compiler, a failed compile, or an
 unwritable cache directory simply mean :func:`available` returns False,
 kernel ``auto`` falls back to the scalar backend and runs to the direct
@@ -36,8 +49,10 @@ build cache (default ``~/.cache/repro-kernels``).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -45,6 +60,7 @@ import tempfile
 
 import numpy as np
 
+from ..core.request import IOKind, QoSClass, Request
 from ..exceptions import SimulationError
 from ..units import DEADLINE_SLACK, EPS, MAX_SIZE, MIN_SIZE
 
@@ -361,6 +377,339 @@ i64 repro_serve_fifo(
     *misses = missed;
     return status < 0 ? status : n1;
 }
+
+#ifdef REPRO_CLOSED
+#include <limits.h>
+#include <numpy/random/bitgen.h>
+
+/* numpy's own distributions (numpy/random/lib/libnpyrandom.a): one draw
+ * of Generator.exponential(scale) and of Generator.random(). */
+double random_exponential(bitgen_t *bitgen_state, double scale);
+double random_standard_uniform(bitgen_t *bitgen_state);
+
+enum { CLOSED_SRPT = 0, CLOSED_NUDGE = 1, CLOSED_BOOST = 2, CLOSED_EDF = 3,
+       CLOSED_SPLITFARM = 4 };
+
+/* A closed loop's output columns, grown by doubling: per request in
+ * submission order (its class 0, 1 or 2 as QoSClass numbers it, and the
+ * side that served it), and per completion in completion order (the
+ * response and the request's index). */
+typedef struct {
+    i64 n, cap;
+    double *arrival, *demand, *deadline, *dispatch, *completion, *response;
+    i64 *user, *order;
+    unsigned char *klass, *side;
+} closed_run;
+
+void repro_closed_free(closed_run *run)
+{
+    free(run->arrival); free(run->demand); free(run->deadline);
+    free(run->dispatch); free(run->completion); free(run->response);
+    free(run->user); free(run->order); free(run->klass); free(run->side);
+    run->n = run->cap = 0;
+}
+
+/* Doubles every column; returns 0, the columns intact, when it cannot. */
+static int closed_grow(closed_run *run)
+{
+    i64 cap = run->cap ? run->cap << 1 : 4096;
+#define GROW(column) do { \
+        void *grown = realloc(run->column, cap * sizeof *run->column); \
+        if (!grown) \
+            return 0; \
+        run->column = grown; \
+    } while (0)
+    GROW(arrival); GROW(demand); GROW(deadline); GROW(dispatch);
+    GROW(completion); GROW(response); GROW(user); GROW(order);
+    GROW(klass); GROW(side);
+#undef GROW
+    run->cap = cap;
+    return 1;
+}
+
+/* A heap entry: its key and push number, the user or request it holds,
+ * and a preempted request's remaining seconds (0: never preempted). */
+typedef struct { double key; i64 seq, item; double rem; } keyed;
+
+/* heapq's order on (key, push number) tuples. */
+static int keyed_before(const keyed *a, const keyed *b)
+{
+    return a->key < b->key || (a->key == b->key && a->seq < b->seq);
+}
+
+static void heap_push(keyed *heap, i64 *len, keyed e)
+{
+    i64 i = (*len)++;
+    while (i > 0) {
+        i64 parent = (i - 1) >> 1;
+        if (!keyed_before(&e, &heap[parent]))
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = e;
+}
+
+static keyed heap_pop(keyed *heap, i64 *len)
+{
+    keyed top = heap[0], last = heap[--*len];
+    i64 i = 0, n = *len;
+    for (;;) {
+        i64 c = (i << 1) + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && keyed_before(&heap[c + 1], &heap[c]))
+            c += 1;
+        if (!keyed_before(&heap[c], &last))
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = last;
+    return top;
+}
+
+/* A FIFO slot: a request, and whether it took part in a Nudge swap. */
+typedef struct { i64 req; int swapped; } slot;
+
+/* The heap-free loop (repro/server/driver.py serve_direct) for a closed
+ * loop under srpt, nudge, boost or edf on one server of rate `rate1`, or
+ * splitfarm (SizeSplitFrontEnd.route classifies, then sends a request of
+ * demand <= `size_threshold` to its small side of rate `rate1`, the
+ * rest to its large side of rate `rate2`).  Must mirror, in the same
+ * event order and operation for operation: ClosedLoopPopulation's
+ * next_arrival and submit (with BimodalDemand's scalar draw when
+ * `sized`, drawing through each user's own generator `streams[u]`),
+ * OnlineRTTClassifier.classify and on_completion, SRPTScheduler,
+ * NudgeScheduler, BoostScheduler, EDFScheduler, the slot-releasing FCFS
+ * sides, ConstantRateModel.service_time, Server.preempt and
+ * Request.met_deadline.  Every tolerance is an argument: Python owns
+ * them.  At most n_users requests are outstanding, so every queue and
+ * the users' heap fit in n_users slots.  Returns the completions, -1
+ * when memory runs out, or -2 - k with *bad set when side k's service
+ * time is not positive. */
+i64 repro_serve_closed(
+    void *const *streams, i64 n_users, double think_time, double horizon,
+    i64 sized, double short_demand, double long_demand, double long_fraction,
+    i64 policy, double rate1, double rate2, double srpt_rate,
+    double small_threshold, double boost_scale, double size_threshold,
+    i64 classified, double delta, i64 limit, i64 by_work, double work_limit,
+    double edf_service, double edf_tolerance, double eps,
+    double deadline_slack, closed_run *run, i64 *misses, i64 *preemptions,
+    double *bad)
+{
+    i64 slots = 1;
+    while (slots <= n_users)
+        slots <<= 1;
+    i64 mask = slots - 1;
+    keyed *users = malloc(n_users * sizeof *users);
+    keyed *heap = malloc(slots * sizeof *heap);
+    slot *rings[2] = {malloc(slots * sizeof(slot)), malloc(slots * sizeof(slot))};
+    if (!users || !heap || !rings[0] || !rings[1]) {
+        free(users); free(heap); free(rings[0]); free(rings[1]);
+        return -1;
+    }
+    i64 heads[2] = {0, 0}, tails[2] = {0, 0};
+    i64 waiting = 0, queued = 0, pushes = 0, seq = 0, len_q1 = 0;
+    double work_q1 = 0.0;
+    double service[2] = {1.0 / rate1, 1.0 / rate2};
+    int routed = policy == CLOSED_SPLITFARM;
+    /* Each side's request in service (-1: idle) and its completion key,
+     * (instant, dispatch number); an idle side's key sorts last.  The
+     * loop serves side k, whose completion fires first: `busy` and `due`
+     * are its. */
+    i64 inflight[2] = {-1, -1}, number[2] = {LLONG_MAX, LLONG_MAX};
+    double dues[2] = {INFINITY, INFINITY};
+    i64 dispatches = 0, k = 0, busy = -1, done = 0, missed = 0, preempted = 0;
+    i64 status = 0;
+    double due = 0.0, now;
+    /* Every user thinks from time 0, in id order. */
+    for (i64 u = 0; u < n_users; ++u) {
+        double at = 0.0 + random_exponential(streams[u], think_time);
+        if (!(at >= horizon))
+            heap_push(users, &waiting, (keyed){at, pushes++, u, 0.0});
+    }
+    double next_t = waiting ? users[0].key : INFINITY;
+    for (;;) {
+        int recheck = 0;
+        if (busy >= 0 && due <= next_t) {
+            /* Server._complete, then DeviceDriver._on_completion. */
+            i64 r = busy;
+            now = due;
+            busy = -1;
+            run->completion[r] = now;
+            if (run->klass[r] == 1) {
+                /* The side's on_completion releases the Q1 slot. */
+                double left = work_q1 - run->demand[r];
+                len_q1 -= 1;
+                work_q1 = left > 0.0 ? left : 0.0;
+                if (!(now <= run->deadline[r] + deadline_slack))
+                    missed += 1;
+            }
+            run->response[done] = now - run->arrival[r];
+            run->order[done++] = r;
+            /* ClosedLoopSource._on_completion: the user thinks again. */
+            i64 u = run->user[r];
+            double at = now + random_exponential(streams[u], think_time);
+            if (!(at >= horizon))
+                heap_push(users, &waiting, (keyed){at, pushes++, u, 0.0});
+            next_t = waiting ? users[0].key : INFINITY;
+        } else if (waiting) {
+            /* ClosedLoopSource._submit. */
+            keyed top = heap_pop(users, &waiting);
+            i64 u = top.item;
+            now = top.key;
+            next_t = waiting ? users[0].key : INFINITY;
+            if (run->n == run->cap && !closed_grow(run)) {
+                status = -1;
+                break;
+            }
+            i64 r = run->n++;
+            double d = 1.0;
+            if (sized)
+                d = random_standard_uniform(streams[u]) < long_fraction
+                    ? long_demand : short_demand;
+            run->arrival[r] = now;
+            run->demand[r] = d;
+            run->user[r] = u;
+            run->klass[r] = 0;
+            run->deadline[r] = 0.0;
+            run->side[r] = 0;
+            if (classified) {
+                int admit = by_work ? work_q1 + d <= work_limit + eps : len_q1 < limit;
+                if (admit) {
+                    len_q1 += 1;
+                    work_q1 += d;
+                    run->klass[r] = 1;
+                    run->deadline[r] = now + delta;
+                } else {
+                    run->klass[r] = 2;
+                }
+            }
+            if (routed) {
+                i64 side = d <= size_threshold ? 0 : 1;
+                run->side[r] = side;
+                if (side != k) {
+                    k = side;
+                    busy = inflight[k];
+                    due = dues[k];
+                }
+            }
+            /* DeviceDriver.on_arrival: the scheduler queues it. */
+            if (policy == CLOSED_SRPT) {
+                heap_push(heap, &queued, (keyed){d, seq++, r, 0.0});
+                recheck = 1;
+            } else if (policy == CLOSED_BOOST) {
+                heap_push(heap, &queued, (keyed){now - boost_scale / d, seq++, r, 0.0});
+            } else {
+                i64 q = policy == CLOSED_EDF ? run->klass[r] != 1 : k;
+                slot *ring = rings[q];
+                slot *tail = &ring[(tails[q] - 1) & mask];
+                /* Nudge: a small arrival swaps ahead of a large tail
+                 * that never swapped. */
+                if (policy == CLOSED_NUDGE && tails[q] > heads[q]
+                    && d <= small_threshold
+                    && !(run->demand[tail->req] <= small_threshold)
+                    && !tail->swapped) {
+                    ring[tails[q]++ & mask] = (slot){tail->req, 1};
+                    *tail = (slot){r, 1};
+                } else {
+                    ring[tails[q]++ & mask] = (slot){r, 0};
+                }
+            }
+        } else {
+            break;
+        }
+        /* DeviceDriver._try_dispatch and, after an arrival, _maybe_preempt. */
+        for (;;) {
+            if (busy < 0) {
+                i64 r = -1;
+                double left = 0.0;
+                if (policy == CLOSED_SRPT || policy == CLOSED_BOOST) {
+                    if (queued) {
+                        keyed e = heap_pop(heap, &queued);
+                        r = e.item;
+                        left = e.rem;
+                    }
+                } else {
+                    i64 q = k;
+                    if (policy == CLOSED_EDF) {
+                        /* Q2 goes first while every queued Q1 request
+                         * still meets its deadline behind it. */
+                        int b1 = heads[0] < tails[0], b2 = heads[1] < tails[1];
+                        int safe = b2;
+                        if (b1 && b2) {
+                            double cumulative = run->demand[rings[1][heads[1] & mask].req];
+                            for (i64 i = heads[0]; i < tails[0]; ++i) {
+                                i64 p = rings[0][i & mask].req;
+                                cumulative += run->demand[p];
+                                double finish = now + cumulative * edf_service;
+                                if (finish > run->deadline[p] + edf_tolerance) {
+                                    safe = 0;
+                                    break;
+                                }
+                            }
+                        }
+                        q = safe ? 1 : 0;
+                    }
+                    if (heads[q] < tails[q])
+                        r = rings[q][heads[q]++ & mask].req;
+                }
+                if (r < 0)
+                    break;
+                /* Server.dispatch: a preempted request resumes its
+                 * remainder. */
+                double duration = left > 0.0 ? left : run->demand[r] * service[k];
+                if (duration <= 0.0) {
+                    *bad = duration;
+                    status = -2 - k;
+                    break;
+                }
+                run->dispatch[r] = now;
+                busy = r;
+                due = now + duration;
+            }
+            if (!recheck)
+                break;
+            recheck = 0;
+            double remaining = due - now;
+            remaining = remaining > 0.0 ? remaining : 0.0;
+            if (remaining <= 0.0 || !queued
+                || !(heap[0].key < remaining * srpt_rate - eps))
+                break;
+            /* Server.preempt; SRPT re-queues it on its remaining work. */
+            heap_push(heap, &queued, (keyed){remaining * srpt_rate, seq++, busy, remaining});
+            busy = -1;
+            preempted += 1;
+        }
+        if (status < 0)
+            break;
+        if (routed) {
+            if (busy != inflight[k]) {
+                /* Side k completed or dispatched: a dispatch's completion
+                 * takes the next number. */
+                inflight[k] = busy;
+                dues[k] = busy < 0 ? INFINITY : due;
+                number[k] = busy < 0 ? LLONG_MAX : dispatches;
+                dispatches += 1;
+            }
+            i64 side = dues[1] < dues[0] || (dues[1] == dues[0] && number[1] < number[0]);
+            if (side != k) {
+                k = side;
+                busy = inflight[k];
+                due = dues[k];
+            }
+        }
+    }
+    free(users);
+    free(heap);
+    free(rings[0]);
+    free(rings[1]);
+    *misses = missed;
+    *preemptions = preempted;
+    return status < 0 ? status : done;
+}
+#endif
 """
 
 #: Compiler candidates, first hit wins.
@@ -378,6 +727,25 @@ _lib = None
 _load_attempted = False
 
 
+class _ClosedRun(ctypes.Structure):
+    """The closed loop's output columns (``closed_run`` in the C source)."""
+
+    _fields_ = [
+        ("n", ctypes.c_longlong),
+        ("cap", ctypes.c_longlong),
+        *(
+            (name, ctypes.POINTER(ctypes.c_double))
+            for name in (
+                "arrival", "demand", "deadline", "dispatch", "completion", "response"
+            )
+        ),
+        ("user", ctypes.POINTER(ctypes.c_longlong)),
+        ("order", ctypes.POINTER(ctypes.c_longlong)),
+        ("klass", ctypes.POINTER(ctypes.c_ubyte)),
+        ("side", ctypes.POINTER(ctypes.c_ubyte)),
+    ]
+
+
 def _cache_dir() -> str:
     override = os.environ.get("REPRO_NATIVE_CACHE")
     if override:
@@ -386,7 +754,7 @@ def _cache_dir() -> str:
     return os.path.join(xdg, "repro-kernels")
 
 
-def _compile(compiler: str, flags: list[str], so_path: str) -> bool:
+def _compile(compiler: str, flags: list[str], link: list[str], so_path: str) -> bool:
     cache = os.path.dirname(so_path)
     try:
         os.makedirs(cache, exist_ok=True)
@@ -396,7 +764,7 @@ def _compile(compiler: str, flags: list[str], so_path: str) -> bool:
             with open(src, "w", encoding="utf-8") as handle:
                 handle.write(_C_SOURCE)
             subprocess.run(
-                [compiler, *flags, "-o", out, src, "-lm"],
+                [compiler, *flags, "-o", out, src, *link, "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -407,18 +775,45 @@ def _compile(compiler: str, flags: list[str], so_path: str) -> bool:
     return True
 
 
+def _numpy_random() -> tuple[list[str], list[str], list[str]] | None:
+    """How to build the closed loop against numpy's own distributions.
+
+    Returns the compile flags, the link flags and what identifies the
+    linked code (numpy's version and its static random library's hash:
+    NEP 19 lets the streams change between versions), or ``None`` when
+    the installed numpy ships no ``libnpyrandom.a``.
+    """
+    lib_dir = os.path.join(os.path.dirname(np.__file__), "random", "lib")
+    try:
+        with open(os.path.join(lib_dir, "libnpyrandom.a"), "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return None
+    return (
+        ["-DREPRO_CLOSED", f"-I{np.get_include()}"],
+        [f"-L{lib_dir}", "-lnpyrandom"],
+        [np.__version__, digest],
+    )
+
+
 def _build() -> ctypes.CDLL | None:
     compiler = next((c for c in _COMPILERS if shutil.which(c)), None)
     if compiler is None:
         return None
+    # The source with the closed loop, numpy's random library linked,
+    # first; where that link fails, the source without it.
+    closed = _numpy_random()
+    variants = ([closed] if closed is not None else []) + [([], [], [])]
     lib = None
     cache = _cache_dir()
-    for flags in _FLAG_SETS:
+    for (defines, link, linked), flags in itertools.product(variants, _FLAG_SETS):
         tag = hashlib.sha256(
-            "\0".join([_C_SOURCE, compiler, *flags]).encode()
+            "\0".join([_C_SOURCE, compiler, *flags, *defines, *linked]).encode()
         ).hexdigest()[:16]
         so_path = os.path.join(cache, f"librepro_rtt_{tag}.so")
-        if os.path.exists(so_path) or _compile(compiler, flags, so_path):
+        if os.path.exists(so_path) or _compile(
+            compiler, [*flags, *defines], link, so_path
+        ):
             try:
                 lib = ctypes.CDLL(so_path)
                 break
@@ -445,6 +840,18 @@ def _build() -> ctypes.CDLL | None:
         pd, pd, i64, i64, dbl, dbl, dbl, i64, i64, dbl, dbl, dbl, pd, pi, pd,
     ]
     lib.repro_serve_fifo.restype = i64
+    try:
+        closed = lib.repro_serve_closed
+    except AttributeError:  # built without numpy's random library
+        return lib
+    closed.argtypes = [
+        ctypes.POINTER(ctypes.c_void_p), i64, dbl, dbl, i64, dbl, dbl, dbl,
+        i64, dbl, dbl, dbl, dbl, dbl, dbl, i64, dbl, i64, i64, dbl, dbl, dbl,
+        dbl, dbl, ctypes.POINTER(_ClosedRun), pi, pi, pd,
+    ]
+    closed.restype = i64
+    lib.repro_closed_free.argtypes = [ctypes.POINTER(_ClosedRun)]
+    lib.repro_closed_free.restype = None
     return lib
 
 
@@ -459,6 +866,16 @@ def _get_lib() -> ctypes.CDLL | None:
 def available() -> bool:
     """True when the compiled kernels loaded (builds on first call)."""
     return _get_lib() is not None
+
+
+def closed_available() -> bool:
+    """True when the build carries the closed loop (:func:`serve_closed`).
+
+    It does where numpy's static ``libnpyrandom`` linked; the kernels
+    and the open loops never depend on it.
+    """
+    lib = _get_lib()
+    return lib is not None and hasattr(lib, "repro_serve_closed")
 
 
 def _as_c_arrays(instants, counts):
@@ -649,3 +1066,183 @@ def serve_recombined(
     if done == -2:
         raise SimulationError(f"{policy}: non-positive service time {bad.value}")
     return responses, classes, misses.value
+
+
+#: The policies the closed loop (:func:`serve_closed`) runs, in its C
+#: numbering.
+CLOSED_POLICIES = ("srpt", "nudge", "boost", "edf", "splitfarm")
+
+#: The QoS classes by the number the closed loop writes for them.
+_CLASSES = np.array(sorted(QoSClass), dtype=object)
+
+#: ``PyCapsule_GetPointer``, typed for a bit generator's capsule (a
+#: private prototype: ``ctypes.pythonapi``'s own is shared).
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _closed_demands(sampler) -> tuple[bool, float, float, float] | None:
+    """How the closed loop draws ``sampler``'s demands, or ``None``.
+
+    ``None`` issues unit demands.  A
+    :class:`~repro.workload.sizes.BimodalDemand` (that exact type, with a
+    plain number for its ``long_fraction``) whose ``short`` and ``long``
+    lie in [:data:`~repro.units.MIN_SIZE`, :data:`~repro.units.MAX_SIZE`]
+    is drawn as its scalar form draws it.  Any other sampler is not.
+    """
+    from ..workload.sizes import BimodalDemand
+
+    if sampler is None:
+        return False, 1.0, 1.0, 0.0
+    if type(sampler) is not BimodalDemand or not isinstance(
+        sampler.long_fraction, (int, float)
+    ):
+        return None
+    short, long = float(sampler.short), float(sampler.long)
+    if not (MIN_SIZE <= short <= MAX_SIZE and MIN_SIZE <= long <= MAX_SIZE):
+        return None
+    return True, short, long, float(sampler.long_fraction)
+
+
+def serves_closed(policy: str, population) -> bool:
+    """Whether the closed loop runs ``policy`` on ``population``.
+
+    ``policy`` must be one of :data:`CLOSED_POLICIES`, the build must
+    carry the closed loop (:func:`closed_available`), the population's
+    demand sampler must be one it draws (:func:`_closed_demands`), and
+    every user's stream a numpy ``Generator``, through whose bit
+    generator it draws.
+    """
+    if policy not in CLOSED_POLICIES or not closed_available():
+        return False
+    if _closed_demands(population.demand_sampler) is None:
+        return False
+    return all(type(stream) is np.random.Generator for stream in population.streams)
+
+
+def serve_closed(
+    population, policy: str, sides, classifier=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Serve a closed-loop ``population`` under ``policy``, in C.
+
+    ``policy`` is one of :data:`CLOSED_POLICIES` and
+    :func:`serves_closed` holds.  ``sides`` are the
+    :class:`~repro.server.driver.Side` s that
+    :func:`repro.shaping.build_stack` builds for the direct loop: one
+    server, or splitfarm's small and large sides.  ``classifier`` is the
+    fresh :class:`~repro.sched.classifier.OnlineRTTClassifier` that
+    edf's scheduler or splitfarm's front end holds (``None`` for the
+    classifier-free policies).  The loop reads every rule's parameters
+    off these objects: the side rates, srpt's ``service_rate``, nudge's
+    ``small_threshold``, boost's ``scale``, edf's ``service_time`` and
+    ``tie_tolerance``, the classifier's bounds and mode, and
+    :data:`repro.server.sizesplit.THRESHOLD`.
+
+    Each user's think pauses and demands are drawn through that user's
+    own generator, under its lock, so every generator ends where the
+    direct loop leaves it.  The submitted requests are appended to
+    ``population.requests``, equal field for field to the direct loop's.
+    Returns the responses in completion order, each one's class (its
+    :class:`~repro.core.request.QoSClass` number) and side, the primary
+    deadline misses and the preemptions: what
+    :func:`repro.server.driver.serve_direct` collects from the same
+    stack, bit for bit.  A non-positive service time raises the direct
+    loop's :class:`~repro.exceptions.SimulationError`, naming the side.
+    """
+    from ..server.sizesplit import THRESHOLD
+
+    lib = _get_lib()
+    sized, short, long, fraction = _closed_demands(population.demand_sampler)
+    (scheduler, model, _), *rest = sides
+    streams = population.streams
+    n_users = len(streams)
+    pointers = (ctypes.c_void_p * n_users)(
+        *(_capsule_pointer(s.bit_generator.capsule, b"BitGenerator") for s in streams)
+    )
+    classified = classifier is not None
+    run = _ClosedRun()
+    misses = ctypes.c_longlong(0)
+    preemptions = ctypes.c_longlong(0)
+    bad = ctypes.c_double(0.0)
+    with contextlib.ExitStack() as held:
+        # ctypes releases the GIL: no other thread may draw meanwhile.
+        for stream in streams:
+            held.enter_context(stream.bit_generator.lock)
+        done = lib.repro_serve_closed(
+            pointers,
+            n_users,
+            population.think_time,
+            population.horizon,
+            sized,
+            short,
+            long,
+            fraction,
+            CLOSED_POLICIES.index(policy),
+            model.capacity,
+            rest[0].model.capacity if rest else model.capacity,
+            # Each policy's own parameters (0 where it has none).
+            getattr(scheduler, "service_rate", 0.0),
+            getattr(scheduler, "small_threshold", 0.0),
+            getattr(scheduler, "scale", 0.0),
+            THRESHOLD,
+            classified,
+            classifier.delta if classified else 0.0,
+            # Occupancy stays below n_users, so a larger bound admits alike.
+            min(classifier.limit, n_users) if classified else 0,
+            classified and classifier.mode == "work",
+            classifier.work_limit if classified else 0.0,
+            getattr(scheduler, "service_time", 0.0),
+            getattr(scheduler, "tie_tolerance", 0.0),
+            EPS,
+            DEADLINE_SLACK,
+            ctypes.byref(run),
+            ctypes.byref(misses),
+            ctypes.byref(preemptions),
+            ctypes.byref(bad),
+        )
+    try:
+        if done == -1:
+            raise MemoryError(f"{policy}: no memory for the native loop's columns")
+        if done < -1:
+            name = sides[-2 - done].name
+            raise SimulationError(f"{name}: non-positive service time {bad.value}")
+        n = run.n
+        column = {
+            name: np.ctypeslib.as_array(getattr(run, name), (n,))
+            if n
+            else np.empty(0, pointer._type_)
+            for name, pointer in _ClosedRun._fields_[2:]
+        }
+        klass, order = column["klass"], column["order"][:done]
+        deadlines = itertools.repeat(None)
+        if classified:
+            stamped = column["deadline"].astype(object)
+            stamped[klass != QoSClass.PRIMARY] = None
+            deadlines = stamped.tolist()
+        # The loop writes `short` or `long` (1.0 when unsized): each
+        # request takes that float itself, as the scalar draw returns it.
+        demands = np.array([short, long], dtype=object).take(column["demand"] != short)
+        base = len(population.requests)
+        # Request's fields in their declared order; the untouched ones at
+        # their defaults (size, lba, kind, then retries).
+        fields = (
+            column["arrival"].tolist(),
+            range(base, base + n),
+            itertools.repeat(0),
+            itertools.repeat(0),
+            itertools.repeat(IOKind.READ),
+            column["user"].tolist(),
+            _CLASSES[klass].tolist(),
+            deadlines,
+            column["dispatch"].tolist(),
+            column["completion"].tolist(),
+            itertools.repeat(0),
+            demands.tolist(),
+        )
+        responses = column["response"][:done].copy()
+        classes, where = klass[order], column["side"][order]
+    finally:
+        lib.repro_closed_free(ctypes.byref(run))
+    population.requests.extend(map(Request, *fields))
+    return responses, classes, where, misses.value, preemptions.value

@@ -636,8 +636,11 @@ def serve_direct(
     For an open loop under fcfs or split,
     :func:`repro.perf.native.serve_fifo` is this loop in C, and on one
     server under fairqueue, wf2q or miser,
-    :func:`repro.perf.native.serve_recombined`; ``auto`` takes them
-    first.  A change to the event order here must be made there too.
+    :func:`repro.perf.native.serve_recombined`; for a population under
+    srpt, nudge, boost, edf or splitfarm,
+    :func:`repro.perf.native.serve_closed`, which draws through the
+    population's own generators.  ``auto`` takes them first.  A change
+    to the event order here must be made there too.
     """
     routed = route is not None
     if not sides or (len(sides) > 1 and not routed):

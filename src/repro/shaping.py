@@ -209,7 +209,8 @@ class RunResult:
     engine:
         Path that served the run (:func:`select_engine`), all
         bit-identical: the ``"native"`` C loops (fcfs, split, fairqueue,
-        wf2q and miser; open loop only), the ``"direct"`` heap-free loop
+        wf2q and miser open loop; srpt, nudge, boost, edf and splitfarm
+        closed loop), the ``"direct"`` heap-free loop
         (:func:`repro.server.driver.serve_direct`, one server or a
         topology's sides) or the ``"scalar"`` event loop.
     admission, aqm:
@@ -387,8 +388,9 @@ def select_engine(
     ``engine="scalar"``, rate recording, a metrics registry, a sampler
     or a window take the event loop (``"scalar"``), which attaches them.
     Otherwise an open loop takes ``"native"`` where
-    :func:`repro.perf.native.serves` says so, and every other run
-    ``"direct"``.
+    :func:`repro.perf.native.serves` says so, a closed-loop population
+    where :func:`repro.perf.native.serves_closed` does, and every other
+    run ``"direct"``.
     """
     if (
         config.engine == "scalar"
@@ -398,9 +400,11 @@ def select_engine(
         or config.aqm is not None
     ):
         return "scalar"
-    if isinstance(feed, Workload) and native.serves(policy, feed.sizes):
-        return "native"
-    return "direct"
+    if isinstance(feed, Workload):
+        served = native.serves(policy, feed.sizes)
+    else:
+        served = native.serves_closed(policy, feed)
+    return "native" if served else "direct"
 
 
 def serve_feed(
@@ -412,7 +416,8 @@ def serve_feed(
 
     ``feed`` is a workload, replayed open loop, or a closed-loop
     population.  It is served on the path :func:`select_engine` names:
-    the native loops (:func:`serve_native`), the heap-free loop
+    the native loops (:func:`serve_native`, or for a population
+    :func:`serve_native_closed`), the heap-free loop
     (:func:`~repro.server.driver.serve_direct`) or the event loop, which
     alone attaches rate recording, a metrics registry, a sampler or a
     window.
@@ -425,7 +430,7 @@ def serve_feed(
         name, duration = feed.name, feed.duration
     sampler = series = None
     if engine == "native":
-        report = serve_native(feed, policy, config)
+        report = (serve_native_closed if closed else serve_native)(feed, policy, config)
     elif engine == "direct":
         sides, route = build_stack(policy, config)
         report = serve_direct(feed, *sides, route=route)
@@ -703,6 +708,46 @@ def serve_native(workload: Workload, policy: str, config: RunConfig) -> DirectRu
             qos: responses[classes == qos]
             for qos in (QoSClass.PRIMARY, QoSClass.OVERFLOW)
         }
+    return _adopted(responses, columns, misses)
+
+
+def serve_native_closed(
+    population: ClosedLoopPopulation, policy: str, config: RunConfig
+) -> DirectRun:
+    """:func:`serve_native`'s closed counterpart: the closed loop in C.
+
+    Serves ``population`` under ``policy``, one of
+    :data:`~repro.perf.native.CLOSED_POLICIES`, on the stack
+    :func:`build_stack` assembles for the direct loop, whose objects give
+    the loop its rates, rules and classifier
+    (:func:`repro.perf.native.serve_closed`).  The population's
+    ``requests`` fill as the direct loop fills them, and the collectors
+    adopt the loop's response column, per class, with a topology's sides
+    merged in side order (:func:`~repro.server.driver.merge_sides`).
+    """
+    sides, route = build_stack(policy, config)
+    if route is not None:
+        classifier = route.__self__.classifier
+    else:
+        classifier = getattr(sides[0].scheduler, "classifier", None)
+    responses, classes, where, misses, preemptions = native.serve_closed(
+        population, policy, sides, classifier
+    )
+    if route is not None:
+        merged = np.argsort(where, kind="stable")
+        responses, classes = responses[merged], classes[merged]
+    columns = {qos: responses[classes == qos] for qos, _ in CLASS_LABELS}
+    return _adopted(responses, columns, misses, preemptions)
+
+
+def _adopted(
+    responses: np.ndarray, columns: dict, misses: int, preemptions: int = 0
+) -> DirectRun:
+    """A native loop's run: collectors adopting its response columns.
+
+    ``columns`` maps a class to its responses; a class it lacks collected
+    nothing.
+    """
     empty = np.empty(0)
     return DirectRun(
         by_class={
@@ -712,7 +757,7 @@ def serve_native(workload: Workload, policy: str, config: RunConfig) -> DirectRu
         overall=ResponseTimeCollector.adopting("overall", responses),
         completed=responses.size,
         primary_misses=misses,
-        preemptions=0,
+        preemptions=preemptions,
     )
 
 

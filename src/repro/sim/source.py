@@ -20,6 +20,7 @@ the event engine, observing completions through the sink's
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Protocol
 
 import numpy as np
@@ -158,31 +159,33 @@ class ClosedLoopPopulation:
     ):
         if n_users <= 0:
             raise ConfigurationError(f"n_users must be positive, got {n_users}")
-        if think_time <= 0:
-            raise ConfigurationError(
-                f"think_time must be positive, got {think_time}"
-            )
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
+        # A NaN or infinite horizon never retires a user, and a NaN think
+        # time never submits: no loop would end, or none would serve.
+        for name, value in (("think_time", think_time), ("horizon", horizon)):
+            if not (0 < value < math.inf):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         self.n_users = int(n_users)
         self.think_time = float(think_time)
         self.horizon = float(horizon)
         self.seed = seed
         self.demand_sampler = demand_sampler
-        self._rngs = [user_stream(seed, u) for u in range(self.n_users)]
+        #: Each user's own generator (:func:`user_stream`), by user id.
+        self.streams = [user_stream(seed, u) for u in range(self.n_users)]
         #: Every submitted request, in submission order (``index`` order).
         self.requests: list[Request] = []
 
     def next_arrival(self, user: int, now: float) -> float | None:
         """``user`` thinks from ``now``: its next arrival, or ``None`` if retired."""
-        t = now + self._rngs[user].exponential(self.think_time)
+        t = now + self.streams[user].exponential(self.think_time)
         return None if t >= self.horizon else t
 
     def submit(self, user: int, at: float) -> Request:
         """``user``'s request arriving at ``at``, sized from its stream."""
         demand = 1.0
         if self.demand_sampler is not None:
-            demand = float(self.demand_sampler(self._rngs[user]))
+            demand = float(self.demand_sampler(self.streams[user]))
         request = Request(
             arrival=at,
             index=len(self.requests),

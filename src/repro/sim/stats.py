@@ -85,7 +85,8 @@ class OnlineStats:
         as :meth:`merge`.  Counts, min and max are exact; ``mean`` and
         ``variance`` may differ from sample-at-a-time :meth:`add` by
         float re-association (~1e-15 relative) — same caveat as any
-        parallel Welford merge.
+        parallel Welford merge.  :meth:`ResponseTimeCollector.extend_array`
+        folds with it, for the repository benchmark's pooled responses.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
@@ -196,7 +197,10 @@ class ResponseTimeCollector:
 
         The stored samples are bit-identical to feeding :meth:`add` in a
         loop; the Welford moments take the vectorized
-        :meth:`OnlineStats.add_array` path (see its float caveat).
+        :meth:`OnlineStats.add_array` path (see its float caveat).  No
+        run path fills its collectors this way, but the repository
+        benchmark (``perfbench/run.py``'s ``end_to_end``) pools every
+        run's responses with it, so it stays.
         """
         values = np.asarray(response_times, dtype=np.float64)
         if values.size == 0:

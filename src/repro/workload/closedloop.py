@@ -35,21 +35,25 @@ def run_closed_loop(
     the capacity plan, admission mode, window, ``record_rates``,
     ``metrics`` and ``sample_interval`` (the last three fill the
     result's ``telemetry``, ticking until ``horizon``).  ``engine`` is
-    read as ``run_policy`` reads it.  The native loops need the arrival
-    column up front, and closed-loop traffic only yields it after the
-    fact, so ``auto`` never takes them here: every run with nothing
-    hooked on the event loop takes the heap-free loop
+    read as ``run_policy`` reads it (:func:`~repro.shaping.select_engine`).
+    Under ``auto``, a run with nothing hooked on the event loop takes
+    the native closed loop (:func:`repro.shaping.serve_native_closed`,
+    ``engine="native"``) for ``srpt``, ``nudge``, ``boost``, ``edf`` and
+    ``splitfarm`` where the build carries it, with unit demands or a
+    :class:`~repro.workload.sizes.BimodalDemand` within the size range;
+    every other such run takes the heap-free loop
     (:func:`repro.server.driver.serve_direct`, ``engine="direct"``): a
     single-server policy on its one server, ``split`` and ``splitfarm``
     on their front end's two single-unit sides.  ``scalar``, a window
-    or an instrument runs on the event loop (``engine="scalar"``).  Both
-    give bit-identical results.
+    or an instrument runs on the event loop (``engine="scalar"``).  All
+    three give bit-identical results, the submitted requests included.
 
     ``demand_sampler`` optionally sizes each request: any sampler from
     :mod:`repro.workload.sizes`, or any ``(rng) -> float`` callable,
     called in its scalar form ``sampler(rng)`` on each user's own stream
     once per submission.  The result's ``submitted`` holds every
-    request in submission order.
+    request in submission order.  ``think_time`` and ``horizon`` must be
+    positive and finite.
     """
     check_policy(policy, config)
     population = ClosedLoopPopulation(

@@ -38,6 +38,7 @@ from repro.shaping import (
     run_policy,
     select_engine,
     serve_native,
+    serve_native_closed,
 )
 from repro.units import MAX_SIZE, MIN_SIZE
 from repro.workload.sizes import BimodalDemand
@@ -820,3 +821,276 @@ class TestClosedLoopParity:
         monkeypatch.setattr(differential, "serve_direct", mutant)
         problems = differential.closed_loop_parity(*args)
         assert any("Q1 completions 1 (direct) vs 2" in p for p in problems)
+
+
+# ---------------------------------------------------------------------------
+# The native closed loop: srpt, nudge, boost, edf and splitfarm in C
+# ---------------------------------------------------------------------------
+
+needs_closed = pytest.mark.skipif(
+    not native.closed_available(),
+    reason="the native closed loop did not build on this host",
+)
+
+#: A population that keeps the rate-8 server saturated: queues form,
+#: SRPT preempts, Nudge swaps and EDF defers.
+SATURATED = {
+    "n_users": 12,
+    "think_time": 0.25,
+    "horizon": 30.0,
+    "seed": 3,
+    "demand_sampler": DEMANDS_BY_NAME["bimodal"],
+}
+
+#: A think time far below one ulp of the clock: after its first request
+#: every user arrives again at its completion's instant.  On splitfarm's
+#: rate-4 sides the dyadic demands make the two sides complete at shared
+#: instants too, so completions and arrivals tie across sides, all drawn
+#: through real numpy generators.
+TIE_THINK = 1e-30
+TIED = {
+    "n_users": 8,
+    "think_time": TIE_THINK,
+    "horizon": 20.0,
+    "seed": 8,
+    "demand_sampler": DEMANDS_BY_NAME["bimodal"],
+}
+
+
+def both_paths(policy: str, config: RunConfig, users: dict) -> tuple:
+    """One population served by the direct loop, and its twin by the
+    native closed loop: ``(direct run, its population, native run, its
+    population)``."""
+    args = [users[k] for k in ("n_users", "think_time", "horizon", "seed")]
+    slow = source.ClosedLoopPopulation(*args, demand_sampler=users["demand_sampler"])
+    fast = source.ClosedLoopPopulation(*args, demand_sampler=users["demand_sampler"])
+    sides, route = build_stack(policy, config)
+    return (
+        driver.serve_direct(slow, *sides, route=route),
+        slow,
+        serve_native_closed(fast, policy, config),
+        fast,
+    )
+
+
+@needs_closed
+class TestNativeClosedLoop:
+    @pytest.mark.parametrize("policy", native.CLOSED_POLICIES)
+    @pytest.mark.parametrize("admission", ("count", "work"))
+    def test_equals_the_direct_loop(self, policy, admission):
+        """Samples, moments, misses, preemptions, every submitted request
+        and where every generator ends, on a saturated population."""
+        config = RunConfig(CMIN, DELTA_C, DELTA, admission=admission)
+        slow, slow_users, fast, fast_users = both_paths(policy, config, SATURATED)
+        pairs = [(fast.overall, slow.overall)] + [
+            (fast.by_class[qos], collector) for qos, collector in slow.by_class.items()
+        ]
+        for mine, theirs in pairs:
+            assert mine.samples.tobytes() == theirs.samples.tobytes(), theirs.name
+            assert vars(mine.stats) == vars(theirs.stats), theirs.name
+        assert (fast.completed, fast.primary_misses, fast.preemptions) == (
+            slow.completed, slow.primary_misses, slow.preemptions
+        )
+        assert fast.completed == len(fast_users.requests) > 100
+        assert fast_users.requests == slow_users.requests
+        assert differential._stream_states(fast_users) == differential._stream_states(
+            slow_users
+        )
+        if policy == "srpt":
+            assert fast.preemptions > 0
+
+    def test_a_served_population_continues_its_indexes(self):
+        """Serving a population again continues its request indexes and
+        its streams, as the direct loop does."""
+        config = RunConfig(CMIN, DELTA_C, DELTA)
+        args = (4, 0.5, 5.0, 9, DEMANDS_BY_NAME["bimodal"])
+        slow, fast = source.ClosedLoopPopulation(*args), source.ClosedLoopPopulation(*args)
+        for _ in range(2):
+            sides, route = build_stack("nudge", config)
+            driver.serve_direct(slow, *sides, route=route)
+            serve_native_closed(fast, "nudge", config)
+        assert fast.requests == slow.requests
+        assert [r.index for r in fast.requests] == list(range(len(fast.requests)))
+
+    def test_releases_the_generator_locks(self):
+        population = source.ClosedLoopPopulation(3, 0.5, 5.0, seed=1)
+        serve_native_closed(population, "boost", RunConfig(CMIN, DELTA_C, DELTA))
+        for stream in population.streams:
+            assert stream.bit_generator.lock.acquire(blocking=False)
+            stream.bit_generator.lock.release()
+
+    @pytest.mark.parametrize("policy", native.CLOSED_POLICIES)
+    @settings(max_examples=10)
+    @given(
+        n_users=USERS,
+        seed=SEEDS,
+        admission=st.sampled_from(["count", "work"]),
+        demand=st.sampled_from(sorted(DEMANDS_BY_NAME)),
+    )
+    def test_tie_heavy_populations_equal_the_event_loop(
+        self, policy, n_users, seed, admission, demand
+    ):
+        """Every later arrival lands on its user's completion instant:
+        the native loop breaks each tie as the event loop does."""
+        problems = differential.closed_loop_parity(
+            policy, CMIN, DELTA_C, DELTA, n_users, TIE_THINK, 20.0,
+            seed=seed, demand_sampler=DEMANDS_BY_NAME[demand], admission=admission,
+        )
+        assert problems == []
+
+    def test_the_tie_heavy_population_ties(self):
+        """On :data:`TIED` the native splitfarm run holds tied arrivals,
+        arrivals at completion instants and tied completions."""
+        population = source.ClosedLoopPopulation(**TIED)
+        serve_native_closed(population, "splitfarm", RunConfig(CMIN, DELTA_C, DELTA))
+        arrivals = [r.arrival for r in population.requests]
+        completions = [r.completion for r in population.requests]
+        assert len(set(arrivals)) < len(arrivals)
+        assert len(set(completions)) < len(completions)
+        assert sum(t in set(completions) for t in arrivals) > len(arrivals) // 2
+
+    @pytest.mark.parametrize(
+        ("policy", "side"),
+        [(policy, 0) for policy in native.CLOSED_POLICIES] + [("splitfarm", 1)],
+        ids=[*native.CLOSED_POLICIES[:-1], "splitfarm-small", "splitfarm-large"],
+    )
+    def test_a_zero_service_time_raises_as_on_the_direct_loop(self, policy, side):
+        """An infinite rate makes every service time zero: the closed
+        loop refuses it with the direct loop's error, naming the side."""
+        name = build_stack(policy, RunConfig(CMIN, DELTA_C, DELTA))[0][side].name
+        message = f"{name}: non-positive service time 0.0"
+        for serve in ("direct", "native"):
+            population = source.ClosedLoopPopulation(
+                8, 0.5, 10.0, seed=4, demand_sampler=DEMANDS_BY_NAME["bimodal"]
+            )
+            sides, route = infinite_side(policy, side)
+            with pytest.raises(SimulationError, match=message):
+                if serve == "direct":
+                    driver.serve_direct(population, *sides, route=route)
+                else:
+                    front = route.__self__ if route is not None else sides[0].scheduler
+                    native.serve_closed(
+                        population, policy, sides, getattr(front, "classifier", None)
+                    )
+
+    @pytest.mark.parametrize(
+        ("old", "new", "policy", "users", "problem"),
+        [
+            # SRPT re-queueing a preempted request on its remaining
+            # seconds, not its remaining work.
+            (
+                "(keyed){remaining * srpt_rate, seq++, busy, remaining}",
+                "(keyed){remaining, seq++, busy, remaining}",
+                "srpt",
+                SATURATED,
+                "submissions differ",
+            ),
+            # Nudge letting a large request be swapped past twice.
+            (
+                "(slot){tail->req, 1}",
+                "(slot){tail->req, 0}",
+                "nudge",
+                SATURATED,
+                "submissions differ",
+            ),
+            # Boost favouring large requests.
+            (
+                "now - boost_scale / d",
+                "now - boost_scale * d",
+                "boost",
+                SATURATED,
+                "submissions differ",
+            ),
+            # EDF forgetting the overflow head's own demand.
+            (
+                "double cumulative = run->demand[rings[1][heads[1] & mask].req];",
+                "double cumulative = 0.0;",
+                "edf",
+                SATURATED,
+                "submissions differ",
+            ),
+            # Splitfarm merging its sides in completion order.
+            (
+                "run->side[r] = side;",
+                "run->side[r] = 0;",
+                "splitfarm",
+                SATURATED,
+                "responses differ",
+            ),
+            # The bimodal draw choosing the wrong side of long_fraction.
+            (
+                "random_standard_uniform(streams[u]) < long_fraction",
+                "random_standard_uniform(streams[u]) > long_fraction",
+                "nudge",
+                SATURATED,
+                "submissions differ from submission 0",
+            ),
+            # An arrival served before a completion due at its instant.
+            (
+                "busy >= 0 && due <= next_t",
+                "busy >= 0 && due < next_t",
+                "splitfarm",
+                TIED,
+                "submissions differ",
+            ),
+            # Tied arrivals taken by user id, not by push number.
+            (
+                "(a->key == b->key && a->seq < b->seq)",
+                "(a->key == b->key && a->item < b->item)",
+                "splitfarm",
+                TIED,
+                "submissions differ",
+            ),
+            # The two sides' tied completions fired in side order, not
+            # in dispatch order.
+            (
+                "(dues[1] == dues[0] && number[1] < number[0])",
+                "(dues[1] == dues[0] && 0)",
+                "splitfarm",
+                TIED,
+                "submissions differ",
+            ),
+        ],
+        ids=[
+            "srpt-requeue-key", "nudge-swap-once", "boost-key", "edf-slack",
+            "splitfarm-merge", "bimodal-draw", "completion-before-tied-arrival",
+            "arrival-tie-order", "side-tie-order",
+        ],
+    )
+    def test_a_drifting_closed_loop_is_detected(
+        self, old, new, policy, users, problem, tmp_path, monkeypatch
+    ):
+        """``closed_loop_parity`` reports a native closed loop built from
+        a mutated source."""
+        assert native._C_SOURCE.count(old) == 1
+        monkeypatch.setattr(native, "_C_SOURCE", native._C_SOURCE.replace(old, new))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_load_attempted", False)
+        config = RunConfig(CMIN, DELTA_C, DELTA, admission="work")
+        population = source.ClosedLoopPopulation(**users)
+        assert select_engine(population, policy, config) == "native"
+        problems = differential.closed_loop_parity(
+            policy, CMIN, DELTA_C, DELTA, admission="work", **users
+        )
+        assert any(problem in p for p in problems), problems
+
+
+@needs_native
+def test_a_failed_link_builds_without_the_closed_loop(tmp_path, monkeypatch):
+    """Where numpy's random library does not link, the source builds
+    without the closed loop: the kernels and the open loops still load,
+    and the five policies' populations take the direct loop."""
+    monkeypatch.setattr(
+        native,
+        "_numpy_random",
+        lambda: (["-DREPRO_CLOSED"], ["-lrepro_no_such_library"], ["missing"]),
+    )
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_load_attempted", False)
+    assert native.available() and not native.closed_available()
+    config = RunConfig(CMIN, DELTA_C, DELTA)
+    assert run_policy(Workload([0.0, 0.25, 0.5]), "miser", config=config).engine == "native"
+    population = source.ClosedLoopPopulation(4, 0.5, 5.0, seed=2)
+    assert select_engine(population, "srpt", config) == "direct"

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import depth_reconciles
+from repro.perf import native
 from repro.server.constant_rate import constant_rate_server
 from repro.server.driver import DeviceDriver
 from repro.sched.registry import make_scheduler
@@ -14,6 +15,15 @@ from repro.sim import source as source_module
 from repro.sim.engine import Simulator
 from repro.sim.source import ClosedLoopPopulation, ClosedLoopSource
 from repro.workload import BimodalDemand, ConstantDemand, run_closed_loop
+
+
+def auto_engine(policy):
+    """The path ``auto`` takes a plain population to: the native closed
+    loop for its five policies where the build carries it, the direct
+    loop otherwise."""
+    if policy in native.CLOSED_POLICIES and native.closed_available():
+        return "native"
+    return "direct"
 
 
 def _fcfs_system(sim, rate):
@@ -89,6 +99,24 @@ class TestClosedLoopSource:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             ClosedLoopPopulation(**kwargs)
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("horizon", float("nan")),
+            ("horizon", float("inf")),
+            ("think_time", float("nan")),
+            ("think_time", float("inf")),
+        ],
+        ids=["horizon-nan", "horizon-inf", "think-nan", "think-inf"],
+    )
+    def test_refuses_a_non_finite_horizon_or_think_time(self, name, value):
+        """A NaN or infinite horizon never retires a user, so no loop
+        would end; a NaN think time never submits a request.  Both are
+        refused before any loop starts."""
+        kwargs = {"n_users": 2, "think_time": 1.0, "horizon": 10.0, name: value}
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
+            run_closed_loop("fcfs", RunConfig(10.0, 2.0, 0.5), **kwargs)
 
     @pytest.mark.parametrize("engine", ["scalar", "auto"])
     def test_each_user_stream_is_derived_once(self, monkeypatch, engine):
@@ -236,7 +264,7 @@ class TestRunClosedLoop:
             RunConfig(4.0, 2.0, 0.5, metrics=MetricsRegistry(), sample_interval=0.5),
             n_users=6, think_time=0.4, horizon=10.0, seed=2,
         )
-        assert plain.engine == "direct" and observed.engine == "scalar"
+        assert plain.engine == auto_engine("srpt") and observed.engine == "scalar"
         assert plain.telemetry is None
         assert np.array_equal(plain.overall.samples, observed.overall.samples)
         assert plain.ledger == observed.ledger
@@ -273,26 +301,80 @@ class TestEngineRouting:
         ("policy", "admission"),
         [
             ("srpt", "count"),
+            ("nudge", "work"),
+            ("boost", "count"),
             ("edf", "count"),
+            ("edf", "work"),
+            ("splitfarm", "work"),
             ("miser", "count"),
             ("fairqueue", "count"),
             ("wf2q", "work"),
+            ("drr", "count"),
             ("fcfs", "count"),
             ("fcfs", "work"),
         ],
     )
-    def test_auto_serves_single_server_runs_directly(self, policy, admission):
-        """Every policy, the native loop's three included: a closed loop
-        never takes the native loop, which needs the arrival column."""
+    def test_auto_path_equals_the_event_loop(self, policy, admission):
+        """srpt, nudge, boost, edf and splitfarm take the native closed
+        loop where the build carries it; every other policy (the open
+        loops' native five included) takes the direct loop.  Either path
+        equals the forced event loop."""
         config = RunConfig(4.0, 2.0, 0.5, admission=admission, engine="auto")
         result = self.run(policy, config)
-        assert result.engine == "direct"
+        assert result.engine == auto_engine(policy)
         assert sum(result.ledger.values()) == len(result.submitted)
         assert result.submitted
         scalar = self.run(policy, config.with_engine("scalar"))
         assert scalar.engine == "scalar"
         assert np.array_equal(result.overall.samples, scalar.overall.samples)
         assert result.ledger == scalar.ledger
+        assert result.submitted == scalar.submitted
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            ConstantDemand(2.0),
+            BimodalDemand(short=1.0, long=2.0**21),
+            type("Bimodal", (BimodalDemand,), {})(short=1.0, long=8.0),
+            lambda rng: 1.0 + rng.random(),
+        ],
+        ids=["constant", "beyond-max-size", "subclass", "callable"],
+    )
+    def test_other_samplers_take_the_direct_loop(self, sampler):
+        """Only unit demands and a ``BimodalDemand`` in the size range are
+        drawn in C; any other sampler runs on the direct loop."""
+        result = run_closed_loop(
+            "srpt", self.CONFIG, n_users=6, think_time=0.4, horizon=10.0,
+            seed=2, demand_sampler=sampler,
+        )
+        assert result.engine == "direct"
+        assert result.ledger["completed"] == len(result.submitted) > 0
+
+    def test_other_streams_take_the_direct_loop(self, monkeypatch):
+        """The C loop draws through numpy's generators; a population whose
+        streams are anything else runs on the direct loop."""
+
+        class Stream:
+            def __init__(self, seed, user):
+                self._rng = np.random.default_rng([seed, user])
+
+            def exponential(self, scale):
+                return float(self._rng.exponential(scale))
+
+        monkeypatch.setattr(source_module, "user_stream", Stream)
+        result = self.run("edf", self.CONFIG)
+        assert result.engine == "direct"
+        assert result.ledger["completed"] == len(result.submitted) > 0
+
+    def test_without_the_closed_build_auto_takes_the_direct_loop(self, monkeypatch):
+        """Where numpy's random library did not link, the five policies
+        fall back to the direct loop, with the same result."""
+        built = self.run("splitfarm", self.CONFIG)
+        monkeypatch.setattr(native, "closed_available", lambda: False)
+        fallback = self.run("splitfarm", self.CONFIG)
+        assert fallback.engine == "direct"
+        assert np.array_equal(built.overall.samples, fallback.overall.samples)
+        assert built.submitted == fallback.submitted
 
     @pytest.mark.parametrize(
         ("policy", "config"),
@@ -313,9 +395,10 @@ class TestEngineRouting:
         if config.engine != "auto":
             assert result.engine == "scalar"
             return
-        # A topology with no window takes the direct loop under auto and
-        # must equal its forced event-loop run.
-        assert result.engine == "direct"
+        # A topology with no window takes the direct loop under auto
+        # (splitfarm the native loop where it builds) and must equal its
+        # forced event-loop run.
+        assert result.engine == auto_engine(policy)
         scalar = self.run(policy, config.with_engine("scalar"))
         assert scalar.engine == "scalar"
         for collector in ("overall", "primary", "overflow"):
